@@ -21,6 +21,7 @@ import json
 import re
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -40,12 +41,11 @@ from .estimators import (
     fit_cme,
     fit_tikhonov_closed_form,
     hs_norm_sq,
-    regularized_empirical_risk,
 )
-from .kernels import GaussianKernel, Kernel, LaplacianKernel, Point, gram
+from .kernels import GaussianKernel, Kernel, LaplacianKernel, Point, coords_matrix, gram
 from .spectral import edmd_eigen, eigen_residuals
 
-_FLOAT_FMT = "{:.17g}"
+_FLOAT_FMT = "%.17g"
 
 
 class ConfigError(Exception):
@@ -53,7 +53,7 @@ class ConfigError(Exception):
 
 
 def _fmt(v: float) -> str:
-    return _FLOAT_FMT.format(float(v))
+    return _FLOAT_FMT % float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -125,259 +125,234 @@ def parse_config(path: str) -> Config:
     return Config(sections=sections, path=path)
 
 
+# Each kernel and filter variant, spelled once: its name in configs and
+# files, its class, and its parameters in file order with their types.
+# Config keys and the class's field names are the parameter names.
+_KERNELS = {
+    "gaussian": (GaussianKernel, (("bandwidth", float),)),
+    "laplacian": (LaplacianKernel, (("scale", float),)),
+}
+_FILTERS = {
+    "tikhonov": (Tikhonov, ()),
+    "cutoff": (Cutoff, ()),
+    "landweber": (Landweber, (("steps", int), ("step_size", float))),
+}
+
+
+@contextmanager
+def _invalid(where: str):
+    """Report a ValueError from parsing or building outside values as a ConfigError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _spec(table: dict, what: str, variant: str, where: str) -> tuple:
+    if variant not in table:
+        raise ConfigError(f"{where}: unknown {what} variant '{variant}'")
+    return table[variant]
+
+
+def _from_config(cfg: Config, section: str, table: dict):
+    cls, params = _spec(table, section, cfg.require(section, "variant").lower(), cfg.path)
+    args = [
+        cfg.get_int(section, key) if conv is int else cfg.get_float(section, key)
+        for key, conv in params
+    ]
+    with _invalid(f"{cfg.path}: [{section}]"):
+        return cls(*args)
+
+
+def _from_tokens(table: dict, what: str, where: str, tokens: list[str]):
+    cls, params = _spec(table, what, tokens[0] if tokens else "", where)
+    with _invalid(f"{where}: bad {what} line"):
+        if len(tokens) != 1 + len(params):
+            raise ValueError(f"expected {len(params)} parameter(s) after '{tokens[0]}'")
+        return cls(*(conv(t) for (_, conv), t in zip(params, tokens[1:])))
+
+
+def _variant(table: dict, obj) -> tuple[str, dict]:
+    """The table name and the parameter values of a kernel or filter."""
+    for name, (cls, params) in table.items():
+        if isinstance(obj, cls):
+            return name, {key: getattr(obj, key) for key, _ in params}
+    raise ValueError(f"{type(obj).__name__} has no file or report representation")
+
+
+def _spec_line(what: str, table: dict, obj) -> str:
+    name, params = _variant(table, obj)
+    values = (_fmt(v) if isinstance(v, float) else str(v) for v in params.values())
+    return " ".join([what, name, *values])
+
+
 def build_kernel(cfg: Config) -> Kernel:
-    variant = cfg.require("kernel", "variant").lower()
-    if variant == "gaussian":
-        return GaussianKernel(bandwidth=cfg.get_float("kernel", "bandwidth"))
-    if variant == "laplacian":
-        return LaplacianKernel(scale=cfg.get_float("kernel", "scale"))
-    raise ConfigError(f"{cfg.path}: unknown kernel variant '{variant}'")
+    return _from_config(cfg, "kernel", _KERNELS)
 
 
 def build_filter(cfg: Config) -> SpectralFilter:
-    variant = cfg.require("filter", "variant").lower()
-    if variant == "tikhonov":
-        return Tikhonov()
-    if variant == "cutoff":
-        return Cutoff()
-    if variant == "landweber":
-        return Landweber(
-            steps=cfg.get_int("filter", "steps"),
-            step_size=cfg.get_float("filter", "step_size"),
-        )
-    raise ConfigError(f"{cfg.path}: unknown filter variant '{variant}'")
+    return _from_config(cfg, "filter", _FILTERS)
 
 
 def _kernel_json(kernel: Kernel) -> dict:
-    if isinstance(kernel, GaussianKernel):
-        return {"variant": "gaussian", "bandwidth": kernel.bandwidth}
-    if isinstance(kernel, LaplacianKernel):
-        return {"variant": "laplacian", "scale": kernel.scale}
-    raise ValueError("only gaussian/laplacian kernels are serializable")
-
-
-def _filter_tokens(filt: SpectralFilter) -> list[str]:
-    if isinstance(filt, Tikhonov):
-        return ["tikhonov"]
-    if isinstance(filt, Cutoff):
-        return ["cutoff"]
-    return ["landweber", str(filt.steps), _fmt(filt.step_size)]
+    name, params = _variant(_KERNELS, kernel)
+    return {"variant": name, **params}
 
 
 # ---------------------------------------------------------------------------
-# data files: matrix blocks of 17-significant-digit decimals
+# data files: a magic line, token lines, then blocks of 17-digit decimals
 # ---------------------------------------------------------------------------
 
 
-class _Reader:
-    def __init__(self, path: str):
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read file {path}: {exc}") from exc
-        self.path = path
-        self.lines = text.splitlines()
-        self.pos = 0
+def _write_file(path: str, head: Sequence[str], blocks: dict[str, np.ndarray]) -> None:
+    """Write the ``head`` lines, then each block: ``name dims...`` and its rows."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in head)
+        for name, arr in blocks.items():
+            arr = np.asarray(arr, dtype=float)
+            fh.write(" ".join([name, *map(str, arr.shape)]) + "\n")
+            np.savetxt(fh, np.atleast_2d(arr), fmt=_FLOAT_FMT)
 
-    def next_line(self) -> str:
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            self.pos += 1
-            if line:
-                return line
-        raise ConfigError(f"{self.path}: unexpected end of file at line {self.pos}")
 
-    def peek(self) -> Optional[str]:
-        pos = self.pos
-        while pos < len(self.lines):
-            line = self.lines[pos].strip()
-            if line:
-                return line
-            pos += 1
+def _parse_rows(rows: list[str], cols: int) -> Optional[np.ndarray]:
+    """The rows as a (len(rows), cols) array, or None if any row does not fit."""
+    try:
+        arr = np.loadtxt(rows, ndmin=2, comments=None)
+    except ValueError:
         return None
+    return arr if arr.shape[1] == cols else None
 
-    def expect_header(self, name: str, n_dims: int) -> tuple[int, ...]:
-        line = self.next_line()
+
+def _read_file(path: str, magic: str, schema: dict[str, int], optional: str = "") -> dict:
+    """Parse a file laid out as ``schema`` maps entry name -> ndim, in order.
+
+    An ndim-0 entry is a token line ``name tokens...`` and reads as
+    ``(where, tokens)``, ``where`` being ``path:line``.  An ndim-1 or ndim-2
+    entry is a block: a header ``name length`` or ``name rows cols``, then one
+    line of ``length`` numbers or ``rows`` lines of ``cols`` numbers; it reads
+    as an array of those dimensions.  Blank lines are skipped everywhere.  The
+    ``optional`` entry may be missing at the end of the file.
+    """
+    try:
+        raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read file {path}: {exc}") from exc
+    lines = [(no, s) for no, raw in enumerate(raw_lines, start=1) if (s := raw.strip())]
+    if not lines or lines[0][1] != magic:
+        raise ConfigError(f"{path}: not a {magic} file")
+    out: dict = {}
+    pos = 1
+    for name, ndim in schema.items():
+        if pos == len(lines):
+            if name == optional:
+                break
+            raise ConfigError(f"{path}: unexpected end of file, expected '{name}'")
+        no, line = lines[pos]
+        pos += 1
         parts = line.split()
-        if parts[0] != name or len(parts) != 1 + n_dims:
+        if parts[0] != name or (ndim and len(parts) != 1 + ndim):
+            shape = f" with {ndim} dimension(s)" if ndim else ""
+            raise ConfigError(f"{path}:{no}: expected '{name}'{shape}, got '{line}'")
+        if ndim == 0:
+            out[name] = (f"{path}:{no}", parts[1:])
+            continue
+        with _invalid(f"{path}:{no}: bad dimensions in '{line}'"):
+            dims = [int(p) for p in parts[1:]]
+            if min(dims) < 0:
+                raise ValueError("dimensions must be >= 0")
+        rows, cols = dims if ndim == 2 else (1, dims[0])
+        chunk = lines[pos:pos + rows]
+        pos += rows
+        if len(chunk) < rows:
             raise ConfigError(
-                f"{self.path}:{self.pos}: expected header '{name}' with "
-                f"{n_dims} dimension(s), got '{line}'"
+                f"{path}:{no}: '{name}' declares {rows} row(s), the file ends after {len(chunk)}"
             )
-        try:
-            return tuple(int(p) for p in parts[1:])
-        except ValueError as exc:
-            raise ConfigError(f"{self.path}:{self.pos}: bad dimensions in '{line}'") from exc
-
-    def read_matrix(self, name: str) -> np.ndarray:
-        rows, cols = self.expect_header(name, 2)
-        data = np.empty((rows, cols))
-        for i in range(rows):
-            parts = self.next_line().split()
-            if len(parts) != cols:
-                raise ConfigError(
-                    f"{self.path}:{self.pos}: expected {cols} values in row {i} of '{name}'"
-                )
-            try:
-                data[i] = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ConfigError(f"{self.path}:{self.pos}: bad number in '{name}' row {i}") from exc
-        return data
-
-    def read_vector(self, name: str) -> np.ndarray:
-        (length,) = self.expect_header(name, 1)
-        parts = self.next_line().split()
-        if len(parts) != length:
-            raise ConfigError(f"{self.path}:{self.pos}: expected {length} values for '{name}'")
-        try:
-            return np.array([float(p) for p in parts])
-        except ValueError as exc:
-            raise ConfigError(f"{self.path}:{self.pos}: bad number in '{name}'") from exc
+        arr = _parse_rows([s for _, s in chunk], cols) if rows else np.empty((0, cols))
+        if arr is None:
+            bad = next((n for n, s in chunk if _parse_rows([s], cols) is None), no)
+            raise ConfigError(f"{path}:{bad}: expected {cols} numbers in this row of '{name}'")
+        out[name] = arr if ndim == 2 else arr[0]
+    return out
 
 
-def _matrix_lines(name: str, arr: np.ndarray) -> list[str]:
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    lines = [f"{name} {arr.shape[0]} {arr.shape[1]}"]
-    lines.extend(" ".join(_fmt(v) for v in row) for row in arr)
-    return lines
-
-
-def _vector_lines(name: str, arr: np.ndarray) -> list[str]:
-    arr = np.asarray(arr, dtype=float).reshape(-1)
-    return [f"{name} {arr.shape[0]}", " ".join(_fmt(v) for v in arr)]
-
-
-def _points_matrix(points: Sequence[Point]) -> np.ndarray:
-    return np.array([p.coords for p in points], dtype=float)
+def _points(arr: np.ndarray) -> tuple[Point, ...]:
+    return tuple(Point(tuple(row)) for row in arr.tolist())
 
 
 def write_model_file(path: str, model: md.FiniteMarkovModel) -> None:
-    lines = ["finite-model v1"]
-    lines += _matrix_lines("states", _points_matrix(model.states))
-    lines += _vector_lines("pi", model.marginal)
-    lines += _matrix_lines("transition", model.transition)
+    blocks = {
+        "states": coords_matrix(model.states),
+        "pi": model.marginal,
+        "transition": model.transition,
+    }
     if model.transition_alt is not None:
-        lines += _matrix_lines("transition-alt", model.transition_alt)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        blocks["transition-alt"] = model.transition_alt
+    _write_file(path, ["finite-model v1"], blocks)
 
 
 def read_model_file(path: str) -> md.FiniteMarkovModel:
-    r = _Reader(path)
-    if r.next_line() != "finite-model v1":
-        raise ConfigError(f"{path}: not a finite-model v1 file")
-    states = r.read_matrix("states")
-    pi = r.read_vector("pi")
-    P = r.read_matrix("transition")
-    P_alt = None
-    if r.peek() is not None:
-        P_alt = r.read_matrix("transition-alt")
-    try:
+    b = _read_file(
+        path,
+        "finite-model v1",
+        {"states": 2, "pi": 1, "transition": 2, "transition-alt": 2},
+        optional="transition-alt",
+    )
+    with _invalid(f"{path}: invalid model"):
         return md.finite_model(
-            [Point(tuple(row)) for row in states], pi, P, P_alt
+            _points(b["states"]), b["pi"], b["transition"], b.get("transition-alt")
         )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: invalid model: {exc}") from exc
 
 
 def write_paired_sample(path: str, sample: PairedSample) -> None:
-    lines = ["paired-sample v1"]
-    lines += _matrix_lines("x", _points_matrix(sample.X))
-    lines += _matrix_lines("y", _points_matrix(sample.Y))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_file(
+        path, ["paired-sample v1"], {"x": coords_matrix(sample.X), "y": coords_matrix(sample.Y)}
+    )
 
 
 def read_paired_sample(path: str) -> PairedSample:
-    r = _Reader(path)
-    if r.next_line() != "paired-sample v1":
-        raise ConfigError(f"{path}: not a paired-sample v1 file")
-    X = r.read_matrix("x")
-    Y = r.read_matrix("y")
-    try:
-        return PairedSample(
-            X=tuple(Point(tuple(row)) for row in X),
-            Y=tuple(Point(tuple(row)) for row in Y),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: invalid sample: {exc}") from exc
+    b = _read_file(path, "paired-sample v1", {"x": 2, "y": 2})
+    with _invalid(f"{path}: invalid sample"):
+        return PairedSample(X=_points(b["x"]), Y=_points(b["y"]))
 
 
 def write_point_sample(path: str, points: Sequence[Point]) -> None:
-    lines = ["sample v1"]
-    lines += _matrix_lines("points", _points_matrix(points))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_file(path, ["sample v1"], {"points": coords_matrix(points)})
 
 
 def read_point_sample(path: str) -> list[Point]:
-    r = _Reader(path)
-    if r.next_line() != "sample v1":
-        raise ConfigError(f"{path}: not a sample v1 file")
-    pts = r.read_matrix("points")
+    pts = _read_file(path, "sample v1", {"points": 2})["points"]
     if pts.shape[0] == 0:
         raise ConfigError(f"{path}: empty sample")
-    return [Point(tuple(row)) for row in pts]
+    with _invalid(f"{path}: invalid sample"):
+        return list(_points(pts))
 
 
 def write_estimator(path: str, est: CmeEstimator) -> None:
     """Serialize an estimator; read(write(e)) reproduces predictions bit-exactly."""
-    kernel = est.kernel
-    if isinstance(kernel, GaussianKernel):
-        kernel_line = f"kernel gaussian {_fmt(kernel.bandwidth)}"
-    elif isinstance(kernel, LaplacianKernel):
-        kernel_line = f"kernel laplacian {_fmt(kernel.scale)}"
-    else:
-        raise ValueError("only gaussian/laplacian kernels are serializable")
-    lines = [
+    head = [
         "cme-estimator v1",
-        kernel_line,
+        _spec_line("kernel", _KERNELS, est.kernel),
         f"lambda {_fmt(est.lam)}",
-        "filter " + " ".join(_filter_tokens(est.filt)),
+        _spec_line("filter", _FILTERS, est.filt),
     ]
-    lines += _matrix_lines("x", _points_matrix(est.X))
-    lines += _matrix_lines("y", _points_matrix(est.Y))
-    lines += _matrix_lines("w", est.W)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_file(path, head, {"x": coords_matrix(est.X), "y": coords_matrix(est.Y), "w": est.W})
 
 
 def read_estimator(path: str) -> CmeEstimator:
-    r = _Reader(path)
-    if r.next_line() != "cme-estimator v1":
-        raise ConfigError(f"{path}: not a cme-estimator v1 file")
-    kparts = r.next_line().split()
-    if len(kparts) == 3 and kparts[:2] == ["kernel", "gaussian"]:
-        kernel: Kernel = GaussianKernel(bandwidth=float(kparts[2]))
-    elif len(kparts) == 3 and kparts[:2] == ["kernel", "laplacian"]:
-        kernel = LaplacianKernel(scale=float(kparts[2]))
-    else:
-        raise ConfigError(f"{path}: bad kernel line")
-    lparts = r.next_line().split()
-    if len(lparts) != 2 or lparts[0] != "lambda":
-        raise ConfigError(f"{path}: bad lambda line")
-    lam = float(lparts[1])
-    fparts = r.next_line().split()
-    if fparts[:1] != ["filter"]:
-        raise ConfigError(f"{path}: bad filter line")
-    if fparts[1:] == ["tikhonov"]:
-        filt: SpectralFilter = Tikhonov()
-    elif fparts[1:] == ["cutoff"]:
-        filt = Cutoff()
-    elif len(fparts) == 4 and fparts[1] == "landweber":
-        filt = Landweber(steps=int(fparts[2]), step_size=float(fparts[3]))
-    else:
-        raise ConfigError(f"{path}: bad filter line")
-    X = r.read_matrix("x")
-    Y = r.read_matrix("y")
-    W = r.read_matrix("w")
-    try:
+    b = _read_file(
+        path,
+        "cme-estimator v1",
+        {"kernel": 0, "lambda": 0, "filter": 0, "x": 2, "y": 2, "w": 2},
+    )
+    kernel = _from_tokens(_KERNELS, "kernel", *b["kernel"])
+    filt = _from_tokens(_FILTERS, "filter", *b["filter"])
+    where, tokens = b["lambda"]
+    with _invalid(f"{where}: bad lambda line"):
+        (lam,) = map(float, tokens)
+    with _invalid(f"{path}: invalid estimator"):
         return CmeEstimator(
-            kernel=kernel,
-            lam=lam,
-            filt=filt,
-            X=tuple(Point(tuple(row)) for row in X),
-            Y=tuple(Point(tuple(row)) for row in Y),
-            W=W,
+            kernel=kernel, lam=lam, filt=filt, X=_points(b["x"]), Y=_points(b["y"]), W=b["w"]
         )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: invalid estimator: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -385,31 +360,32 @@ def read_estimator(path: str) -> CmeEstimator:
 # ---------------------------------------------------------------------------
 
 
-def _load_sample(cfg: Config, seed: int, n: Optional[int] = None) -> PairedSample:
+def _load_sample(cfg: Config, seed: int) -> PairedSample:
     source = cfg.require("data", "source").lower()
-    if n is None:
-        n = cfg.get_int("run", "n", default=0)
-    if source == "finite-model":
-        model = read_model_file(cfg.require("data", "model_file"))
-        _require_n(cfg, n)
-        return md.sample_pairs(model, n, seed)
-    if source == "ou":
-        _require_n(cfg, n)
-        return md.ou_sample_pairs(
-            theta=cfg.get_float("data", "theta"),
-            tau=cfg.get_float("data", "tau"),
-            n=n,
-            seed=seed,
-        )
-    if source == "double-well":
-        _require_n(cfg, n)
-        return md.double_well_pairs(
-            beta=cfg.get_float("data", "beta"),
-            dt=cfg.get_float("data", "dt"),
-            steps_per_pair=cfg.get_int("data", "steps_per_pair"),
-            n=n,
-            seed=seed,
-        )
+    n = cfg.get_int("run", "n", default=0)
+    # values from the config reach the samplers unchecked until here
+    with _invalid(f"{cfg.path}: invalid sampling parameters"):
+        if source == "finite-model":
+            model = read_model_file(cfg.require("data", "model_file"))
+            _require_n(cfg, n)
+            return md.sample_pairs(model, n, seed)
+        if source == "ou":
+            _require_n(cfg, n)
+            return md.ou_sample_pairs(
+                theta=cfg.get_float("data", "theta"),
+                tau=cfg.get_float("data", "tau"),
+                n=n,
+                seed=seed,
+            )
+        if source == "double-well":
+            _require_n(cfg, n)
+            return md.double_well_pairs(
+                beta=cfg.get_float("data", "beta"),
+                dt=cfg.get_float("data", "dt"),
+                steps_per_pair=cfg.get_int("data", "steps_per_pair"),
+                n=n,
+                seed=seed,
+            )
     if source == "paired-sample":
         return read_paired_sample(cfg.require("data", "sample_file"))
     raise ConfigError(f"{cfg.path}: unknown data source '{source}'")
@@ -463,13 +439,15 @@ def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     else:
         est = fit_cme(sample, kernel, filt, lam)
     write_estimator(out_path, est)
+    risk = empirical_risk(est, sample)
+    hs = hs_norm_sq(est)
     metrics = {
         "command": "estimate",
         "n": sample.n,
         "lambda": lam,
-        "empirical_risk": empirical_risk(est, sample),
-        "regularized_empirical_risk": regularized_empirical_risk(est, sample),
-        "hs_norm_sq": hs_norm_sq(est),
+        "empirical_risk": risk,
+        "regularized_empirical_risk": risk + lam * hs,
+        "hs_norm_sq": hs,
         "estimator_file": out_path,
     }
     sys.stdout.write(json.dumps(metrics, indent=2) + "\n")
@@ -678,7 +656,8 @@ def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int
         exact_vals = md.exact_operator_values(model, kernel)
         for n in grid:
             lam = c * n ** (-p)
-            sample = md.sample_pairs(model, n, the_seed)
+            with _invalid(f"{cfg.path}: invalid sampling parameters"):
+                sample = md.sample_pairs(model, n, the_seed)
             est = fit_tikhonov_closed_form(sample, kernel, lam)
             diff = md.op_norm_diff(
                 md.estimator_values(est, model, kernel), exact_vals, model, kernel
@@ -693,7 +672,8 @@ def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int
             if not (1 <= r <= n):
                 raise ConfigError(f"{cfg.path}: r out of range: need 1 <= r <= {n}, got {r}")
             lam = c * n ** (-p)
-            sample = md.ou_sample_pairs(theta, tau, n, the_seed)
+            with _invalid(f"{cfg.path}: invalid sampling parameters"):
+                sample = md.ou_sample_pairs(theta, tau, n, the_seed)
             result = edmd_eigen(sample, kernel, lam, r)
             targets = np.exp(-np.arange(r) * theta * tau)
             errors = np.abs(np.abs(result.eigenvalues) - targets)

@@ -8,8 +8,9 @@ Kernel conventions (every derived constant in this package depends on them):
                 finite list of states; both arguments must match a listed
                 state exactly (no tolerance matching).
 
-Gram matrices are symmetric by construction: the strict upper triangle is
-computed once and mirrored, never symmetrized after the fact.
+Gram matrices are exactly symmetric with no mirroring step: ``cdist`` applies
+the same arithmetic to (x, y) and (y, x), and a table kernel stores its
+validated table symmetrized, so k(x, y) and k(y, x) agree bit for bit.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ class TableKernel:
 
     ``values[i][j]`` is k(states[i], states[j]).  The matrix must be
     symmetric within 1e-12 and psd up to round-off (min eigenvalue
-    >= -1e-10 * max eigenvalue).  Lookups require exact coordinate matches.
+    >= -1e-10 * max eigenvalue); it is stored as ``(values + values.T) / 2``.
+    Lookups require exact coordinate matches.
     """
 
     states: tuple[Point, ...]
@@ -110,7 +112,9 @@ class TableKernel:
             raise ValueError("table values must be finite")
         if np.max(np.abs(vals - vals.T)) > SYMMETRY_TOL:
             raise ValueError("table values must be symmetric within 1e-12")
-        eigvals = np.linalg.eigvalsh(0.5 * (vals + vals.T))
+        # leaves an exactly symmetric table unchanged bit for bit
+        vals = 0.5 * (vals + vals.T)
+        eigvals = np.linalg.eigvalsh(vals)
         top = max(eigvals.max(), 0.0)
         if eigvals.min() < -PSD_TOL * max(top, 1.0):
             raise ValueError("table values must be positive semidefinite")
@@ -208,9 +212,6 @@ def cross_gram(kernel: Kernel, rows: Sequence[Point], cols: Sequence[Point]) -> 
 
 
 def gram(kernel: Kernel, points: Sequence[Point]) -> GramMatrix:
-    """Gram matrix over a point list, exactly symmetric by construction."""
+    """Gram matrix over a point list, exactly symmetric (see the module docstring)."""
     entries = cross_gram(kernel, points, points)
-    # mirror the upper triangle so symmetry holds bitwise
-    lo_i, lo_j = np.tril_indices(entries.shape[0], -1)
-    entries[lo_i, lo_j] = entries[lo_j, lo_i]
     return GramMatrix(entries=entries, points=tuple(points))

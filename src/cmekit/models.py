@@ -37,7 +37,6 @@ from .kernels import Kernel, Point, cross_gram, gram
 COND_TOL = 1e-10
 JITTER_SCALE = 1e-10
 STATIONARY_TOL = 1e-10
-STATIONARY_MAX_ITER = 10**6
 BURN_IN_STEPS = 10_000
 BLOWUP_LIMIT = 1e6
 
@@ -158,26 +157,22 @@ class RegressionFunctionRep:
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
-    """Stationary vector of a row-stochastic matrix by power iteration.
+    """Stationary vector of a row-stochastic matrix: pi (P - I) = 0, sum(pi) = 1.
 
-    Starts from the uniform vector; the caller is responsible for
-    irreducibility/aperiodicity.  Fails after 1e6 iterations.
+    Solved as the minimum-norm least-squares solution of the stacked system
+    [(P - I)^T; 1^T] pi = [0; 1], which also covers periodic and slowly mixing
+    chains; a chain with several stationary laws (e.g. the identity) gets
+    their minimum-norm mixture.  The residual is checked against 1e-10.
     """
     P = np.asarray(transition, dtype=float)
     m = P.shape[0]
     FiniteMarkovModel._check_stochastic(P, m, "transition")
-    pi = np.full(m, 1.0 / m)
-    for _ in range(STATIONARY_MAX_ITER):
-        nxt = pi @ P
-        if np.max(np.abs(nxt - pi)) < 1e-13:
-            pi = nxt
-            break
-        pi = nxt
-    else:
-        raise RuntimeError("power iteration did not converge within 1e6 iterations")
-    pi = pi / pi.sum()
+    A = np.vstack([(P - np.eye(m)).T, np.ones((1, m))])
+    b = np.zeros(m + 1)
+    b[-1] = 1.0
+    pi = np.linalg.lstsq(A, b, rcond=None)[0]
     if np.max(np.abs(pi @ P - pi)) > STATIONARY_TOL:
-        raise RuntimeError("power iteration stalled away from a stationary vector")
+        raise RuntimeError("stationary solve left a residual above 1e-10")
     return pi
 
 

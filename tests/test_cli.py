@@ -2,15 +2,20 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cmekit import (
+    CmeEstimator,
     GaussianKernel,
+    LaplacianKernel,
+    Landweber,
     PairedSample,
     chain_states,
     finite_model,
+    fit_cme,
     fit_tikhonov_closed_form,
     predict_embedding,
     pt,
@@ -22,6 +27,8 @@ from cmekit.cli import (
     read_estimator,
     read_model_file,
     read_paired_sample,
+    read_point_sample,
+    write_estimator,
     write_model_file,
     write_paired_sample,
     write_point_sample,
@@ -493,3 +500,130 @@ out = {tmp_path / 'e1.txt'}
         )
         assert main(["estimate", "--config", cfg]) == 2
         assert "unknown data source" in capsys.readouterr().err
+
+
+class TestCodec:
+    """File formats: byte-stable round trips and parse errors that name the line."""
+
+    @staticmethod
+    def _objects():
+        states = (pt(0.0, 1.0), pt(1.0, -0.0), pt(2.5, 1 / 3))
+        model = finite_model(
+            states,
+            [0.5, 0.25, 0.25],
+            np.array([[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.1, 0.2, 0.7]]),
+            np.full((3, 3), 1 / 3),
+        )
+        rng = np.random.default_rng(8)
+        sample = PairedSample(
+            X=tuple(pt(*row) for row in rng.normal(size=(6, 2))),
+            Y=tuple(pt(*row) for row in rng.normal(size=(6, 2)) * 1e-300),
+        )
+        est = fit_cme(sample, LaplacianKernel(scale=1.5), Landweber(steps=7, step_size=0.5), 0.01)
+        return {
+            "model": (model, write_model_file, read_model_file),
+            "paired-sample": (sample, write_paired_sample, read_paired_sample),
+            "point-sample": (list(sample.X), write_point_sample, read_point_sample),
+            "estimator": (est, write_estimator, read_estimator),
+        }
+
+    @pytest.mark.parametrize("fmt", ["model", "paired-sample", "point-sample", "estimator"])
+    def test_write_read_write_is_byte_identical(self, tmp_path, fmt):
+        obj, write_fn, read_fn = self._objects()[fmt]
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        write_fn(str(first), obj)
+        write_fn(str(second), read_fn(str(first)))
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_text_layout(self, tmp_path):
+        est = CmeEstimator(
+            kernel=LaplacianKernel(scale=1.5),
+            lam=0.1,
+            filt=Landweber(steps=7, step_size=0.5),
+            X=(pt(0.25, -0.0),),
+            Y=(pt(5e-324, 1e300),),
+            W=np.array([[1 / 3]]),
+        )
+        path = tmp_path / "est.txt"
+        write_estimator(str(path), est)
+        assert path.read_bytes() == (
+            b"cme-estimator v1\nkernel laplacian 1.5\nlambda 0.10000000000000001\n"
+            b"filter landweber 7 0.5\nx 1 2\n0.25 -0\n"
+            b"y 1 2\n4.9406564584124654e-324 1.0000000000000001e+300\n"
+            b"w 1 1\n0.33333333333333331\n"
+        )
+
+    @pytest.mark.parametrize(
+        "reader, text, line",
+        [
+            pytest.param("point", "sample v1\npoints 2 2\n1 2\n3\n", 4, id="too-few-values"),
+            pytest.param("point", "sample v1\npoints 2 2\n1 2\n3 x\n", 4, id="non-numeric"),
+            pytest.param("point", "sample v1\npoints 2.5 2\n1 2\n3 4\n", 2, id="non-integer-dims"),
+            pytest.param("point", "sample v1\npoints 3 2\n1 2\n3 4\n", 2, id="missing-rows"),
+            pytest.param("point", "sample v1\npoints 2 2\n1 2\n# note\n3 4\n", 4, id="hash"),
+            pytest.param("model", "finite-model v1\nstates 1 1\n0\npi 1\n1 2\n", 5, id="vector"),
+            pytest.param(
+                "estimator",
+                "cme-estimator v1\nkernel gaussian -1\nlambda 0.1\nfilter tikhonov\n"
+                "x 1 1\n0\ny 1 1\n0\nw 1 1\n1\n",
+                2,
+                id="kernel-line",
+            ),
+        ],
+    )
+    def test_malformed_file_names_file_and_line(self, tmp_path, reader, text, line):
+        read_fn = {
+            "point": read_point_sample, "model": read_model_file, "estimator": read_estimator
+        }
+        path = write(tmp_path / "bad.txt", text)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:{line}:")):
+            read_fn[reader](path)
+
+
+KERNEL = "[kernel]\nvariant = gaussian\nbandwidth = 1\n"
+TIKHONOV = "[filter]\nvariant = tikhonov\n"
+OU_DATA = "[data]\nsource = ou\ntheta = {theta}\ntau = 0.5\n"
+ESTIMATE_RUN = "[run]\nlambda = 0.1\nn = 5\nout = {out}\n"
+MMD_DATA = "[data]\nsample_file = {data}\nsample_file_2 = {data}\n"
+
+
+@pytest.mark.parametrize(
+    "command, config, data",
+    [
+        pytest.param(
+            "estimate",
+            "[kernel]\nvariant = gaussian\nbandwidth = -1\n" + TIKHONOV
+            + OU_DATA.format(theta=1) + ESTIMATE_RUN,
+            None,
+            id="negative-bandwidth",
+        ),
+        pytest.param(
+            "estimate",
+            KERNEL + "[filter]\nvariant = landweber\nsteps = 0\nstep_size = 0.5\n"
+            + OU_DATA.format(theta=1) + ESTIMATE_RUN,
+            None,
+            id="landweber-zero-steps",
+        ),
+        pytest.param(
+            "estimate",
+            KERNEL + TIKHONOV + OU_DATA.format(theta=-1) + ESTIMATE_RUN,
+            None,
+            id="negative-ou-theta",
+        ),
+        pytest.param(
+            "mmd", KERNEL + MMD_DATA, "sample v1\npoints 2 1\n0.5\nnan\n", id="nan-coordinate"
+        ),
+        pytest.param(
+            "mmd", KERNEL + MMD_DATA, "sample v1\npoints -1 1\n", id="negative-dimension"
+        ),
+    ],
+)
+def test_validation_failures_exit_2(tmp_path, capsys, command, config, data):
+    data_path = write(tmp_path / "data.txt", data) if data is not None else None
+    cfg = write(
+        tmp_path / "run.cfg", config.format(data=data_path, out=tmp_path / "out.txt")
+    )
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ValueError" not in err
+    assert (data_path or cfg) in err

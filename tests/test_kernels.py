@@ -64,9 +64,11 @@ class TestEval:
                          [0.3, 1.0, 0.3, 0.2],
                          [0.2, 0.3, 1.0, 0.3],
                          [0.1, 0.2, 0.3, 1.0]])
-        kernels = [GAUSS, LAPL2, table_kernel(states, vals)]
-        for kernel in kernels:
-            pts = states if kernel is kernels[-1] else random_points(rng, 6, 2)
+        skewed = vals.copy()
+        skewed[0, 1] += 1e-13          # accepted: within the 1e-12 tolerance
+        tables = [table_kernel(states, vals), table_kernel(states, skewed)]
+        for kernel in [GAUSS, LAPL2, *tables]:
+            pts = states if kernel in tables else random_points(rng, 6, 2)
             for x in pts:
                 for y in pts:
                     assert kernel_eval(kernel, x, y) == kernel_eval(kernel, y, x)
@@ -115,6 +117,10 @@ class TestGram:
         for kernel in (GAUSS, LAPL2):
             g = gram(kernel, random_points(rng, 17, 3)).entries
             assert np.array_equal(g, g.T)
+        states = random_points(rng, 3, 2)
+        skewed = np.array([[1.0, 0.5 + 1e-13, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        g = gram(table_kernel(states, skewed), [states[1], states[0], states[2], states[0]]).entries
+        assert np.array_equal(g, g.T)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):

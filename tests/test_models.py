@@ -77,6 +77,17 @@ class TestStationaryDistribution:
         P = np.array([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]])
         assert np.max(np.abs(stationary_distribution(P) - 1 / 3)) <= 1e-10
 
+    def test_periodic_chain(self):
+        P = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+        pi = stationary_distribution(P)
+        assert np.max(np.abs(pi - [0.25, 0.5, 0.25])) <= 1e-12
+
+    def test_slowly_mixing_chain(self):
+        eps = 1e-6
+        P = np.array([[1 - eps, eps], [2 * eps, 1 - 2 * eps]])
+        pi = stationary_distribution(P)
+        assert np.max(np.abs(pi - [2 / 3, 1 / 3])) <= 1e-10
+
 
 class TestExactOperatorValues:
     def test_identity_chain_is_inclusion(self):

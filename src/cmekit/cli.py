@@ -9,14 +9,18 @@ stderr so they never perturb the deterministic streams.
 Exit codes: 0 success (and, for oracle-verify, all checks passed),
 1 runtime failure, 2 validation failure (config, file parse, range checks).
 
-All file payloads are UTF-8 text with LF line endings, '.' decimal separator,
-and floats printed with 17 significant digits so that read(write(x)) restores
-every IEEE double bit-exactly.
+Model, sample and v1 estimator files are UTF-8 text with LF line endings,
+'.' decimal separator, and floats printed with 17 significant digits, so that
+read(write(x)) restores every IEEE double bit-exactly.  A ``cme-estimator v2``
+file, the only estimator format written, is not text: a few UTF-8 head lines
+followed by ``.npy`` records of C-order little-endian float64, which reload
+bit-exactly by construction.  v1 estimator files are still read.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -33,6 +37,7 @@ from .embeddings import mmd_sq_biased, mmd_sq_unbiased
 from .estimators import (
     CmeEstimator,
     Cutoff,
+    DivergentStepError,
     Landweber,
     PairedSample,
     SpectralFilter,
@@ -200,18 +205,30 @@ def _kernel_json(kernel: Kernel) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# data files: a magic line, token lines, then blocks of 17-digit decimals
+# data files: a magic line, token lines, then blocks of 17-digit decimals or,
+# in the formats named in _NPY_FORMATS, .npy records
 # ---------------------------------------------------------------------------
+
+_NPY_FORMATS = ("cme-estimator v2",)
+_NPY_DTYPE = np.dtype("<f8")
 
 
 def _write_file(path: str, head: Sequence[str], blocks: dict[str, np.ndarray]) -> None:
-    """Write the ``head`` lines, then each block: ``name dims...`` and its rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(line + "\n" for line in head)
+    """Write the ``head`` lines, then each block.
+
+    A block is ``name dims...`` and its rows, or, when the magic line
+    ``head[0]`` is in ``_NPY_FORMATS``, one ``.npy`` record of the array.
+    """
+    npy = head[0] in _NPY_FORMATS
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in head).encode("utf-8"))
         for name, arr in blocks.items():
-            arr = np.asarray(arr, dtype=float)
-            fh.write(" ".join([name, *map(str, arr.shape)]) + "\n")
-            np.savetxt(fh, np.atleast_2d(arr), fmt=_FLOAT_FMT)
+            arr = np.ascontiguousarray(arr, dtype=_NPY_DTYPE)
+            if npy:
+                np.lib.format.write_array(fh, arr, allow_pickle=False)
+            else:
+                fh.write(" ".join([name, *map(str, arr.shape)]).encode("utf-8") + b"\n")
+                np.savetxt(fh, np.atleast_2d(arr), fmt=_FLOAT_FMT)
 
 
 def _parse_rows(rows: list[str], cols: int) -> Optional[np.ndarray]:
@@ -223,55 +240,83 @@ def _parse_rows(rows: list[str], cols: int) -> Optional[np.ndarray]:
     return arr if arr.shape[1] == cols else None
 
 
-def _read_file(path: str, magic: str, schema: dict[str, int], optional: str = "") -> dict:
+def _read_file(
+    path: str, magic: str | tuple[str, ...], schema: dict[str, int], optional: str = ""
+) -> dict:
     """Parse a file laid out as ``schema`` maps entry name -> ndim, in order.
 
-    An ndim-0 entry is a token line ``name tokens...`` and reads as
-    ``(where, tokens)``, ``where`` being ``path:line``.  An ndim-1 or ndim-2
-    entry is a block: a header ``name length`` or ``name rows cols``, then one
-    line of ``length`` numbers or ``rows`` lines of ``cols`` numbers; it reads
-    as an array of those dimensions.  Blank lines are skipped everywhere.  The
-    ``optional`` entry may be missing at the end of the file.
+    ``magic`` is the magic line the file must start with, or a tuple of
+    accepted ones.  An ndim-0 entry is a token line ``name tokens...`` and
+    reads as ``(where, tokens)``, ``where`` being ``path:line``.  An ndim-1 or
+    ndim-2 entry is a block and reads as an array of those dimensions.  In a
+    text file a block is a header ``name length`` or ``name rows cols``, then
+    one line of ``length`` numbers or ``rows`` lines of ``cols`` numbers;
+    blank lines are skipped everywhere.  In a file whose magic line is in
+    ``_NPY_FORMATS`` the token lines come first and each block is one ``.npy``
+    record of float64, with nothing after the last.  The ``optional`` entry
+    may be missing at the end of the file.
     """
+    magics = (magic,) if isinstance(magic, str) else magic
     try:
-        raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
+        fh = open(path, "rb")
     except OSError as exc:
         raise ConfigError(f"cannot read file {path}: {exc}") from exc
-    lines = [(no, s) for no, raw in enumerate(raw_lines, start=1) if (s := raw.strip())]
-    if not lines or lines[0][1] != magic:
-        raise ConfigError(f"{path}: not a {magic} file")
-    out: dict = {}
-    pos = 1
-    for name, ndim in schema.items():
-        if pos == len(lines):
-            if name == optional:
-                break
-            raise ConfigError(f"{path}: unexpected end of file, expected '{name}'")
-        no, line = lines[pos]
-        pos += 1
-        parts = line.split()
-        if parts[0] != name or (ndim and len(parts) != 1 + ndim):
-            shape = f" with {ndim} dimension(s)" if ndim else ""
-            raise ConfigError(f"{path}:{no}: expected '{name}'{shape}, got '{line}'")
-        if ndim == 0:
-            out[name] = (f"{path}:{no}", parts[1:])
-            continue
-        with _invalid(f"{path}:{no}: bad dimensions in '{line}'"):
-            dims = [int(p) for p in parts[1:]]
-            if min(dims) < 0:
-                raise ValueError("dimensions must be >= 0")
-        rows, cols = dims if ndim == 2 else (1, dims[0])
-        chunk = lines[pos:pos + rows]
-        pos += rows
-        if len(chunk) < rows:
-            raise ConfigError(
-                f"{path}:{no}: '{name}' declares {rows} row(s), the file ends after {len(chunk)}"
-            )
-        arr = _parse_rows([s for _, s in chunk], cols) if rows else np.empty((0, cols))
-        if arr is None:
-            bad = next((n for n, s in chunk if _parse_rows([s], cols) is None), no)
-            raise ConfigError(f"{path}:{bad}: expected {cols} numbers in this row of '{name}'")
-        out[name] = arr if ndim == 2 else arr[0]
+    with fh:
+        # lazy, so that in an .npy format the records start where the token lines end
+        lines = (
+            (no, text)
+            for no, raw in enumerate(fh, start=1)
+            if (text := raw.decode("utf-8", errors="replace").strip())
+        )
+        first = next(lines, (0, ""))[1]
+        if first not in magics:
+            raise ConfigError(f"{path}: not a {' or '.join(magics)} file")
+        npy = first in _NPY_FORMATS
+        out: dict = {}
+        for name, ndim in schema.items():
+            if npy and ndim:
+                # MemoryError: a record header that declares more data than fits
+                try:
+                    arr = np.lib.format.read_array(fh, allow_pickle=False)
+                except (ValueError, MemoryError) as exc:
+                    raise ConfigError(f"{path}: bad .npy record '{name}': {exc}") from exc
+                if arr.dtype != _NPY_DTYPE or arr.ndim != ndim:
+                    raise ConfigError(
+                        f"{path}: record '{name}' must be {ndim}-dimensional {_NPY_DTYPE}, "
+                        f"got {arr.dtype} of shape {arr.shape}"
+                    )
+                out[name] = arr
+                continue
+            entry = next(lines, None)
+            if entry is None:
+                if name == optional:
+                    break
+                raise ConfigError(f"{path}: unexpected end of file, expected '{name}'")
+            no, line = entry
+            parts = line.split()
+            if parts[0] != name or (ndim and len(parts) != 1 + ndim):
+                shape = f" with {ndim} dimension(s)" if ndim else ""
+                raise ConfigError(f"{path}:{no}: expected '{name}'{shape}, got '{line}'")
+            if ndim == 0:
+                out[name] = (f"{path}:{no}", parts[1:])
+                continue
+            with _invalid(f"{path}:{no}: bad dimensions in '{line}'"):
+                dims = [int(p) for p in parts[1:]]
+                if min(dims) < 0:
+                    raise ValueError("dimensions must be >= 0")
+            rows, cols = dims if ndim == 2 else (1, dims[0])
+            chunk = list(itertools.islice(lines, rows))
+            if len(chunk) < rows:
+                raise ConfigError(
+                    f"{path}:{no}: '{name}' declares {rows} row(s), the file ends after {len(chunk)}"
+                )
+            arr = _parse_rows([s for _, s in chunk], cols) if rows else np.empty((0, cols))
+            if arr is None:
+                bad = next((n for n, s in chunk if _parse_rows([s], cols) is None), no)
+                raise ConfigError(f"{path}:{bad}: expected {cols} numbers in this row of '{name}'")
+            out[name] = arr if ndim == 2 else arr[0]
+        if npy and fh.read(1):
+            raise ConfigError(f"{path}: unexpected bytes after the last record")
     return out
 
 
@@ -328,9 +373,9 @@ def read_point_sample(path: str) -> list[Point]:
 
 
 def write_estimator(path: str, est: CmeEstimator) -> None:
-    """Serialize an estimator; read(write(e)) reproduces predictions bit-exactly."""
+    """Serialize an estimator as ``cme-estimator v2``; read(write(e)) is bit-exact."""
     head = [
-        "cme-estimator v1",
+        "cme-estimator v2",
         _spec_line("kernel", _KERNELS, est.kernel),
         f"lambda {_fmt(est.lam)}",
         _spec_line("filter", _FILTERS, est.filt),
@@ -339,9 +384,10 @@ def write_estimator(path: str, est: CmeEstimator) -> None:
 
 
 def read_estimator(path: str) -> CmeEstimator:
+    """Load a ``cme-estimator v2`` file, or a v1 file written by older versions."""
     b = _read_file(
         path,
-        "cme-estimator v1",
+        ("cme-estimator v2", "cme-estimator v1"),
         {"kernel": 0, "lambda": 0, "filter": 0, "x": 2, "y": 2, "w": 2},
     )
     kernel = _from_tokens(_KERNELS, "kernel", *b["kernel"])
@@ -437,7 +483,10 @@ def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     if isinstance(filt, Tikhonov):
         est = fit_tikhonov_closed_form(sample, kernel, lam)
     else:
-        est = fit_cme(sample, kernel, filt, lam)
+        try:
+            est = fit_cme(sample, kernel, filt, lam)
+        except DivergentStepError as exc:
+            raise ConfigError(f"{cfg.path}: [filter] {exc}") from exc
     write_estimator(out_path, est)
     risk = empirical_risk(est, sample)
     hs = hs_norm_sq(est)

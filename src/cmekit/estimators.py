@@ -96,6 +96,10 @@ class Landweber:
 SpectralFilter = Union[Tikhonov, Cutoff, Landweber]
 
 
+class DivergentStepError(ValueError):
+    """A Landweber step_size too large for the spectrum of the data: the iteration diverges."""
+
+
 def filter_value(filt: SpectralFilter, lam: float, s: float) -> float:
     """Scalar filter function g_lam evaluated at a spectrum value s >= 0."""
     if not (lam > 0):
@@ -181,7 +185,7 @@ def _filtered_coefficients(G: np.ndarray, filt: SpectralFilter, lam: float) -> n
         # round-off eigenvalues act as exact zeros for cutoff / Landweber
         s = np.where(s < RANK_TOL * s_max, 0.0, s)
     if isinstance(filt, Landweber) and filt.step_size * s_max > 2.0:
-        raise ValueError(
+        raise DivergentStepError(
             f"Landweber step_size {filt.step_size} violates step_size * max spectrum "
             f"({s_max:.6g}) <= 2; the iteration would diverge"
         )
@@ -238,10 +242,14 @@ def predict_conditional_expectation(est: CmeEstimator, x: Point, f_at_Y: np.ndar
 
 
 def hs_norm_sq(est: CmeEstimator) -> float:
-    """Squared Hilbert-Schmidt norm of the fitted operator: tr(W^T G_Y W G_X)."""
-    GX = gram(est.kernel, est.X).entries
-    GY = gram(est.kernel, est.Y).entries
-    return float(np.trace(est.W.T @ GY @ est.W @ GX))
+    """Squared Hilbert-Schmidt norm of the fitted operator: tr(W^T G_Y W G_X).
+
+    Evaluated as sum((G_Y W) * (W G_X)), two matrix products instead of three.
+    """
+    GYW = gram(est.kernel, est.Y).entries @ est.W
+    WGX = est.W @ gram(est.kernel, est.X).entries
+    WGX *= GYW
+    return float(WGX.sum())
 
 
 def empirical_risk(est: CmeEstimator, sample: PairedSample) -> float:

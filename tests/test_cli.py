@@ -1,18 +1,24 @@
 """CLI commands: config parsing, file formats, determinism, exit codes."""
 
+import io
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmekit import (
     CmeEstimator,
+    Cutoff,
     GaussianKernel,
     LaplacianKernel,
     Landweber,
     PairedSample,
+    Tikhonov,
     chain_states,
     finite_model,
     fit_cme,
@@ -33,6 +39,7 @@ from cmekit.cli import (
     write_paired_sample,
     write_point_sample,
 )
+from cmekit.kernels import coords_matrix
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 
@@ -535,8 +542,9 @@ class TestCodec:
         write_fn(str(second), read_fn(str(first)))
         assert first.read_bytes() == second.read_bytes()
 
-    def test_text_layout(self, tmp_path):
-        est = CmeEstimator(
+    @staticmethod
+    def _layout_estimator():
+        return CmeEstimator(
             kernel=LaplacianKernel(scale=1.5),
             lam=0.1,
             filt=Landweber(steps=7, step_size=0.5),
@@ -544,14 +552,106 @@ class TestCodec:
             Y=(pt(5e-324, 1e300),),
             W=np.array([[1 / 3]]),
         )
+
+    @staticmethod
+    def _assert_bit_identical(a, b):
+        assert a.kernel == b.kernel and a.filt == b.filt
+        assert a.lam.hex() == b.lam.hex()
+        for get in (lambda e: coords_matrix(e.X), lambda e: coords_matrix(e.Y), lambda e: e.W):
+            assert get(a).shape == get(b).shape
+            assert get(a).tobytes() == get(b).tobytes()
+
+    def test_text_layout(self, tmp_path):
+        est = self._layout_estimator()
         path = tmp_path / "est.txt"
         write_estimator(str(path), est)
-        assert path.read_bytes() == (
+        head = (
+            b"cme-estimator v2\nkernel laplacian 1.5\nlambda 0.10000000000000001\n"
+            b"filter landweber 7 0.5\n"
+        )
+        blob = path.read_bytes()
+        assert blob.startswith(head)
+        payload = io.BytesIO(blob[len(head):])
+        for expected in (np.array([[0.25, -0.0]]), np.array([[5e-324, 1e300]]), np.array([[1 / 3]])):
+            assert np.lib.format.read_magic(payload) == (1, 0)
+            header = np.lib.format.read_array_header_1_0(payload)
+            assert header == (expected.shape, False, np.dtype("<f8"))
+            assert payload.read(expected.nbytes) == expected.tobytes()
+        assert payload.read() == b""
+
+    def test_v1_file_still_reads(self, tmp_path):
+        path = tmp_path / "est.txt"
+        path.write_bytes(
             b"cme-estimator v1\nkernel laplacian 1.5\nlambda 0.10000000000000001\n"
             b"filter landweber 7 0.5\nx 1 2\n0.25 -0\n"
             b"y 1 2\n4.9406564584124654e-324 1.0000000000000001e+300\n"
             b"w 1 1\n0.33333333333333331\n"
         )
+        self._assert_bit_identical(read_estimator(str(path)), self._layout_estimator())
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_v2_roundtrip_is_bit_exact(self, tmp_path, data):
+        n = data.draw(st.integers(1, 30))
+        special = st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-309, 1e308, -1e308])
+        doubles = st.one_of(special, st.floats(allow_nan=False, allow_infinity=False))
+        X, Y = (
+            data.draw(arrays(np.float64, (n, data.draw(st.integers(1, 3))), elements=doubles))
+            for _ in "xy"
+        )
+        positive = st.floats(min_value=5e-324, max_value=1e308)
+        est = CmeEstimator(
+            kernel=data.draw(
+                st.builds(GaussianKernel, positive) | st.builds(LaplacianKernel, positive)
+            ),
+            lam=data.draw(positive),
+            filt=data.draw(
+                st.sampled_from([Tikhonov(), Cutoff()])
+                | st.builds(Landweber, st.integers(1, 10**6), positive)
+            ),
+            X=tuple(pt(*row) for row in X.tolist()),
+            Y=tuple(pt(*row) for row in Y.tolist()),
+            W=data.draw(arrays(np.float64, (n, n), elements=doubles)),
+        )
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        write_estimator(str(first), est)
+        loaded = read_estimator(str(first))
+        self._assert_bit_identical(loaded, est)
+        write_estimator(str(second), loaded)
+        assert first.read_bytes() == second.read_bytes()
+
+    @staticmethod
+    def _npy(arr, allow_pickle=False):
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, arr, allow_pickle=allow_pickle)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize(
+        "case", ["truncated", "w-shape", "int-dtype", "object-dtype", "trailing-bytes"]
+    )
+    def test_malformed_v2_names_file(self, tmp_path, case):
+        good = tmp_path / "good.bin"
+        write_estimator(str(good), self._layout_estimator())
+        blob = good.read_bytes()
+        w_record = self._npy(np.array([[1 / 3]]))
+        assert blob.endswith(w_record)
+        swap_w = {
+            "w-shape": self._npy(np.zeros((2, 2))),
+            "int-dtype": self._npy(np.array([[1]])),
+            "object-dtype": self._npy(np.array([[1 / 3]], dtype=object), allow_pickle=True),
+        }
+        if case == "truncated":
+            blob = blob[:-3]
+        elif case == "trailing-bytes":
+            blob += b"\n"
+        else:
+            blob = blob[: -len(w_record)] + swap_w[case]
+        path = tmp_path / "bad.bin"
+        path.write_bytes(blob)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            read_estimator(str(path))
 
     @pytest.mark.parametrize(
         "reader, text, line",
@@ -609,6 +709,13 @@ MMD_DATA = "[data]\nsample_file = {data}\nsample_file_2 = {data}\n"
             KERNEL + TIKHONOV + OU_DATA.format(theta=-1) + ESTIMATE_RUN,
             None,
             id="negative-ou-theta",
+        ),
+        pytest.param(
+            "estimate",
+            KERNEL + "[filter]\nvariant = landweber\nsteps = 5\nstep_size = 10\n"
+            + OU_DATA.format(theta=1) + ESTIMATE_RUN,
+            None,
+            id="landweber-divergent-step",
         ),
         pytest.param(
             "mmd", KERNEL + MMD_DATA, "sample v1\npoints 2 1\n0.5\nnan\n", id="nan-coordinate"

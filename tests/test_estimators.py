@@ -6,8 +6,10 @@ import pytest
 from cmekit import (
     CmeEstimator,
     Cutoff,
+    DivergentStepError,
     GaussianKernel,
     Landweber,
+    LaplacianKernel,
     PairedSample,
     Point,
     Tikhonov,
@@ -148,7 +150,7 @@ class TestFitting:
     def test_landweber_divergence_guard(self):
         # n copies of one point make G/n have top eigenvalue 1
         sample = PairedSample(X=(pt(0.0),) * 10, Y=(pt(1.0),) * 10)
-        with pytest.raises(ValueError, match="diverge"):
+        with pytest.raises(DivergentStepError, match="diverge"):
             fit_cme(sample, GAUSS, Landweber(steps=5, step_size=5.0), 0.1)
 
     def test_paired_sample_validation(self):
@@ -240,6 +242,18 @@ class TestNormsAndRisks:
         sample = PairedSample(X=X, Y=Y)
         est = fit_cme(sample, GAUSS, Cutoff(), 1e-9)
         assert empirical_risk(est, sample) <= 1e-10
+
+    def test_hs_norm_matches_trace_formula(self):
+        rng = np.random.default_rng(30)
+        filters = [Tikhonov(), Cutoff(), Landweber(steps=20, step_size=0.9)]
+        for n, d, filt in [(1, 1, filters[0]), (17, 1, filters[1]), (60, 2, filters[2]),
+                           (120, 3, filters[0])]:
+            kernel = LaplacianKernel(scale=1.5) if d == 2 else GAUSS
+            est = fit_cme(random_sample(rng, n, d=d), kernel, filt, 1e-3)
+            GX = gram(kernel, est.X).entries
+            GY = gram(kernel, est.Y).entries
+            trace = float(np.trace(est.W.T @ GY @ est.W @ GX))
+            assert hs_norm_sq(est) == pytest.approx(trace, rel=1e-12)
 
     def test_hs_norm_monotone_in_lambda(self):
         rng = np.random.default_rng(28)

@@ -630,7 +630,7 @@ def _verify_rows(model: md.FiniteMarkovModel, kernel: Kernel, seed: int) -> list
     # risk decomposition, worst of 20 random embedding-valued functions
     f_star = md.cme_function(model)
     irreducible = md.exact_risk(f_star, model, kernel)
-    K_E = gram(kernel, model.states).entries
+    K_E = gram(kernel, model.states)
     worst_dev = (0.0, 0.0)
     for _ in range(20):
         C = rng.standard_normal((model.m, model.m))

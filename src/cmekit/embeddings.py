@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import Kernel, Point, cross_gram, gram
+from .kernels import Kernel, Point, coords_matrix, cross_gram, gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +70,7 @@ def embed_inner(a: WeightedEmbedding, b: WeightedEmbedding) -> float:
 
 def embed_norm_sq(a: WeightedEmbedding) -> float:
     """Squared RKHS norm; >= -1e-10 up to psd round-off."""
-    K = gram(a.kernel, a.support).entries
+    K = gram(a.kernel, a.support)
     return float(a.weights @ K @ a.weights)
 
 
@@ -93,11 +93,13 @@ def mmd_sq_biased(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> flo
     """
     if len(P) == 0 or len(Q) == 0:
         raise ValueError("cannot compute MMD of an empty sample")
-    kpp = float(np.mean(gram(kernel, P).entries))
-    kqq = float(np.mean(gram(kernel, Q).entries))
-    # summing the cross block in sorted order makes the estimator bitwise
-    # symmetric in (P, Q): the transposed block has the same value multiset
-    kpq = float(np.mean(np.sort(cross_gram(kernel, P, Q), axis=None)))
+    # (P, Q) in a canonical order (size, then coordinate bytes) makes the
+    # estimator bitwise symmetric: swapped arguments sum the same cross block
+    if (len(Q), coords_matrix(Q).tobytes()) < (len(P), coords_matrix(P).tobytes()):
+        P, Q = Q, P
+    kpp = float(np.mean(gram(kernel, P)))
+    kqq = float(np.mean(gram(kernel, Q)))
+    kpq = float(np.mean(cross_gram(kernel, P, Q)))
     return kpp + kqq - 2.0 * kpq
 
 
@@ -106,8 +108,8 @@ def mmd_sq_unbiased(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> f
     n, m = len(P), len(Q)
     if n < 2 or m < 2:
         raise ValueError(f"unbiased MMD needs at least 2 points per sample, got {n} and {m}")
-    gp = gram(kernel, P).entries
-    gq = gram(kernel, Q).entries
+    gp = gram(kernel, P)
+    gq = gram(kernel, Q)
     kpq = cross_gram(kernel, P, Q)
     term_p = (gp.sum() - np.trace(gp)) / (n * (n - 1))
     term_q = (gq.sum() - np.trace(gq)) / (m * (m - 1))

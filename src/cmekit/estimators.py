@@ -26,8 +26,9 @@ fitted map but would destabilize those filters).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 import scipy.linalg
@@ -111,6 +112,9 @@ def filter_value(filt: SpectralFilter, lam: float, s: float) -> float:
     if isinstance(filt, Landweber):
         if s == 0.0:
             return filt.steps * filt.step_size
+        if filt.step_size * s < 1.0:
+            # 1 - (1 - eta*s)^m cancels for small s; expm1/log1p keep every digit
+            return -math.expm1(filt.steps * math.log1p(-filt.step_size * s)) / s
         return (1.0 - (1.0 - filt.step_size * s) ** filt.steps) / s
     raise TypeError(f"unknown filter type: {type(filt).__name__}")
 
@@ -155,25 +159,35 @@ class CmeEstimator:
         return len(self.X)
 
 
+def _shifted(G: np.ndarray, shift: float) -> np.ndarray:
+    """G + shift * I as a new array; G (often a read-only Gram) is untouched."""
+    A = G.copy()
+    A.flat[:: A.shape[0] + 1] += shift
+    return A
+
+
+def _factor_pd(matrix: np.ndarray, jitter: Optional[float] = None) -> tuple[np.ndarray, bool]:
+    """``cho_factor`` output under :func:`solve_pd`'s policy; ``jitter`` marks the retry."""
+    try:
+        return scipy.linalg.cho_factor(matrix, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        if jitter is not None:
+            msg = f"matrix not positive definite after jitter {jitter:.3e}"
+            raise np.linalg.LinAlgError(msg) from exc
+    jitter = JITTER_SCALE * np.trace(matrix) / matrix.shape[0]
+    return _factor_pd(_shifted(matrix, jitter), jitter)
+
+
 def solve_pd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve matrix @ X = rhs for symmetric positive-definite ``matrix``.
 
-    Cholesky based; on factorization failure a single jitter of
-    1e-10 * trace / n is added to the diagonal, after which failure is an
-    error rather than a silent fallback.
+    The package's one factorization policy: Cholesky, and on failure one jitter
+    of 1e-10 * trace / n on the diagonal, after which failure is an error.  Every
+    G_X + n*lam*I (``fit_tikhonov_closed_form``, ``edmd_matrix``, both
+    ``edmd_eigen`` paths, ``eigen_residuals``) is formed by ``_shifted`` and
+    factored by ``_factor_pd`` under it, as are the oracle's witness solves.
     """
-    try:
-        factor = scipy.linalg.cho_factor(matrix, lower=True)
-    except scipy.linalg.LinAlgError:
-        n = matrix.shape[0]
-        jitter = JITTER_SCALE * np.trace(matrix) / n
-        try:
-            factor = scipy.linalg.cho_factor(matrix + jitter * np.eye(n), lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"matrix not positive definite after jitter {jitter:.3e}"
-            ) from exc
-    return scipy.linalg.cho_solve(factor, rhs)
+    return scipy.linalg.cho_solve(_factor_pd(matrix), rhs)
 
 
 def _filtered_coefficients(G: np.ndarray, filt: SpectralFilter, lam: float) -> np.ndarray:
@@ -202,8 +216,7 @@ def fit_cme(sample: PairedSample, kernel: Kernel, filt: SpectralFilter, lam: flo
     """
     if not (lam > 0):
         raise ValueError(f"lambda must be > 0, got {lam}")
-    G = gram(kernel, sample.X).entries
-    W = _filtered_coefficients(G, filt, lam)
+    W = _filtered_coefficients(gram(kernel, sample.X), filt, lam)
     return CmeEstimator(kernel=kernel, lam=lam, filt=filt, X=sample.X, Y=sample.Y, W=W)
 
 
@@ -216,8 +229,7 @@ def fit_tikhonov_closed_form(sample: PairedSample, kernel: Kernel, lam: float) -
     if not (lam > 0):
         raise ValueError(f"lambda must be > 0, got {lam}")
     n = sample.n
-    G = gram(kernel, sample.X).entries
-    W = solve_pd(G + n * lam * np.eye(n), np.eye(n))
+    W = solve_pd(_shifted(gram(kernel, sample.X), n * lam), np.eye(n))
     return CmeEstimator(kernel=kernel, lam=lam, filt=Tikhonov(), X=sample.X, Y=sample.Y, W=W)
 
 
@@ -246,8 +258,8 @@ def hs_norm_sq(est: CmeEstimator) -> float:
 
     Evaluated as sum((G_Y W) * (W G_X)), two matrix products instead of three.
     """
-    GYW = gram(est.kernel, est.Y).entries @ est.W
-    WGX = est.W @ gram(est.kernel, est.X).entries
+    GYW = gram(est.kernel, est.Y) @ est.W
+    WGX = est.W @ gram(est.kernel, est.X)
     WGX *= GYW
     return float(WGX.sum())
 
@@ -259,7 +271,7 @@ def empirical_risk(est: CmeEstimator, sample: PairedSample) -> float:
     K_xq = cross_gram(est.kernel, est.X, sample.X)          # train-X x query-X
     Omega = est.W @ K_xq                                    # column i = weights at x_i
     K_yy = cross_gram(est.kernel, est.Y, sample.Y)          # train-Y x query-Y
-    G_Y = gram(est.kernel, est.Y).entries
+    G_Y = gram(est.kernel, est.Y)
     diag_k = np.array([kernel_eval(est.kernel, y, y) for y in sample.Y])
     cross_term = np.einsum("ji,ji->i", Omega, K_yy)
     norm_term = np.einsum("ji,ji->i", Omega, G_Y @ Omega)

@@ -8,9 +8,10 @@ Kernel conventions (every derived constant in this package depends on them):
                 finite list of states; both arguments must match a listed
                 state exactly (no tolerance matching).
 
-Gram matrices are exactly symmetric with no mirroring step: ``cdist`` applies
-the same arithmetic to (x, y) and (y, x), and a table kernel stores its
-validated table symmetrized, so k(x, y) and k(y, x) agree bit for bit.
+``gram`` returns a plain read-only ``(n, n)`` array, ``cross_gram`` a writable
+``(n, m)`` one.  Gram matrices are exactly symmetric with no mirroring step:
+``cdist`` applies the same arithmetic to (x, y) and (y, x), and a table kernel
+stores its validated table symmetrized, so k(x, y) and k(y, x) agree bit for bit.
 """
 
 from __future__ import annotations
@@ -150,21 +151,6 @@ def table_kernel(states: Sequence[Point], values: np.ndarray) -> TableKernel:
     return TableKernel(tuple(states), tuple(tuple(row) for row in vals))
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Pairwise kernel evaluations on a point list, with the source points."""
-
-    entries: np.ndarray
-    points: tuple[Point, ...]
-
-    def __post_init__(self) -> None:
-        self.entries.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
 def _check_same_dim(a: Sequence[Point], b: Sequence[Point]) -> None:
     if a[0].dim != b[0].dim:
         raise ValueError(f"dimension mismatch: {a[0].dim} vs {b[0].dim}")
@@ -211,7 +197,8 @@ def cross_gram(kernel: Kernel, rows: Sequence[Point], cols: Sequence[Point]) -> 
     raise TypeError(f"unknown kernel type: {type(kernel).__name__}")
 
 
-def gram(kernel: Kernel, points: Sequence[Point]) -> GramMatrix:
-    """Gram matrix over a point list, exactly symmetric (see the module docstring)."""
-    entries = cross_gram(kernel, points, points)
-    return GramMatrix(entries=entries, points=tuple(points))
+def gram(kernel: Kernel, points: Sequence[Point]) -> np.ndarray:
+    """Read-only (n, n) Gram matrix over a point list, exactly symmetric."""
+    G = cross_gram(kernel, points, points)
+    G.setflags(write=False)
+    return G

@@ -31,11 +31,10 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .estimators import CmeEstimator, Cutoff, PairedSample, solve_pd
+from .estimators import JITTER_SCALE, CmeEstimator, Cutoff, PairedSample, _shifted, solve_pd
 from .kernels import Kernel, Point, cross_gram, gram
 
 COND_TOL = 1e-10
-JITTER_SCALE = 1e-10
 STATIONARY_TOL = 1e-10
 BURN_IN_STEPS = 10_000
 BLOWUP_LIMIT = 1e6
@@ -182,12 +181,11 @@ def _conditioned_gram(kernel: Kernel, points: Sequence[Point], what: str) -> np.
     The smallest eigenvalue must exceed 1e-10 of the largest; one jitter of
     1e-10 * trace / m may be added, after which singularity is an error.
     """
-    K = gram(kernel, points).entries.copy()
+    K = gram(kernel, points)
     eigvals = np.linalg.eigvalsh(K)
     if eigvals[0] > COND_TOL * max(eigvals[-1], 0.0):
         return K
-    m = K.shape[0]
-    K = K + (JITTER_SCALE * np.trace(K) / m) * np.eye(m)
+    K = _shifted(K, JITTER_SCALE * np.trace(K) / K.shape[0])
     eigvals = np.linalg.eigvalsh(K)
     if eigvals[0] > COND_TOL * max(eigvals[-1], 0.0):
         return K
@@ -264,7 +262,7 @@ def op_norm_diff(
     (D^T diag(pi) D, K_Z).
     """
     support, D = _aligned_difference(vals_a, vals_b)
-    K_Z = gram(kernel, support).entries
+    K_Z = gram(kernel, support)
     eigvals = np.linalg.eigvalsh(K_Z)
     if eigvals[0] <= COND_TOL * max(eigvals[-1], 0.0):
         raise np.linalg.LinAlgError("singular K_Z over the merged support")
@@ -285,7 +283,7 @@ def exact_excess_risk(est: CmeEstimator, model: FiniteMarkovModel, kernel: Kerne
     K_E = _conditioned_gram(kernel, model.states, "state Gram K_E")
     K_sy = cross_gram(kernel, model.states, est.Y)
     K_xe = cross_gram(kernel, est.X, model.states)
-    G_Y = gram(kernel, est.Y).entries
+    G_Y = gram(kernel, est.Y)
     omega = est.W @ K_xe                       # column i = predicted weights at e_i
     t_true = np.einsum("ij,jk,ik->i", P, K_E, P)
     t_cross = np.einsum("ij,jt,ti->i", P, K_sy, omega)

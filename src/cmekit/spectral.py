@@ -16,6 +16,11 @@ nonzero component given nonnegative real part, which makes results
 reproducible across eigensolver backends.  Large problems use an implicitly
 restarted Arnoldi iteration with a fixed start vector instead of the dense
 solver; both paths satisfy the same residual contract.
+
+Every G_X + n*lam*I here (``edmd_matrix``, both ``edmd_eigen`` paths,
+``eigen_residuals``) is factored under :func:`cmekit.estimators.solve_pd`'s one
+policy (Cholesky, at most one jitter of 1e-10 * trace / n), so residuals are
+measured against the same, possibly jittered, operator the eigenpairs came from.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .estimators import PairedSample, solve_pd
+from .estimators import PairedSample, _factor_pd, _shifted, solve_pd
 from .kernels import Kernel, Point, cross_gram, gram
 
 DENSE_EIG_LIMIT = 1200
@@ -62,10 +67,8 @@ def edmd_matrix(sample: PairedSample, kernel: Kernel, lam: float) -> np.ndarray:
     """The Gram-coordinate matrix M = (G_X + n*lam*I)^{-1} K_YX."""
     if not (lam > 0):
         raise ValueError(f"lambda must be > 0, got {lam}")
-    n = sample.n
-    G = gram(kernel, sample.X).entries
-    K_yx = cross_gram(kernel, sample.Y, sample.X)
-    return solve_pd(G + n * lam * np.eye(n), K_yx)
+    G = gram(kernel, sample.X)
+    return solve_pd(_shifted(G, sample.n * lam), cross_gram(kernel, sample.Y, sample.X))
 
 
 def _sort_eigenpairs(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,16 +129,16 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
     if not (1 <= r <= n):
         raise ValueError(f"r out of range: need 1 <= r <= {n}, got {r}")
 
-    G = gram(kernel, sample.X).entries
+    G = gram(kernel, sample.X)
     K_yx = cross_gram(kernel, sample.Y, sample.X)
 
     if n <= DENSE_EIG_LIMIT or r > n - 2:
-        M = solve_pd(G + n * lam * np.eye(n), K_yx)
+        M = solve_pd(_shifted(G, n * lam), K_yx)
         w, V = scipy.linalg.eig(M)
         w, V = _sort_eigenpairs(w, V)
         w, V = w[:r], V[:, :r]
     else:
-        factor = scipy.linalg.cho_factor(G + n * lam * np.eye(n), lower=True)
+        factor = _factor_pd(_shifted(G, n * lam))
         op = scipy.sparse.linalg.LinearOperator(
             (n, n),
             matvec=lambda v: scipy.linalg.cho_solve(factor, K_yx @ v),
@@ -165,10 +168,9 @@ def eigen_residuals(res: EdmdResult, sample: PairedSample) -> np.ndarray:
     """
     if tuple(sample.X) != res.X:
         raise ValueError("sample does not match the training points of the result")
-    n = sample.n
-    G = gram(res.kernel, sample.X).entries
+    G = gram(res.kernel, sample.X)
     K_yx = cross_gram(res.kernel, sample.Y, sample.X)
-    factor = scipy.linalg.cho_factor(G + n * res.lam * np.eye(n), lower=True)
+    factor = _factor_pd(_shifted(G, sample.n * res.lam))
     out = np.empty(res.r)
     for j in range(res.r):
         v = res.coeffs[:, j]

@@ -220,7 +220,7 @@ def test_criterion_06_risk_decomposition():
         F = RegressionFunctionRep(C=rng.standard_normal((m, m)))
         f_star = cme_function(model)
         lhs = exact_risk(F, model, GAUSS)
-        K_E = gram(GAUSS, model.states).entries
+        K_E = gram(GAUSS, model.states)
         delta = F.C - f_star.C
         drift = float(model.marginal @ np.einsum("ij,jk,ik->i", delta, K_E, delta))
         rhs = drift + exact_risk(f_star, model, GAUSS)

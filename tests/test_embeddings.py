@@ -170,6 +170,14 @@ class TestMmdBiased:
         P = random_points(rng, 7)
         Q = random_points(rng, 9)
         assert mmd_sq_biased(GAUSS, P, Q) == mmd_sq_biased(GAUSS, Q, P)
+        # sizes where summing the cross block and its transpose round
+        # differently; equal sizes leave the order to the coordinates
+        lapl = LaplacianKernel(scale=1.3)
+        for n, m, d in [(37, 53, 2), (200, 150, 1)] + [(120, 120, 2)] * 6:
+            P = random_points(rng, n, d)
+            Q = random_points(rng, m, d)
+            for kernel in (GAUSS, lapl):
+                assert mmd_sq_biased(kernel, P, Q) == mmd_sq_biased(kernel, Q, P)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(15)

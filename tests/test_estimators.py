@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmekit import (
     CmeEstimator,
@@ -52,6 +54,16 @@ class TestFilterValue:
         f = Landweber(steps=1, step_size=0.1)
         for s in (0.0, 0.3, 2.0):
             assert filter_value(f, 1.0, s) == pytest.approx(0.1, abs=1e-15)
+
+    def test_landweber_small_spectrum_keeps_its_digits(self):
+        # g(s) = m*eta * (1 - (m-1)*eta*s/2 + (m-1)(m-2)*(eta*s)^2/6 - ...); the
+        # direct form 1 - (1 - eta*s)^m keeps only about 16 + log10(s) digits
+        for m, eta in ((1, 1.0), (25, 0.4)):
+            f = Landweber(steps=m, step_size=eta)
+            for s in (1e-6, 1e-10, 1e-14):
+                x = eta * s
+                series = m * eta * (1.0 - (m - 1) * x / 2.0 + (m - 1) * (m - 2) * x * x / 6.0)
+                assert filter_value(f, 1e-3, s) == pytest.approx(series, rel=1e-12)
 
     def test_landweber_zero_limit(self):
         f = Landweber(steps=25, step_size=0.4)
@@ -118,12 +130,39 @@ class TestFitting:
             w_closed = fit_tikhonov_closed_form(sample, GAUSS, lam).W
             assert np.max(np.abs(w_filter - w_closed)) <= 1e-8
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fits_are_permutation_equivariant(self, data):
+        # permuting the pairs by Pi permutes W to Pi W Pi^T
+        n = data.draw(st.integers(2, 20))
+        d = data.draw(st.integers(1, 2))
+        coords = st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)
+        point = coords.map(lambda c: Point(tuple(c)))
+        X, Y = (data.draw(st.lists(point, min_size=n, max_size=n)) for _ in "xy")
+        sample = PairedSample(X=tuple(X), Y=tuple(Y))
+        perm = data.draw(st.permutations(range(n)))
+        permuted = PairedSample(X=tuple(X[i] for i in perm), Y=tuple(Y[i] for i in perm))
+        width = data.draw(st.floats(0.5, 2.0))
+        kernel = data.draw(st.sampled_from([GaussianKernel(width), LaplacianKernel(width)]))
+        lam = data.draw(st.sampled_from([1e-3, 1e-2, 3e-2]))
+        filt = data.draw(
+            st.sampled_from([Tikhonov(), Cutoff()])
+            | st.builds(Landweber, st.integers(1, 50), st.floats(0.1, 1.5))
+        )
+        for fit in (
+            lambda s: fit_cme(s, kernel, filt, lam),
+            lambda s: fit_tikhonov_closed_form(s, kernel, lam),
+        ):
+            W = fit(sample).W
+            W_perm = fit(permuted).W
+            assert np.max(np.abs(W_perm - W[np.ix_(perm, perm)])) <= 1e-10 * np.max(np.abs(W))
+
     def test_tikhonov_inverse_roundtrip(self):
         rng = np.random.default_rng(22)
         sample = random_sample(rng, 60)
         lam = 1e-3
         est = fit_tikhonov_closed_form(sample, GAUSS, lam)
-        G = gram(GAUSS, sample.X).entries
+        G = gram(GAUSS, sample.X)
         resid = est.W @ (G + 60 * lam * np.eye(60)) - np.eye(60)
         assert np.max(np.abs(resid)) <= 1e-8
 
@@ -250,8 +289,8 @@ class TestNormsAndRisks:
                            (120, 3, filters[0])]:
             kernel = LaplacianKernel(scale=1.5) if d == 2 else GAUSS
             est = fit_cme(random_sample(rng, n, d=d), kernel, filt, 1e-3)
-            GX = gram(kernel, est.X).entries
-            GY = gram(kernel, est.Y).entries
+            GX = gram(kernel, est.X)
+            GY = gram(kernel, est.Y)
             trace = float(np.trace(est.W.T @ GY @ est.W @ GX))
             assert hs_norm_sq(est) == pytest.approx(trace, rel=1e-12)
 

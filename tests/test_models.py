@@ -93,7 +93,7 @@ class TestExactOperatorValues:
     def test_identity_chain_is_inclusion(self):
         model = finite_model(chain_states(3), np.full(3, 1 / 3), np.eye(3))
         vals = exact_operator_values(model, GAUSS)
-        K_E = gram(GAUSS, model.states).entries
+        K_E = gram(GAUSS, model.states)
         assert np.max(np.abs(vals.B - K_E)) == 0.0
 
     def test_single_state(self):
@@ -106,7 +106,7 @@ class TestExactOperatorValues:
         P = np.eye(3)[perm]
         model = finite_model(chain_states(3), np.full(3, 1 / 3), P)
         vals = exact_operator_values(model, GAUSS)
-        K_E = gram(GAUSS, model.states).entries
+        K_E = gram(GAUSS, model.states)
         assert np.max(np.abs(vals.B - K_E[perm, :])) == 0.0
 
 
@@ -188,7 +188,7 @@ class TestOpNormDiff:
                 finite_model(model.states, model.marginal, model.transition_alt), GAUSS
             )
             norm = op_norm_diff(vals_p, vals_q, model, GAUSS)
-            K_Z = gram(GAUSS, vals_p.support).entries
+            K_Z = gram(GAUSS, vals_p.support)
             D = vals_p.B - vals_q.B
             C = rng.standard_normal((10_000, 3))
             h_norms = np.einsum("ki,ij,kj->k", C, K_Z, C)
@@ -223,7 +223,7 @@ class TestExcessRiskAndBound:
             Y=model.states,
             W=np.zeros((3, 3)),
         )
-        K_E = gram(GAUSS, model.states).entries
+        K_E = gram(GAUSS, model.states)
         expected = float(
             model.marginal @ np.einsum("ij,jk,ik->i", model.transition, K_E, model.transition)
         )

@@ -52,7 +52,7 @@ class TestEdmdMatrix:
         lam = 0.01
         M = edmd_matrix(sample, GAUSS, lam)
         got = np.sort(np.linalg.eigvals(M).real)
-        s = np.linalg.eigvalsh(gram(GAUSS, sample.X).entries)
+        s = np.linalg.eigvalsh(gram(GAUSS, sample.X))
         expected = np.sort(s / (s + 25 * lam))
         assert np.max(np.abs(got - expected)) <= 1e-10
         # strictly inside (0, 1) above the Gram's round-off floor
@@ -78,7 +78,7 @@ class TestEdmdEigen:
         lam = 0.05
         res = edmd_eigen(sample, GAUSS, lam, 10)
         assert np.max(np.abs(res.eigenvalues.imag)) <= 1e-12
-        s = np.linalg.eigvalsh(gram(GAUSS, sample.X).entries)
+        s = np.linalg.eigvalsh(gram(GAUSS, sample.X))
         expected = np.sort(s / (s + 30 * lam))[::-1][:10]
         assert np.max(np.abs(res.eigenvalues.real - expected)) <= 1e-10
         assert np.all(res.eigenvalues.real > 0) and np.all(res.eigenvalues.real < 1)
@@ -93,7 +93,7 @@ class TestEdmdEigen:
         rng = np.random.default_rng(43)
         sample = random_sample(rng, 40)
         res = edmd_eigen(sample, GAUSS, 1e-2, 6)
-        G = gram(GAUSS, sample.X).entries
+        G = gram(GAUSS, sample.X)
         for j in range(res.r):
             v = res.coeffs[:, j]
             assert np.real(np.conj(v) @ G @ v) == pytest.approx(1.0, abs=1e-10)
@@ -135,9 +135,22 @@ class TestEdmdEigen:
         for j in range(4):
             # eigenvectors may differ by sign/phase; compare as RKHS elements
             inner = np.abs(
-                np.conj(dense.coeffs[:, j]) @ gram(GAUSS, sample.X).entries @ arnoldi.coeffs[:, j]
+                np.conj(dense.coeffs[:, j]) @ gram(GAUSS, sample.X) @ arnoldi.coeffs[:, j]
             )
             assert inner == pytest.approx(1.0, abs=1e-6)
+
+    def test_jittered_system_is_shared_by_both_paths_and_residuals(self, monkeypatch):
+        # G_X + n*lam*I is numerically singular here: the dense solve jitters
+        # it, and the residuals and the Arnoldi path must factor it the same way
+        sample = ou_sample_pairs(1.0, 0.5, 30, 7)
+        kernel = GaussianKernel(bandwidth=10.0)
+        res = edmd_eigen(sample, kernel, 1e-17, 3)
+        resid = eigen_residuals(res, sample)
+        assert resid.shape == (3,)
+        assert np.all(np.isfinite(resid)) and np.all(resid >= 0)
+        monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", 10)
+        arnoldi = edmd_eigen(sample, kernel, 1e-17, 3)
+        assert np.all(np.isfinite(arnoldi.eigenvalues))
 
     def test_spectral_bound_sanity(self):
         # bounded kernel + acceptance-scale lambda: top modulus <= 1.1
@@ -187,7 +200,7 @@ class TestEigenfunctions:
                 f_emb = WeightedEmbedding(kernel=GAUSS, support=sample.X, weights=part)
                 for x in sample.X[:10]:
                     matrix_val = float(
-                        image @ gram(GAUSS, sample.X).entries[:, sample.X.index(x)]
+                        image @ gram(GAUSS, sample.X)[:, sample.X.index(x)]
                     )
                     est_val = embed_inner(f_emb, predict_embedding(est, x))
                     assert est_val == pytest.approx(matrix_val, abs=1e-8)

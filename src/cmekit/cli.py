@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import models as md
-from .embeddings import mmd_sq_biased, mmd_sq_unbiased
+from .embeddings import _mmd_sq
 from .estimators import (
     CmeEstimator,
     Cutoff,
@@ -518,6 +518,8 @@ def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
         raise ConfigError(f"{cfg.path}: r out of range: need r <= n = {sample.n}, got {r}")
     out_path = _resolve_out(cfg, out)
     result = edmd_eigen(sample, kernel, lam, r)
+    if result.jitter:
+        _log(f"warning: G_X + n*lambda*I is not positive definite; jitter {result.jitter:.3e} added")
     residuals = eigen_residuals(result, sample)
     rows = ["index,re,im,modulus,residual"]
     for j, (mu, res) in enumerate(zip(result.eigenvalues, residuals)):
@@ -537,18 +539,18 @@ def cmd_mmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     Q = read_point_sample(cfg.require("data", "sample_file_2"))
     # the biased estimate exists for any nonempty samples; the unbiased one
     # needs two points per side, and its absence is a validation failure
-    small = len(P) < 2 or len(Q) < 2
+    biased, unbiased = _mmd_sq(kernel, P, Q)
     report = {
         "command": "mmd",
         "n": len(P),
         "m": len(Q),
         "kernel": _kernel_json(kernel),
-        "biased": mmd_sq_biased(kernel, P, Q),
-        "unbiased": None if small else mmd_sq_unbiased(kernel, P, Q),
+        "biased": biased,
+        "unbiased": unbiased,
     }
     _emit(json.dumps(report, indent=2) + "\n", _resolve_out(cfg, out, required=False))
     _log(f"wall_time_ms={1000.0 * (time.perf_counter() - t0):.1f}")
-    if small:
+    if unbiased is None:
         _log("error: the unbiased estimator needs n, m >= 2; reported as null")
         return 2
     return 0
@@ -564,6 +566,12 @@ def _verify_rows(model: md.FiniteMarkovModel, kernel: Kernel, seed: int) -> list
 
     def close(name, lhs, rhs, tol):
         rows.append((name, lhs, rhs, tol, "PASS" if abs(lhs - rhs) <= tol else "FAIL"))
+
+    def mmd_relation(pair):
+        """||A - A'||^2 and the MMD integral for the two Markov kernels of ``pair``."""
+        alt = md.finite_model(pair.states, pair.marginal, pair.transition_alt)
+        vals = [md.exact_operator_values(chain, kernel) for chain in (pair, alt)]
+        return md.op_norm_diff(*vals, pair, kernel) ** 2, md.exact_mmd_integral(pair, kernel)
 
     # operator-norm bound on randomized fitted estimators (worst instance shown)
     worst = None
@@ -594,25 +602,14 @@ def _verify_rows(model: md.FiniteMarkovModel, kernel: Kernel, seed: int) -> list
         pair = model
     else:
         pair = md.with_alt(model, md.random_model(rng, model.m).transition)
-    vals_p = md.exact_operator_values(pair, kernel)
-    vals_q = md.exact_operator_values(
-        md.finite_model(pair.states, pair.marginal, pair.transition_alt), kernel
-    )
-    lhs = md.op_norm_diff(vals_p, vals_q, pair, kernel) ** 2
-    rhs = md.exact_mmd_integral(pair, kernel)
+    lhs, rhs = mmd_relation(pair)
     leq("mmd-relation-inequality", lhs, rhs, 1e-10)
     if rhs - lhs > 1e-10:
         rows.append(("mmd-relation-strict-gap", lhs, rhs, 1e-10, "INFO"))
 
     # equality on the constant-direction family
     if model.m >= 2:
-        aligned = md.constant_direction_alt(model, rng)
-        vals_p = md.exact_operator_values(aligned, kernel)
-        vals_q = md.exact_operator_values(
-            md.finite_model(aligned.states, aligned.marginal, aligned.transition_alt), kernel
-        )
-        lhs = md.op_norm_diff(vals_p, vals_q, aligned, kernel) ** 2
-        rhs = md.exact_mmd_integral(aligned, kernel)
+        lhs, rhs = mmd_relation(md.constant_direction_alt(model, rng))
         close("mmd-relation-equality-aligned", lhs, rhs, 1e-10)
 
     # well-specified deterministic map is recovered exactly

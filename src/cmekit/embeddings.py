@@ -85,32 +85,43 @@ def embed_diff(a: WeightedEmbedding, b: WeightedEmbedding) -> WeightedEmbedding:
     )
 
 
+def _sum_and_trace(K: np.ndarray) -> tuple[float, float]:
+    return K.sum(), np.trace(K)
+
+
+def _mmd_sq(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> tuple[float, float | None]:
+    """Biased and unbiased squared MMD from one pass over the three Gram blocks.
+
+    (P, Q) is put in a canonical order (size, then coordinate bytes), so both
+    values are bitwise symmetric, and each block is summed and released before
+    the next is built.  The unbiased value is None below two points per sample.
+    """
+    if len(P) == 0 or len(Q) == 0:
+        raise ValueError("cannot compute MMD of an empty sample")
+    if (len(Q), coords_matrix(Q).tobytes()) < (len(P), coords_matrix(P).tobytes()):
+        P, Q = Q, P
+    n, m = len(P), len(Q)
+    spp, tpp = _sum_and_trace(gram(kernel, P))
+    sqq, tqq = _sum_and_trace(gram(kernel, Q))
+    kpq = cross_gram(kernel, P, Q).sum() / (n * m)
+    biased = float(spp / (n * n) + sqq / (m * m) - 2.0 * kpq)
+    if n < 2 or m < 2:
+        return biased, None
+    return biased, float((spp - tpp) / (n * (n - 1)) + (sqq - tqq) / (m * (m - 1)) - 2.0 * kpq)
+
+
 def mmd_sq_biased(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> float:
     """Plug-in (V-statistic) squared MMD ||mu_P - mu_Q||^2.
 
     Expanded as the three double sums over Gram blocks; exactly symmetric in
     (P, Q) and exactly zero when P and Q are the same list.
     """
-    if len(P) == 0 or len(Q) == 0:
-        raise ValueError("cannot compute MMD of an empty sample")
-    # (P, Q) in a canonical order (size, then coordinate bytes) makes the
-    # estimator bitwise symmetric: swapped arguments sum the same cross block
-    if (len(Q), coords_matrix(Q).tobytes()) < (len(P), coords_matrix(P).tobytes()):
-        P, Q = Q, P
-    kpp = float(np.mean(gram(kernel, P)))
-    kqq = float(np.mean(gram(kernel, Q)))
-    kpq = float(np.mean(cross_gram(kernel, P, Q)))
-    return kpp + kqq - 2.0 * kpq
+    return _mmd_sq(kernel, P, Q)[0]
 
 
 def mmd_sq_unbiased(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> float:
-    """U-statistic squared-MMD estimator (off-diagonal sums); may be negative."""
+    """U-statistic squared-MMD estimator (off-diagonal sums); may be negative; exactly symmetric."""
     n, m = len(P), len(Q)
     if n < 2 or m < 2:
         raise ValueError(f"unbiased MMD needs at least 2 points per sample, got {n} and {m}")
-    gp = gram(kernel, P)
-    gq = gram(kernel, Q)
-    kpq = cross_gram(kernel, P, Q)
-    term_p = (gp.sum() - np.trace(gp)) / (n * (n - 1))
-    term_q = (gq.sum() - np.trace(gq)) / (m * (m - 1))
-    return float(term_p + term_q - 2.0 * kpq.mean())
+    return _mmd_sq(kernel, P, Q)[1]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 import scipy.linalg
@@ -166,16 +166,17 @@ def _shifted(G: np.ndarray, shift: float) -> np.ndarray:
     return A
 
 
-def _factor_pd(matrix: np.ndarray, jitter: Optional[float] = None) -> tuple[np.ndarray, bool]:
-    """``cho_factor`` output under :func:`solve_pd`'s policy; ``jitter`` marks the retry."""
+def _factor_pd(matrix: np.ndarray) -> tuple[tuple[np.ndarray, bool], float]:
+    """``cho_factor`` output under :func:`solve_pd`'s policy and the jitter added (0.0 if none)."""
     try:
-        return scipy.linalg.cho_factor(matrix, lower=True)
+        return scipy.linalg.cho_factor(matrix, lower=True), 0.0
+    except scipy.linalg.LinAlgError:
+        jitter = float(JITTER_SCALE * np.trace(matrix) / matrix.shape[0])
+    try:
+        return scipy.linalg.cho_factor(_shifted(matrix, jitter), lower=True), jitter
     except scipy.linalg.LinAlgError as exc:
-        if jitter is not None:
-            msg = f"matrix not positive definite after jitter {jitter:.3e}"
-            raise np.linalg.LinAlgError(msg) from exc
-    jitter = JITTER_SCALE * np.trace(matrix) / matrix.shape[0]
-    return _factor_pd(_shifted(matrix, jitter), jitter)
+        msg = f"matrix not positive definite after jitter {jitter:.3e}"
+        raise np.linalg.LinAlgError(msg) from exc
 
 
 def solve_pd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -183,11 +184,12 @@ def solve_pd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     The package's one factorization policy: Cholesky, and on failure one jitter
     of 1e-10 * trace / n on the diagonal, after which failure is an error.  Every
-    G_X + n*lam*I (``fit_tikhonov_closed_form``, ``edmd_matrix``, both
-    ``edmd_eigen`` paths, ``eigen_residuals``) is formed by ``_shifted`` and
-    factored by ``_factor_pd`` under it, as are the oracle's witness solves.
+    G_X + n*lam*I is formed by ``_shifted`` and factored by ``_factor_pd`` under
+    it: ``fit_tikhonov_closed_form`` here, and in ``spectral`` the one system
+    that ``edmd_matrix`` and ``edmd_eigen`` (eigenpairs and residuals) share;
+    so are the oracle's witness solves.
     """
-    return scipy.linalg.cho_solve(_factor_pd(matrix), rhs)
+    return scipy.linalg.cho_solve(_factor_pd(matrix)[0], rhs)
 
 
 def _filtered_coefficients(G: np.ndarray, filt: SpectralFilter, lam: float) -> np.ndarray:

@@ -151,11 +151,6 @@ def table_kernel(states: Sequence[Point], values: np.ndarray) -> TableKernel:
     return TableKernel(tuple(states), tuple(tuple(row) for row in vals))
 
 
-def _check_same_dim(a: Sequence[Point], b: Sequence[Point]) -> None:
-    if a[0].dim != b[0].dim:
-        raise ValueError(f"dimension mismatch: {a[0].dim} vs {b[0].dim}")
-
-
 def kernel_eval(kernel: Kernel, x: Point, x2: Point) -> float:
     """Evaluate k(x, x2).
 
@@ -173,8 +168,7 @@ def kernel_eval(kernel: Kernel, x: Point, x2: Point) -> float:
         d1 = float(np.sum(np.abs(a - b)))
         return math.exp(-d1 / kernel.scale)
     if isinstance(kernel, TableKernel):
-        i = kernel._lookup([x])[0]
-        j = kernel._lookup([x2])[0]
+        i, j = kernel._lookup([x, x2])
         return float(kernel._values_array[i, j])
     raise TypeError(f"unknown kernel type: {type(kernel).__name__}")
 
@@ -183,7 +177,8 @@ def cross_gram(kernel: Kernel, rows: Sequence[Point], cols: Sequence[Point]) -> 
     """Matrix K with K[i, j] = k(rows[i], cols[j])."""
     if len(rows) == 0 or len(cols) == 0:
         raise ValueError("empty point list")
-    _check_same_dim(rows, cols)
+    if rows[0].dim != cols[0].dim:
+        raise ValueError(f"dimension mismatch: {rows[0].dim} vs {cols[0].dim}")
     if isinstance(kernel, TableKernel):
         ri = kernel._lookup(rows)
         ci = kernel._lookup(cols)

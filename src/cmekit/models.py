@@ -210,15 +210,10 @@ def estimator_values(est: CmeEstimator, model: FiniteMarkovModel, kernel: Kernel
     """
     if est.kernel != kernel:
         raise ValueError("estimator kernel does not match the oracle kernel")
-    support: list[Point] = []
-    seen: set[Point] = set()
-    for p in est.Y + model.states:
-        if p not in seen:
-            seen.add(p)
-            support.append(p)
+    support = tuple(dict.fromkeys(est.Y + model.states))
     K_ex = cross_gram(kernel, model.states, est.X)
     K_yz = cross_gram(kernel, est.Y, support)
-    return ValuesMap(support=tuple(support), B=K_ex @ est.W.T @ K_yz)
+    return ValuesMap(support=support, B=K_ex @ est.W.T @ K_yz)
 
 
 def _aligned_difference(
@@ -230,19 +225,15 @@ def _aligned_difference(
             raise ValueError(f"support alignment failure: duplicate points in {name} ValuesMap")
     if vals_a.B.shape[0] != vals_b.B.shape[0]:
         raise ValueError("support alignment failure: ValuesMaps have different state counts")
-    union: list[Point] = list(vals_a.support)
+    union = tuple(dict.fromkeys(vals_a.support + vals_b.support))
     index = {p: i for i, p in enumerate(union)}
-    for p in vals_b.support:
-        if p not in index:
-            index[p] = len(union)
-            union.append(p)
     m = vals_a.B.shape[0]
     D = np.zeros((m, len(union)))
     for col, p in enumerate(vals_a.support):
         D[:, index[p]] += vals_a.B[:, col]
     for col, p in enumerate(vals_b.support):
         D[:, index[p]] -= vals_b.B[:, col]
-    return tuple(union), D
+    return union, D
 
 
 def op_norm_diff(

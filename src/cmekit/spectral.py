@@ -17,10 +17,11 @@ reproducible across eigensolver backends.  Large problems use an implicitly
 restarted Arnoldi iteration with a fixed start vector instead of the dense
 solver; both paths satisfy the same residual contract.
 
-Every G_X + n*lam*I here (``edmd_matrix``, both ``edmd_eigen`` paths,
-``eigen_residuals``) is factored under :func:`cmekit.estimators.solve_pd`'s one
-policy (Cholesky, at most one jitter of 1e-10 * trace / n), so residuals are
-measured against the same, possibly jittered, operator the eigenpairs came from.
+G_X, K_YX and the factor of G_X + n*lam*I are formed once per fit, in
+``_edmd_system``, under :func:`cmekit.estimators.solve_pd`'s one policy
+(Cholesky, at most one jitter of 1e-10 * trace / n).  ``edmd_eigen`` measures the
+residuals with that same factor, so they belong to the same, possibly jittered,
+operator the eigenpairs came from, and it records the jitter it added.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .estimators import PairedSample, _factor_pd, _shifted, solve_pd
+from .estimators import PairedSample, _factor_pd, _shifted
 from .kernels import Kernel, Point, cross_gram, gram
 
 DENSE_EIG_LIMIT = 1200
@@ -44,7 +45,9 @@ class EdmdResult:
     """Top eigenvalues and eigenfunction coefficients of the fitted operator.
 
     ``coeffs[:, j]`` expands eigenfunction j over the training features:
-    f_j = sum_i coeffs[i, j] phi(X[i]).
+    f_j = sum_i coeffs[i, j] phi(X[i]).  ``residuals[j]`` is the RKHS-norm
+    residual of eigenpair j and ``jitter`` the amount the factorization added to
+    the diagonal of G_X + n*lam*I (0.0 when none); ``edmd_eigen`` fills both.
     """
 
     eigenvalues: np.ndarray
@@ -52,23 +55,39 @@ class EdmdResult:
     X: tuple[Point, ...]
     kernel: Kernel
     lam: float
+    residuals: np.ndarray | None = None
+    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "X", tuple(self.X))
-        self.eigenvalues.setflags(write=False)
-        self.coeffs.setflags(write=False)
+        for arr in (self.eigenvalues, self.coeffs, self.residuals):
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def r(self) -> int:
         return len(self.eigenvalues)
 
 
-def edmd_matrix(sample: PairedSample, kernel: Kernel, lam: float) -> np.ndarray:
-    """The Gram-coordinate matrix M = (G_X + n*lam*I)^{-1} K_YX."""
+def _edmd_system(sample: PairedSample, kernel: Kernel, lam: float):
+    """G_X, K_YX, the factor of G_X + n*lam*I and the jitter that factorization added."""
     if not (lam > 0):
         raise ValueError(f"lambda must be > 0, got {lam}")
     G = gram(kernel, sample.X)
-    return solve_pd(_shifted(G, sample.n * lam), cross_gram(kernel, sample.Y, sample.X))
+    K_yx = cross_gram(kernel, sample.Y, sample.X)
+    factor, jitter = _factor_pd(_shifted(G, sample.n * lam))
+    return G, K_yx, factor, jitter
+
+
+def edmd_matrix(sample: PairedSample, kernel: Kernel, lam: float) -> np.ndarray:
+    """The Gram-coordinate matrix M = (G_X + n*lam*I)^{-1} K_YX."""
+    _, K_yx, factor, _ = _edmd_system(sample, kernel, lam)
+    return scipy.linalg.cho_solve(factor, K_yx)
+
+
+def _rkhs_norm_sq(G: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Re(v^H G v) per column v of V, from real and imaginary parts: G is never cast to complex."""
+    return sum(np.einsum("ij,ij->j", part, G @ part) for part in (V.real, V.imag))
 
 
 def _sort_eigenpairs(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,35 +98,28 @@ def _sort_eigenpairs(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _normalize_columns(w: np.ndarray, V: np.ndarray, G: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.diag(G)))
-    cols = []
-    for j in range(V.shape[1]):
-        v = V[:, j]
-        norm_sq = float(np.real(np.conj(v) @ G @ v))
-        if norm_sq <= 1e-14 * scale * float(np.real(np.conj(v) @ v)):
-            raise np.linalg.LinAlgError(
-                f"eigenfunction {j} (eigenvalue {w[j]:.3e}) has zero RKHS norm; "
-                "it lies in a null direction of the Gram matrix, reduce r"
-            )
-        v = v / np.sqrt(norm_sq)
-        nz = np.nonzero(np.abs(v) > 1e-12 * np.max(np.abs(v)))[0]
-        lead = v[nz[0]]
-        if lead.real < 0 or (lead.real == 0 and lead.imag < 0):
-            v = -v
-        cols.append(v)
-    return np.column_stack(cols)
+    norm_sq = _rkhs_norm_sq(G, V)
+    null = norm_sq <= 1e-14 * scale * np.sum(np.abs(V) ** 2, axis=0)
+    if np.any(null):
+        j = int(np.argmax(null))
+        raise np.linalg.LinAlgError(
+            f"eigenfunction {j} (eigenvalue {w[j]:.3e}) has zero RKHS norm; "
+            "it lies in a null direction of the Gram matrix, reduce r"
+        )
+    V = V / np.sqrt(norm_sq)
+    A = np.abs(V)
+    lead = V[np.argmax(A > 1e-12 * A.max(axis=0), axis=0), np.arange(V.shape[1])]
+    return V * np.where((lead.real < 0) | ((lead.real == 0) & (lead.imag < 0)), -1, 1)
 
 
 def _enforce_conjugate_pairs(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w = w.copy()
-    V = V.copy()
+    # pairs in place: w and V are fresh arrays from _sort_eigenpairs / _normalize_columns
     used = np.zeros(len(w), dtype=bool)
     for i in range(len(w)):
         if used[i] or abs(w[i].imag) <= _PAIR_TOL * (1.0 + abs(w[i])):
             continue
         for j in range(i + 1, len(w)):
-            if used[j]:
-                continue
-            if abs(w[j] - np.conj(w[i])) <= _PAIR_TOL * (1.0 + abs(w[i])):
+            if not used[j] and abs(w[j] - np.conj(w[i])) <= _PAIR_TOL * (1.0 + abs(w[i])):
                 w[j] = np.conj(w[i])
                 V[:, j] = np.conj(V[:, i])
                 used[i] = used[j] = True
@@ -121,35 +133,33 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
     Small problems run the dense nonsymmetric eigensolver on M; above
     ``DENSE_EIG_LIMIT`` training points the matrix is applied implicitly
     (one Cholesky factorization, matvecs via triangular solves) inside a
-    deterministic Arnoldi iteration.
+    deterministic Arnoldi iteration.  The same operator application gives the
+    residuals sqrt(d^H G_X d), d = M v_j - mu_j v_j.
     """
-    if not (lam > 0):
-        raise ValueError(f"lambda must be > 0, got {lam}")
     n = sample.n
     if not (1 <= r <= n):
         raise ValueError(f"r out of range: need 1 <= r <= {n}, got {r}")
-
-    G = gram(kernel, sample.X)
-    K_yx = cross_gram(kernel, sample.Y, sample.X)
+    G, K_yx, factor, jitter = _edmd_system(sample, kernel, lam)
 
     if n <= DENSE_EIG_LIMIT or r > n - 2:
-        M = solve_pd(_shifted(G, n * lam), K_yx)
+        M = scipy.linalg.cho_solve(factor, K_yx)
+        apply = M.__matmul__
         w, V = scipy.linalg.eig(M)
         w, V = _sort_eigenpairs(w, V)
         w, V = w[:r], V[:, :r]
     else:
-        factor = _factor_pd(_shifted(G, n * lam))
-        op = scipy.sparse.linalg.LinearOperator(
-            (n, n),
-            matvec=lambda v: scipy.linalg.cho_solve(factor, K_yx @ v),
-            dtype=float,
-        )
+        def apply(v: np.ndarray) -> np.ndarray:
+            return scipy.linalg.cho_solve(factor, K_yx @ v)
+
+        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, dtype=float)
         w, V = scipy.sparse.linalg.eigs(op, k=r, which="LM", v0=np.ones(n))
         w, V = _sort_eigenpairs(w, V)
 
     V = _normalize_columns(w, V, G)
     w, V = _enforce_conjugate_pairs(w, V)
-    return EdmdResult(eigenvalues=w, coeffs=V, X=sample.X, kernel=kernel, lam=lam)
+    D = apply(V.real) + 1j * apply(V.imag) - V * w
+    residuals = np.sqrt(np.maximum(_rkhs_norm_sq(G, D), 0.0))
+    return EdmdResult(w, V, sample.X, kernel, lam, residuals=residuals, jitter=jitter)
 
 
 def eval_eigenfunction(res: EdmdResult, j: int, x: Point) -> complex:
@@ -163,23 +173,15 @@ def eval_eigenfunction(res: EdmdResult, j: int, x: Point) -> complex:
 def eigen_residuals(res: EdmdResult, sample: PairedSample) -> np.ndarray:
     """RKHS-norm residuals ||A f_j - mu_j f_j||_H for unit-norm eigenfunctions.
 
-    Recomputes the operator action from the sample the result was fitted on;
-    residual j is sqrt(d^H G_X d) with d = M v_j - mu_j v_j.
+    ``edmd_eigen`` computes them with the factorization its eigenpairs came
+    from; residual j is sqrt(d^H G_X d) with d = M v_j - mu_j v_j.  ``sample``
+    must be the one the result was fitted on.
     """
     if tuple(sample.X) != res.X:
         raise ValueError("sample does not match the training points of the result")
-    G = gram(res.kernel, sample.X)
-    K_yx = cross_gram(res.kernel, sample.Y, sample.X)
-    factor = _factor_pd(_shifted(G, sample.n * res.lam))
-    out = np.empty(res.r)
-    for j in range(res.r):
-        v = res.coeffs[:, j]
-        Mv = scipy.linalg.cho_solve(factor, K_yx @ v.real) + 1j * scipy.linalg.cho_solve(
-            factor, K_yx @ v.imag
-        )
-        d = Mv - res.eigenvalues[j] * v
-        out[j] = np.sqrt(max(float(np.real(np.conj(d) @ G @ d)), 0.0))
-    return out
+    if res.residuals is None:
+        raise ValueError("the result carries no residuals; compute it with edmd_eigen")
+    return res.residuals
 
 
 def sign_cluster(res: EdmdResult, states: Sequence[Point]) -> np.ndarray:

@@ -295,6 +295,40 @@ out = {tmp_path / 'eig.csv'}
         assert main(["edmd", "--config", cfg]) == 0
         assert blob1 == (tmp_path / "eig.csv").read_bytes()
 
+    def _ou_config(self, tmp_path, bandwidth, lam):
+        return write(
+            tmp_path / "edmd-ou.cfg",
+            f"""
+[kernel]
+variant = gaussian
+bandwidth = {bandwidth}
+[data]
+source = ou
+theta = 1.0
+tau = 0.5
+[run]
+lambda = {lam}
+n = 30
+r = 3
+seed = 7
+out = {tmp_path / 'eig.csv'}
+""",
+        )
+
+    def test_jitter_is_reported_on_stderr_only(self, tmp_path, capsys):
+        # G_X + n*lam*I is numerically singular: the factorization jitters it
+        assert main(["edmd", "--config", self._ou_config(tmp_path, 10.0, "1e-17")]) == 0
+        captured = capsys.readouterr()
+        warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and "jitter 1.000e-10" in warnings[0]
+        assert captured.out == ""
+        lines = (tmp_path / "eig.csv").read_text().splitlines()
+        assert lines[0] == "index,re,im,modulus,residual" and len(lines) == 4
+
+    def test_no_warning_without_jitter(self, tmp_path, capsys):
+        assert main(["edmd", "--config", self._ou_config(tmp_path, 1.0, "1e-3")]) == 0
+        assert "warning" not in capsys.readouterr().err
+
 
 class TestMmdCommand:
     def _config(self, tmp_path, file_a, file_b):
@@ -327,6 +361,30 @@ sample_file_2 = {file_b}
         report = json.loads(capsys.readouterr().out)
         assert report["biased"] == pytest.approx(0.7869386806, abs=1e-9)
         assert report["unbiased"] is None
+
+    def test_one_pass_over_the_blocks(self, tmp_path, capsys, monkeypatch):
+        import cmekit.embeddings as emb
+
+        built = []
+
+        def counting(name):
+            inner = getattr(emb, name)
+
+            def wrapper(kernel, *blocks):
+                built.append((name,) + tuple(len(b) for b in blocks))
+                return inner(kernel, *blocks)
+
+            return wrapper
+
+        monkeypatch.setattr(emb, "gram", counting("gram"))
+        monkeypatch.setattr(emb, "cross_gram", counting("cross_gram"))
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_point_sample(str(a), [pt(0.0), pt(0.5), pt(1.0)])
+        write_point_sample(str(b), [pt(1.0), pt(2.0), pt(3.0), pt(4.0)])
+        assert main(["mmd", "--config", self._config(tmp_path, a, b)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert isinstance(report["biased"], float) and isinstance(report["unbiased"], float)
+        assert sorted(built) == [("cross_gram", 3, 4), ("gram", 3), ("gram", 4)]
 
     def test_both_estimates(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

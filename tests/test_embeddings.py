@@ -178,6 +178,7 @@ class TestMmdBiased:
             Q = random_points(rng, m, d)
             for kernel in (GAUSS, lapl):
                 assert mmd_sq_biased(kernel, P, Q) == mmd_sq_biased(kernel, Q, P)
+                assert mmd_sq_unbiased(kernel, P, Q) == mmd_sq_unbiased(kernel, Q, P)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(15)

@@ -1,5 +1,7 @@
 """Kernel-EDMD eigenproblem: matrix reduction, eigenpairs, clustering."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from cmekit import (
     sign_cluster,
     stationary_distribution,
 )
+from cmekit.estimators import JITTER_SCALE
 from cmekit.models import chain_states, finite_model
 
 GAUSS = GaussianKernel(bandwidth=1.0)
@@ -36,6 +39,18 @@ def random_sample(rng, n):
     X = tuple(pt(v) for v in rng.normal(size=n) * 2.0)
     Y = tuple(pt(v) for v in rng.normal(size=n) * 2.0)
     return PairedSample(X=X, Y=Y)
+
+
+def recomputed_residuals(res, sample, kernel, lam):
+    """sqrt(Re d^H G d) with d = M v - mu v, M taken from edmd_matrix."""
+    M = edmd_matrix(sample, kernel, lam)
+    G = gram(kernel, sample.X)
+    out = []
+    for j in range(res.r):
+        v = res.coeffs[:, j]
+        d = M @ v - res.eigenvalues[j] * v
+        out.append(np.sqrt(max(np.real(np.conj(d) @ G @ d), 0.0)))
+    return np.array(out)
 
 
 class TestEdmdMatrix:
@@ -152,6 +167,38 @@ class TestEdmdEigen:
         arnoldi = edmd_eigen(sample, kernel, 1e-17, 3)
         assert np.all(np.isfinite(arnoldi.eigenvalues))
 
+    def test_jitter_is_recorded(self, monkeypatch):
+        sample = ou_sample_pairs(1.0, 0.5, 30, 7)
+        kernel = GaussianKernel(bandwidth=10.0)
+        # trace(G_X + n*lam*I) / n = 1 + n*lam for a Gaussian kernel
+        expected = JITTER_SCALE * (1.0 + 30 * 1e-17)
+        assert edmd_eigen(sample, kernel, 1e-17, 3).jitter == pytest.approx(expected, rel=1e-12)
+        monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", 10)
+        assert edmd_eigen(sample, kernel, 1e-17, 3).jitter == pytest.approx(expected, rel=1e-12)
+        rng = np.random.default_rng(51)
+        assert edmd_eigen(random_sample(rng, 40), GAUSS, 1e-2, 3).jitter == 0.0
+
+    @pytest.mark.parametrize("limit", [1200, 50], ids=["dense", "arnoldi"])
+    def test_one_gram_cross_gram_and_factor_per_fit(self, monkeypatch, limit):
+        calls = Counter()
+
+        def counting(name):
+            inner = getattr(cmekit.spectral, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("gram", "cross_gram", "_factor_pd"):
+            monkeypatch.setattr(cmekit.spectral, name, counting(name))
+        monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", limit)
+        sample = random_sample(np.random.default_rng(52), 120)
+        res = edmd_eigen(sample, GAUSS, 1e-2, 4)
+        eigen_residuals(res, sample)
+        assert calls == {"gram": 1, "cross_gram": 1, "_factor_pd": 1}
+
     def test_spectral_bound_sanity(self):
         # bounded kernel + acceptance-scale lambda: top modulus <= 1.1
         P = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -160,6 +207,40 @@ class TestEdmdEigen:
         assert np.abs(res.eigenvalues[0]) <= 1.1
         res_ou = edmd_eigen(ou_sample_pairs(1.0, 0.5, 800, 1), GAUSS, 1e-3, 3)
         assert np.abs(res_ou.eigenvalues[0]) <= 1.1
+
+
+class TestResiduals:
+    def check(self, sample, kernel, lam, r):
+        res = edmd_eigen(sample, kernel, lam, r)
+        assert res.r == r
+        want = recomputed_residuals(res, sample, kernel, lam)
+        assert np.max(np.abs(eigen_residuals(res, sample) - want)) <= 1e-12
+        other = PairedSample(X=sample.X + sample.X[:1], Y=sample.Y + sample.Y[:1])
+        with pytest.raises(ValueError, match="does not match"):
+            eigen_residuals(res, other)
+
+    def test_single_point(self):
+        self.check(PairedSample(X=(pt(0.3),), Y=(pt(0.5),)), GAUSS, 1e-2, 1)
+
+    @pytest.mark.parametrize("drop", [0, 1], ids=["r=n", "r=n-1"])
+    def test_dense_fallback_for_large_r(self, monkeypatch, drop):
+        # r > n - 2 takes the dense solver even above DENSE_EIG_LIMIT
+        monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", 3)
+        sample = random_sample(np.random.default_rng(54), 8)
+        self.check(sample, GAUSS, 1e-2, 8 - drop)
+
+    def test_arnoldi(self, monkeypatch):
+        monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", 50)
+        self.check(random_sample(np.random.default_rng(55), 160), GAUSS, 1e-2, 4)
+
+    def test_hand_built_result_has_no_residuals(self):
+        X = (pt(0.0), pt(1.0))
+        res = EdmdResult(
+            eigenvalues=np.ones(1, dtype=complex), coeffs=np.ones((2, 1), dtype=complex),
+            X=X, kernel=GAUSS, lam=0.1,
+        )
+        with pytest.raises(ValueError, match="no residuals"):
+            eigen_residuals(res, PairedSample(X=X, Y=X))
 
 
 class TestEigenfunctions:

@@ -42,10 +42,9 @@ from .estimators import (
     PairedSample,
     SpectralFilter,
     Tikhonov,
-    empirical_risk,
+    _training_risk_and_hs,
     fit_cme,
     fit_tikhonov_closed_form,
-    hs_norm_sq,
 )
 from .kernels import GaussianKernel, Kernel, LaplacianKernel, Point, coords_matrix, gram
 from .spectral import edmd_eigen, eigen_residuals
@@ -466,6 +465,10 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _warn_jitter(jitter: float, where: str = "", note: str = "") -> None:
+    _log(f"warning: {where}G_X + n*lambda*I is not positive definite; jitter {jitter:.3e} added{note}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -488,8 +491,7 @@ def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
         except DivergentStepError as exc:
             raise ConfigError(f"{cfg.path}: [filter] {exc}") from exc
     write_estimator(out_path, est)
-    risk = empirical_risk(est, sample)
-    hs = hs_norm_sq(est)
+    risk, hs = _training_risk_and_hs(est)
     metrics = {
         "command": "estimate",
         "n": sample.n,
@@ -519,7 +521,7 @@ def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     out_path = _resolve_out(cfg, out)
     result = edmd_eigen(sample, kernel, lam, r)
     if result.jitter:
-        _log(f"warning: G_X + n*lambda*I is not positive definite; jitter {result.jitter:.3e} added")
+        _warn_jitter(result.jitter, note="; the residual column has no correct digits")
     residuals = eigen_residuals(result, sample)
     rows = ["index,re,im,modulus,residual"]
     for j, (mu, res) in enumerate(zip(result.eigenvalues, residuals)):
@@ -721,6 +723,8 @@ def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int
             with _invalid(f"{cfg.path}: invalid sampling parameters"):
                 sample = md.ou_sample_pairs(theta, tau, n, the_seed)
             result = edmd_eigen(sample, kernel, lam, r)
+            if result.jitter:
+                _warn_jitter(result.jitter, where=f"n = {n}: ")
             targets = np.exp(-np.arange(r) * theta * tau)
             errors = np.abs(np.abs(result.eigenvalues) - targets)
             err_text = ";".join(_fmt(e) for e in errors)

@@ -255,15 +255,20 @@ def predict_conditional_expectation(est: CmeEstimator, x: Point, f_at_Y: np.ndar
     return float(_query_weights(est, x) @ f_vals)
 
 
-def hs_norm_sq(est: CmeEstimator) -> float:
-    """Squared Hilbert-Schmidt norm of the fitted operator: tr(W^T G_Y W G_X).
+def _training_risk_and_hs(est: CmeEstimator) -> tuple[float, float]:
+    """``empirical_risk`` on the training pairs, and tr(W^T G_Y W G_X) = sum(B * W)."""
+    Omega = est.W @ gram(est.kernel, est.X)                 # G_X is released here
+    G_Y = gram(est.kernel, est.Y)
+    B = G_Y @ Omega                                         # B = G_Y W G_X
+    cross_term, norm_term = np.einsum("ji,ji->i", Omega, G_Y), np.einsum("ji,ji->i", Omega, B)
+    risk = float(np.mean(np.diagonal(G_Y) - 2.0 * cross_term + norm_term))
+    B *= est.W
+    return risk, float(B.sum())
 
-    Evaluated as sum((G_Y W) * (W G_X)), two matrix products instead of three.
-    """
-    GYW = gram(est.kernel, est.Y) @ est.W
-    WGX = est.W @ gram(est.kernel, est.X)
-    WGX *= GYW
-    return float(WGX.sum())
+
+def hs_norm_sq(est: CmeEstimator) -> float:
+    """Squared Hilbert-Schmidt norm of the fitted operator: tr(W^T G_Y W G_X)."""
+    return _training_risk_and_hs(est)[1]
 
 
 def empirical_risk(est: CmeEstimator, sample: PairedSample) -> float:

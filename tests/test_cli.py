@@ -112,6 +112,20 @@ class TestDataFiles:
             read_model_file(str(tmp_path / "nope.txt"))
 
 
+def count_blocks(monkeypatch, module):
+    """Record ``(name, *sizes)`` for each ``gram`` / ``cross_gram`` call made through ``module``."""
+    built = []
+    for name in ("gram", "cross_gram"):
+        inner = getattr(module, name)
+
+        def wrapper(kernel, *blocks, name=name, inner=inner):
+            built.append((name,) + tuple(len(b) for b in blocks))
+            return inner(kernel, *blocks)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return built
+
+
 def estimate_config(tmp_path, pairs_file, lam="1.0", filt="tikhonov"):
     return write(
         tmp_path / "est.cfg",
@@ -217,6 +231,23 @@ out = {tmp_path / 'lw.txt'}
         assert main(["estimate", "--config", estimate_config(tmp_path, pairs, filt="cutoff")]) == 0
         capsys.readouterr()
 
+    def test_one_gram_per_training_block(self, tmp_path, capsys, monkeypatch):
+        # the fit's G_X, then the report's G_X and G_Y; no n x n cross-Gram
+        import cmekit.estimators as est_mod
+
+        built = count_blocks(monkeypatch, est_mod)
+        rng = np.random.default_rng(3)
+        sample = PairedSample(
+            X=tuple(pt(v) for v in rng.normal(size=7)),
+            Y=tuple(pt(v) for v in rng.normal(size=7)),
+        )
+        pairs = tmp_path / "pairs.txt"
+        write_paired_sample(str(pairs), sample)
+        assert main(["estimate", "--config", estimate_config(tmp_path, pairs, lam="0.01")]) == 0
+        metrics = json.loads(capsys.readouterr().out)
+        assert metrics["hs_norm_sq"] > 0
+        assert built == [("gram", 7)] * 3
+
     def test_double_well_source(self, tmp_path, capsys):
         cfg = write(
             tmp_path / "dw.cfg",
@@ -321,6 +352,7 @@ out = {tmp_path / 'eig.csv'}
         captured = capsys.readouterr()
         warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
         assert len(warnings) == 1 and "jitter 1.000e-10" in warnings[0]
+        assert "the residual column has no correct digits" in warnings[0]
         assert captured.out == ""
         lines = (tmp_path / "eig.csv").read_text().splitlines()
         assert lines[0] == "index,re,im,modulus,residual" and len(lines) == 4
@@ -365,19 +397,7 @@ sample_file_2 = {file_b}
     def test_one_pass_over_the_blocks(self, tmp_path, capsys, monkeypatch):
         import cmekit.embeddings as emb
 
-        built = []
-
-        def counting(name):
-            inner = getattr(emb, name)
-
-            def wrapper(kernel, *blocks):
-                built.append((name,) + tuple(len(b) for b in blocks))
-                return inner(kernel, *blocks)
-
-            return wrapper
-
-        monkeypatch.setattr(emb, "gram", counting("gram"))
-        monkeypatch.setattr(emb, "cross_gram", counting("cross_gram"))
+        built = count_blocks(monkeypatch, emb)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         write_point_sample(str(a), [pt(0.0), pt(0.5), pt(1.0)])
         write_point_sample(str(b), [pt(1.0), pt(2.0), pt(3.0), pt(4.0)])
@@ -483,7 +503,7 @@ out = {tmp_path / 'conv.csv'}
         assert float(diff) > 0 and float(excess) > 0
         assert eig == ""
 
-    def test_ou_grid_reports_eigenvalue_errors(self, tmp_path):
+    def test_ou_grid_reports_eigenvalue_errors(self, tmp_path, capsys):
         cfg = write(
             tmp_path / "conv_ou.cfg",
             f"""
@@ -512,6 +532,35 @@ out = {tmp_path / 'conv.csv'}
             errors = [float(v) for v in cols[4].split(";")]
             assert len(errors) == 2 and all(e >= 0 for e in errors)
             assert errors[0] <= 0.2                      # near-unit stationary mode
+        assert "warning" not in capsys.readouterr().err
+
+    def test_ou_jitter_is_reported_per_n(self, tmp_path, capsys):
+        # bandwidth 10 and lambda ~ 1e-17 make G_X + n*lam*I numerically singular
+        cfg = write(
+            tmp_path / "conv_ou.cfg",
+            f"""
+[kernel]
+variant = gaussian
+bandwidth = 10
+[data]
+source = ou
+theta = 1.0
+tau = 0.5
+[run]
+n_grid = 30 60
+lambda_schedule = 1e-17*n^-0.5
+r = 3
+seed = 7
+out = {tmp_path / 'conv.csv'}
+""",
+        )
+        assert main(["convergence", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+        assert [w.split(":")[1].strip() for w in warnings] == ["n = 30", "n = 60"]
+        assert all("jitter" in w and "not positive definite" in w for w in warnings)
+        assert captured.out == ""
+        assert len((tmp_path / "conv.csv").read_text().splitlines()) == 3
 
     def test_bad_schedule(self, tmp_path, capsys):
         model = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))

@@ -1,9 +1,12 @@
 """Spectral filters, the two fitting routes, predictions, and risks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmekit import (
     CmeEstimator,
@@ -26,6 +29,7 @@ from cmekit import (
     pt,
     regularized_empirical_risk,
 )
+from cmekit.estimators import _training_risk_and_hs
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 
@@ -34,6 +38,16 @@ def random_sample(rng, n, d=1, spread=2.0):
     X = tuple(Point(tuple(rng.normal(size=d) * spread)) for _ in range(n))
     Y = tuple(Point(tuple(rng.normal(size=d) * spread)) for _ in range(n))
     return PairedSample(X=X, Y=Y)
+
+
+def exact_trace(W, G_Y, G_X):
+    """tr(W^T G_Y W G_X) of float matrices in exact arithmetic, rounded once."""
+    # every float64 is an integer multiple of 2**-1074
+    def ints(A):
+        return np.array([[int(Fraction(v) * 2**1074) for v in row] for row in A], dtype=object)
+
+    Wi, GYi, GXi = ints(W), ints(G_Y), ints(G_X)
+    return float(Fraction(int(((GYi @ Wi) * (Wi @ GXi)).sum()), 2 ** (4 * 1074)))
 
 
 def singleton_sample():
@@ -293,6 +307,38 @@ class TestNormsAndRisks:
             GY = gram(kernel, est.Y)
             trace = float(np.trace(est.W.T @ GY @ est.W @ GX))
             assert hs_norm_sq(est) == pytest.approx(trace, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_training_risk_and_hs_match_the_general_routes(self, data):
+        # the two-GEMM report agrees with empirical_risk and with the trace
+        # formula, for every fit and for a hand-built non-symmetric W.  With
+        # duplicates, W can be large enough that tr(W^T G_Y W G_X) in float
+        # arithmetic is itself off by 4e-12 relative, so the reference is exact.
+        n = data.draw(st.integers(1, 12))
+        d = data.draw(st.integers(1, 2))
+        coords = st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)
+        # a small pool of points, so samples carry duplicates
+        pool = data.draw(st.lists(coords.map(lambda c: Point(tuple(c))), min_size=1, max_size=n))
+        X, Y = (tuple(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+                for _ in "xy")
+        sample = PairedSample(X=X, Y=Y)
+        width = data.draw(st.floats(0.5, 2.0))
+        kernel = data.draw(st.sampled_from([GaussianKernel(width), LaplacianKernel(width)]))
+        lam = data.draw(st.sampled_from([1e-3, 1e-2, 3e-2]))
+        W = data.draw(arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0)))
+        estimators = [
+            fit_tikhonov_closed_form(sample, kernel, lam),
+            fit_cme(sample, kernel, Tikhonov(), lam),
+            fit_cme(sample, kernel, Cutoff(), lam),
+            fit_cme(sample, kernel, Landweber(steps=20, step_size=0.9), lam),
+            CmeEstimator(kernel=kernel, lam=lam, filt=Tikhonov(), X=X, Y=Y, W=W),
+        ]
+        G_X, G_Y = gram(kernel, X), gram(kernel, Y)
+        for est in estimators:
+            risk, hs = _training_risk_and_hs(est)
+            assert risk == pytest.approx(empirical_risk(est, sample), rel=1e-12, abs=1e-300)
+            assert hs == pytest.approx(exact_trace(est.W, G_Y, G_X), rel=1e-12, abs=1e-300)
 
     def test_hs_norm_monotone_in_lambda(self):
         rng = np.random.default_rng(28)

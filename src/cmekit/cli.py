@@ -466,7 +466,11 @@ def _log(message: str) -> None:
 
 
 def _warn_jitter(jitter: float, where: str = "", note: str = "") -> None:
-    _log(f"warning: {where}G_X + n*lambda*I is not positive definite; jitter {jitter:.3e} added{note}")
+    if jitter:
+        _log(
+            f"warning: {where}G_X + n*lambda*I is not positive definite; "
+            f"jitter {jitter:.3e} added{note}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +479,6 @@ def _warn_jitter(jitter: float, where: str = "", note: str = "") -> None:
 
 
 def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
-    t0 = time.perf_counter()
     kernel = build_kernel(cfg)
     filt = build_filter(cfg)
     lam = cfg.get_float("run", "lambda")
@@ -490,6 +493,7 @@ def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
             est = fit_cme(sample, kernel, filt, lam)
         except DivergentStepError as exc:
             raise ConfigError(f"{cfg.path}: [filter] {exc}") from exc
+    _warn_jitter(est.jitter)
     write_estimator(out_path, est)
     risk, hs = _training_risk_and_hs(est)
     metrics = {
@@ -502,12 +506,10 @@ def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
         "estimator_file": out_path,
     }
     sys.stdout.write(json.dumps(metrics, indent=2) + "\n")
-    _log(f"wall_time_ms={1000.0 * (time.perf_counter() - t0):.1f}")
     return 0
 
 
 def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
-    t0 = time.perf_counter()
     kernel = build_kernel(cfg)
     lam = cfg.get_float("run", "lambda")
     if lam <= 0:
@@ -520,8 +522,7 @@ def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
         raise ConfigError(f"{cfg.path}: r out of range: need r <= n = {sample.n}, got {r}")
     out_path = _resolve_out(cfg, out)
     result = edmd_eigen(sample, kernel, lam, r)
-    if result.jitter:
-        _warn_jitter(result.jitter, note="; the residual column has no correct digits")
+    _warn_jitter(result.jitter, note="; the residual column has no correct digits")
     residuals = eigen_residuals(result, sample)
     rows = ["index,re,im,modulus,residual"]
     for j, (mu, res) in enumerate(zip(result.eigenvalues, residuals)):
@@ -529,13 +530,11 @@ def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
             f"{j},{_fmt(mu.real)},{_fmt(mu.imag)},{_fmt(abs(mu))},{_fmt(res)}"
         )
     _emit("\n".join(rows) + "\n", out_path)
-    _log(f"wall_time_ms={1000.0 * (time.perf_counter() - t0):.1f}")
     return 0
 
 
 def cmd_mmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     del seed  # sample files fix the data; nothing random here
-    t0 = time.perf_counter()
     kernel = build_kernel(cfg)
     P = read_point_sample(cfg.require("data", "sample_file"))
     Q = read_point_sample(cfg.require("data", "sample_file_2"))
@@ -551,7 +550,6 @@ def cmd_mmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
         "unbiased": unbiased,
     }
     _emit(json.dumps(report, indent=2) + "\n", _resolve_out(cfg, out, required=False))
-    _log(f"wall_time_ms={1000.0 * (time.perf_counter() - t0):.1f}")
     if unbiased is None:
         _log("error: the unbiased estimator needs n, m >= 2; reported as null")
         return 2
@@ -651,7 +649,6 @@ def _verify_rows(model: md.FiniteMarkovModel, kernel: Kernel, seed: int) -> list
 
 
 def cmd_oracle_verify(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
-    t0 = time.perf_counter()
     kernel = build_kernel(cfg)
     model = read_model_file(cfg.require("data", "model_file"))
     rows = _verify_rows(model, kernel, _resolve_seed(cfg, seed))
@@ -662,7 +659,6 @@ def cmd_oracle_verify(cfg: Config, seed: Optional[int], out: Optional[str]) -> i
             f"{name.ljust(width)}  {lhs:>24.16e} {rhs:>24.16e} {tol:>10.1e} {verdict}"
         )
     _emit("\n".join(lines) + "\n", _resolve_out(cfg, out, required=False))
-    _log(f"wall_time_ms={1000.0 * (time.perf_counter() - t0):.1f}")
     return 0 if all(r[4] != "FAIL" for r in rows) else 1
 
 
@@ -684,7 +680,6 @@ def _parse_schedule(cfg: Config) -> tuple[float, float]:
 
 
 def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
-    t0 = time.perf_counter()
     kernel = build_kernel(cfg)
     grid_raw = cfg.require("run", "n_grid").split()
     try:
@@ -707,6 +702,7 @@ def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int
             with _invalid(f"{cfg.path}: invalid sampling parameters"):
                 sample = md.sample_pairs(model, n, the_seed)
             est = fit_tikhonov_closed_form(sample, kernel, lam)
+            _warn_jitter(est.jitter, where=f"n = {n}: ")
             diff = md.op_norm_diff(
                 md.estimator_values(est, model, kernel), exact_vals, model, kernel
             )
@@ -723,8 +719,7 @@ def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int
             with _invalid(f"{cfg.path}: invalid sampling parameters"):
                 sample = md.ou_sample_pairs(theta, tau, n, the_seed)
             result = edmd_eigen(sample, kernel, lam, r)
-            if result.jitter:
-                _warn_jitter(result.jitter, where=f"n = {n}: ")
+            _warn_jitter(result.jitter, where=f"n = {n}: ")
             targets = np.exp(-np.arange(r) * theta * tau)
             errors = np.abs(np.abs(result.eigenvalues) - targets)
             err_text = ";".join(_fmt(e) for e in errors)
@@ -732,7 +727,6 @@ def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int
     else:
         raise ConfigError(f"{cfg.path}: convergence supports finite-model or ou sources")
     _emit("\n".join(rows) + "\n", out_path)
-    _log(f"wall_time_ms={1000.0 * (time.perf_counter() - t0):.1f}")
     return 0
 
 
@@ -768,13 +762,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        return _COMMANDS[args.command](cfg, args.seed, args.out)
+        t0 = time.perf_counter()
+        code = _COMMANDS[args.command](cfg, args.seed, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    _log(f"wall_time_ms={1000.0 * (time.perf_counter() - t0):.1f}")
+    return code
 
 
 if __name__ == "__main__":

@@ -126,7 +126,9 @@ class CmeEstimator:
     The predicted embedding at x is supported on Y with weights W @ k_X(x).
     For estimators fitted with the Tikhonov filter, W is the solution of
     (G_X + n*lam*I) W = I (checked in the test suite, not at construction,
-    since exact oracle witnesses legitimately carry hand-built W).
+    since exact oracle witnesses legitimately carry hand-built W).  ``jitter``
+    is what the closed-form fit added to the diagonal of G_X + n*lam*I (0.0
+    when none); estimator files do not store it.
     """
 
     kernel: Kernel
@@ -135,6 +137,7 @@ class CmeEstimator:
     X: tuple[Point, ...]
     Y: tuple[Point, ...]
     W: np.ndarray
+    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.lam > 0):
@@ -159,37 +162,39 @@ class CmeEstimator:
         return len(self.X)
 
 
-def _shifted(G: np.ndarray, shift: float) -> np.ndarray:
-    """G + shift * I as a new array; G (often a read-only Gram) is untouched."""
-    A = G.copy()
-    A.flat[:: A.shape[0] + 1] += shift
-    return A
+def _factor_pd(G: np.ndarray, shift: float = 0.0) -> tuple[tuple[np.ndarray, bool], float]:
+    """``cho_factor`` output for G + shift*I and the jitter added to its diagonal (0.0 if none).
 
-
-def _factor_pd(matrix: np.ndarray) -> tuple[tuple[np.ndarray, bool], float]:
-    """``cho_factor`` output under :func:`solve_pd`'s policy and the jitter added (0.0 if none)."""
-    try:
-        return scipy.linalg.cho_factor(matrix, lower=True), 0.0
-    except scipy.linalg.LinAlgError:
-        jitter = float(JITTER_SCALE * np.trace(matrix) / matrix.shape[0])
-    try:
-        return scipy.linalg.cho_factor(_shifted(matrix, jitter), lower=True), jitter
-    except scipy.linalg.LinAlgError as exc:
-        msg = f"matrix not positive definite after jitter {jitter:.3e}"
-        raise np.linalg.LinAlgError(msg) from exc
-
-
-def solve_pd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve matrix @ X = rhs for symmetric positive-definite ``matrix``.
-
-    The package's one factorization policy: Cholesky, and on failure one jitter
-    of 1e-10 * trace / n on the diagonal, after which failure is an error.  Every
-    G_X + n*lam*I is formed by ``_shifted`` and factored by ``_factor_pd`` under
-    it: ``fit_tikhonov_closed_form`` here, and in ``spectral`` the one system
-    that ``edmd_matrix`` and ``edmd_eigen`` (eigenpairs and residuals) share;
-    so are the oracle's witness solves.
+    The package's one factorization policy, for every G + shift*I it factors:
+    Cholesky, and on failure one jitter of 1e-10 * trace / n on the diagonal,
+    after which failure is an error.  G + shift*I is formed in a new F-ordered
+    buffer that LAPACK factors in place; ``G`` is never written.
     """
-    return scipy.linalg.cho_solve(_factor_pd(matrix)[0], rhs)
+    diag, jitter = slice(None, None, G.shape[0] + 1), 0.0
+    for retry in (False, True):
+        # a new buffer each time: a failed Cholesky may have overwritten part of the last one
+        A = np.array(G, dtype=float, order="F")
+        A.flat[diag] += shift
+        if retry:
+            jitter = float(JITTER_SCALE * np.trace(A) / A.shape[0])
+            A.flat[diag] += jitter
+        try:
+            return scipy.linalg.cho_factor(A, lower=True, overwrite_a=True), jitter
+        except scipy.linalg.LinAlgError as exc:
+            if retry:
+                msg = f"matrix not positive definite after jitter {jitter:.3e}"
+                raise np.linalg.LinAlgError(msg) from exc
+
+
+def solve_pd(matrix: np.ndarray, rhs: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray, float]:
+    """X solving (matrix + shift*I) X = rhs, and the jitter :func:`_factor_pd` added.
+
+    X is solved into ``rhs`` in place when ``rhs`` is an F-ordered float64
+    array, and into an F-ordered copy of it otherwise.
+    """
+    factor, jitter = _factor_pd(matrix, shift)
+    X = np.asfortranarray(rhs, dtype=float)
+    return scipy.linalg.cho_solve(factor, X, overwrite_b=True), jitter
 
 
 def _filtered_coefficients(G: np.ndarray, filt: SpectralFilter, lam: float) -> np.ndarray:
@@ -231,8 +236,10 @@ def fit_tikhonov_closed_form(sample: PairedSample, kernel: Kernel, lam: float) -
     if not (lam > 0):
         raise ValueError(f"lambda must be > 0, got {lam}")
     n = sample.n
-    W = solve_pd(_shifted(gram(kernel, sample.X), n * lam), np.eye(n))
-    return CmeEstimator(kernel=kernel, lam=lam, filt=Tikhonov(), X=sample.X, Y=sample.Y, W=W)
+    W, jitter = solve_pd(gram(kernel, sample.X), np.eye(n, order="F"), n * lam)
+    return CmeEstimator(
+        kernel=kernel, lam=lam, filt=Tikhonov(), X=sample.X, Y=sample.Y, W=W, jitter=jitter
+    )
 
 
 def _query_weights(est: CmeEstimator, x: Point) -> np.ndarray:

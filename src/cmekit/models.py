@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .estimators import JITTER_SCALE, CmeEstimator, Cutoff, PairedSample, _shifted, solve_pd
+from .estimators import CmeEstimator, Cutoff, PairedSample, solve_pd
 from .kernels import Kernel, Point, cross_gram, gram
 
 COND_TOL = 1e-10
@@ -176,20 +176,16 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
 
 
 def _conditioned_gram(kernel: Kernel, points: Sequence[Point], what: str) -> np.ndarray:
-    """Gram over points with the module's conditioning policy.
+    """Gram over points whose smallest eigenvalue exceeds 1e-10 of the largest.
 
-    The smallest eigenvalue must exceed 1e-10 of the largest; one jitter of
-    1e-10 * trace / m may be added, after which singularity is an error.
+    The oracle never perturbs a Gram: one that fails the test raises
+    ``LinAlgError``.  A Gram that passes it factors without jitter.
     """
     K = gram(kernel, points)
     eigvals = np.linalg.eigvalsh(K)
     if eigvals[0] > COND_TOL * max(eigvals[-1], 0.0):
         return K
-    K = _shifted(K, JITTER_SCALE * np.trace(K) / K.shape[0])
-    eigvals = np.linalg.eigvalsh(K)
-    if eigvals[0] > COND_TOL * max(eigvals[-1], 0.0):
-        return K
-    raise np.linalg.LinAlgError(f"singular {what} (even after a single jitter)")
+    raise np.linalg.LinAlgError(f"singular {what}")
 
 
 def exact_operator_values(model: FiniteMarkovModel, kernel: Kernel) -> ValuesMap:
@@ -253,10 +249,7 @@ def op_norm_diff(
     (D^T diag(pi) D, K_Z).
     """
     support, D = _aligned_difference(vals_a, vals_b)
-    K_Z = gram(kernel, support)
-    eigvals = np.linalg.eigvalsh(K_Z)
-    if eigvals[0] <= COND_TOL * max(eigvals[-1], 0.0):
-        raise np.linalg.LinAlgError("singular K_Z over the merged support")
+    K_Z = _conditioned_gram(kernel, support, "K_Z over the merged support")
     quad = D.T @ (model.marginal[:, None] * D)
     top = scipy.linalg.eigh(quad, K_Z, eigvals_only=True, subset_by_index=(len(support) - 1,) * 2)
     return float(np.sqrt(max(top[-1], 0.0)))
@@ -359,7 +352,7 @@ def well_specified_estimator(
     if len(idx) != model.m or any(not (0 <= t < model.m) for t in idx):
         raise ValueError("targets must map every state to a state index")
     K_E = _conditioned_gram(kernel, model.states, "state Gram K_E")
-    W = solve_pd(K_E, np.eye(model.m))
+    W = solve_pd(K_E, np.eye(model.m))[0]
     Y = tuple(model.states[t] for t in idx)
     return CmeEstimator(kernel=kernel, lam=1.0, filt=Cutoff(), X=model.states, Y=Y, W=W)
 
@@ -378,7 +371,7 @@ def constant_shift_estimator(
         raise ValueError(f"shift must have length {model.m}")
     K_E = _conditioned_gram(kernel, model.states, "state Gram K_E")
     target = model.transition + np.outer(np.ones(model.m), h)
-    W = solve_pd(K_E, target).T
+    W = solve_pd(K_E, target)[0].T
     return CmeEstimator(
         kernel=kernel, lam=1.0, filt=Cutoff(), X=model.states, Y=model.states, W=W
     )

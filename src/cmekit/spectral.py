@@ -17,11 +17,12 @@ reproducible across eigensolver backends.  Large problems use an implicitly
 restarted Arnoldi iteration with a fixed start vector instead of the dense
 solver; both paths satisfy the same residual contract.
 
-G_X, K_YX and the factor of G_X + n*lam*I are formed once per fit, in
-``_edmd_system``, under :func:`cmekit.estimators.solve_pd`'s one policy
-(Cholesky, at most one jitter of 1e-10 * trace / n).  ``edmd_eigen`` measures the
-residuals with that same factor, so they belong to the same, possibly jittered,
-operator the eigenpairs came from, and it records the jitter it added.
+G_X and K_YX are formed once per fit, in ``_edmd_system``, and G_X + n*lam*I
+is formed and factored once by :func:`cmekit.estimators._factor_pd` under the
+package's one policy (Cholesky, at most one jitter of 1e-10 * trace / n).
+``edmd_eigen`` measures the residuals with that same factor, so they belong to
+the same, possibly jittered, operator the eigenpairs came from, and it records
+the jitter it added.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .estimators import PairedSample, _factor_pd, _shifted
+from .estimators import PairedSample, _factor_pd
 from .kernels import Kernel, Point, cross_gram, gram
 
 DENSE_EIG_LIMIT = 1200
@@ -75,7 +76,7 @@ def _edmd_system(sample: PairedSample, kernel: Kernel, lam: float):
         raise ValueError(f"lambda must be > 0, got {lam}")
     G = gram(kernel, sample.X)
     K_yx = cross_gram(kernel, sample.Y, sample.X)
-    factor, jitter = _factor_pd(_shifted(G, sample.n * lam))
+    factor, jitter = _factor_pd(G, sample.n * lam)
     return G, K_yx, factor, jitter
 
 

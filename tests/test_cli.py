@@ -23,8 +23,10 @@ from cmekit import (
     finite_model,
     fit_cme,
     fit_tikhonov_closed_form,
+    ou_sample_pairs,
     predict_embedding,
     pt,
+    random_model,
 )
 from cmekit.cli import (
     ConfigError,
@@ -248,6 +250,36 @@ out = {tmp_path / 'lw.txt'}
         assert metrics["hs_norm_sq"] > 0
         assert built == [("gram", 7)] * 3
 
+    def test_jitter_is_reported_on_stderr_only(self, tmp_path, capsys):
+        # bandwidth 10 and lambda 1e-17 make G_X + n*lam*I numerically singular
+        cfg = write(
+            tmp_path / "est-ou.cfg",
+            f"""
+[kernel]
+variant = gaussian
+bandwidth = 10
+[filter]
+variant = tikhonov
+[data]
+source = ou
+theta = 1.0
+tau = 0.5
+[run]
+lambda = 1e-17
+n = 30
+seed = 7
+out = {tmp_path / 'est.bin'}
+""",
+        )
+        assert main(["estimate", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1 and "jitter 1.000e-10" in warnings[0]
+        assert json.loads(captured.out)["n"] == 30
+        sample = ou_sample_pairs(1.0, 0.5, 30, 7)
+        direct = fit_tikhonov_closed_form(sample, GaussianKernel(bandwidth=10.0), 1e-17)
+        assert np.array_equal(read_estimator(str(tmp_path / "est.bin")).W, direct.W)
+
     def test_double_well_source(self, tmp_path, capsys):
         cfg = write(
             tmp_path / "dw.cfg",
@@ -390,9 +422,13 @@ sample_file_2 = {file_b}
         write_point_sample(str(b), [pt(1.0)])
         code = main(["mmd", "--config", self._config(tmp_path, a, b)])
         assert code == 2
-        report = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
         assert report["biased"] == pytest.approx(0.7869386806, abs=1e-9)
         assert report["unbiased"] is None
+        # main logs the timing line once the command has returned
+        err = captured.err.splitlines()
+        assert len(err) == 2 and err[0].startswith("error:") and err[1].startswith("wall_time_ms=")
 
     def test_one_pass_over_the_blocks(self, tmp_path, capsys, monkeypatch):
         import cmekit.embeddings as emb
@@ -420,13 +456,13 @@ sample_file_2 = {file_b}
 
 
 class TestOracleVerifyCommand:
-    def _config(self, tmp_path, model_file, seed=5):
+    def _config(self, tmp_path, model_file, seed=5, bandwidth=1.0):
         return write(
             tmp_path / "ov.cfg",
             f"""
 [kernel]
 variant = gaussian
-bandwidth = 1.0
+bandwidth = {bandwidth}
 [data]
 model_file = {model_file}
 [run]
@@ -458,6 +494,14 @@ seed = {seed}
         assert code == 0
         assert "mmd-relation-strict-gap" in out
         assert "INFO" in out
+
+    def test_ill_conditioned_state_gram_fails(self, tmp_path, capsys):
+        # K_E's eigenvalue ratio is about 9.6e-11: the oracle rejects it unjittered
+        model_file = tmp_path / "model.txt"
+        write_model_file(str(model_file), random_model(np.random.default_rng(0), 8))
+        cfg = self._config(tmp_path, model_file, bandwidth=4.65)
+        assert main(["oracle-verify", "--config", cfg]) == 1
+        assert "LinAlgError: singular state Gram K_E" in capsys.readouterr().err
 
     def test_deterministic_table(self, tmp_path, capsys):
         model = finite_model(chain_states(2), [0.5, 0.5], np.array([[0.8, 0.2], [0.3, 0.7]]))
@@ -554,6 +598,19 @@ seed = 7
 out = {tmp_path / 'conv.csv'}
 """,
         )
+        assert main(["convergence", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+        assert [w.split(":")[1].strip() for w in warnings] == ["n = 30", "n = 60"]
+        assert all("jitter" in w and "not positive definite" in w for w in warnings)
+        assert captured.out == ""
+        assert len((tmp_path / "conv.csv").read_text().splitlines()) == 3
+
+    def test_finite_jitter_is_reported_per_n(self, tmp_path, capsys):
+        # repeated states make G_X rank 4; lambda ~ 1e-17 leaves G_X + n*lam*I singular
+        model_file = tmp_path / "model.txt"
+        write_model_file(str(model_file), random_model(np.random.default_rng(4), 4))
+        cfg = self._config(tmp_path, model_file, grid="30 60", schedule="1e-17*n^-0.5")
         assert main(["convergence", "--config", cfg]) == 0
         captured = capsys.readouterr()
         warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -24,12 +25,13 @@ from cmekit import (
     fit_tikhonov_closed_form,
     gram,
     hs_norm_sq,
+    ou_sample_pairs,
     predict_conditional_expectation,
     predict_embedding,
     pt,
     regularized_empirical_risk,
 )
-from cmekit.estimators import _training_risk_and_hs
+from cmekit.estimators import JITTER_SCALE, _factor_pd, _training_risk_and_hs, solve_pd
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 
@@ -211,6 +213,44 @@ class TestFitting:
             PairedSample(X=(pt(0.0),), Y=())
         with pytest.raises(ValueError):
             PairedSample(X=(), Y=())
+
+
+class TestFactorization:
+    def test_jitter_retry_matches_the_two_step_factor_bitwise(self):
+        # duplicated points make G rank deficient, so G + shift*I fails Cholesky
+        rng = np.random.default_rng(23)
+        pts = [pt(v) for v in rng.normal(size=6)]
+        G = gram(GAUSS, pts + pts[:4] + pts)
+        G0 = G.copy()
+        n, shift = G.shape[0], 1e-17
+        (factor, lower), jitter = _factor_pd(G, shift)
+        # the route _factor_pd replaces: G + shift*I, then a jittered copy of it
+        A = G.copy()
+        A.flat[:: n + 1] += shift
+        with pytest.raises(scipy.linalg.LinAlgError):
+            scipy.linalg.cho_factor(A, lower=True)
+        expected_jitter = float(JITTER_SCALE * np.trace(A) / n)
+        A.flat[:: n + 1] += expected_jitter
+        expected = scipy.linalg.cho_factor(A, lower=True)
+        assert lower and jitter == expected_jitter > 0
+        assert np.array_equal(factor, expected[0])
+        assert np.array_equal(G, G0)
+        rhs = np.eye(n, order="F")
+        X, solve_jitter = solve_pd(G, rhs, shift)
+        assert X is rhs and solve_jitter == jitter
+        assert np.array_equal(X, scipy.linalg.cho_solve(expected, np.eye(n)))
+        assert np.array_equal(G, G0)
+
+    def test_closed_form_fit_records_its_jitter(self):
+        # bandwidth 10 and lambda 1e-17 make G_X + n*lam*I numerically singular
+        sample = ou_sample_pairs(1.0, 0.5, 30, 7)
+        kernel = GaussianKernel(bandwidth=10.0)
+        # trace(G_X + n*lam*I) / n = 1 + n*lam for a Gaussian kernel
+        expected = JITTER_SCALE * (1.0 + 30 * 1e-17)
+        jittered = fit_tikhonov_closed_form(sample, kernel, 1e-17)
+        assert jittered.jitter == pytest.approx(expected, rel=1e-12)
+        assert fit_tikhonov_closed_form(sample, kernel, 1e-2).jitter == 0.0
+        assert fit_cme(sample, kernel, Tikhonov(), 1e-17).jitter == 0.0
 
 
 class TestPrediction:

@@ -110,6 +110,36 @@ class TestExactOperatorValues:
         assert np.max(np.abs(vals.B - K_E[perm, :])) == 0.0
 
 
+class TestIllConditionedStateGram:
+    """A K_E with eigenvalue ratio <= 1e-10 is rejected, never jittered."""
+
+    # chain_states(8) at bandwidth 4.65: the ratio is about 9.6e-11, inside the
+    # sliver where a jitter of 1e-10 * trace / m would lift it above 1e-10
+    KERNEL = GaussianKernel(bandwidth=4.65)
+
+    def test_ratio_lies_in_the_sliver(self):
+        K_E = gram(self.KERNEL, chain_states(8))
+        eig = np.linalg.eigvalsh(K_E)
+        assert (1.0 - np.trace(K_E) / (8 * eig[-1])) * 1e-10 < eig[0] / eig[-1] <= 1e-10
+
+    def test_every_oracle_quantity_raises(self):
+        k = self.KERNEL
+        model = random_model(np.random.default_rng(0), 8)
+        est = fit_tikhonov_closed_form(sample_pairs(model, 50, 1), k, 1e-3)
+        calls = [
+            lambda: exact_operator_values(model, k),
+            lambda: exact_excess_risk(est, model, k),
+            lambda: exact_mmd_integral(with_alt(model, model.transition[::-1]), k),
+            lambda: exact_risk(cme_function(model), model, k),
+            lambda: well_specified_estimator(model, k, list(range(8))),
+            lambda: constant_shift_estimator(model, k, np.zeros(8)),
+            lambda: generalized_cov_ons_check(model, k, model.states[0], 3),
+        ]
+        for call in calls:
+            with pytest.raises(np.linalg.LinAlgError, match="singular state Gram K_E"):
+                call()
+
+
 class TestEstimatorValues:
     def test_zero_coefficients(self):
         model = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))

@@ -17,6 +17,12 @@ Two fitting routes are provided and must agree for the Tikhonov filter:
     fit_tikhonov_closed_form  one symmetric positive-definite solve of
                               (G_X + n*lam*I) W = I
 
+Both routes work on the distinct support: if X holds only m < n distinct
+points D with counts C, G_X = E K_D E^T for the n x m indicator E, so both
+fits do m x m algebra on S = C^{1/2} K_D C^{1/2} and expand W exactly by the
+push-through identity (see ``_on_sample``).  With no repeated point S is G_X
+and W is computed exactly as the n x n algebra above.
+
 Filters: Tikhonov g(s) = 1/(s + lam); hard cutoff g(s) = 1/s for s >= lam,
 else 0; Landweber g(s) = (1 - (1 - eta*s)^m) / s with the s = 0 limit m*eta.
 Eigenvalues below 1e-12 of the largest are treated as exactly 0 for the
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -127,8 +133,9 @@ class CmeEstimator:
     For estimators fitted with the Tikhonov filter, W is the solution of
     (G_X + n*lam*I) W = I (checked in the test suite, not at construction,
     since exact oracle witnesses legitimately carry hand-built W).  ``jitter``
-    is what the closed-form fit added to the diagonal of G_X + n*lam*I (0.0
-    when none); estimator files do not store it.
+    is what the closed-form fit added to the diagonal of the system it
+    factored, G_X + n*lam*I or, on repeated points, its m x m distinct-support
+    form S + n*lam*I (0.0 when none); estimator files do not store it.
     """
 
     kernel: Kernel
@@ -197,10 +204,52 @@ def solve_pd(matrix: np.ndarray, rhs: np.ndarray, shift: float = 0.0) -> tuple[n
     return scipy.linalg.cho_solve(factor, X, overwrite_b=True), jitter
 
 
-def _filtered_coefficients(G: np.ndarray, filt: SpectralFilter, lam: float) -> np.ndarray:
-    """W = (1/n) U g_lam(S) U^T from the eigendecomposition G/n = U S U^T."""
-    n = G.shape[0]
-    s, U = np.linalg.eigh(G / n)
+def _support(points: Sequence[Point]) -> tuple[tuple[Point, ...], np.ndarray, np.ndarray]:
+    """Distinct points D in first-appearance order, each point's index into D, and D's counts."""
+    index: dict[Point, int] = {}
+    inv = np.array([index.setdefault(p, len(index)) for p in points], dtype=np.intp)
+    return tuple(index), inv, np.bincount(inv).astype(float)
+
+
+def _support_gram(kernel: Kernel, X: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S = C^{1/2} K_D C^{1/2} over the distinct points D of X, the index of each x_i
+    into D, and the counts C.
+
+    With E the n x m indicator of x_i = d_t, G_X = E K_D E^T and C = E^T E, so
+    G_X / n and S / n share their nonzero spectrum.  With no repeated point, S
+    is G_X itself.
+    """
+    support, inv, counts = _support(X)
+    S = gram(kernel, support)
+    if len(support) < len(X):
+        root = np.sqrt(counts)
+        S = S * np.outer(root, root)
+    return S, inv, counts
+
+
+def _on_sample(Z: np.ndarray, g0: float, inv: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """W = E (C^{-1/2} Z C^{-1/2} - g0 C^{-1}) E^T + g0 I, the n x n coefficients of a fit.
+
+    For a spectral function g of G_X / n = Q (S/n) Q^T with Q = E C^{-1/2},
+    g(G_X/n) = Q (g(S/n) - g(0)) Q^T + g(0) I; ``Z`` is g(S/n) / n and ``g0``
+    is g(0) / n.  With no repeated point E = C = I and W is ``Z`` itself.
+    """
+    n, m = len(inv), len(counts)
+    if m == n:
+        return Z
+    root = np.sqrt(counts)
+    A = Z / np.outer(root, root)
+    A.flat[:: m + 1] -= g0 / counts
+    W = A[inv][:, inv]                      # A[np.ix_(inv, inv)], gathered in a faster order
+    W.flat[:: n + 1] += g0
+    return W
+
+
+def _filtered_coefficients(
+    S: np.ndarray, n: int, filt: SpectralFilter, lam: float
+) -> tuple[np.ndarray, float]:
+    """Z = (1/n) U g_lam(s) U^T from the eigendecomposition S/n = U diag(s) U^T, and g_lam(0) / n."""
+    s, U = np.linalg.eigh(S / n)
     s_max = max(float(s[-1]), 0.0)
     if not isinstance(filt, Tikhonov):
         # round-off eigenvalues act as exact zeros for cutoff / Landweber
@@ -211,32 +260,37 @@ def _filtered_coefficients(G: np.ndarray, filt: SpectralFilter, lam: float) -> n
             f"({s_max:.6g}) <= 2; the iteration would diverge"
         )
     g = np.array([filter_value(filt, lam, float(si)) for si in s])
-    return (U * g) @ U.T / n
+    return (U * g) @ U.T / n, filter_value(filt, lam, 0.0) / n
 
 
 def fit_cme(sample: PairedSample, kernel: Kernel, filt: SpectralFilter, lam: float) -> CmeEstimator:
     """Fit the regularized estimator with a generic spectral filter.
 
-    Eigendecomposes G_X / n and applies the scalar filter to the spectrum;
-    for the Tikhonov filter this is algebraically identical to
-    :func:`fit_tikhonov_closed_form`.
+    Eigendecomposes the distinct-support system S / n (G_X / n when no point
+    repeats) and applies the scalar filter to the spectrum; for the Tikhonov
+    filter this is algebraically identical to :func:`fit_tikhonov_closed_form`.
     """
     if not (lam > 0):
         raise ValueError(f"lambda must be > 0, got {lam}")
-    W = _filtered_coefficients(gram(kernel, sample.X), filt, lam)
+    S, inv, counts = _support_gram(kernel, sample.X)
+    W = _on_sample(*_filtered_coefficients(S, sample.n, filt, lam), inv, counts)
     return CmeEstimator(kernel=kernel, lam=lam, filt=filt, X=sample.X, Y=sample.Y, W=W)
 
 
 def fit_tikhonov_closed_form(sample: PairedSample, kernel: Kernel, lam: float) -> CmeEstimator:
     """Fit the Tikhonov estimator via the closed-form normal equations.
 
-    W solves (G_X + n*lam*I) W = I through a positive-definite linear solve;
-    no matrix inverse is ever formed explicitly.
+    W solves (G_X + n*lam*I) W = I.  It is found through one positive-definite
+    linear solve of the m x m distinct-support system (S + n*lam*I) Z = I,
+    which is the n x n system itself when no point repeats; no matrix inverse
+    is ever formed explicitly.
     """
     if not (lam > 0):
         raise ValueError(f"lambda must be > 0, got {lam}")
     n = sample.n
-    W, jitter = solve_pd(gram(kernel, sample.X), np.eye(n, order="F"), n * lam)
+    S, inv, counts = _support_gram(kernel, sample.X)
+    Z, jitter = solve_pd(S, np.eye(len(counts), order="F"), n * lam)
+    W = _on_sample(Z, 1.0 / (n * lam), inv, counts)
     return CmeEstimator(
         kernel=kernel, lam=lam, filt=Tikhonov(), X=sample.X, Y=sample.Y, W=W, jitter=jitter
     )

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .estimators import CmeEstimator, Cutoff, PairedSample, solve_pd
+from .estimators import CmeEstimator, Cutoff, PairedSample, _support, solve_pd
 from .kernels import Kernel, Point, cross_gram, gram
 
 COND_TOL = 1e-10
@@ -259,19 +259,22 @@ def exact_excess_risk(est: CmeEstimator, model: FiniteMarkovModel, kernel: Kerne
     """Exact E[ ||F*(X) - A* phi(X)||_H^2 ] under the model's marginal.
 
     F*(e_i) carries the transition row i on the states; the estimator side is
-    the predicted embedding at e_i (weights W k_X(e_i) on est.Y).
+    the predicted embedding at e_i (weights W k_X(e_i) on est.Y), with the
+    weights on repeated Y points summed so that only the Gram of the distinct
+    Y values is formed.
     """
     if est.kernel != kernel:
         raise ValueError("estimator kernel does not match the oracle kernel")
     P = model.transition
     K_E = _conditioned_gram(kernel, model.states, "state Gram K_E")
-    K_sy = cross_gram(kernel, model.states, est.Y)
+    support, inv, _ = _support(est.Y)
     K_xe = cross_gram(kernel, est.X, model.states)
-    G_Y = gram(kernel, est.Y)
-    omega = est.W @ K_xe                       # column i = predicted weights at e_i
+    omega = np.zeros((len(support), model.m))  # column i = predicted weights at e_i
+    np.add.at(omega, inv, est.W @ K_xe)
+    K_sy = cross_gram(kernel, model.states, support)
     t_true = np.einsum("ij,jk,ik->i", P, K_E, P)
     t_cross = np.einsum("ij,jt,ti->i", P, K_sy, omega)
-    t_est = np.einsum("ti,ti->i", omega, G_Y @ omega)
+    t_est = np.einsum("ti,ti->i", omega, gram(kernel, support) @ omega)
     return float(model.marginal @ (t_true - 2.0 * t_cross + t_est))
 
 

@@ -606,10 +606,33 @@ out = {tmp_path / 'conv.csv'}
         assert captured.out == ""
         assert len((tmp_path / "conv.csv").read_text().splitlines()) == 3
 
-    def test_finite_jitter_is_reported_per_n(self, tmp_path, capsys):
-        # repeated states make G_X rank 4; lambda ~ 1e-17 leaves G_X + n*lam*I singular
+    def test_finite_model_fits_build_no_n_by_n_block(self, tmp_path, monkeypatch):
+        # repeated states: the fit and the excess risk work on the 4 distinct
+        # states; only n x 4 blocks reach the sample's n points
+        import cmekit.estimators as est_mod
+        import cmekit.models as md_mod
+
+        built = [count_blocks(monkeypatch, mod) for mod in (est_mod, md_mod)]
         model_file = tmp_path / "model.txt"
-        write_model_file(str(model_file), random_model(np.random.default_rng(4), 4))
+        write_model_file(str(model_file), random_model(np.random.default_rng(5), 4))
+        assert main(["convergence", "--config", self._config(tmp_path, model_file, grid="40 90")]) == 0
+        blocks = built[0] + built[1]
+        assert ("cross_gram", 4, 90) in blocks
+        assert [b for b in blocks if b[1:] in ((40,), (40, 40), (90,), (90, 90))] == []
+
+    def test_finite_jitter_is_reported_per_n(self, tmp_path, capsys, monkeypatch):
+        # The oracle rejects a state Gram whose eigenvalue ratio is at most
+        # 1e-10, and such a Gram keeps the distinct-state system S + n*lam*I
+        # positive definite, so no model the oracle accepts makes the fit
+        # jitter.  The fit alone therefore sees the eight states under
+        # bandwidth 1000, where they are closely spaced: S is numerically
+        # singular and lambda ~ 1e-17 cannot rescue it.
+        import cmekit.estimators as est_mod
+
+        gram = est_mod.gram
+        monkeypatch.setattr(est_mod, "gram", lambda kernel, pts: gram(GaussianKernel(1000.0), pts))
+        model_file = tmp_path / "model.txt"
+        write_model_file(str(model_file), random_model(np.random.default_rng(4), 8))
         cfg = self._config(tmp_path, model_file, grid="30 60", schedule="1e-17*n^-0.5")
         assert main(["convergence", "--config", cfg]) == 0
         captured = capsys.readouterr()

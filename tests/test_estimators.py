@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,7 +31,13 @@ from cmekit import (
     pt,
     regularized_empirical_risk,
 )
-from cmekit.estimators import JITTER_SCALE, _factor_pd, _training_risk_and_hs, solve_pd
+from cmekit.estimators import (
+    JITTER_SCALE,
+    RANK_TOL,
+    _factor_pd,
+    _training_risk_and_hs,
+    solve_pd,
+)
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 
@@ -54,6 +60,41 @@ def exact_trace(W, G_Y, G_X):
 
 def singleton_sample():
     return PairedSample(X=(pt(0.0),), Y=(pt(0.5),))
+
+
+def full_closed_form_W(sample, kernel, lam):
+    """The uncompressed closed-form route: (G_X + n*lam*I) W = I solved at full size."""
+    n = sample.n
+    return solve_pd(gram(kernel, sample.X), np.eye(n, order="F"), n * lam)[0]
+
+
+def full_filtered_W(sample, kernel, filt, lam):
+    """The uncompressed filter route: W = (1/n) U g(s) U^T from G_X / n = U diag(s) U^T."""
+    n = sample.n
+    s, U = np.linalg.eigh(gram(kernel, sample.X) / n)
+    s_max = max(float(s[-1]), 0.0)
+    if not isinstance(filt, Tikhonov):
+        s = np.where(s < RANK_TOL * s_max, 0.0, s)
+    if isinstance(filt, Landweber) and filt.step_size * s_max > 2.0:
+        raise DivergentStepError("the full route diverges")
+    g = np.array([filter_value(filt, lam, float(si)) for si in s])
+    return (U * g) @ U.T / n
+
+
+def assert_fits_match_full_routes(sample, kernel, lam, filters):
+    """Both fits equal the uncompressed routes within 1e-10 of max |W|, or both diverge."""
+    def close(W, ref):
+        assert np.max(np.abs(W - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    close(fit_tikhonov_closed_form(sample, kernel, lam).W, full_closed_form_W(sample, kernel, lam))
+    for filt in filters:
+        try:
+            ref = full_filtered_W(sample, kernel, filt, lam)
+        except DivergentStepError:
+            with pytest.raises(DivergentStepError):
+                fit_cme(sample, kernel, filt, lam)
+            continue
+        close(fit_cme(sample, kernel, filt, lam).W, ref)
 
 
 class TestFilterValue:
@@ -213,6 +254,62 @@ class TestFitting:
             PairedSample(X=(pt(0.0),), Y=())
         with pytest.raises(ValueError):
             PairedSample(X=(), Y=())
+
+
+class TestDistinctSupport:
+    """Fits on repeated points do m x m algebra that equals the n x n routes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_compressed_fits_match_the_full_routes(self, data):
+        n = data.draw(st.integers(1, 12))
+        m = data.draw(st.integers(1, n))
+        d = data.draw(st.integers(1, 2))
+        coords = st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d).map(tuple)
+        pool = [Point(c) for c in data.draw(st.lists(coords, min_size=m, max_size=m, unique=True))]
+        extra = data.draw(st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+        X = tuple(pool[i] for i in data.draw(st.permutations(list(range(m)) + extra)))
+        sample = PairedSample(X=X, Y=X[::-1])
+        width = data.draw(st.floats(0.5, 2.0))
+        kernel = data.draw(st.sampled_from([GaussianKernel(width), LaplacianKernel(width)]))
+        lam = 10.0 ** data.draw(st.floats(-3.0, 0.0))
+        landweber = Landweber(data.draw(st.integers(1, 50)), data.draw(st.floats(0.1, 3.0)))
+        s = np.linalg.eigvalsh(gram(kernel, X) / n)
+        # away from the cutoff's jump at lam and from the divergence boundary
+        assume(np.all(np.abs(s - lam) > 0.05 * lam))
+        assume(abs(landweber.step_size * s[-1] - 2.0) > 1e-6)
+        assert_fits_match_full_routes(sample, kernel, lam, [Tikhonov(), Cutoff(), landweber])
+
+    @pytest.mark.parametrize(
+        "idx",
+        [[0], [0] * 10, list(range(8)), [0, 1, 0, 2, 2, 1, 0]],
+        ids=["n=1", "m=1", "m=n", "m<n"],
+    )
+    def test_edge_supports_match_the_full_routes(self, idx):
+        pool = [pt(v) for v in (0.3, -1.1, 2.0, 0.7, -0.4, 1.5, -2.2, 0.0)]
+        X = tuple(pool[i] for i in idx)
+        filters = [Tikhonov(), Cutoff(), Landweber(20, 0.9), Landweber(5, 5.0)]
+        for lam in (1e-3, 0.3):
+            assert_fits_match_full_routes(PairedSample(X=X, Y=X), GAUSS, lam, filters)
+
+    def test_duplicate_free_fits_are_the_full_routes_bit_for_bit(self):
+        rng = np.random.default_rng(24)
+        sample = random_sample(rng, 50, d=2)
+        for lam in (1e-3, 0.1):
+            W = fit_tikhonov_closed_form(sample, GAUSS, lam).W
+            assert np.array_equal(W, full_closed_form_W(sample, GAUSS, lam))
+            for filt in (Tikhonov(), Cutoff(), Landweber(20, 0.9)):
+                W = fit_cme(sample, GAUSS, filt, lam).W
+                assert np.array_equal(W, full_filtered_W(sample, GAUSS, filt, lam))
+
+    def test_jitter_is_scaled_to_the_distinct_support_system(self):
+        # six states under bandwidth 1000 are closely spaced: K_D is numerically
+        # singular, so S + n*lam*I = 5 K_D + n*lam*I fails Cholesky at lam = 1e-17
+        states = [pt(float(j)) for j in range(6)]
+        X = tuple(states[i % 6] for i in range(30))
+        est = fit_tikhonov_closed_form(PairedSample(X=X, Y=X), GaussianKernel(1000.0), 1e-17)
+        # trace(S + n*lam*I) / m = 5 + n*lam
+        assert est.jitter == pytest.approx(JITTER_SCALE * (5.0 + 30 * 1e-17), rel=1e-12)
 
 
 class TestFactorization:

@@ -9,10 +9,13 @@ from cmekit import (
     CmeEstimator,
     GaussianKernel,
     RegressionFunctionRep,
+    Cutoff,
+    Landweber,
     Tikhonov,
     WeightedEmbedding,
     chain_states,
     cme_function,
+    cross_gram,
     constant_direction_alt,
     constant_shift_estimator,
     double_well_pairs,
@@ -227,7 +230,42 @@ class TestOpNormDiff:
             assert norm >= best - 1e-9
 
 
+def excess_risk_full_G_Y(est, model, kernel):
+    """exact_excess_risk through the n x n Gram of est.Y, without summing repeated Y.
+
+    Also returns the size of the three terms that the risk cancels, the scale
+    on which two evaluation orders of it can agree.
+    """
+    P = model.transition
+    K_E = gram(kernel, model.states)
+    omega = est.W @ cross_gram(kernel, est.X, model.states)
+    t_true = np.einsum("ij,jk,ik->i", P, K_E, P)
+    t_cross = np.einsum("ij,jt,ti->i", P, cross_gram(kernel, model.states, est.Y), omega)
+    t_est = np.einsum("ti,ti->i", omega, gram(kernel, est.Y) @ omega)
+    risk = float(model.marginal @ (t_true - 2.0 * t_cross + t_est))
+    return risk, float(model.marginal @ (t_true + 2.0 * np.abs(t_cross) + t_est))
+
+
 class TestExcessRiskAndBound:
+    def test_summed_weights_match_the_full_G_Y_route(self):
+        rng = rng_for(61)
+        for _ in range(30):
+            model = random_model(rng, int(rng.integers(1, 6)))
+            sample = sample_pairs(model, int(rng.integers(1, 300)), int(rng.integers(0, 2**32)))
+            lam = float(10.0 ** rng.uniform(-5, 0))
+            filt = [Tikhonov(), Cutoff(), Landweber(steps=20, step_size=0.9)][int(rng.integers(0, 3))]
+            for est in (
+                fit_cme(sample, GAUSS, filt, lam),
+                fit_tikhonov_closed_form(sample, GAUSS, lam),
+                # a hand-built W exercises the sums without any fit structure
+                CmeEstimator(
+                    kernel=GAUSS, lam=lam, filt=filt, X=sample.X, Y=sample.Y,
+                    W=rng.standard_normal((sample.n, sample.n)),
+                ),
+            ):
+                expected, scale = excess_risk_full_G_Y(est, model, GAUSS)
+                assert abs(exact_excess_risk(est, model, GAUSS) - expected) <= 1e-12 * scale
+
     def test_well_specified_is_zero(self):
         rng = rng_for(62)
         model = random_model(rng, 4)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import Kernel, Point, coords_matrix, cross_gram, gram
+from .kernels import Kernel, Point, _frozen_array, _point_tuple, coords_matrix, cross_gram, gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,19 +28,10 @@ class WeightedEmbedding:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        support = tuple(self.support)
-        if len(support) == 0:
-            raise ValueError("embedding support must be nonempty")
-        dim = support[0].dim
-        for p in support:
-            if p.dim != dim:
-                raise ValueError("embedding support has inconsistent dimensions")
-        w = np.array(self.weights, dtype=float).reshape(-1)
+        support = _point_tuple(self.support, "embedding support")
+        w = _frozen_array(self.weights, "embedding weights").reshape(-1)
         if w.shape[0] != len(support):
             raise ValueError(f"{len(support)} support points but {w.shape[0]} weights")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("embedding weights must be finite")
-        w.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", w)
 

@@ -40,7 +40,7 @@ import numpy as np
 import scipy.linalg
 
 from .embeddings import WeightedEmbedding
-from .kernels import Kernel, Point, cross_gram, gram, kernel_eval
+from .kernels import Kernel, Point, _frozen_array, _point_tuple, cross_gram, gram, kernel_eval
 
 RANK_TOL = 1e-12
 JITTER_SCALE = 1e-10
@@ -54,15 +54,9 @@ class PairedSample:
     Y: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        X = tuple(self.X)
-        Y = tuple(self.Y)
-        if len(X) == 0 or len(X) != len(Y):
-            raise ValueError(f"need equal nonempty X and Y, got {len(X)} and {len(Y)}")
-        for pts in (X, Y):
-            d = pts[0].dim
-            for p in pts:
-                if p.dim != d:
-                    raise ValueError("sample has inconsistent point dimensions")
+        X, Y = _point_tuple(self.X, "sample X"), _point_tuple(self.Y, "sample Y")
+        if len(X) != len(Y):
+            raise ValueError(f"need equal-length X and Y, got {len(X)} and {len(Y)}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
@@ -149,19 +143,15 @@ class CmeEstimator:
     def __post_init__(self) -> None:
         if not (self.lam > 0):
             raise ValueError(f"lambda must be > 0, got {self.lam}")
-        n = len(self.X)
-        if n == 0 or len(self.Y) != n:
-            raise ValueError("X and Y must be equal-length nonempty tuples")
-        # C order: predictions must be bit-identical regardless of whether W
-        # came from a solver (Fortran order) or from a file
-        W = np.array(self.W, dtype=float, order="C")
+        X, Y = _point_tuple(self.X, "estimator X"), _point_tuple(self.Y, "estimator Y")
+        n = len(X)
+        if len(Y) != n:
+            raise ValueError(f"X and Y must have equal length, got {n} and {len(Y)}")
+        W = _frozen_array(self.W, "W")
         if W.shape != (n, n):
             raise ValueError(f"W must be {n}x{n}, got {W.shape}")
-        if not np.all(np.isfinite(W)):
-            raise ValueError("W must be finite")
-        W.setflags(write=False)
-        object.__setattr__(self, "X", tuple(self.X))
-        object.__setattr__(self, "Y", tuple(self.Y))
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "W", W)
 
     @property
@@ -297,8 +287,6 @@ def fit_tikhonov_closed_form(sample: PairedSample, kernel: Kernel, lam: float) -
 
 
 def _query_weights(est: CmeEstimator, x: Point) -> np.ndarray:
-    if x.dim != est.X[0].dim:
-        raise ValueError(f"query dimension {x.dim} does not match training dimension {est.X[0].dim}")
     kx = cross_gram(est.kernel, est.X, [x])[:, 0]
     return est.W @ kx
 
@@ -334,11 +322,9 @@ def hs_norm_sq(est: CmeEstimator) -> float:
 
 def empirical_risk(est: CmeEstimator, sample: PairedSample) -> float:
     """Data-fit term (1/n) sum_i ||phi(y_i) - F(x_i)||^2, via Gram expansions."""
-    if sample.X[0].dim != est.X[0].dim or sample.Y[0].dim != est.Y[0].dim:
-        raise ValueError("sample dimensions do not match the estimator")
     K_xq = cross_gram(est.kernel, est.X, sample.X)          # train-X x query-X
-    Omega = est.W @ K_xq                                    # column i = weights at x_i
     K_yy = cross_gram(est.kernel, est.Y, sample.Y)          # train-Y x query-Y
+    Omega = est.W @ K_xq                                    # column i = weights at x_i
     G_Y = gram(est.kernel, est.Y)
     diag_k = np.array([kernel_eval(est.kernel, y, y) for y in sample.Y])
     cross_term = np.einsum("ji,ji->i", Omega, K_yy)

@@ -52,14 +52,34 @@ def pt(*coords: float) -> Point:
     return Point(tuple(coords))
 
 
+def _point_tuple(points: Sequence[Point], what: str) -> tuple[Point, ...]:
+    """``points`` as a nonempty tuple of Points of one dimension: every value type's point check."""
+    pts = tuple(points)
+    if len(pts) == 0:
+        raise ValueError(f"{what} must be nonempty")
+    dim = pts[0].dim
+    if any(p.dim != dim for p in pts):
+        raise ValueError(f"{what} has inconsistent point dimensions")
+    return pts
+
+
+def _frozen_array(values, what: str) -> np.ndarray:
+    """A read-only, C-ordered, finite float64 copy of ``values``: every value type's array check.
+
+    C order keeps results bit-identical whether an array came from a solver
+    (Fortran order) or from a file.
+    """
+    arr = np.array(values, dtype=float, order="C")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
+    arr.setflags(write=False)
+    return arr
+
+
 def coords_matrix(points: Sequence[Point]) -> np.ndarray:
-    """Stack points into an (n, d) float matrix, checking dimensions agree."""
+    """Stack points into an (n, d) float matrix; mixed dimensions raise ValueError."""
     if len(points) == 0:
         raise ValueError("empty point list")
-    dim = points[0].dim
-    for p in points:
-        if p.dim != dim:
-            raise ValueError(f"dimension mismatch: {p.dim} vs {dim}")
     return np.array([p.coords for p in points], dtype=float)
 
 
@@ -99,18 +119,13 @@ class TableKernel:
     values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        states = tuple(self.states)
-        if len(states) == 0:
-            raise ValueError("table kernel needs at least one state")
-        coords_matrix(states)
+        states = _point_tuple(self.states, "table kernel states")
         if len(set(states)) != len(states):
             raise ValueError("table kernel states must be pairwise distinct")
-        vals = np.asarray(self.values, dtype=float)
+        vals = _frozen_array(self.values, "table values")
         m = len(states)
         if vals.shape != (m, m):
             raise ValueError(f"table values must be {m}x{m}, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("table values must be finite")
         if np.max(np.abs(vals - vals.T)) > SYMMETRY_TOL:
             raise ValueError("table values must be symmetric within 1e-12")
         # leaves an exactly symmetric table unchanged bit for bit
@@ -120,17 +135,13 @@ class TableKernel:
         if eigvals.min() < -PSD_TOL * max(top, 1.0):
             raise ValueError("table values must be positive semidefinite")
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "values", tuple(tuple(float(v) for v in row) for row in vals))
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", tuple(map(tuple, vals.tolist())))
+        object.__setattr__(self, "_values_array", vals)
 
     @cached_property
     def _index(self) -> dict[Point, int]:
         return {p: i for i, p in enumerate(self.states)}
-
-    @cached_property
-    def _values_array(self) -> np.ndarray:
-        arr = np.asarray(self.values, dtype=float)
-        arr.setflags(write=False)
-        return arr
 
     def _lookup(self, points: Sequence[Point]) -> np.ndarray:
         idx = np.empty(len(points), dtype=int)
@@ -145,10 +156,8 @@ class TableKernel:
 Kernel = Union[GaussianKernel, LaplacianKernel, TableKernel]
 
 
-def table_kernel(states: Sequence[Point], values: np.ndarray) -> TableKernel:
-    """Build a TableKernel from an array-like value matrix."""
-    vals = np.asarray(values, dtype=float)
-    return TableKernel(tuple(states), tuple(tuple(row) for row in vals))
+# TableKernel accepts any point sequence and array-like value matrix
+table_kernel = TableKernel
 
 
 def kernel_eval(kernel: Kernel, x: Point, x2: Point) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .estimators import CmeEstimator, Cutoff, PairedSample, _support, solve_pd
-from .kernels import Kernel, Point, cross_gram, gram
+from .kernels import Kernel, Point, _frozen_array, _point_tuple, cross_gram, gram
 
 COND_TOL = 1e-10
 STATIONARY_TOL = 1e-10
@@ -50,33 +50,28 @@ class FiniteMarkovModel:
     transition_alt: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        states = tuple(self.states)
+        states = _point_tuple(self.states, "model states")
         m = len(states)
-        if m == 0:
-            raise ValueError("model needs at least one state")
         if len(set(states)) != m:
             raise ValueError("states must be pairwise distinct")
-        pi = np.array(self.marginal, dtype=float).reshape(-1)
+        pi = _frozen_array(self.marginal, "marginal").reshape(-1)
         if pi.shape[0] != m:
             raise ValueError(f"marginal must have length {m}, got {pi.shape[0]}")
         if np.any(pi < 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise ValueError("marginal must be nonnegative and sum to 1 within 1e-12")
-        P = self._check_stochastic(np.array(self.transition, dtype=float, order="C"), m, "transition")
+        P = self._check_stochastic(self.transition, m, "transition")
         P_alt = None
         if self.transition_alt is not None:
-            P_alt = self._check_stochastic(
-                np.array(self.transition_alt, dtype=float, order="C"), m, "transition_alt"
-            )
-            P_alt.setflags(write=False)
-        pi.setflags(write=False)
-        P.setflags(write=False)
+            P_alt = self._check_stochastic(self.transition_alt, m, "transition_alt")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "marginal", pi)
         object.__setattr__(self, "transition", P)
         object.__setattr__(self, "transition_alt", P_alt)
 
     @staticmethod
-    def _check_stochastic(P: np.ndarray, m: int, name: str) -> np.ndarray:
+    def _check_stochastic(values, m: int, name: str) -> np.ndarray:
+        """``values`` as a frozen m x m array with nonnegative rows summing to 1 within 1e-12."""
+        P = _frozen_array(values, name)
         if P.shape != (m, m):
             raise ValueError(f"{name} must be {m}x{m}, got {P.shape}")
         if np.any(P < 0) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
@@ -95,18 +90,8 @@ def chain_states(m: int, spacing: float = 1.0) -> tuple[Point, ...]:
     return tuple(Point((spacing * j,)) for j in range(m))
 
 
-def finite_model(
-    states: Sequence[Point],
-    marginal: np.ndarray,
-    transition: np.ndarray,
-    transition_alt: Optional[np.ndarray] = None,
-) -> FiniteMarkovModel:
-    return FiniteMarkovModel(
-        states=tuple(states),
-        marginal=np.asarray(marginal, dtype=float),
-        transition=np.asarray(transition, dtype=float),
-        transition_alt=None if transition_alt is None else np.asarray(transition_alt, dtype=float),
-    )
+# FiniteMarkovModel accepts any point sequence and array-likes
+finite_model = FiniteMarkovModel
 
 
 def with_alt(model: FiniteMarkovModel, transition_alt: np.ndarray) -> FiniteMarkovModel:
@@ -126,15 +111,12 @@ class ValuesMap:
     B: np.ndarray
 
     def __post_init__(self) -> None:
-        support = tuple(self.support)
-        if len(support) == 0:
-            raise ValueError("ValuesMap support must be nonempty")
-        B = np.array(self.B, dtype=float, order="C")
+        support = _point_tuple(self.support, "ValuesMap support")
+        if len(set(support)) != len(support):
+            raise ValueError("ValuesMap support must be pairwise distinct")
+        B = _frozen_array(self.B, "B")
         if B.ndim != 2 or B.shape[1] != len(support):
             raise ValueError(f"B must have {len(support)} columns, got shape {B.shape}")
-        if not np.all(np.isfinite(B)):
-            raise ValueError("B must be finite")
-        B.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "B", B)
 
@@ -146,12 +128,9 @@ class RegressionFunctionRep:
     C: np.ndarray
 
     def __post_init__(self) -> None:
-        C = np.array(self.C, dtype=float, order="C")
+        C = _frozen_array(self.C, "C")
         if C.ndim != 2 or C.shape[0] != C.shape[1]:
             raise ValueError(f"C must be square, got shape {C.shape}")
-        if not np.all(np.isfinite(C)):
-            raise ValueError("C must be finite")
-        C.setflags(write=False)
         object.__setattr__(self, "C", C)
 
 
@@ -163,9 +142,8 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     chains; a chain with several stationary laws (e.g. the identity) gets
     their minimum-norm mixture.  The residual is checked against 1e-10.
     """
-    P = np.asarray(transition, dtype=float)
+    P = FiniteMarkovModel._check_stochastic(transition, len(transition), "transition")
     m = P.shape[0]
-    FiniteMarkovModel._check_stochastic(P, m, "transition")
     A = np.vstack([(P - np.eye(m)).T, np.ones((1, m))])
     b = np.zeros(m + 1)
     b[-1] = 1.0
@@ -215,20 +193,17 @@ def estimator_values(est: CmeEstimator, model: FiniteMarkovModel, kernel: Kernel
 def _aligned_difference(
     vals_a: ValuesMap, vals_b: ValuesMap
 ) -> tuple[tuple[Point, ...], np.ndarray]:
-    """Union support (a's order first) with zero-padded columns for absentees."""
-    for vm, name in ((vals_a, "first"), (vals_b, "second")):
-        if len(set(vm.support)) != len(vm.support):
-            raise ValueError(f"support alignment failure: duplicate points in {name} ValuesMap")
+    """Union support (a's order first) with zero-padded columns for absentees.
+
+    Supports are distinct, so a fills the first union columns and b distinct ones.
+    """
     if vals_a.B.shape[0] != vals_b.B.shape[0]:
         raise ValueError("support alignment failure: ValuesMaps have different state counts")
     union = tuple(dict.fromkeys(vals_a.support + vals_b.support))
     index = {p: i for i, p in enumerate(union)}
-    m = vals_a.B.shape[0]
-    D = np.zeros((m, len(union)))
-    for col, p in enumerate(vals_a.support):
-        D[:, index[p]] += vals_a.B[:, col]
-    for col, p in enumerate(vals_b.support):
-        D[:, index[p]] -= vals_b.B[:, col]
+    D = np.zeros((vals_a.B.shape[0], len(union)))
+    D[:, : len(vals_a.support)] += vals_a.B
+    D[:, [index[p] for p in vals_b.support]] -= vals_b.B
     return union, D
 
 

@@ -35,7 +35,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .estimators import PairedSample, _factor_pd
-from .kernels import Kernel, Point, cross_gram, gram
+from .kernels import Kernel, Point, _point_tuple, cross_gram, gram
 
 DENSE_EIG_LIMIT = 1200
 _PAIR_TOL = 1e-10
@@ -60,7 +60,7 @@ class EdmdResult:
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "X", tuple(self.X))
+        object.__setattr__(self, "X", _point_tuple(self.X, "EdmdResult X"))
         for arr in (self.eigenvalues, self.coeffs, self.residuals):
             if arr is not None:
                 arr.setflags(write=False)
@@ -194,8 +194,6 @@ def sign_cluster(res: EdmdResult, states: Sequence[Point]) -> np.ndarray:
     """
     if res.r < 2:
         raise ValueError(f"sign clustering needs r >= 2 eigenfunctions, got {res.r}")
-    if len(states) == 0:
-        raise ValueError("empty state list")
     kx = cross_gram(res.kernel, res.X, states)
     vals = np.real(res.coeffs[:, 1] @ kx)
     labels = np.where(vals > 0, 0, 1)

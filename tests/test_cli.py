@@ -872,6 +872,9 @@ TIKHONOV = "[filter]\nvariant = tikhonov\n"
 OU_DATA = "[data]\nsource = ou\ntheta = {theta}\ntau = 0.5\n"
 ESTIMATE_RUN = "[run]\nlambda = 0.1\nn = 5\nout = {out}\n"
 MMD_DATA = "[data]\nsample_file = {data}\nsample_file_2 = {data}\n"
+MODEL_DATA = "[data]\nsource = finite-model\nmodel_file = {data}\n"
+CONVERGENCE_RUN = "[run]\nn_grid = 5 10\nlambda_schedule = n^-0.5\nout = {out}\n"
+MODEL_FILE = "finite-model v1\nstates 2 1\n0\n1\npi 2\n{pi}\ntransition 2 2\n0.5 0.5\n{row}\n"
 
 
 @pytest.mark.parametrize(
@@ -909,6 +912,18 @@ MMD_DATA = "[data]\nsample_file = {data}\nsample_file_2 = {data}\n"
         ),
         pytest.param(
             "mmd", KERNEL + MMD_DATA, "sample v1\npoints -1 1\n", id="negative-dimension"
+        ),
+        pytest.param(
+            "oracle-verify",
+            KERNEL + MODEL_DATA,
+            MODEL_FILE.format(pi="nan 0.5", row="0.5 0.5"),
+            id="nan-in-pi",
+        ),
+        pytest.param(
+            "convergence",
+            KERNEL + MODEL_DATA + CONVERGENCE_RUN,
+            MODEL_FILE.format(pi="0.5 0.5", row="nan 0.5"),
+            id="nan-in-transition",
         ),
     ],
 )

@@ -7,11 +7,13 @@ import pytest
 
 from cmekit import (
     CmeEstimator,
+    EdmdResult,
     GaussianKernel,
     RegressionFunctionRep,
     Cutoff,
     Landweber,
     Tikhonov,
+    ValuesMap,
     WeightedEmbedding,
     chain_states,
     cme_function,
@@ -64,6 +66,80 @@ class TestModelValidation:
     def test_duplicate_states(self):
         with pytest.raises(ValueError, match="distinct"):
             finite_model([pt(0.0), pt(0.0)], [0.5, 0.5], np.eye(2))
+
+
+MIXED = (pt(0.0), pt(0.0, 1.0))
+NAN_ROW = [[0.5, 0.5], [np.nan, 0.5]]
+
+
+def _estimator(X, W):
+    return CmeEstimator(kernel=GAUSS, lam=1.0, filt=Tikhonov(), X=X, Y=X, W=W)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        pytest.param(lambda: PairedSample(X=MIXED, Y=chain_states(2)), "dimension", id="sample-X"),
+        pytest.param(lambda: PairedSample(X=chain_states(2), Y=MIXED), "dimension", id="sample-Y"),
+        pytest.param(lambda: _estimator(MIXED, np.eye(2)), "dimension", id="estimator-X"),
+        pytest.param(lambda: _estimator(chain_states(2), NAN_ROW), "finite", id="estimator-W"),
+        pytest.param(
+            lambda: WeightedEmbedding(kernel=GAUSS, support=MIXED, weights=[0.5, 0.5]),
+            "dimension",
+            id="embedding-support",
+        ),
+        pytest.param(
+            lambda: WeightedEmbedding(kernel=GAUSS, support=chain_states(2), weights=[0.5, np.inf]),
+            "finite",
+            id="embedding-weights",
+        ),
+        pytest.param(
+            lambda: ValuesMap(support=MIXED, B=np.zeros((2, 2))), "dimension", id="values-support"
+        ),
+        pytest.param(
+            lambda: ValuesMap(support=(pt(0.0), pt(0.0)), B=np.zeros((2, 2))),
+            "distinct",
+            id="values-duplicate-support",
+        ),
+        pytest.param(lambda: ValuesMap(support=chain_states(2), B=NAN_ROW), "finite", id="values-B"),
+        pytest.param(lambda: RegressionFunctionRep(C=NAN_ROW), "finite", id="regression-C"),
+        pytest.param(
+            lambda: finite_model(MIXED, [0.5, 0.5], np.eye(2)), "dimension", id="model-states"
+        ),
+        pytest.param(
+            lambda: finite_model(chain_states(2), [np.nan, 0.5], np.eye(2)), "finite", id="model-pi"
+        ),
+        pytest.param(
+            lambda: finite_model(chain_states(2), [0.5, 0.5], NAN_ROW), "finite", id="model-transition"
+        ),
+        pytest.param(
+            lambda: finite_model(chain_states(2), [0.5, 0.5], np.eye(2), NAN_ROW),
+            "finite",
+            id="model-transition-alt",
+        ),
+        pytest.param(lambda: table_kernel(MIXED, np.eye(2)), "dimension", id="table-states"),
+        pytest.param(
+            lambda: table_kernel(chain_states(2), [[1.0, np.nan], [np.nan, 1.0]]),
+            "finite",
+            id="table-values",
+        ),
+        pytest.param(
+            lambda: EdmdResult(np.ones(1), np.ones((2, 1)), MIXED, GAUSS, 1.0),
+            "dimension",
+            id="edmd-X",
+        ),
+        pytest.param(
+            lambda: stationary_distribution(np.array(NAN_ROW)),
+            "transition must be finite",
+            id="stationary-distribution",
+        ),
+    ],
+)
+def test_value_types_reject_mixed_dimensions_and_non_finite_arrays(build, match):
+    # validation raises a plain ValueError before any LAPACK call sees the values
+    with pytest.raises(ValueError, match=match) as info:
+        build()
+    assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 class TestStationaryDistribution:

@@ -63,13 +63,13 @@ def _point_tuple(points: Sequence[Point], what: str) -> tuple[Point, ...]:
     return pts
 
 
-def _frozen_array(values, what: str) -> np.ndarray:
-    """A read-only, C-ordered, finite float64 copy of ``values``: every value type's array check.
+def _frozen_array(values, what: str, dtype: type = float) -> np.ndarray:
+    """A read-only, C-ordered, finite copy of ``values``: every value type's array check.
 
     C order keeps results bit-identical whether an array came from a solver
     (Fortran order) or from a file.
     """
-    arr = np.array(values, dtype=float, order="C")
+    arr = np.array(values, dtype=dtype, order="C")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must be finite")
     arr.setflags(write=False)

@@ -83,11 +83,11 @@ class FiniteMarkovModel:
         return len(self.states)
 
 
-def chain_states(m: int, spacing: float = 1.0) -> tuple[Point, ...]:
-    """Canonical 1-D embedding of m states: e_j at coordinate (j - 1) * spacing."""
+def chain_states(m: int) -> tuple[Point, ...]:
+    """Canonical 1-D embedding of m states: e_j at coordinate j - 1."""
     if m < 1:
         raise ValueError("need at least one state")
-    return tuple(Point((spacing * j,)) for j in range(m))
+    return tuple(Point((j,)) for j in range(m))
 
 
 # FiniteMarkovModel accepts any point sequence and array-likes
@@ -104,7 +104,7 @@ class ValuesMap:
     """Gram-coordinate restriction of an operator H -> L2(pi).
 
     ``B @ c`` gives the values at the m model states of the image of
-    f = sum_j c_j phi(support[j]).
+    f = sum_j c_j phi(support[j]); the map says nothing off its support.
     """
 
     support: tuple[Point, ...]
@@ -180,7 +180,8 @@ def estimator_values(est: CmeEstimator, model: FiniteMarkovModel, kernel: Kernel
 
     Support is est.Y joined with model.states (deduplicated, Y first).  The
     row for state e_i evaluates the fitted operator exactly as
-    predict_conditional_expectation does: B = K_EX W^T K_YZ.
+    predict_conditional_expectation does: B = K_EX W^T K_YZ.  Only when est.Y
+    lies on the states is the support that of :func:`exact_operator_values`.
     """
     if est.kernel != kernel:
         raise ValueError("estimator kernel does not match the oracle kernel")
@@ -190,43 +191,33 @@ def estimator_values(est: CmeEstimator, model: FiniteMarkovModel, kernel: Kernel
     return ValuesMap(support=support, B=K_ex @ est.W.T @ K_yz)
 
 
-def _aligned_difference(
-    vals_a: ValuesMap, vals_b: ValuesMap
-) -> tuple[tuple[Point, ...], np.ndarray]:
-    """Union support (a's order first) with zero-padded columns for absentees.
-
-    Supports are distinct, so a fills the first union columns and b distinct ones.
-    """
-    if vals_a.B.shape[0] != vals_b.B.shape[0]:
-        raise ValueError("support alignment failure: ValuesMaps have different state counts")
-    union = tuple(dict.fromkeys(vals_a.support + vals_b.support))
-    index = {p: i for i, p in enumerate(union)}
-    D = np.zeros((vals_a.B.shape[0], len(union)))
-    D[:, : len(vals_a.support)] += vals_a.B
-    D[:, [index[p] for p in vals_b.support]] -= vals_b.B
-    return union, D
-
-
 def op_norm_diff(
     vals_a: ValuesMap, vals_b: ValuesMap, model: FiniteMarkovModel, kernel: Kernel
 ) -> float:
-    """Exact operator norm ||A - B||_{H -> L2(pi)} between two ValuesMaps.
+    """Exact operator norm ||A - B||_{H -> L2(pi)} between two ValuesMaps on one support.
 
-    Restricting the supremum to f in span{phi(z) : z in Z} for the merged
-    support Z loses nothing: both operators sense f only through the bounded
-    evaluations / inner products against phi(z), z in Z, so the orthogonal
-    complement of the span is annihilated by the difference, while it only
-    increases ||f||_H.  On the span, with coefficients c,
+    Both maps must share one support Z (in any order) and one state count;
+    otherwise ``ValueError`` names the unmatched points.  Restricting the
+    supremum to f in span{phi(z) : z in Z} loses nothing: both operators sense
+    f only through the bounded evaluations / inner products against phi(z),
+    z in Z, so the orthogonal complement of the span is annihilated by the
+    difference, while it only increases ||f||_H.  On the span, with coefficients c,
 
         ||(A - B) f||^2_{L2(pi)} = c^T D^T diag(pi) D c,   ||f||^2_H = c^T K_Z c,
 
     so the norm is the square root of the largest generalized eigenvalue of
     (D^T diag(pi) D, K_Z).
     """
-    support, D = _aligned_difference(vals_a, vals_b)
-    K_Z = _conditioned_gram(kernel, support, "K_Z over the merged support")
+    if vals_a.B.shape[0] != vals_b.B.shape[0]:
+        raise ValueError("ValuesMaps have different state counts")
+    index = {p: j for j, p in enumerate(vals_b.support)}
+    unmatched = sorted(p.coords for p in set(vals_a.support).symmetric_difference(index))
+    if unmatched:
+        raise ValueError(f"ValuesMaps must share one support; unmatched points: {unmatched}")
+    D = vals_a.B - vals_b.B[:, [index[p] for p in vals_a.support]]
+    K_Z = _conditioned_gram(kernel, vals_a.support, "K_Z over the shared support")
     quad = D.T @ (model.marginal[:, None] * D)
-    top = scipy.linalg.eigh(quad, K_Z, eigvals_only=True, subset_by_index=(len(support) - 1,) * 2)
+    top = scipy.linalg.eigh(quad, K_Z, eigvals_only=True, subset_by_index=(D.shape[1] - 1,) * 2)
     return float(np.sqrt(max(top[-1], 0.0)))
 
 
@@ -355,9 +346,7 @@ def constant_shift_estimator(
     )
 
 
-def random_model(
-    rng: np.random.Generator, m: int, alt: bool = False, spacing: float = 1.0
-) -> FiniteMarkovModel:
+def random_model(rng: np.random.Generator, m: int, alt: bool = False) -> FiniteMarkovModel:
     """Random strictly positive chain on the canonical 1-D states."""
     if m < 1:
         raise ValueError("need at least one state")
@@ -369,7 +358,7 @@ def random_model(
     if alt:
         P_alt = rng.random((m, m)) + 0.05
         P_alt = P_alt / P_alt.sum(axis=1, keepdims=True)
-    return finite_model(chain_states(m, spacing), pi, P, P_alt)
+    return finite_model(chain_states(m), pi, P, P_alt)
 
 
 def constant_direction_alt(

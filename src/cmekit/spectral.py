@@ -35,7 +35,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .estimators import PairedSample, _factor_pd
-from .kernels import Kernel, Point, _point_tuple, cross_gram, gram
+from .kernels import Kernel, Point, _frozen_array, _point_tuple, cross_gram, gram
 
 DENSE_EIG_LIMIT = 1200
 _PAIR_TOL = 1e-10
@@ -60,10 +60,17 @@ class EdmdResult:
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "X", _point_tuple(self.X, "EdmdResult X"))
-        for arr in (self.eigenvalues, self.coeffs, self.residuals):
-            if arr is not None:
-                arr.setflags(write=False)
+        X = _point_tuple(self.X, "EdmdResult X")
+        w = _frozen_array(self.eigenvalues, "eigenvalues", complex)
+        V = _frozen_array(self.coeffs, "coeffs", complex)
+        res = None if self.residuals is None else _frozen_array(self.residuals, "residuals")
+        if w.ndim != 1 or V.shape != (len(X), len(w)) or res is not None and res.shape != w.shape:
+            raise ValueError(
+                f"need eigenvalues of shape (r,), coeffs ({len(X)}, r) and residuals (r,); "
+                f"got shapes {w.shape}, {V.shape} and {None if res is None else res.shape}"
+            )
+        for name, value in (("X", X), ("eigenvalues", w), ("coeffs", V), ("residuals", res)):
+            object.__setattr__(self, name, value)
 
     @property
     def r(self) -> int:
@@ -83,7 +90,7 @@ def _edmd_system(sample: PairedSample, kernel: Kernel, lam: float):
 def edmd_matrix(sample: PairedSample, kernel: Kernel, lam: float) -> np.ndarray:
     """The Gram-coordinate matrix M = (G_X + n*lam*I)^{-1} K_YX."""
     _, K_yx, factor, _ = _edmd_system(sample, kernel, lam)
-    return scipy.linalg.cho_solve(factor, K_yx)
+    return scipy.linalg.cho_solve(factor, K_yx, check_finite=False)
 
 
 def _rkhs_norm_sq(G: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -143,14 +150,14 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
     G, K_yx, factor, jitter = _edmd_system(sample, kernel, lam)
 
     if n <= DENSE_EIG_LIMIT or r > n - 2:
-        M = scipy.linalg.cho_solve(factor, K_yx)
+        M = scipy.linalg.cho_solve(factor, K_yx, check_finite=False)
         apply = M.__matmul__
         w, V = scipy.linalg.eig(M)
         w, V = _sort_eigenpairs(w, V)
         w, V = w[:r], V[:, :r]
     else:
         def apply(v: np.ndarray) -> np.ndarray:
-            return scipy.linalg.cho_solve(factor, K_yx @ v)
+            return scipy.linalg.cho_solve(factor, K_yx @ v, check_finite=False)
 
         op = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, dtype=float)
         w, V = scipy.sparse.linalg.eigs(op, k=r, which="LM", v0=np.ones(n))

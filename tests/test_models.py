@@ -129,6 +129,40 @@ def _estimator(X, W):
             id="edmd-X",
         ),
         pytest.param(
+            lambda: EdmdResult(np.ones(2), np.ones((5, 1)), chain_states(3), GAUSS, 1.0),
+            "shape",
+            id="edmd-coeffs-shape",
+        ),
+        pytest.param(
+            lambda: EdmdResult(np.ones((2, 1)), np.ones((3, 2)), chain_states(3), GAUSS, 1.0),
+            "shape",
+            id="edmd-eigenvalues-shape",
+        ),
+        pytest.param(
+            lambda: EdmdResult(
+                np.ones(2), np.ones((3, 2)), chain_states(3), GAUSS, 1.0, residuals=np.ones(3)
+            ),
+            "shape",
+            id="edmd-residuals-shape",
+        ),
+        pytest.param(
+            lambda: EdmdResult([1.0, np.nan], np.ones((3, 2)), chain_states(3), GAUSS, 1.0),
+            "finite",
+            id="edmd-eigenvalues",
+        ),
+        pytest.param(
+            lambda: EdmdResult(np.ones(1), [[1.0], [np.inf], [1.0]], chain_states(3), GAUSS, 1.0),
+            "finite",
+            id="edmd-coeffs",
+        ),
+        pytest.param(
+            lambda: EdmdResult(
+                np.ones(1), np.ones((3, 1)), chain_states(3), GAUSS, 1.0, residuals=[np.nan]
+            ),
+            "finite",
+            id="edmd-residuals",
+        ),
+        pytest.param(
             lambda: stationary_distribution(np.array(NAN_ROW)),
             "transition must be finite",
             id="stationary-distribution",
@@ -140,6 +174,15 @@ def test_value_types_reject_mixed_dimensions_and_non_finite_arrays(build, match)
     with pytest.raises(ValueError, match=match) as info:
         build()
     assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+def test_edmd_result_freezes_copies_not_the_callers_arrays():
+    w, V, res = np.ones(1), np.ones((2, 1)), np.zeros(1)
+    result = EdmdResult(w, V, chain_states(2), GAUSS, 1.0, residuals=res)
+    assert all(arr.flags.writeable for arr in (w, V, res))
+    frozen = (result.eigenvalues, result.coeffs, result.residuals)
+    assert not any(arr.flags.writeable for arr in frozen)
+    assert result.eigenvalues.dtype == result.coeffs.dtype == complex
 
 
 class TestStationaryDistribution:
@@ -304,6 +347,28 @@ class TestOpNormDiff:
             quad = np.einsum("ki,ji,jl,kl->k", C, D, D * model.marginal[:, None], C)
             best = np.sqrt(np.max(quad / h_norms))
             assert norm >= best - 1e-9
+
+    def test_off_state_training_Y_is_refused(self):
+        # the exact map knows P only on phi(states); the old zero-padding of
+        # phi(0.6), phi(1.1), phi(2.9) reported 125.0 against an excess risk of 0.178
+        model = random_model(np.random.default_rng(3), 3)
+        sample = PairedSample(
+            X=tuple(pt(v) for v in (0.3, 1.7, 2.4)), Y=tuple(pt(v) for v in (0.6, 1.1, 2.9))
+        )
+        est = fit_tikhonov_closed_form(sample, GAUSS, 0.05)
+        est_vals = estimator_values(est, model, GAUSS)
+        exact_vals = exact_operator_values(model, GAUSS)
+        unmatched = r"unmatched points: \[\(0\.6,\), \(1\.1,\), \(2\.9,\)\]"
+        for a, b in ((est_vals, exact_vals), (exact_vals, est_vals)):
+            with pytest.raises(ValueError, match=unmatched):
+                op_norm_diff(a, b, model, GAUSS)
+
+    def test_different_state_counts_are_refused(self):
+        model = random_model(rng_for(63), 2)
+        vals = exact_operator_values(model, GAUSS)
+        one_row = ValuesMap(support=vals.support, B=vals.B[:1])
+        with pytest.raises(ValueError, match="state counts"):
+            op_norm_diff(vals, one_row, model, GAUSS)
 
 
 def excess_risk_full_G_Y(est, model, kernel):

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import cmekit.spectral
 from cmekit import (
@@ -198,6 +199,23 @@ class TestEdmdEigen:
         res = edmd_eigen(sample, GAUSS, 1e-2, 4)
         eigen_residuals(res, sample)
         assert calls == {"gram": 1, "cross_gram": 1, "_factor_pd": 1}
+
+    @pytest.mark.parametrize("limit", [1200, 50], ids=["dense", "arnoldi"])
+    def test_solves_skip_the_finite_scan_of_the_checked_factor(self, monkeypatch, limit):
+        # _factor_pd already checked G_X: no solve scans the n x n factor again
+        checks = []
+        inner = scipy.linalg.cho_solve
+
+        def recording(*args, **kwargs):
+            checks.append(kwargs.get("check_finite", True))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve", recording)
+        monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", limit)
+        sample = random_sample(np.random.default_rng(52), 120)
+        edmd_eigen(sample, GAUSS, 1e-2, 4)
+        edmd_matrix(sample, GAUSS, 1e-2)
+        assert len(checks) > 1 and not any(checks)
 
     def test_spectral_bound_sanity(self):
         # bounded kernel + acceptance-scale lambda: top modulus <= 1.1

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import Kernel, Point, _frozen_array, _point_tuple, coords_matrix, cross_gram, gram
+from .kernels import Kernel, Point, _frozen_array, _point_tuple, cross_gram, gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +45,7 @@ def mean_embed(kernel: Kernel, samples: Sequence[Point]) -> WeightedEmbedding:
     n = len(samples)
     if n == 0:
         raise ValueError("cannot embed an empty sample")
-    return WeightedEmbedding(kernel=kernel, support=tuple(samples), weights=np.full(n, 1.0 / n))
+    return WeightedEmbedding(kernel=kernel, support=samples, weights=np.full(n, 1.0 / n))
 
 
 def embed_inner(a: WeightedEmbedding, b: WeightedEmbedding) -> float:
@@ -89,7 +89,8 @@ def _mmd_sq(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> tuple[flo
     """
     if len(P) == 0 or len(Q) == 0:
         raise ValueError("cannot compute MMD of an empty sample")
-    if (len(Q), coords_matrix(Q).tobytes()) < (len(P), coords_matrix(P).tobytes()):
+    P, Q = _point_tuple(P, "MMD sample"), _point_tuple(Q, "MMD sample")
+    if (len(Q), Q._coords.tobytes()) < (len(P), P._coords.tobytes()):
         P, Q = Q, P
     n, m = len(P), len(Q)
     spp, tpp = _sum_and_trace(gram(kernel, P))

@@ -52,14 +52,30 @@ def pt(*coords: float) -> Point:
     return Point(tuple(coords))
 
 
-def _point_tuple(points: Sequence[Point], what: str) -> tuple[Point, ...]:
-    """``points`` as a nonempty tuple of Points of one dimension: every value type's point check."""
-    pts = tuple(points)
+class _Points(tuple):
+    """A checked point tuple, equal to the plain one, carrying its read-only (n, d) ``_coords``."""
+
+    def __reduce__(self):
+        # pickle and deepcopy would bring the array back writable: rebuild through the check
+        return _point_tuple, (tuple(self), "point list")
+
+
+def _point_tuple(points: Sequence[Point], what: str) -> _Points:
+    """``points`` as a nonempty tuple of Points of one dimension: every value type's point check.
+
+    The coordinates are stacked here, once; a tuple already checked comes back as it is.
+    """
+    if type(points) is _Points:
+        return points
+    pts = _Points(points)
     if len(pts) == 0:
         raise ValueError(f"{what} must be nonempty")
-    dim = pts[0].dim
-    if any(p.dim != dim for p in pts):
-        raise ValueError(f"{what} has inconsistent point dimensions")
+    try:
+        coords = np.array([p.coords for p in pts], dtype=float)
+    except ValueError:
+        raise ValueError(f"{what} has inconsistent point dimensions") from None
+    coords.setflags(write=False)
+    pts._coords = coords
     return pts
 
 
@@ -77,10 +93,12 @@ def _frozen_array(values, what: str, dtype: type = float) -> np.ndarray:
 
 
 def coords_matrix(points: Sequence[Point]) -> np.ndarray:
-    """Stack points into an (n, d) float matrix; mixed dimensions raise ValueError."""
-    if len(points) == 0:
-        raise ValueError("empty point list")
-    return np.array([p.coords for p in points], dtype=float)
+    """The points' (n, d) float64 coordinates; empty or mixed-dimension lists raise ValueError.
+
+    The array is read-only: for the point tuples of the package's value types
+    it is the one they carry, not a copy.
+    """
+    return _point_tuple(points, "point list")._coords
 
 
 @dataclass(frozen=True)
@@ -184,16 +202,13 @@ def kernel_eval(kernel: Kernel, x: Point, x2: Point) -> float:
 
 def cross_gram(kernel: Kernel, rows: Sequence[Point], cols: Sequence[Point]) -> np.ndarray:
     """Matrix K with K[i, j] = k(rows[i], cols[j])."""
-    if len(rows) == 0 or len(cols) == 0:
-        raise ValueError("empty point list")
-    if rows[0].dim != cols[0].dim:
-        raise ValueError(f"dimension mismatch: {rows[0].dim} vs {cols[0].dim}")
+    a, b = coords_matrix(rows), coords_matrix(cols)
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if isinstance(kernel, TableKernel):
         ri = kernel._lookup(rows)
         ci = kernel._lookup(cols)
         return kernel._values_array[np.ix_(ri, ci)].copy()
-    a = coords_matrix(rows)
-    b = coords_matrix(cols)
     if isinstance(kernel, GaussianKernel):
         return np.exp(-cdist(a, b, "sqeuclidean") / (2.0 * kernel.bandwidth**2))
     if isinstance(kernel, LaplacianKernel):

@@ -195,6 +195,10 @@ class TestMmdBiased:
         with pytest.raises(ValueError):
             mmd_sq_biased(GAUSS, [], [pt(0.0)])
 
+    def test_mixed_dimensions_raise_the_package_error(self):
+        with pytest.raises(ValueError, match="inconsistent point dimensions"):
+            mmd_sq_biased(GAUSS, [pt(0.0), pt(1.0, 2.0)], [pt(0.0)])
+
 
 class TestMmdUnbiased:
     def test_identical_constant_samples(self):

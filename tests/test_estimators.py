@@ -358,6 +358,11 @@ class TestPrediction:
         assert e.support == est.Y
         assert e.weights[0] == pytest.approx(1.0 / (1.0 + lam), abs=1e-14)
 
+    def test_prediction_shares_the_checked_training_y(self):
+        rng = np.random.default_rng(22)
+        est = fit_tikhonov_closed_form(random_sample(rng, 10), GAUSS, 0.1)
+        assert predict_embedding(est, pt(0.3)).support is est.Y
+
     def test_far_query_vanishes(self):
         rng = np.random.default_rng(23)
         est = fit_tikhonov_closed_form(random_sample(rng, 40), GAUSS, 1e-2)

@@ -15,6 +15,7 @@ from cmekit import (
     pt,
     table_kernel,
 )
+from cmekit.kernels import coords_matrix
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 LAPL2 = LaplacianKernel(scale=2.0)
@@ -162,6 +163,26 @@ class TestCrossGram:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             cross_gram(GAUSS, [], [pt(0.0)])
+
+
+class TestCheckedPointTuples:
+    def test_coords_matrix_of_a_checked_tuple_is_its_read_only_array(self):
+        states = table_kernel([pt(0.0, 1.0), pt(2.0, -1.0)], np.eye(2)).states
+        coords = coords_matrix(states)
+        assert coords is coords_matrix(states)
+        assert np.array_equal(coords, [[0.0, 1.0], [2.0, -1.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            coords[0, 0] = 5.0
+
+    @pytest.mark.parametrize(
+        "kernel", [GAUSS, table_kernel([pt(0.0), pt(1.0)], np.eye(2))], ids=["gauss", "table"]
+    )
+    def test_mixed_dimensions_raise_the_package_error(self, kernel):
+        mixed = [pt(0.0), pt(0.0, 1.0)]
+        with pytest.raises(ValueError, match="inconsistent point dimensions"):
+            gram(kernel, mixed)
+        with pytest.raises(ValueError, match="inconsistent point dimensions"):
+            cross_gram(kernel, [pt(0.0)], mixed)
 
 
 class TestTableKernelValidation:

@@ -1,9 +1,13 @@
 """Exact finite-state oracle identities and the samplers."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cmekit import (
     CmeEstimator,
@@ -12,6 +16,7 @@ from cmekit import (
     RegressionFunctionRep,
     Cutoff,
     Landweber,
+    Point,
     Tikhonov,
     ValuesMap,
     WeightedEmbedding,
@@ -46,6 +51,7 @@ from cmekit import (
     with_alt,
 )
 from cmekit.estimators import PairedSample
+from cmekit.kernels import _point_tuple, coords_matrix
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 
@@ -183,6 +189,68 @@ def test_edmd_result_freezes_copies_not_the_callers_arrays():
     frozen = (result.eigenvalues, result.coeffs, result.residuals)
     assert not any(arr.flags.writeable for arr in frozen)
     assert result.eigenvalues.dtype == result.coeffs.dtype == complex
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300])
+COORD = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def point_lists(draw):
+    d = draw(st.integers(1, 3))
+    coords = st.tuples(*[COORD] * d)
+    return [Point(c) for c in draw(st.lists(coords, min_size=1, max_size=12))]
+
+
+def checked_point_fields(pts):
+    """Every value type built on ``pts``: (name, the point tuple it holds)."""
+    n = len(pts)
+    distinct = list(dict.fromkeys(pts))
+    m = len(distinct)
+    sample = PairedSample(X=pts, Y=pts)
+    est = CmeEstimator(kernel=GAUSS, lam=1.0, filt=Tikhonov(), X=pts, Y=pts, W=np.eye(n))
+    return [
+        ("sample X", sample.X),
+        ("sample Y", sample.Y),
+        ("estimator X", est.X),
+        ("estimator Y", est.Y),
+        ("embedding", WeightedEmbedding(kernel=GAUSS, support=pts, weights=np.ones(n)).support),
+        ("edmd", EdmdResult(np.ones(1), np.ones((n, 1)), pts, GAUSS, 1.0).X),
+        ("model", finite_model(distinct, np.full(m, 1.0 / m), np.eye(m)).states),
+        ("values map", ValuesMap(support=distinct, B=np.zeros((1, m))).support),
+        ("table kernel", table_kernel(distinct, np.eye(m)).states),
+    ]
+
+
+class TestCheckedPointTuples:
+    @given(point_lists())
+    def test_carried_coordinates_are_the_stack_bit_for_bit(self, pts):
+        for name, field in checked_point_fields(pts):
+            expected = np.array([p.coords for p in field])
+            carried = coords_matrix(field)
+            assert carried.dtype == np.float64 and carried.shape == expected.shape, name
+            assert carried.tobytes() == expected.tobytes(), name
+            assert carried.flags.c_contiguous and not carried.flags.writeable, name
+            assert _point_tuple(field, name) is field, name
+
+    @pytest.mark.parametrize(
+        "copier",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copies_carry_a_read_only_rebuilt_array(self, copier):
+        model = random_model(np.random.default_rng(0), 3)
+        sample = sample_pairs(model, 20, seed=1)
+        est = fit_tikhonov_closed_form(sample, GAUSS, 0.1)
+        for value, names in ((sample, "XY"), (est, "XY"), (model, ["states"])):
+            twin = copier(value)
+            for name in names:
+                field = getattr(twin, name)
+                assert field == getattr(value, name)
+                carried = coords_matrix(field)
+                assert not carried.flags.writeable
+                assert np.array_equal(carried, np.array([p.coords for p in field]))
+                assert _point_tuple(field, name) is field
 
 
 class TestStationaryDistribution:

@@ -44,7 +44,6 @@ from .estimators import (
     Tikhonov,
     _training_risk_and_hs,
     fit_cme,
-    fit_tikhonov_closed_form,
 )
 from .kernels import GaussianKernel, Kernel, LaplacianKernel, Point, coords_matrix, gram
 from .spectral import edmd_eigen, eigen_residuals
@@ -486,13 +485,10 @@ def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
         raise ConfigError(f"{cfg.path}: lambda must be > 0, got {lam}")
     sample = _load_sample(cfg, _resolve_seed(cfg, seed))
     out_path = _resolve_out(cfg, out)
-    if isinstance(filt, Tikhonov):
-        est = fit_tikhonov_closed_form(sample, kernel, lam)
-    else:
-        try:
-            est = fit_cme(sample, kernel, filt, lam)
-        except DivergentStepError as exc:
-            raise ConfigError(f"{cfg.path}: [filter] {exc}") from exc
+    try:
+        est = fit_cme(sample, kernel, filt, lam)
+    except DivergentStepError as exc:
+        raise ConfigError(f"{cfg.path}: [filter] {exc}") from exc
     _warn_jitter(est.jitter)
     write_estimator(out_path, est)
     risk, hs = _training_risk_and_hs(est)
@@ -701,7 +697,7 @@ def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int
             lam = c * n ** (-p)
             with _invalid(f"{cfg.path}: invalid sampling parameters"):
                 sample = md.sample_pairs(model, n, the_seed)
-            est = fit_tikhonov_closed_form(sample, kernel, lam)
+            est = fit_cme(sample, kernel, Tikhonov(), lam)
             _warn_jitter(est.jitter, where=f"n = {n}: ")
             diff = md.op_norm_diff(
                 md.estimator_values(est, model, kernel), exact_vals, model, kernel

@@ -16,11 +16,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import Kernel, Point, _frozen_array, _point_tuple, cross_gram, gram
+from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram, gram
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedEmbedding:
+class WeightedEmbedding(_Rebuilt):
     """Finite expansion sum_i weights[i] * phi(support[i]) in the RKHS."""
 
     kernel: Kernel

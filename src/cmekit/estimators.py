@@ -11,23 +11,23 @@ lambda; in Gram coordinates it enters as G_X + n*lam*I (equivalently as a
 spectral filter applied to the eigenvalues of G_X / n), so lambda stays
 comparable across sample sizes.
 
-Two fitting routes are provided and must agree for the Tikhonov filter:
+``fit_cme`` is the one fit entry, with one route per filter:
 
-    fit_cme                   g_lam applied to the eigenvalues of G_X / n
-    fit_tikhonov_closed_form  one symmetric positive-definite solve of
-                              (G_X + n*lam*I) W = I
+    Tikhonov           one symmetric positive-definite solve of
+                       (G_X + n*lam*I) W = I
+    cutoff, Landweber  g_lam applied to the eigenvalues of G_X / n
 
 Both routes work on the distinct support: if X holds only m < n distinct
-points D with counts C, G_X = E K_D E^T for the n x m indicator E, so both
-fits do m x m algebra on S = C^{1/2} K_D C^{1/2} and expand W exactly by the
-push-through identity (see ``_on_sample``).  With no repeated point S is G_X
-and W is computed exactly as the n x n algebra above.
+points D with counts C, G_X = E K_D E^T for the n x m indicator E, so the
+fit does m x m algebra on S = C^{1/2} K_D C^{1/2} and expands W exactly by
+the push-through identity (see ``_on_sample``).  With no repeated point S is
+G_X and W is computed exactly as the n x n algebra above.
 
 Filters: Tikhonov g(s) = 1/(s + lam); hard cutoff g(s) = 1/s for s >= lam,
 else 0; Landweber g(s) = (1 - (1 - eta*s)^m) / s with the s = 0 limit m*eta.
-Eigenvalues below 1e-12 of the largest are treated as exactly 0 for the
-cutoff and Landweber filters (round-off directions contribute nothing to the
-fitted map but would destabilize those filters).
+Eigenvalues below 1e-12 of the largest are treated as exactly 0 (round-off
+directions contribute nothing to the fitted map but would destabilize the
+cutoff and Landweber filters).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 import scipy.linalg
 
 from .embeddings import WeightedEmbedding
-from .kernels import Kernel, Point, _frozen_array, _point_tuple, cross_gram, gram, kernel_eval
+from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram, gram, kernel_eval
 
 RANK_TOL = 1e-12
 JITTER_SCALE = 1e-10
@@ -120,16 +120,17 @@ def filter_value(filt: SpectralFilter, lam: float, s: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class CmeEstimator:
+class CmeEstimator(_Rebuilt):
     """Fitted estimator: training points plus the n x n coefficient matrix W.
 
     The predicted embedding at x is supported on Y with weights W @ k_X(x).
     For estimators fitted with the Tikhonov filter, W is the solution of
     (G_X + n*lam*I) W = I (checked in the test suite, not at construction,
     since exact oracle witnesses legitimately carry hand-built W).  ``jitter``
-    is what the closed-form fit added to the diagonal of the system it
-    factored, G_X + n*lam*I or, on repeated points, its m x m distinct-support
-    form S + n*lam*I (0.0 when none); estimator files do not store it.
+    is what the Tikhonov fit added to the diagonal of the system it factored,
+    G_X + n*lam*I or, on repeated points, its m x m distinct-support form
+    S + n*lam*I (0.0 when none; the other filters factor nothing); estimator
+    files do not store it.
     """
 
     kernel: Kernel
@@ -241,9 +242,7 @@ def _filtered_coefficients(
     """Z = (1/n) U g_lam(s) U^T from the eigendecomposition S/n = U diag(s) U^T, and g_lam(0) / n."""
     s, U = np.linalg.eigh(S / n)
     s_max = max(float(s[-1]), 0.0)
-    if not isinstance(filt, Tikhonov):
-        # round-off eigenvalues act as exact zeros for cutoff / Landweber
-        s = np.where(s < RANK_TOL * s_max, 0.0, s)
+    s = np.where(s < RANK_TOL * s_max, 0.0, s)            # round-off eigenvalues act as exact zeros
     if isinstance(filt, Landweber) and filt.step_size * s_max > 2.0:
         raise DivergentStepError(
             f"Landweber step_size {filt.step_size} violates step_size * max spectrum "
@@ -254,36 +253,32 @@ def _filtered_coefficients(
 
 
 def fit_cme(sample: PairedSample, kernel: Kernel, filt: SpectralFilter, lam: float) -> CmeEstimator:
-    """Fit the regularized estimator with a generic spectral filter.
+    """Fit the regularized estimator with a spectral filter: the package's one fit entry.
 
-    Eigendecomposes the distinct-support system S / n (G_X / n when no point
-    repeats) and applies the scalar filter to the spectrum; for the Tikhonov
-    filter this is algebraically identical to :func:`fit_tikhonov_closed_form`.
-    """
-    if not (lam > 0):
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    S, inv, counts = _support_gram(kernel, sample.X)
-    W = _on_sample(*_filtered_coefficients(S, sample.n, filt, lam), inv, counts)
-    return CmeEstimator(kernel=kernel, lam=lam, filt=filt, X=sample.X, Y=sample.Y, W=W)
-
-
-def fit_tikhonov_closed_form(sample: PairedSample, kernel: Kernel, lam: float) -> CmeEstimator:
-    """Fit the Tikhonov estimator via the closed-form normal equations.
-
-    W solves (G_X + n*lam*I) W = I.  It is found through one positive-definite
-    linear solve of the m x m distinct-support system (S + n*lam*I) Z = I,
-    which is the n x n system itself when no point repeats; no matrix inverse
-    is ever formed explicitly.
+    Tikhonov is one positive-definite solve of the m x m distinct-support
+    system (S + n*lam*I) Z = I, which is (G_X + n*lam*I) W = I itself when no
+    point repeats; no matrix inverse is ever formed explicitly.  Cutoff and
+    Landweber eigendecompose S / n and apply the scalar filter to its spectrum.
     """
     if not (lam > 0):
         raise ValueError(f"lambda must be > 0, got {lam}")
     n = sample.n
     S, inv, counts = _support_gram(kernel, sample.X)
-    Z, jitter = solve_pd(S, np.eye(len(counts), order="F"), n * lam)
-    W = _on_sample(Z, 1.0 / (n * lam), inv, counts)
+    jitter = 0.0
+    if isinstance(filt, Tikhonov):
+        Z, jitter = solve_pd(S, np.eye(len(counts), order="F"), n * lam)
+        g0 = 1.0 / (n * lam)
+    else:
+        Z, g0 = _filtered_coefficients(S, n, filt, lam)
+    W = _on_sample(Z, g0, inv, counts)
     return CmeEstimator(
-        kernel=kernel, lam=lam, filt=Tikhonov(), X=sample.X, Y=sample.Y, W=W, jitter=jitter
+        kernel=kernel, lam=lam, filt=filt, X=sample.X, Y=sample.Y, W=W, jitter=jitter
     )
+
+
+def fit_tikhonov_closed_form(sample: PairedSample, kernel: Kernel, lam: float) -> CmeEstimator:
+    """Shorthand for ``fit_cme(sample, kernel, Tikhonov(), lam)``."""
+    return fit_cme(sample, kernel, Tikhonov(), lam)
 
 
 def _query_weights(est: CmeEstimator, x: Point) -> np.ndarray:

@@ -17,7 +17,7 @@ stores its validated table symmetrized, so k(x, y) and k(y, x) agree bit for bit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -92,6 +92,14 @@ def _frozen_array(values, what: str, dtype: type = float) -> np.ndarray:
     return arr
 
 
+class _Rebuilt:
+    """Mixin for frozen dataclasses holding arrays: pickle and deepcopy go through the
+    constructor, so the checks run again and the arrays come back read-only."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 def coords_matrix(points: Sequence[Point]) -> np.ndarray:
     """The points' (n, d) float64 coordinates; empty or mixed-dimension lists raise ValueError.
 
@@ -124,7 +132,7 @@ class LaplacianKernel:
 
 
 @dataclass(frozen=True)
-class TableKernel:
+class TableKernel(_Rebuilt):
     """Explicit kernel table over a finite state set.
 
     ``values[i][j]`` is k(states[i], states[j]).  The matrix must be

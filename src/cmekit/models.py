@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .estimators import CmeEstimator, Cutoff, PairedSample, _support, solve_pd
-from .kernels import Kernel, Point, _frozen_array, _point_tuple, cross_gram, gram
+from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram, gram
 
 COND_TOL = 1e-10
 STATIONARY_TOL = 1e-10
@@ -41,7 +41,7 @@ BLOWUP_LIMIT = 1e6
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteMarkovModel:
+class FiniteMarkovModel(_Rebuilt):
     """Exact marginal and Markov kernel(s) on m enumerated states."""
 
     states: tuple[Point, ...]
@@ -100,7 +100,7 @@ def with_alt(model: FiniteMarkovModel, transition_alt: np.ndarray) -> FiniteMark
 
 
 @dataclass(frozen=True, eq=False)
-class ValuesMap:
+class ValuesMap(_Rebuilt):
     """Gram-coordinate restriction of an operator H -> L2(pi).
 
     ``B @ c`` gives the values at the m model states of the image of
@@ -122,7 +122,7 @@ class ValuesMap:
 
 
 @dataclass(frozen=True, eq=False)
-class RegressionFunctionRep:
+class RegressionFunctionRep(_Rebuilt):
     """State-supported embedding-valued function: F(e_i) = sum_j C[i, j] phi(e_j)."""
 
     C: np.ndarray

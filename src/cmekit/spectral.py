@@ -35,14 +35,14 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .estimators import PairedSample, _factor_pd
-from .kernels import Kernel, Point, _frozen_array, _point_tuple, cross_gram, gram
+from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram, gram
 
 DENSE_EIG_LIMIT = 1200
 _PAIR_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class EdmdResult:
+class EdmdResult(_Rebuilt):
     """Top eigenvalues and eigenfunction coefficients of the fitted operator.
 
     ``coeffs[:, j]`` expands eigenfunction j over the training features:

@@ -168,20 +168,26 @@ def test_criterion_03_mmd_relation():
 
 def test_criterion_04_closed_form_equivalence():
     t0 = time.perf_counter()
-    rng = rng_for(400)
+    rng, repeat_rng = rng_for(400), rng_for(401)
     worst = 0.0
     for _ in range(50):
         n = int(rng.integers(2, 201))
         d = int(rng.integers(1, 4))
         lam = float(10.0 ** rng.uniform(-4, 0))
-        sample = PairedSample(
-            X=tuple(pt(*row) for row in rng.normal(size=(n, d)) * 2.0),
-            Y=tuple(pt(*row) for row in rng.normal(size=(n, d)) * 2.0),
-        )
-        w_filter = fit_cme(sample, GAUSS, Tikhonov(), lam).W
-        w_closed = fit_tikhonov_closed_form(sample, GAUSS, lam).W
-        worst = max(worst, float(np.max(np.abs(w_filter - w_closed))))
-        assert worst <= 1e-8
+        X = tuple(pt(*row) for row in rng.normal(size=(n, d)) * 2.0)
+        Y = tuple(pt(*row) for row in rng.normal(size=(n, d)) * 2.0)
+        # distinct points, then X resampled with repeats (the fit's distinct-support branch)
+        for sample in (
+            PairedSample(X=X, Y=Y),
+            PairedSample(X=tuple(X[i] for i in repeat_rng.integers(0, n, size=n)), Y=Y),
+        ):
+            # the spectral-filter formula: W = (1/n) U g(s) U^T, g(s) = 1/(s + lam), from
+            # G_X / n = U diag(s) U^T
+            s, U = np.linalg.eigh(gram(GAUSS, sample.X) / n)
+            w_filter = (U * (1.0 / (s + lam))) @ U.T / n
+            w_closed = fit_cme(sample, GAUSS, Tikhonov(), lam).W
+            worst = max(worst, float(np.max(np.abs(w_filter - w_closed))))
+            assert worst <= 1e-8
     elapsed = time.perf_counter() - t0
     assert elapsed <= 10.0
     report(4, "closed-form equivalence", f"worst entry diff {worst:.2e}, {elapsed:.1f}s")

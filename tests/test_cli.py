@@ -348,6 +348,14 @@ out = {tmp_path / 'eig.csv'}
         assert code == 2
         assert "r out of range" in capsys.readouterr().err
 
+    def test_r_above_the_distinct_states_exits_1(self, tmp_path, capsys):
+        # r <= n passes validation, but 4 states give only 4 eigenfunctions of nonzero norm
+        model_file = tmp_path / "model.txt"
+        write_model_file(str(model_file), random_model(np.random.default_rng(2), 4))
+        config = self._config(tmp_path, model_file, n=400, r=5, seed=11)
+        assert main(["edmd", "--config", config]) == 1
+        assert "zero RKHS norm" in capsys.readouterr().err
+
     def test_determinism(self, tmp_path):
         model = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))
         model_file = tmp_path / "model.txt"

@@ -1,4 +1,4 @@
-"""Spectral filters, the two fitting routes, predictions, and risks."""
+"""Spectral filters, the fit and its full-size reference routes, predictions, and risks."""
 
 from fractions import Fraction
 
@@ -69,7 +69,10 @@ def full_closed_form_W(sample, kernel, lam):
 
 
 def full_filtered_W(sample, kernel, filt, lam):
-    """The uncompressed filter route: W = (1/n) U g(s) U^T from G_X / n = U diag(s) U^T."""
+    """The uncompressed filter route: W = (1/n) U g(s) U^T from G_X / n = U diag(s) U^T.
+
+    For Tikhonov this spectral formula is the reference the Cholesky fit is checked against.
+    """
     n = sample.n
     s, U = np.linalg.eigh(gram(kernel, sample.X) / n)
     s_max = max(float(s[-1]), 0.0)
@@ -82,7 +85,7 @@ def full_filtered_W(sample, kernel, filt, lam):
 
 
 def assert_fits_match_full_routes(sample, kernel, lam, filters):
-    """Both fits equal the uncompressed routes within 1e-10 of max |W|, or both diverge."""
+    """The fit equals the uncompressed routes within 1e-10 of max |W|, or both diverge."""
     def close(W, ref):
         assert np.max(np.abs(W - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -176,14 +179,14 @@ class TestFitting:
             assert np.linalg.norm(w) <= 1e-6
 
     def test_closed_form_equivalence(self):
-        # the two independent linear-algebra routes agree entrywise
+        # the Cholesky fit agrees entrywise with the independent spectral-filter formula
         rng = np.random.default_rng(21)
         for _ in range(50):
             n = int(rng.integers(2, 201))
             d = int(rng.integers(1, 4))
             lam = float(10.0 ** rng.uniform(-4, 0))
             sample = random_sample(rng, n, d)
-            w_filter = fit_cme(sample, GAUSS, Tikhonov(), lam).W
+            w_filter = full_filtered_W(sample, GAUSS, Tikhonov(), lam)
             w_closed = fit_tikhonov_closed_form(sample, GAUSS, lam).W
             assert np.max(np.abs(w_filter - w_closed)) <= 1e-8
 
@@ -296,9 +299,9 @@ class TestDistinctSupport:
         rng = np.random.default_rng(24)
         sample = random_sample(rng, 50, d=2)
         for lam in (1e-3, 0.1):
-            W = fit_tikhonov_closed_form(sample, GAUSS, lam).W
+            W = fit_cme(sample, GAUSS, Tikhonov(), lam).W
             assert np.array_equal(W, full_closed_form_W(sample, GAUSS, lam))
-            for filt in (Tikhonov(), Cutoff(), Landweber(20, 0.9)):
+            for filt in (Cutoff(), Landweber(20, 0.9)):
                 W = fit_cme(sample, GAUSS, filt, lam).W
                 assert np.array_equal(W, full_filtered_W(sample, GAUSS, filt, lam))
 
@@ -344,10 +347,12 @@ class TestFactorization:
         kernel = GaussianKernel(bandwidth=10.0)
         # trace(G_X + n*lam*I) / n = 1 + n*lam for a Gaussian kernel
         expected = JITTER_SCALE * (1.0 + 30 * 1e-17)
-        jittered = fit_tikhonov_closed_form(sample, kernel, 1e-17)
+        jittered = fit_cme(sample, kernel, Tikhonov(), 1e-17)
         assert jittered.jitter == pytest.approx(expected, rel=1e-12)
+        assert fit_tikhonov_closed_form(sample, kernel, 1e-17).jitter == jittered.jitter
         assert fit_tikhonov_closed_form(sample, kernel, 1e-2).jitter == 0.0
-        assert fit_cme(sample, kernel, Tikhonov(), 1e-17).jitter == 0.0
+        # the spectral filters factor nothing
+        assert fit_cme(sample, kernel, Cutoff(), 1e-17).jitter == 0.0
 
 
 class TestPrediction:

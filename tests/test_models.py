@@ -6,13 +6,15 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given
+import scipy.linalg
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmekit import (
     CmeEstimator,
     EdmdResult,
     GaussianKernel,
+    LaplacianKernel,
     RegressionFunctionRep,
     Cutoff,
     Landweber,
@@ -253,6 +255,57 @@ class TestCheckedPointTuples:
                 assert _point_tuple(field, name) is field
 
 
+def _small_fit():
+    model = random_model(np.random.default_rng(0), 3)
+    return fit_cme(sample_pairs(model, 20, seed=1), GAUSS, Tikhonov(), 0.1)
+
+
+@pytest.mark.parametrize(
+    "copier", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+@pytest.mark.parametrize(
+    "build, names",
+    [
+        pytest.param(_small_fit, ["W"], id="estimator"),
+        pytest.param(
+            lambda: random_model(np.random.default_rng(0), 3, alt=True),
+            ["marginal", "transition", "transition_alt"],
+            id="model",
+        ),
+        pytest.param(
+            lambda: EdmdResult(np.ones(1), np.ones((3, 1)), chain_states(3), GAUSS, 1.0, [0.0]),
+            ["eigenvalues", "coeffs", "residuals"],
+            id="edmd",
+        ),
+        pytest.param(
+            lambda: WeightedEmbedding(kernel=GAUSS, support=chain_states(3), weights=np.ones(3)),
+            ["weights"],
+            id="embedding",
+        ),
+        pytest.param(
+            lambda: exact_operator_values(random_model(np.random.default_rng(0), 3), GAUSS),
+            ["B"],
+            id="values-map",
+        ),
+        pytest.param(
+            lambda: cme_function(random_model(np.random.default_rng(0), 3)), ["C"], id="regression"
+        ),
+        pytest.param(
+            lambda: table_kernel(chain_states(3), np.eye(3)), ["_values_array"], id="table-kernel"
+        ),
+    ],
+)
+def test_copies_rebuild_read_only_arrays(build, names, copier):
+    # frozen dataclasses restore __dict__ and skip __post_init__ unless rebuilt
+    value = build()
+    twin = copier(value)
+    assert type(twin) is type(value)
+    for name in names:
+        arr = getattr(twin, name)
+        assert not arr.flags.writeable, name
+        assert np.array_equal(arr, getattr(value, name)), name
+
+
 class TestStationaryDistribution:
     def test_identity_preserves_uniform_start(self):
         assert np.allclose(stationary_distribution(np.eye(2)), [0.5, 0.5], atol=1e-15)
@@ -415,6 +468,39 @@ class TestOpNormDiff:
             quad = np.einsum("ki,ji,jl,kl->k", C, D, D * model.marginal[:, None], C)
             best = np.sqrt(np.max(quad / h_norms))
             assert norm >= best - 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        width=st.floats(0.5, 1.5),
+        laplacian=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_norm_is_the_sup_of_the_rayleigh_quotient(self, m, width, laplacian, seed):
+        # a route that shares no formula with op_norm_diff: random coefficient vectors
+        # never beat the norm, and the top eigenvector of the Cholesky-whitened
+        # quotient matrix attains it
+        rng = np.random.default_rng(seed)
+        kernel = LaplacianKernel(width) if laplacian else GaussianKernel(width)
+        model = random_model(rng, m)
+        vals_a = exact_operator_values(model, kernel)
+        B = rng.standard_normal((m, m))
+        perm = rng.permutation(m)
+        vals_b = ValuesMap(support=tuple(model.states[j] for j in perm), B=B[:, perm])
+        norm_sq = op_norm_diff(vals_a, vals_b, model, kernel) ** 2
+        D = vals_a.B - B
+        K_Z = gram(kernel, model.states)
+
+        def quotient(c):
+            return float(model.marginal @ (D @ c) ** 2 / (c @ K_Z @ c))
+
+        for c in rng.standard_normal((500, m)):
+            assert quotient(c) <= norm_sq * (1.0 + 1e-12)
+        L = np.linalg.cholesky(K_Z)
+        whitened = scipy.linalg.solve_triangular(L, D.T * np.sqrt(model.marginal), lower=True)
+        u = np.linalg.eigh(whitened @ whitened.T)[1][:, -1]
+        top = scipy.linalg.solve_triangular(L.T, u, lower=False)
+        assert quotient(top) == pytest.approx(norm_sq, rel=1e-9)
 
     def test_off_state_training_Y_is_refused(self):
         # the exact map knows P only on phi(states); the old zero-padding of
@@ -583,6 +669,25 @@ class TestMmdIntegral:
 
 
 class TestExactRisk:
+    def test_brute_force_double_sum(self):
+        # sum_i pi_i sum_j P_ij ||phi(e_j) - F(e_i)||^2, one kernel evaluation at a time
+        rng = rng_for(72)
+        for _ in range(20):
+            m = int(rng.integers(1, 6))
+            model = random_model(rng, m)
+            F = RegressionFunctionRep(C=rng.standard_normal((m, m)))
+            e, k = model.states, lambda a, b: kernel_eval(GAUSS, a, b)
+            pairs = [(t, u) for t in range(m) for u in range(m)]
+            total = scale = 0.0
+            for i in range(m):
+                norm_sq = sum(F.C[i, t] * F.C[i, u] * k(e[t], e[u]) for t, u in pairs)
+                for j in range(m):
+                    cross = sum(F.C[i, t] * k(e[t], e[j]) for t in range(m))
+                    weight = model.marginal[i] * model.transition[i, j]
+                    total += weight * (k(e[j], e[j]) - 2.0 * cross + norm_sq)
+                    scale += weight * (k(e[j], e[j]) + 2.0 * abs(cross) + norm_sq)
+            assert abs(exact_risk(F, model, GAUSS) - total) <= 1e-12 * scale
+
     def test_perfect_deterministic_prediction(self):
         perm = [1, 2, 0]
         model = finite_model(chain_states(3), np.full(3, 1 / 3), np.eye(3)[perm])

@@ -26,7 +26,7 @@ from cmekit import (
     stationary_distribution,
 )
 from cmekit.estimators import JITTER_SCALE
-from cmekit.models import chain_states, finite_model
+from cmekit.models import chain_states, finite_model, random_model
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 
@@ -140,6 +140,15 @@ class TestEdmdEigen:
             edmd_eigen(sample, GAUSS, 0.1, 0)
         with pytest.raises(ValueError, match="r out of range"):
             edmd_eigen(sample, GAUSS, 0.1, 11)
+
+    def test_r_above_the_distinct_states_is_refused(self):
+        # a 4-state sample has only 4 distinct X: eigenfunctions past the 4th lie in
+        # the null space of G_X
+        sample = sample_pairs(random_model(np.random.default_rng(2), 4), 400, 11)
+        assert edmd_eigen(sample, GAUSS, 1e-3, 4).r == 4
+        for r in (5, 6):
+            with pytest.raises(np.linalg.LinAlgError, match="zero RKHS norm.*reduce r"):
+                edmd_eigen(sample, GAUSS, 1e-3, r)
 
     def test_arnoldi_matches_dense(self, monkeypatch):
         rng = np.random.default_rng(45)

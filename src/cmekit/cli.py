@@ -75,10 +75,7 @@ class Config:
         return self.sections.get(section, {}).get(key, (default, -1))[0]
 
     def require(self, section: str, key: str) -> str:
-        value = self.get(section, key)
-        if value is None:
-            raise ConfigError(f"{self.path}: missing required key '{key}' in section [{section}]")
-        return value
+        return self._typed(section, key, str, "text")
 
     def _typed(self, section: str, key: str, conv, kind: str, default=None):
         raw = self.get(section, key)
@@ -404,46 +401,60 @@ def read_estimator(path: str) -> CmeEstimator:
 # ---------------------------------------------------------------------------
 
 
-def _load_sample(cfg: Config, seed: int) -> PairedSample:
+def _load_sample(
+    cfg: Config, seed: int, n: Optional[int] = None, model: Optional[md.FiniteMarkovModel] = None
+) -> PairedSample:
+    """The pairs in ``sample_file``, or ``n`` pairs (default ``[run] n``) drawn with ``seed``;
+    a finite-model source draws from ``model`` when given, without reading the file again."""
     source = cfg.require("data", "source").lower()
-    n = cfg.get_int("run", "n", default=0)
+    if source == "paired-sample":
+        return read_paired_sample(cfg.require("data", "sample_file"))
+    if source not in ("finite-model", "ou", "double-well"):
+        raise ConfigError(f"{cfg.path}: unknown data source '{source}'")
+    if source == "finite-model" and model is None:
+        model = read_model_file(cfg.require("data", "model_file"))
+    n = cfg.get_int("run", "n", default=0) if n is None else n
+    if n < 1:
+        raise ConfigError(f"{cfg.path}: sampled data sources need n >= 1 in [run]")
     # values from the config reach the samplers unchecked until here
     with _invalid(f"{cfg.path}: invalid sampling parameters"):
         if source == "finite-model":
-            model = read_model_file(cfg.require("data", "model_file"))
-            _require_n(cfg, n)
             return md.sample_pairs(model, n, seed)
         if source == "ou":
-            _require_n(cfg, n)
             return md.ou_sample_pairs(
                 theta=cfg.get_float("data", "theta"),
                 tau=cfg.get_float("data", "tau"),
                 n=n,
                 seed=seed,
             )
-        if source == "double-well":
-            _require_n(cfg, n)
-            return md.double_well_pairs(
-                beta=cfg.get_float("data", "beta"),
-                dt=cfg.get_float("data", "dt"),
-                steps_per_pair=cfg.get_int("data", "steps_per_pair"),
-                n=n,
-                seed=seed,
-            )
-    if source == "paired-sample":
-        return read_paired_sample(cfg.require("data", "sample_file"))
-    raise ConfigError(f"{cfg.path}: unknown data source '{source}'")
-
-
-def _require_n(cfg: Config, n: int) -> None:
-    if n < 1:
-        raise ConfigError(f"{cfg.path}: sampled data sources need n >= 1 in [run]")
+        return md.double_well_pairs(
+            beta=cfg.get_float("data", "beta"),
+            dt=cfg.get_float("data", "dt"),
+            steps_per_pair=cfg.get_int("data", "steps_per_pair"),
+            n=n,
+            seed=seed,
+        )
 
 
 def _resolve_seed(cfg: Config, override: Optional[int]) -> int:
-    if override is not None:
-        return override
-    return cfg.get_int("run", "seed", default=0)
+    seed = cfg.get_int("run", "seed", default=0) if override is None else override
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{cfg.path}: seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
+def _resolve_lambda(cfg: Config) -> float:
+    lam = cfg.get_float("run", "lambda")
+    if not 0.0 < lam < np.inf:
+        raise ConfigError(f"{cfg.path}: lambda must be > 0 and finite, got {lam}")
+    return lam
+
+
+def _resolve_r(cfg: Config, n: int, default: Optional[int] = None) -> int:
+    r = cfg.get_int("run", "r", default=default)
+    if not 1 <= r <= n:
+        raise ConfigError(f"{cfg.path}: r out of range: need 1 <= r <= n = {n}, got {r}")
+    return r
 
 
 def _resolve_out(cfg: Config, override: Optional[str], required: bool = True) -> Optional[str]:
@@ -480,9 +491,7 @@ def _warn_jitter(jitter: float, where: str = "", note: str = "") -> None:
 def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     kernel = build_kernel(cfg)
     filt = build_filter(cfg)
-    lam = cfg.get_float("run", "lambda")
-    if lam <= 0:
-        raise ConfigError(f"{cfg.path}: lambda must be > 0, got {lam}")
+    lam = _resolve_lambda(cfg)
     sample = _load_sample(cfg, _resolve_seed(cfg, seed))
     out_path = _resolve_out(cfg, out)
     try:
@@ -507,15 +516,11 @@ def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
 
 def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     kernel = build_kernel(cfg)
-    lam = cfg.get_float("run", "lambda")
-    if lam <= 0:
-        raise ConfigError(f"{cfg.path}: lambda must be > 0, got {lam}")
-    r = cfg.get_int("run", "r")
-    if r < 1:
-        raise ConfigError(f"{cfg.path}: r out of range: need r >= 1, got {r}")
+    lam = _resolve_lambda(cfg)
     sample = _load_sample(cfg, _resolve_seed(cfg, seed))
-    if r > sample.n:
-        raise ConfigError(f"{cfg.path}: r out of range: need r <= n = {sample.n}, got {r}")
+    r = _resolve_r(cfg, sample.n)
+    if sample.X[0].dim != sample.Y[0].dim:  # only a paired-sample file can differ
+        raise ConfigError(f"{cfg.get('data', 'sample_file')}: edmd needs x and y of one dimension")
     out_path = _resolve_out(cfg, out)
     result = edmd_eigen(sample, kernel, lam, r)
     _warn_jitter(result.jitter, note="; the residual column has no correct digits")
@@ -532,8 +537,10 @@ def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
 def cmd_mmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     del seed  # sample files fix the data; nothing random here
     kernel = build_kernel(cfg)
-    P = read_point_sample(cfg.require("data", "sample_file"))
-    Q = read_point_sample(cfg.require("data", "sample_file_2"))
+    files = [cfg.require("data", key) for key in ("sample_file", "sample_file_2")]
+    P, Q = map(read_point_sample, files)
+    if P[0].dim != Q[0].dim:
+        raise ConfigError(f"{files[0]}, {files[1]}: points of dimension {P[0].dim} and {Q[0].dim}")
     # the biased estimate exists for any nonempty samples; the unbiased one
     # needs two points per side, and its absence is a validation failure
     biased, unbiased = _mmd_sq(kernel, P, Q)
@@ -550,6 +557,14 @@ def cmd_mmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
         _log("error: the unbiased estimator needs n, m >= 2; reported as null")
         return 2
     return 0
+
+
+def _oracle_pair(
+    est: CmeEstimator, model: md.FiniteMarkovModel, kernel: Kernel, exact_vals: md.ValuesMap
+) -> tuple[float, float]:
+    """``||A_est - A||`` from H to L2(pi), ``A`` given by ``exact_vals``, and the excess risk."""
+    diff = md.op_norm_diff(md.estimator_values(est, model, kernel), exact_vals, model, kernel)
+    return diff, md.exact_excess_risk(est, model, kernel)
 
 
 def _verify_rows(model: md.FiniteMarkovModel, kernel: Kernel, seed: int) -> list[tuple]:
@@ -579,19 +594,16 @@ def _verify_rows(model: md.FiniteMarkovModel, kernel: Kernel, seed: int) -> list
         filt = [Tikhonov(), Cutoff(), Landweber(steps=int(rng.integers(1, 40)), step_size=0.9)][
             int(rng.integers(0, 3))
         ]
-        est = fit_cme(sample, kernel, filt, lam)
-        lhs = md.op_norm_diff(md.estimator_values(est, model, kernel), exact_vals, model, kernel) ** 2
-        rhs = md.exact_excess_risk(est, model, kernel)
-        if worst is None or lhs - rhs > worst[0] - worst[1]:
-            worst = (lhs, rhs)
+        diff, rhs = _oracle_pair(fit_cme(sample, kernel, filt, lam), model, kernel, exact_vals)
+        if worst is None or diff**2 - rhs > worst[0] - worst[1]:
+            worst = (diff**2, rhs)
     leq("operator-norm-bound", worst[0], worst[1], 1e-9)
 
     # sharpness: constant-difference witness attains equality
     shift = rng.standard_normal(model.m) * 0.3
     witness = md.constant_shift_estimator(model, kernel, shift)
-    lhs = md.op_norm_diff(md.estimator_values(witness, model, kernel), exact_vals, model, kernel) ** 2
-    rhs = md.exact_excess_risk(witness, model, kernel)
-    close("bound-sharpness", lhs, rhs, 1e-9)
+    diff, rhs = _oracle_pair(witness, model, kernel, exact_vals)
+    close("bound-sharpness", diff**2, rhs, 1e-9)
 
     # MMD relation for a pair of Markov kernels
     if model.transition_alt is not None:
@@ -659,69 +671,56 @@ def cmd_oracle_verify(cfg: Config, seed: Optional[int], out: Optional[str]) -> i
 
 
 def _parse_schedule(cfg: Config) -> tuple[float, float]:
-    """Parse 'c*n^-p' (or 'n^-p'), requiring p in (0, 1)."""
+    """Parse 'c*n^-p' (or 'n^-p'), requiring c > 0 and p in (0, 1)."""
     raw = cfg.require("run", "lambda_schedule").replace(" ", "")
     match = re.fullmatch(r"(?:([0-9.eE+-]+)\*)?n\^(-[0-9.eE+]+)", raw)
-    if match is None:
-        raise ConfigError(
-            f"{cfg.path}: lambda_schedule must look like 'c*n^-p' with p in (0,1), got '{raw}'"
-        )
-    c = float(match.group(1)) if match.group(1) else 1.0
-    p = -float(match.group(2))
-    if not (0.0 < p < 1.0) or c <= 0:
-        raise ConfigError(
-            f"{cfg.path}: lambda_schedule needs c > 0 and p in (0,1), got c={c}, p={p}"
-        )
+    with _invalid(f"{cfg.path}: lambda_schedule must be 'c*n^-p' with finite c > 0, p in (0,1)"):
+        if match is None:
+            raise ValueError(f"got '{raw}'")
+        c = float(match.group(1) or 1.0)
+        p = -float(match.group(2))
+        if not (0.0 < p < 1.0 and 0.0 < c < np.inf):
+            raise ValueError(f"got c={c}, p={p}")
     return c, p
 
 
 def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     kernel = build_kernel(cfg)
-    grid_raw = cfg.require("run", "n_grid").split()
-    try:
-        grid = [int(g) for g in grid_raw]
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.path}: n_grid must be integers, got '{cfg.get('run','n_grid')}'") from exc
-    if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
-        raise ConfigError(f"{cfg.path}: n_grid must be strictly ascending positive integers")
+    raw = cfg.require("run", "n_grid")
+    with _invalid(f"{cfg.path}: n_grid must be strictly ascending positive integers"):
+        grid = [int(g) for g in raw.split()]
+        if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError(f"got '{raw}'")
     c, p = _parse_schedule(cfg)
     the_seed = _resolve_seed(cfg, seed)
     source = cfg.require("data", "source").lower()
+    if source not in ("finite-model", "ou"):
+        raise ConfigError(f"{cfg.path}: convergence supports finite-model or ou sources")
     out_path = _resolve_out(cfg, out)
-
-    rows = ["n,lambda,op_norm_diff,exact_excess_risk,eig_errors"]
+    model = None
     if source == "finite-model":
         model = read_model_file(cfg.require("data", "model_file"))
         exact_vals = md.exact_operator_values(model, kernel)
-        for n in grid:
-            lam = c * n ** (-p)
-            with _invalid(f"{cfg.path}: invalid sampling parameters"):
-                sample = md.sample_pairs(model, n, the_seed)
-            est = fit_cme(sample, kernel, Tikhonov(), lam)
-            _warn_jitter(est.jitter, where=f"n = {n}: ")
-            diff = md.op_norm_diff(
-                md.estimator_values(est, model, kernel), exact_vals, model, kernel
-            )
-            excess = md.exact_excess_risk(est, model, kernel)
-            rows.append(f"{n},{_fmt(lam)},{_fmt(diff)},{_fmt(excess)},")
-    elif source == "ou":
+    else:
         theta = cfg.get_float("data", "theta")
         tau = cfg.get_float("data", "tau")
-        r = cfg.get_int("run", "r", default=3)
-        for n in grid:
-            if not (1 <= r <= n):
-                raise ConfigError(f"{cfg.path}: r out of range: need 1 <= r <= {n}, got {r}")
-            lam = c * n ** (-p)
-            with _invalid(f"{cfg.path}: invalid sampling parameters"):
-                sample = md.ou_sample_pairs(theta, tau, n, the_seed)
+        r = _resolve_r(cfg, grid[0], default=3)
+
+    rows = ["n,lambda,op_norm_diff,exact_excess_risk,eig_errors"]
+    for n in grid:
+        lam = c * n ** (-p)
+        sample = _load_sample(cfg, the_seed, n, model)
+        if model is not None:
+            est = fit_cme(sample, kernel, Tikhonov(), lam)
+            _warn_jitter(est.jitter, where=f"n = {n}: ")
+            diff, excess = _oracle_pair(est, model, kernel, exact_vals)
+            rows.append(f"{n},{_fmt(lam)},{_fmt(diff)},{_fmt(excess)},")
+        else:
             result = edmd_eigen(sample, kernel, lam, r)
             _warn_jitter(result.jitter, where=f"n = {n}: ")
             targets = np.exp(-np.arange(r) * theta * tau)
             errors = np.abs(np.abs(result.eigenvalues) - targets)
-            err_text = ";".join(_fmt(e) for e in errors)
-            rows.append(f"{n},{_fmt(lam)},,,{err_text}")
-    else:
-        raise ConfigError(f"{cfg.path}: convergence supports finite-model or ou sources")
+            rows.append(f"{n},{_fmt(lam)},,,{';'.join(_fmt(e) for e in errors)}")
     _emit("\n".join(rows) + "\n", out_path)
     return 0
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +327,20 @@ out = {tmp_path / 'eig.csv'}
 """,
         )
 
+    def test_x_and_y_of_two_dimensions(self, tmp_path, capsys):
+        # estimate regresses a 1-d x on a 2-d y; edmd needs one space for both
+        pairs = tmp_path / "pairs.txt"
+        sample = PairedSample(X=(pt(0.0), pt(1.0)), Y=(pt(0.0, 1.0), pt(1.0, 0.0)))
+        write_paired_sample(str(pairs), sample)
+        cfg = estimate_config(tmp_path, pairs)
+        assert main(["estimate", "--config", cfg]) == 0
+        capsys.readouterr()
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write("r = 1\n")
+        assert main(["edmd", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pairs}: edmd needs x and y of one dimension")
+
     def test_identity_dynamics_csv(self, tmp_path):
         model = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))
         model_file = tmp_path / "model.txt"
@@ -449,6 +464,13 @@ sample_file_2 = {file_b}
         report = json.loads(capsys.readouterr().out)
         assert isinstance(report["biased"], float) and isinstance(report["unbiased"], float)
         assert sorted(built) == [("cross_gram", 3, 4), ("gram", 3), ("gram", 4)]
+
+    def test_samples_of_two_dimensions_exit_2(self, tmp_path, capsys):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_point_sample(str(a), [pt(0.0), pt(1.0)])
+        write_point_sample(str(b), [pt(0.0, 1.0), pt(1.0, 0.0)])
+        assert main(["mmd", "--config", self._config(tmp_path, a, b)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {a}, {b}: points of dimension 1 and 2")
 
     def test_both_estimates(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -654,9 +676,12 @@ out = {tmp_path / 'conv.csv'}
         model = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))
         model_file = tmp_path / "model.txt"
         write_model_file(str(model_file), model)
-        cfg = self._config(tmp_path, model_file, schedule="n^-1.5")
-        assert main(["convergence", "--config", cfg]) == 2
-        assert "lambda_schedule" in capsys.readouterr().err
+        # p outside (0, 1); numbers the pattern admits but float() does not; an infinite c
+        for schedule in ("n^-1.5", "1.2.3*n^-0.5", "n^-0.5.5", "1e999*n^-0.5"):
+            cfg = self._config(tmp_path, model_file, schedule=schedule)
+            assert main(["convergence", "--config", cfg]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {cfg}: lambda_schedule") and "ValueError" not in err
 
     def test_non_ascending_grid(self, tmp_path, capsys):
         model = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))
@@ -693,6 +718,14 @@ out = {tmp_path / 'e1.txt'}
         assert main(["estimate", "--config", cfg]) == 0
         assert main(["estimate", "--config", cfg, "--seed", "2", "--out", str(tmp_path / "e2.txt")]) == 0
         assert (tmp_path / "e1.txt").read_bytes() != (tmp_path / "e2.txt").read_bytes()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        model_file = tmp_path / "model.txt"
+        write_model_file(str(model_file), finite_model(chain_states(2), [0.5, 0.5], np.eye(2)))
+        cfg = write(tmp_path / "ov.cfg", KERNEL + MODEL_DATA.format(data=model_file))
+        assert main(["oracle-verify", "--config", cfg, "--seed", seed]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: seed must be")
 
     def test_unknown_source(self, tmp_path, capsys):
         cfg = write(
@@ -915,6 +948,15 @@ MODEL_FILE = "finite-model v1\nstates 2 1\n0\n1\npi 2\n{pi}\ntransition 2 2\n0.5
             None,
             id="landweber-divergent-step",
         ),
+        *(
+            pytest.param(
+                "estimate",
+                KERNEL + TIKHONOV + OU_DATA.format(theta=1) + ESTIMATE_RUN.replace("0.1", lam),
+                None,
+                id=f"{lam}-lambda",
+            )
+            for lam in ("nan", "inf")
+        ),
         pytest.param(
             "mmd", KERNEL + MMD_DATA, "sample v1\npoints 2 1\n0.5\nnan\n", id="nan-coordinate"
         ),
@@ -944,3 +986,14 @@ def test_validation_failures_exit_2(tmp_path, capsys, command, config, data):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "ValueError" not in err
     assert (data_path or cfg) in err
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    # the README's ou.cfg example, taken verbatim from its heredoc
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"cat > ou\.cfg <<'CFG'\n(.*?\n)CFG\n", readme, re.DOTALL)
+    assert match is not None, "README no longer holds the ou.cfg heredoc"
+    cfg = write(tmp_path / "ou.cfg", match.group(1))
+    assert main(["estimate", "--config", cfg, "--out", str(tmp_path / "est.txt")]) == 0
+    assert main(["edmd", "--config", cfg, "--out", str(tmp_path / "eig.csv")]) == 0
+    assert "warning" not in capsys.readouterr().err

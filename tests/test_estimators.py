@@ -167,8 +167,6 @@ class TestFitting:
         for lam in (0.5, 1.0, 3.0):
             est = fit_cme(singleton_sample(), GAUSS, Tikhonov(), lam)
             assert est.W[0, 0] == pytest.approx(1.0 / (1.0 + lam), abs=1e-14)
-            closed = fit_tikhonov_closed_form(singleton_sample(), GAUSS, lam)
-            assert closed.W[0, 0] == pytest.approx(1.0 / (1.0 + lam), abs=1e-14)
 
     def test_huge_lambda_kills_weights(self):
         rng = np.random.default_rng(20)
@@ -209,13 +207,9 @@ class TestFitting:
             st.sampled_from([Tikhonov(), Cutoff()])
             | st.builds(Landweber, st.integers(1, 50), st.floats(0.1, 1.5))
         )
-        for fit in (
-            lambda s: fit_cme(s, kernel, filt, lam),
-            lambda s: fit_tikhonov_closed_form(s, kernel, lam),
-        ):
-            W = fit(sample).W
-            W_perm = fit(permuted).W
-            assert np.max(np.abs(W_perm - W[np.ix_(perm, perm)])) <= 1e-10 * np.max(np.abs(W))
+        W = fit_cme(sample, kernel, filt, lam).W
+        W_perm = fit_cme(permuted, kernel, filt, lam).W
+        assert np.max(np.abs(W_perm - W[np.ix_(perm, perm)])) <= 1e-10 * np.max(np.abs(W))
 
     def test_tikhonov_inverse_roundtrip(self):
         rng = np.random.default_rng(22)
@@ -234,11 +228,8 @@ class TestFitting:
         k = table_kernel(states, np.eye(3))
         sample = PairedSample(X=states, Y=states)
         lam = 0.2
-        for fit in (
-            fit_tikhonov_closed_form(sample, k, lam),
-            fit_cme(sample, k, Tikhonov(), lam),
-        ):
-            assert np.max(np.abs(fit.W - np.eye(3) / (1.0 + 3 * lam))) <= 1e-12
+        fit = fit_cme(sample, k, Tikhonov(), lam)
+        assert np.max(np.abs(fit.W - np.eye(3) / (1.0 + 3 * lam))) <= 1e-12
 
     def test_lambda_validation(self):
         with pytest.raises(ValueError):
@@ -349,8 +340,10 @@ class TestFactorization:
         expected = JITTER_SCALE * (1.0 + 30 * 1e-17)
         jittered = fit_cme(sample, kernel, Tikhonov(), 1e-17)
         assert jittered.jitter == pytest.approx(expected, rel=1e-12)
-        assert fit_tikhonov_closed_form(sample, kernel, 1e-17).jitter == jittered.jitter
-        assert fit_tikhonov_closed_form(sample, kernel, 1e-2).jitter == 0.0
+        # the shorthand runs the same fit: the same W, bit for bit, and the same jitter
+        shorthand = fit_tikhonov_closed_form(sample, kernel, 1e-17)
+        assert np.array_equal(shorthand.W, jittered.W) and shorthand.jitter == jittered.jitter
+        assert fit_cme(sample, kernel, Tikhonov(), 1e-2).jitter == 0.0
         # the spectral filters factor nothing
         assert fit_cme(sample, kernel, Cutoff(), 1e-17).jitter == 0.0
 

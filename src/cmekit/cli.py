@@ -560,7 +560,7 @@ def cmd_mmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
 
 
 def _oracle_pair(
-    est: CmeEstimator, model: md.FiniteMarkovModel, kernel: Kernel, exact_vals: md.ValuesMap
+    est: CmeEstimator, model: md.FiniteMarkovModel, kernel: Kernel, exact_vals: np.ndarray
 ) -> tuple[float, float]:
     """``||A_est - A||`` from H to L2(pi), ``A`` given by ``exact_vals``, and the excess risk."""
     diff = md.op_norm_diff(md.estimator_values(est, model, kernel), exact_vals, model, kernel)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence, Union
 
 import numpy as np
@@ -87,8 +88,8 @@ class Landweber:
     step_size: float
 
     def __post_init__(self) -> None:
-        if int(self.steps) < 1:
-            raise ValueError(f"Landweber needs steps >= 1, got {self.steps}")
+        if type(self.steps) is bool or not isinstance(self.steps, Integral) or self.steps < 1:
+            raise ValueError(f"Landweber needs integer steps >= 1, got {self.steps!r}")
         if not (self.step_size > 0):
             raise ValueError(f"Landweber needs step_size > 0, got {self.step_size}")
         object.__setattr__(self, "steps", int(self.steps))

@@ -6,9 +6,11 @@ in the states' Gram matrix K_E, so the estimator-vs-truth comparisons below
 are exact up to round-off:
 
   * the conditional expectation operator maps f to values P_mat @ (f at states);
-  * the operator norm ||A - P||_{H -> L2(pi)} restricted to the span of
-    finitely many features is a generalized eigenvalue problem (see
-    :func:`op_norm_diff` for why the restriction loses nothing);
+  * each operator the oracle compares is one m x m array over the states,
+    column j holding the values at the states of the image of phi(e_j), and
+    the operator norm ||A - P||_{H -> L2(pi)} is a generalized eigenvalue
+    problem in K_E (see :func:`op_norm_diff` for why span phi(states) loses
+    nothing); an estimator compares only when its training Y lie on the states;
   * the excess risk, the risk decomposition, and the Markov-kernel MMD
     integral are finite quadratic forms in K_E.
 
@@ -38,6 +40,14 @@ COND_TOL = 1e-10
 STATIONARY_TOL = 1e-10
 BURN_IN_STEPS = 10_000
 BLOWUP_LIMIT = 1e6
+
+
+def _state_matrix(values, m: int, name: str) -> np.ndarray:
+    """``values`` as a frozen, finite m x m array, checked before any LAPACK call."""
+    arr = _frozen_array(values, name)
+    if arr.shape != (m, m):
+        raise ValueError(f"{name} must be {m}x{m}, got {arr.shape}")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +81,7 @@ class FiniteMarkovModel(_Rebuilt):
     @staticmethod
     def _check_stochastic(values, m: int, name: str) -> np.ndarray:
         """``values`` as a frozen m x m array with nonnegative rows summing to 1 within 1e-12."""
-        P = _frozen_array(values, name)
-        if P.shape != (m, m):
-            raise ValueError(f"{name} must be {m}x{m}, got {P.shape}")
+        P = _state_matrix(values, m, name)
         if np.any(P < 0) or np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError(f"{name} rows must be nonnegative and sum to 1 within 1e-12")
         return P
@@ -97,28 +105,6 @@ finite_model = FiniteMarkovModel
 def with_alt(model: FiniteMarkovModel, transition_alt: np.ndarray) -> FiniteMarkovModel:
     """Copy of the model with a second Markov kernel attached."""
     return finite_model(model.states, model.marginal, model.transition, transition_alt)
-
-
-@dataclass(frozen=True, eq=False)
-class ValuesMap(_Rebuilt):
-    """Gram-coordinate restriction of an operator H -> L2(pi).
-
-    ``B @ c`` gives the values at the m model states of the image of
-    f = sum_j c_j phi(support[j]); the map says nothing off its support.
-    """
-
-    support: tuple[Point, ...]
-    B: np.ndarray
-
-    def __post_init__(self) -> None:
-        support = _point_tuple(self.support, "ValuesMap support")
-        if len(set(support)) != len(support):
-            raise ValueError("ValuesMap support must be pairwise distinct")
-        B = _frozen_array(self.B, "B")
-        if B.ndim != 2 or B.shape[1] != len(support):
-            raise ValueError(f"B must have {len(support)} columns, got shape {B.shape}")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "B", B)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,71 +139,66 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
     return pi
 
 
-def _conditioned_gram(kernel: Kernel, points: Sequence[Point], what: str) -> np.ndarray:
-    """Gram over points whose smallest eigenvalue exceeds 1e-10 of the largest.
+def _state_gram(model: FiniteMarkovModel, kernel: Kernel) -> np.ndarray:
+    """K_E over the model states, whose smallest eigenvalue exceeds 1e-10 of the largest.
 
-    The oracle never perturbs a Gram: one that fails the test raises
-    ``LinAlgError``.  A Gram that passes it factors without jitter.
+    The oracle never perturbs K_E: one that fails the test raises
+    ``LinAlgError``.  A K_E that passes it factors without jitter.
     """
-    K = gram(kernel, points)
-    eigvals = np.linalg.eigvalsh(K)
+    K_E = gram(kernel, model.states)
+    eigvals = np.linalg.eigvalsh(K_E)
     if eigvals[0] > COND_TOL * max(eigvals[-1], 0.0):
-        return K
-    raise np.linalg.LinAlgError(f"singular {what}")
+        return K_E
+    raise np.linalg.LinAlgError("singular state Gram K_E")
 
 
-def exact_operator_values(model: FiniteMarkovModel, kernel: Kernel) -> ValuesMap:
-    """The true conditional expectation operator restricted to span phi(states).
+def exact_operator_values(model: FiniteMarkovModel, kernel: Kernel) -> np.ndarray:
+    """The true conditional expectation operator in state coordinates: P_mat K_E.
 
     For f with coefficients c over the states, (P f)(e_i) = (P_mat K_E c)_i.
     """
-    K_E = _conditioned_gram(kernel, model.states, "state Gram K_E")
-    return ValuesMap(support=model.states, B=model.transition @ K_E)
+    return model.transition @ _state_gram(model, kernel)
 
 
-def estimator_values(est: CmeEstimator, model: FiniteMarkovModel, kernel: Kernel) -> ValuesMap:
-    """Restriction of the fitted operator to the oracle's test span.
+def estimator_values(est: CmeEstimator, model: FiniteMarkovModel, kernel: Kernel) -> np.ndarray:
+    """The fitted operator in state coordinates: B = K_EX W^T K_YE.
 
-    Support is est.Y joined with model.states (deduplicated, Y first).  The
-    row for state e_i evaluates the fitted operator exactly as
-    predict_conditional_expectation does: B = K_EX W^T K_YZ.  Only when est.Y
-    lies on the states is the support that of :func:`exact_operator_values`.
+    Row i evaluates the fitted operator at e_i exactly as
+    predict_conditional_expectation does, column j is the image of phi(e_j).
+    Training Y off the states raise ``ValueError``: the operator then senses
+    f off span phi(states), where the exact map says nothing.
     """
     if est.kernel != kernel:
         raise ValueError("estimator kernel does not match the oracle kernel")
-    support = tuple(dict.fromkeys(est.Y + model.states))
+    off = set(est.Y).difference(model.states)
+    if off:
+        raise ValueError(f"training Y off the model states: {sorted(p.coords for p in off)}")
     K_ex = cross_gram(kernel, model.states, est.X)
-    K_yz = cross_gram(kernel, est.Y, support)
-    return ValuesMap(support=support, B=K_ex @ est.W.T @ K_yz)
+    return K_ex @ est.W.T @ cross_gram(kernel, est.Y, model.states)
 
 
 def op_norm_diff(
-    vals_a: ValuesMap, vals_b: ValuesMap, model: FiniteMarkovModel, kernel: Kernel
+    B_a: np.ndarray, B_b: np.ndarray, model: FiniteMarkovModel, kernel: Kernel
 ) -> float:
-    """Exact operator norm ||A - B||_{H -> L2(pi)} between two ValuesMaps on one support.
+    """Exact operator norm ||A - B||_{H -> L2(pi)} of two operators in state coordinates.
 
-    Both maps must share one support Z (in any order) and one state count;
-    otherwise ``ValueError`` names the unmatched points.  Restricting the
-    supremum to f in span{phi(z) : z in Z} loses nothing: both operators sense
-    f only through the bounded evaluations / inner products against phi(z),
-    z in Z, so the orthogonal complement of the span is annihilated by the
-    difference, while it only increases ||f||_H.  On the span, with coefficients c,
+    ``B_a`` and ``B_b`` are finite m x m arrays, as :func:`exact_operator_values`
+    and :func:`estimator_values` return.  Restricting the supremum to f in
+    span{phi(e)} loses nothing: both operators sense f only through its values
+    at the states, so the orthogonal complement of the span is annihilated by
+    the difference, while it only increases ||f||_H.  On the span, with
+    coefficients c and D = B_a - B_b,
 
-        ||(A - B) f||^2_{L2(pi)} = c^T D^T diag(pi) D c,   ||f||^2_H = c^T K_Z c,
+        ||(A - B) f||^2_{L2(pi)} = c^T D^T diag(pi) D c,   ||f||^2_H = c^T K_E c,
 
     so the norm is the square root of the largest generalized eigenvalue of
-    (D^T diag(pi) D, K_Z).
+    (D^T diag(pi) D, K_E).
     """
-    if vals_a.B.shape[0] != vals_b.B.shape[0]:
-        raise ValueError("ValuesMaps have different state counts")
-    index = {p: j for j, p in enumerate(vals_b.support)}
-    unmatched = sorted(p.coords for p in set(vals_a.support).symmetric_difference(index))
-    if unmatched:
-        raise ValueError(f"ValuesMaps must share one support; unmatched points: {unmatched}")
-    D = vals_a.B - vals_b.B[:, [index[p] for p in vals_a.support]]
-    K_Z = _conditioned_gram(kernel, vals_a.support, "K_Z over the shared support")
+    m = model.m
+    D = _state_matrix(B_a, m, "B_a") - _state_matrix(B_b, m, "B_b")
     quad = D.T @ (model.marginal[:, None] * D)
-    top = scipy.linalg.eigh(quad, K_Z, eigvals_only=True, subset_by_index=(D.shape[1] - 1,) * 2)
+    K_E = _state_gram(model, kernel)
+    top = scipy.linalg.eigh(quad, K_E, eigvals_only=True, subset_by_index=(m - 1, m - 1))
     return float(np.sqrt(max(top[-1], 0.0)))
 
 
@@ -232,7 +213,7 @@ def exact_excess_risk(est: CmeEstimator, model: FiniteMarkovModel, kernel: Kerne
     if est.kernel != kernel:
         raise ValueError("estimator kernel does not match the oracle kernel")
     P = model.transition
-    K_E = _conditioned_gram(kernel, model.states, "state Gram K_E")
+    K_E = _state_gram(model, kernel)
     support, inv, _ = _support(est.Y)
     K_xe = cross_gram(kernel, est.X, model.states)
     omega = np.zeros((len(support), model.m))  # column i = predicted weights at e_i
@@ -252,7 +233,7 @@ def exact_mmd_integral(model: FiniteMarkovModel, kernel: Kernel) -> float:
     if model.transition_alt is None:
         raise ValueError("model has no second Markov kernel (transition_alt missing)")
     R = model.transition - model.transition_alt
-    K_E = _conditioned_gram(kernel, model.states, "state Gram K_E")
+    K_E = _state_gram(model, kernel)
     per_state = np.einsum("ij,jk,ik->i", R, K_E, R)
     return float(model.marginal @ per_state)
 
@@ -262,7 +243,7 @@ def exact_risk(F: RegressionFunctionRep, model: FiniteMarkovModel, kernel: Kerne
     m = model.m
     if F.C.shape != (m, m):
         raise ValueError(f"F must be represented over the {m} model states")
-    K_E = _conditioned_gram(kernel, model.states, "state Gram K_E")
+    K_E = _state_gram(model, kernel)
     P = model.transition
     CK = F.C @ K_E
     sq_norms = np.einsum("ij,ij->i", CK, F.C)      # ||F(e_i)||^2 = (C K_E C^T)_ii
@@ -289,7 +270,7 @@ def generalized_cov_ons_check(
     m = model.m
     if not (1 <= r <= m):
         raise ValueError(f"need 1 <= r <= {m}, got {r}")
-    K_E = _conditioned_gram(kernel, model.states, "state Gram K_E")
+    K_E = _state_gram(model, kernel)
     if np.min(K_E) <= 0:
         raise ValueError("kernel must be strictly positive on the states")
     # Gram-Schmidt in the K_E metric, seeded with the feature coordinate basis
@@ -320,7 +301,7 @@ def well_specified_estimator(
     idx = [int(t) for t in targets]
     if len(idx) != model.m or any(not (0 <= t < model.m) for t in idx):
         raise ValueError("targets must map every state to a state index")
-    K_E = _conditioned_gram(kernel, model.states, "state Gram K_E")
+    K_E = _state_gram(model, kernel)
     W = solve_pd(K_E, np.eye(model.m))[0]
     Y = tuple(model.states[t] for t in idx)
     return CmeEstimator(kernel=kernel, lam=1.0, filt=Cutoff(), X=model.states, Y=Y, W=W)
@@ -338,7 +319,7 @@ def constant_shift_estimator(
     h = np.asarray(shift, dtype=float).reshape(-1)
     if h.shape[0] != model.m:
         raise ValueError(f"shift must have length {model.m}")
-    K_E = _conditioned_gram(kernel, model.states, "state Gram K_E")
+    K_E = _state_gram(model, kernel)
     target = model.transition + np.outer(np.ones(model.m), h)
     W = solve_pd(K_E, target)[0].T
     return CmeEstimator(

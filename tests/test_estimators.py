@@ -161,6 +161,17 @@ class TestFilterValue:
         with pytest.raises(ValueError):
             Landweber(steps=3, step_size=0.0)
 
+    @pytest.mark.parametrize("steps", [2.5, 2.0, True, np.bool_(True), "3"])
+    def test_landweber_steps_must_be_an_integer(self, steps):
+        # a float or a bool is no step count, though int() would take it
+        with pytest.raises(ValueError, match="integer steps"):
+            Landweber(steps=steps, step_size=0.5)
+
+    @pytest.mark.parametrize("steps", [3, np.int64(3), np.uint8(3)])
+    def test_landweber_takes_python_and_numpy_integers(self, steps):
+        filt = Landweber(steps=steps, step_size=0.5)
+        assert filt.steps == 3 and type(filt.steps) is int
+
 
 class TestFitting:
     def test_scalar_tikhonov(self):
@@ -448,15 +459,30 @@ class TestNormsAndRisks:
             trace = float(np.trace(est.W.T @ GY @ est.W @ GX))
             assert hs_norm_sq(est) == pytest.approx(trace, rel=1e-12)
 
+    @staticmethod
+    def check_training_risk_and_hs(est, sample):
+        # the two-GEMM report agrees with empirical_risk and with the trace
+        # formula.  With duplicates, W can be large enough that
+        # tr(W^T G_Y W G_X) in float arithmetic is itself off by 4e-12
+        # relative, so the reference is exact.  hs = sum((G_Y W G_X) * W) can
+        # cancel, so its tolerance is the rounding-error bound of that
+        # evaluation, not a share of |hs|.  The bound has a relative term and
+        # an absolute underflow term: for a tiny W the products B_ij * W_ij
+        # round to subnormals, each off by at most 2**-1075, and
+        # n**3 * 2**-1074 covers those n**2 roundings with room to spare
+        n = sample.n
+        G_X, G_Y = gram(est.kernel, est.X), gram(est.kernel, est.Y)
+        risk, hs = _training_risk_and_hs(est)
+        assert risk == pytest.approx(empirical_risk(est, sample), rel=1e-12, abs=1e-300)
+        A = np.abs(est.W)
+        bound = 4 * (n + 2) * np.finfo(float).eps * float(np.sum((abs(G_Y) @ A @ abs(G_X)) * A))
+        underflow = n**3 * np.finfo(float).smallest_subnormal
+        assert abs(hs - exact_trace(est.W, G_Y, G_X)) <= bound + underflow
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_training_risk_and_hs_match_the_general_routes(self, data):
-        # the two-GEMM report agrees with empirical_risk and with the trace
-        # formula, for every fit and for a hand-built non-symmetric W.  With
-        # duplicates, W can be large enough that tr(W^T G_Y W G_X) in float
-        # arithmetic is itself off by 4e-12 relative, so the reference is exact.
-        # hs = sum((G_Y W G_X) * W) can cancel, so its tolerance is the
-        # rounding-error bound of that evaluation, not a share of |hs|.
+        # for every fit and for a hand-built non-symmetric W
         n = data.draw(st.integers(1, 12))
         d = data.draw(st.integers(1, 2))
         coords = st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)
@@ -469,20 +495,23 @@ class TestNormsAndRisks:
         kernel = data.draw(st.sampled_from([GaussianKernel(width), LaplacianKernel(width)]))
         lam = data.draw(st.sampled_from([1e-3, 1e-2, 3e-2]))
         W = data.draw(arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0)))
-        estimators = [
-            fit_tikhonov_closed_form(sample, kernel, lam),
-            fit_cme(sample, kernel, Tikhonov(), lam),
-            fit_cme(sample, kernel, Cutoff(), lam),
-            fit_cme(sample, kernel, Landweber(steps=20, step_size=0.9), lam),
+        for est in (
+            *(fit_cme(sample, kernel, filt, lam)
+              for filt in (Tikhonov(), Cutoff(), Landweber(steps=20, step_size=0.9))),
             CmeEstimator(kernel=kernel, lam=lam, filt=Tikhonov(), X=X, Y=Y, W=W),
-        ]
-        G_X, G_Y = gram(kernel, X), gram(kernel, Y)
-        for est in estimators:
-            risk, hs = _training_risk_and_hs(est)
-            assert risk == pytest.approx(empirical_risk(est, sample), rel=1e-12, abs=1e-300)
-            A = np.abs(est.W)
-            bound = 4 * (n + 2) * np.finfo(float).eps * float(np.sum((abs(G_Y) @ A @ abs(G_X)) * A))
-            assert abs(hs - exact_trace(est.W, G_Y, G_X)) <= bound
+        ):
+            self.check_training_risk_and_hs(est, sample)
+
+    def test_subnormal_hs_stays_within_the_underflow_floor(self):
+        # W of equal entries near 1e-158 on one repeated point: hs is subnormal
+        # and its evaluation differs from the exact trace by 5e-324 or 1e-323,
+        # while the relative term of the bound underflows to 0
+        X = (pt(0.0), pt(0.0))
+        for w in (2e-158, 9.11193889e-156, 7.67523035e-163):
+            est = CmeEstimator(
+                kernel=GAUSS, lam=1e-3, filt=Tikhonov(), X=X, Y=X, W=np.full((2, 2), w)
+            )
+            self.check_training_risk_and_hs(est, PairedSample(X=X, Y=X))
 
     def test_hs_norm_monotone_in_lambda(self):
         rng = np.random.default_rng(28)

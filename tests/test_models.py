@@ -20,7 +20,6 @@ from cmekit import (
     Landweber,
     Point,
     Tikhonov,
-    ValuesMap,
     WeightedEmbedding,
     chain_states,
     cme_function,
@@ -78,6 +77,7 @@ class TestModelValidation:
 
 MIXED = (pt(0.0), pt(0.0, 1.0))
 NAN_ROW = [[0.5, 0.5], [np.nan, 0.5]]
+TWO_STATES = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))
 
 
 def _estimator(X, W):
@@ -102,14 +102,15 @@ def _estimator(X, W):
             id="embedding-weights",
         ),
         pytest.param(
-            lambda: ValuesMap(support=MIXED, B=np.zeros((2, 2))), "dimension", id="values-support"
+            lambda: op_norm_diff(np.eye(2), NAN_ROW, TWO_STATES, GAUSS),
+            "B_b must be finite",
+            id="values-B",
         ),
         pytest.param(
-            lambda: ValuesMap(support=(pt(0.0), pt(0.0)), B=np.zeros((2, 2))),
-            "distinct",
-            id="values-duplicate-support",
+            lambda: op_norm_diff(np.eye(3), np.eye(3), TWO_STATES, GAUSS),
+            r"B_a must be 2x2, got \(3, 3\)",
+            id="values-shape",
         ),
-        pytest.param(lambda: ValuesMap(support=chain_states(2), B=NAN_ROW), "finite", id="values-B"),
         pytest.param(lambda: RegressionFunctionRep(C=NAN_ROW), "finite", id="regression-C"),
         pytest.param(
             lambda: finite_model(MIXED, [0.5, 0.5], np.eye(2)), "dimension", id="model-states"
@@ -219,7 +220,6 @@ def checked_point_fields(pts):
         ("embedding", WeightedEmbedding(kernel=GAUSS, support=pts, weights=np.ones(n)).support),
         ("edmd", EdmdResult(np.ones(1), np.ones((n, 1)), pts, GAUSS, 1.0).X),
         ("model", finite_model(distinct, np.full(m, 1.0 / m), np.eye(m)).states),
-        ("values map", ValuesMap(support=distinct, B=np.zeros((1, m))).support),
         ("table kernel", table_kernel(distinct, np.eye(m)).states),
     ]
 
@@ -283,11 +283,6 @@ def _small_fit():
             id="embedding",
         ),
         pytest.param(
-            lambda: exact_operator_values(random_model(np.random.default_rng(0), 3), GAUSS),
-            ["B"],
-            id="values-map",
-        ),
-        pytest.param(
             lambda: cme_function(random_model(np.random.default_rng(0), 3)), ["C"], id="regression"
         ),
         pytest.param(
@@ -337,12 +332,12 @@ class TestExactOperatorValues:
         model = finite_model(chain_states(3), np.full(3, 1 / 3), np.eye(3))
         vals = exact_operator_values(model, GAUSS)
         K_E = gram(GAUSS, model.states)
-        assert np.max(np.abs(vals.B - K_E)) == 0.0
+        assert np.max(np.abs(vals - K_E)) == 0.0
 
     def test_single_state(self):
         model = finite_model(chain_states(1), [1.0], [[1.0]])
         vals = exact_operator_values(model, GAUSS)
-        assert vals.B.shape == (1, 1) and vals.B[0, 0] == 1.0
+        assert vals.shape == (1, 1) and vals[0, 0] == 1.0
 
     def test_permutation_chain_selects_rows(self):
         perm = [2, 0, 1]
@@ -350,7 +345,7 @@ class TestExactOperatorValues:
         model = finite_model(chain_states(3), np.full(3, 1 / 3), P)
         vals = exact_operator_values(model, GAUSS)
         K_E = gram(GAUSS, model.states)
-        assert np.max(np.abs(vals.B - K_E[perm, :])) == 0.0
+        assert np.max(np.abs(vals - K_E[perm, :])) == 0.0
 
 
 class TestIllConditionedStateGram:
@@ -395,7 +390,7 @@ class TestEstimatorValues:
             W=np.zeros((2, 2)),
         )
         vals = estimator_values(est, model, GAUSS)
-        assert np.max(np.abs(vals.B)) == 0.0
+        assert np.max(np.abs(vals)) == 0.0
 
     def test_single_training_pair_scalar(self):
         lam = 0.3
@@ -403,7 +398,7 @@ class TestEstimatorValues:
         sample = PairedSample(X=(model.states[0],), Y=(model.states[0],))
         est = fit_tikhonov_closed_form(sample, GAUSS, lam)
         vals = estimator_values(est, model, GAUSS)
-        assert vals.B[0, 0] == pytest.approx(1.0 / (1.0 + lam), abs=1e-14)
+        assert vals[0, 0] == pytest.approx(1.0 / (1.0 + lam), abs=1e-14)
 
     def test_agrees_with_prediction_route(self):
         rng = rng_for(60)
@@ -411,17 +406,41 @@ class TestEstimatorValues:
         sample = sample_pairs(model, 100, 17)
         est = fit_tikhonov_closed_form(sample, GAUSS, 1e-2)
         vals = estimator_values(est, model, GAUSS)
-        for _ in range(5):
-            c = rng.standard_normal(len(vals.support))
-            f_at_y = np.array(
-                [
-                    sum(ci * kernel_eval(GAUSS, y, z) for ci, z in zip(c, vals.support))
-                    for y in est.Y
-                ]
-            )
+        assert vals.shape == (4, 4)
+        # column j holds the values at the states of the image of k(., e_j)
+        for j, e_j in enumerate(model.states):
+            f_at_y = np.array([kernel_eval(GAUSS, y, e_j) for y in est.Y])
             for i, state in enumerate(model.states):
                 direct = predict_conditional_expectation(est, state, f_at_y)
-                assert vals.B[i] @ c == pytest.approx(direct, abs=1e-10)
+                assert vals[i, j] == pytest.approx(direct, abs=1e-10)
+
+    def test_invariant_under_a_permutation_of_the_training_pairs(self):
+        # columns follow model.states, never the order of the training Y
+        rng = rng_for(64)
+        for _ in range(10):
+            model = random_model(rng, int(rng.integers(2, 6)))
+            sample = sample_pairs(model, int(rng.integers(2, 200)), int(rng.integers(0, 2**32)))
+            perm = rng.permutation(sample.n)
+            permuted = PairedSample(
+                X=tuple(sample.X[i] for i in perm), Y=tuple(sample.Y[i] for i in perm)
+            )
+            lam = float(10.0 ** rng.uniform(-3, -1))
+            for filt in (Tikhonov(), Cutoff(), Landweber(steps=20, step_size=0.9)):
+                vals = estimator_values(fit_cme(sample, GAUSS, filt, lam), model, GAUSS)
+                twin = estimator_values(fit_cme(permuted, GAUSS, filt, lam), model, GAUSS)
+                assert np.max(np.abs(twin - vals)) <= 1e-12 * np.max(np.abs(vals))
+
+    def test_off_state_training_Y_is_refused(self):
+        # the exact map knows P only on phi(states); the old zero-padding of
+        # phi(0.6), phi(1.1), phi(2.9) reported 125.0 against an excess risk of 0.178
+        model = random_model(np.random.default_rng(3), 3)
+        sample = PairedSample(
+            X=tuple(pt(v) for v in (0.3, 1.7, 2.4)), Y=tuple(pt(v) for v in (0.6, 1.1, 2.9))
+        )
+        est = fit_tikhonov_closed_form(sample, GAUSS, 0.05)
+        off = r"off the model states: \[\(0\.6,\), \(1\.1,\), \(2\.9,\)\]"
+        with pytest.raises(ValueError, match=off):
+            estimator_values(est, model, GAUSS)
 
     def test_kernel_mismatch(self):
         model = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))
@@ -461,10 +480,10 @@ class TestOpNormDiff:
                 finite_model(model.states, model.marginal, model.transition_alt), GAUSS
             )
             norm = op_norm_diff(vals_p, vals_q, model, GAUSS)
-            K_Z = gram(GAUSS, vals_p.support)
-            D = vals_p.B - vals_q.B
+            K_E = gram(GAUSS, model.states)
+            D = vals_p - vals_q
             C = rng.standard_normal((10_000, 3))
-            h_norms = np.einsum("ki,ij,kj->k", C, K_Z, C)
+            h_norms = np.einsum("ki,ij,kj->k", C, K_E, C)
             quad = np.einsum("ki,ji,jl,kl->k", C, D, D * model.marginal[:, None], C)
             best = np.sqrt(np.max(quad / h_norms))
             assert norm >= best - 1e-9
@@ -484,45 +503,27 @@ class TestOpNormDiff:
         kernel = LaplacianKernel(width) if laplacian else GaussianKernel(width)
         model = random_model(rng, m)
         vals_a = exact_operator_values(model, kernel)
-        B = rng.standard_normal((m, m))
-        perm = rng.permutation(m)
-        vals_b = ValuesMap(support=tuple(model.states[j] for j in perm), B=B[:, perm])
+        vals_b = rng.standard_normal((m, m))
         norm_sq = op_norm_diff(vals_a, vals_b, model, kernel) ** 2
-        D = vals_a.B - B
-        K_Z = gram(kernel, model.states)
+        D = vals_a - vals_b
+        K_E = gram(kernel, model.states)
 
         def quotient(c):
-            return float(model.marginal @ (D @ c) ** 2 / (c @ K_Z @ c))
+            return float(model.marginal @ (D @ c) ** 2 / (c @ K_E @ c))
 
         for c in rng.standard_normal((500, m)):
             assert quotient(c) <= norm_sq * (1.0 + 1e-12)
-        L = np.linalg.cholesky(K_Z)
+        L = np.linalg.cholesky(K_E)
         whitened = scipy.linalg.solve_triangular(L, D.T * np.sqrt(model.marginal), lower=True)
         u = np.linalg.eigh(whitened @ whitened.T)[1][:, -1]
         top = scipy.linalg.solve_triangular(L.T, u, lower=False)
         assert quotient(top) == pytest.approx(norm_sq, rel=1e-9)
 
-    def test_off_state_training_Y_is_refused(self):
-        # the exact map knows P only on phi(states); the old zero-padding of
-        # phi(0.6), phi(1.1), phi(2.9) reported 125.0 against an excess risk of 0.178
-        model = random_model(np.random.default_rng(3), 3)
-        sample = PairedSample(
-            X=tuple(pt(v) for v in (0.3, 1.7, 2.4)), Y=tuple(pt(v) for v in (0.6, 1.1, 2.9))
-        )
-        est = fit_tikhonov_closed_form(sample, GAUSS, 0.05)
-        est_vals = estimator_values(est, model, GAUSS)
-        exact_vals = exact_operator_values(model, GAUSS)
-        unmatched = r"unmatched points: \[\(0\.6,\), \(1\.1,\), \(2\.9,\)\]"
-        for a, b in ((est_vals, exact_vals), (exact_vals, est_vals)):
-            with pytest.raises(ValueError, match=unmatched):
-                op_norm_diff(a, b, model, GAUSS)
-
     def test_different_state_counts_are_refused(self):
         model = random_model(rng_for(63), 2)
         vals = exact_operator_values(model, GAUSS)
-        one_row = ValuesMap(support=vals.support, B=vals.B[:1])
-        with pytest.raises(ValueError, match="state counts"):
-            op_norm_diff(vals, one_row, model, GAUSS)
+        with pytest.raises(ValueError, match=r"B_b must be 2x2, got \(1, 2\)"):
+            op_norm_diff(vals, vals[:1], model, GAUSS)
 
 
 def excess_risk_full_G_Y(est, model, kernel):

@@ -28,6 +28,9 @@ else 0; Landweber g(s) = (1 - (1 - eta*s)^m) / s with the s = 0 limit m*eta.
 Eigenvalues below 1e-12 of the largest are treated as exactly 0 (round-off
 directions contribute nothing to the fitted map but would destabilize the
 cutoff and Landweber filters).
+
+The first conditional-expectation query with an observable costs O(n^2), for
+its coefficients W^T f(Y); later queries with the same values cost O(n).
 """
 
 from __future__ import annotations
@@ -282,22 +285,24 @@ def fit_tikhonov_closed_form(sample: PairedSample, kernel: Kernel, lam: float) -
     return fit_cme(sample, kernel, Tikhonov(), lam)
 
 
-def _query_weights(est: CmeEstimator, x: Point) -> np.ndarray:
-    kx = cross_gram(est.kernel, est.X, [x])[:, 0]
-    return est.W @ kx
-
-
 def predict_embedding(est: CmeEstimator, x: Point) -> WeightedEmbedding:
     """Estimated conditional mean embedding at x: weights W k_X(x) on Y."""
-    return WeightedEmbedding(kernel=est.kernel, support=est.Y, weights=_query_weights(est, x))
+    weights = est.W @ cross_gram(est.kernel, est.X, [x])[:, 0]
+    return WeightedEmbedding(kernel=est.kernel, support=est.Y, weights=weights)
 
 
 def predict_conditional_expectation(est: CmeEstimator, x: Point, f_at_Y: np.ndarray) -> float:
-    """Plug-in estimate of E[f(Y) | X = x] from the values of f on the training Y."""
+    """Plug-in estimate of E[f(Y) | X = x] from the values of f on the training Y.
+
+    Evaluated as k_X(x) . alpha, alpha = W^T f(Y), memoized with f's bytes as one pair.
+    """
     f_vals = np.asarray(f_at_Y, dtype=float).reshape(-1)
     if f_vals.shape[0] != est.n:
         raise ValueError(f"f_at_Y must have length {est.n}, got {f_vals.shape[0]}")
-    return float(_query_weights(est, x) @ f_vals)
+    key, memo = f_vals.tobytes(), getattr(est, "_alpha_memo", (None, None))
+    if memo[0] != key:      # one assignment swaps the bytes and alpha together: thread-safe
+        object.__setattr__(est, "_alpha_memo", memo := (key, est.W.T @ f_vals))
+    return float(cross_gram(est.kernel, est.X, [x])[:, 0] @ memo[1])
 
 
 def _training_risk_and_hs(est: CmeEstimator) -> tuple[float, float]:

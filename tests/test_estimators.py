@@ -1,5 +1,9 @@
 """Spectral filters, the fit and its full-size reference routes, predictions, and risks."""
 
+import copy
+import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +23,7 @@ from cmekit import (
     PairedSample,
     Point,
     Tikhonov,
+    cross_gram,
     empirical_risk,
     filter_value,
     fit_cme,
@@ -56,6 +61,11 @@ def exact_trace(W, G_Y, G_X):
 
     Wi, GYi, GXi = ints(W), ints(G_Y), ints(G_X)
     return float(Fraction(int(((GYi @ Wi) * (Wi @ GXi)).sum()), 2 ** (4 * 1074)))
+
+
+def bits(values):
+    """The float64 bytes of a list of floats: equal exactly when every bit is."""
+    return np.array(values, dtype=float).tobytes()
 
 
 def singleton_sample():
@@ -412,6 +422,112 @@ class TestPrediction:
         est = fit_tikhonov_closed_form(random_sample(rng, 8, d=2), GAUSS, 0.1)
         with pytest.raises(ValueError, match="dimension"):
             predict_embedding(est, pt(0.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_memoized_coefficients_match_the_embedding_route(self, data):
+        # fits of every filter on samples with repeated points, queried with changing observables
+        n = data.draw(st.integers(1, 12))
+        m = data.draw(st.integers(1, n))
+        coords = st.floats(-3.0, 3.0)
+        pool = [pt(c) for c in data.draw(st.lists(coords, min_size=m, max_size=m, unique=True))]
+        extra = data.draw(st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+        X = tuple(pool[i] for i in data.draw(st.permutations(list(range(m)) + extra)))
+        sample = PairedSample(X=X, Y=X[::-1])
+        kernel = data.draw(st.sampled_from([GAUSS, LaplacianKernel(0.7)]))
+        lam = 10.0 ** data.draw(st.floats(-3.0, 0.0))
+        # None stands for a hand-built W, which need not be symmetric
+        filt = data.draw(
+            st.sampled_from([Tikhonov(), Cutoff(), None])
+            | st.builds(Landweber, st.integers(1, 50), st.floats(0.1, 1.9))
+        )
+        if filt is None:
+            W = data.draw(arrays(float, (n, n), elements=st.floats(-2.0, 2.0)))
+            est = CmeEstimator(kernel=kernel, lam=lam, filt=Tikhonov(), X=X, Y=X[::-1], W=W)
+        else:
+            est = fit_cme(sample, kernel, filt, lam)
+        values = arrays(float, n, elements=st.floats(-5.0, 5.0))
+        observables = [data.draw(values) for _ in range(data.draw(st.integers(2, 3)))]
+        queries = [pt(c) for c in data.draw(st.lists(coords, min_size=1, max_size=3))] + [X[0]]
+        first_bits = {}
+        for _ in range(data.draw(st.integers(4, 12))):
+            f = data.draw(st.sampled_from(observables))
+            if data.draw(st.booleans()):
+                # an in-place change keeps the array object but not its values
+                f[data.draw(st.integers(0, n - 1))] = data.draw(st.floats(-5.0, 5.0))
+            x = data.draw(st.sampled_from(queries))
+            got = predict_conditional_expectation(est, x, f)
+            ref = float(predict_embedding(est, x).weights @ f)
+            # each route is two nested length-n sums of products whose sizes sum to
+            # |k_x| @ |W|^T @ |f|, so to first order it errs by n * eps times that; each
+            # of its n^2 + n products may also underflow by half a subnormal step, and
+            # an inner one is then scaled by |f_i| (W k_x first) or |k_x,i| (W^T f first)
+            k_x = cross_gram(kernel, X, [x])[:, 0]
+            scale = np.abs(k_x) @ np.abs(est.W).T @ np.abs(f)
+            floor = n * (1 + np.abs(k_x).sum() + np.abs(f).sum())
+            fp = np.finfo(float)
+            assert abs(got - ref) <= 2 * n * fp.eps * scale + floor * fp.smallest_subnormal
+            # a repeat call gives the same bits whatever was queried in between
+            assert bits(first_bits.setdefault((f.tobytes(), x), got)) == bits(got)
+
+    def test_wrong_length_keeps_the_last_coefficients(self):
+        rng = np.random.default_rng(28)
+        est = fit_tikhonov_closed_form(random_sample(rng, 20), GAUSS, 0.05)
+        f = rng.normal(size=20)
+        before = predict_conditional_expectation(est, pt(0.4), f)
+        memo = est._alpha_memo
+        with pytest.raises(ValueError, match="length"):
+            predict_conditional_expectation(est, pt(0.4), np.zeros(19))
+        assert est._alpha_memo is memo
+        assert bits(predict_conditional_expectation(est, pt(0.4), f)) == bits(before)
+
+    @pytest.mark.parametrize(
+        "copier",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copies_predict_the_same_bits(self, copier):
+        rng = np.random.default_rng(29)
+        est = fit_cme(random_sample(rng, 40), GAUSS, Cutoff(), 1e-3)
+        f, xs = rng.normal(size=40), [pt(v) for v in rng.normal(size=5)]
+        expected = [predict_conditional_expectation(est, x, f) for x in xs]
+        twin = copier(est)
+        # the memo is not a field: the copy is rebuilt from the fields alone
+        assert not hasattr(twin, "_alpha_memo")
+        assert bits([predict_conditional_expectation(twin, x, f) for x in xs]) == bits(expected)
+
+    def test_threads_sharing_an_estimator_predict_the_sequential_bits(self):
+        rng = np.random.default_rng(30)
+        n = 400
+        est = fit_tikhonov_closed_form(random_sample(rng, n), GAUSS, 1e-3)
+        fs = [rng.normal(size=n), rng.normal(size=n)]
+        xs = [pt(v) for v in rng.normal(size=100)]
+        calls = [(i % 2, x) for i, x in enumerate(xs * 2)]
+
+        def run(shift):
+            # consecutive calls alternate observables, so the memo changes on every call
+            preds = [predict_conditional_expectation(est, x, fs[(j + shift) % 2]) for j, x in calls]
+            return bits(preds)
+
+        expected = [run(0), run(1)]
+        start, results = threading.Barrier(4, timeout=60), [None] * 4
+
+        def worker(t):
+            start.wait()
+            results[t] = run(t % 2)
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert results == [expected[t % 2] for t in range(4)]
 
 
 class TestNormsAndRisks:

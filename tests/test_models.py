@@ -667,6 +667,22 @@ class TestMmdIntegral:
             rhs = exact_mmd_integral(model, GAUSS)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    def test_per_state_embedding_differences(self):
+        # a route that shares no formula with the closed form: the pi-weighted sum of
+        # the squared RKHS norms of the two next-state embeddings' differences
+        rng = rng_for(73)
+        for m in range(2, 7):
+            for kernel in (GAUSS, LaplacianKernel(0.8)):
+                model = random_model(rng, m, alt=True)
+                total = 0.0
+                for i in range(m):
+                    diff = embed_diff(
+                        WeightedEmbedding(kernel, model.states, model.transition[i]),
+                        WeightedEmbedding(kernel, model.states, model.transition_alt[i]),
+                    )
+                    total += model.marginal[i] * embed_norm_sq(diff)
+                assert exact_mmd_integral(model, kernel) == pytest.approx(total, rel=1e-12)
+
 
 class TestExactRisk:
     def test_brute_force_double_sum(self):

@@ -84,8 +84,9 @@ def _mmd_sq(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> tuple[flo
     """Biased and unbiased squared MMD from one pass over the three Gram blocks.
 
     (P, Q) is put in a canonical order (size, then coordinate bytes), so both
-    values are bitwise symmetric, and each block is summed and released before
-    the next is built.  The unbiased value is None below two points per sample.
+    values are bitwise symmetric.  Each block is summed and released before the
+    next is built, and each is built in one buffer, so one block is live at a
+    time.  The unbiased value is None below two points per sample.
     """
     if len(P) == 0 or len(Q) == 0:
         raise ValueError("cannot compute MMD of an empty sample")

@@ -164,21 +164,26 @@ class CmeEstimator(_Rebuilt):
         return len(self.X)
 
 
-def _factor_pd(G: np.ndarray, shift: float = 0.0) -> tuple[tuple[np.ndarray, bool], float]:
+def _factor_pd(A: np.ndarray, shift: float = 0.0) -> tuple[tuple[np.ndarray, bool], float]:
     """``cho_factor`` output for G + shift*I and the jitter added to its diagonal (0.0 if none).
 
     The package's one factorization policy, for every G + shift*I it factors:
     Cholesky, and on failure one jitter of 1e-10 * trace / n on the diagonal,
-    after which failure is an error.  G + shift*I is formed in a new F-ordered
-    buffer that LAPACK factors in place; ``G`` is never written.
+    after which failure is an error.  ``A`` holds the symmetric G in a writable,
+    F-ordered float64 buffer, which LAPACK factors in place: its lower triangle
+    becomes the factor L, and its strict upper triangle keeps G, because a lower
+    Cholesky never touches it.
     """
-    diag, jitter = slice(None, None, G.shape[0] + 1), 0.0
+    n = A.shape[0]
+    diag, g, jitter = slice(None, None, n + 1), A.diagonal().copy(), 0.0
+    A.flat[diag] += shift
     for retry in (False, True):
-        # a new buffer each time: a failed Cholesky may have overwritten part of the last one
-        A = np.array(G, dtype=float, order="F")
-        A.flat[diag] += shift
         if retry:
-            jitter = float(JITTER_SCALE * np.trace(A) / A.shape[0])
+            # a failed Cholesky may have overwritten part of the lower triangle: restore G + shift*I
+            for j in range(n - 1):
+                A[j + 1 :, j] = A[j, j + 1 :]
+            A.flat[diag] = g + shift
+            jitter = float(JITTER_SCALE * np.trace(A) / n)
             A.flat[diag] += jitter
         try:
             return scipy.linalg.cho_factor(A, lower=True, overwrite_a=True), jitter
@@ -191,10 +196,11 @@ def _factor_pd(G: np.ndarray, shift: float = 0.0) -> tuple[tuple[np.ndarray, boo
 def solve_pd(matrix: np.ndarray, rhs: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray, float]:
     """X solving (matrix + shift*I) X = rhs, and the jitter :func:`_factor_pd` added.
 
-    X is solved into ``rhs`` in place when ``rhs`` is an F-ordered float64
-    array, and into an F-ordered copy of it otherwise.
+    ``matrix`` is never written: an F-ordered copy of it is factored.  X is
+    solved into ``rhs`` in place when ``rhs`` is an F-ordered float64 array,
+    and into an F-ordered copy of it otherwise.
     """
-    factor, jitter = _factor_pd(matrix, shift)
+    factor, jitter = _factor_pd(np.array(matrix, dtype=float, order="F"), shift)
     X = np.asfortranarray(rhs, dtype=float)
     return scipy.linalg.cho_solve(factor, X, overwrite_b=True), jitter
 

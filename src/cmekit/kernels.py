@@ -8,10 +8,12 @@ Kernel conventions (every derived constant in this package depends on them):
                 finite list of states; both arguments must match a listed
                 state exactly (no tolerance matching).
 
-``gram`` returns a plain read-only ``(n, n)`` array, ``cross_gram`` a writable
-``(n, m)`` one.  Gram matrices are exactly symmetric with no mirroring step:
-``cdist`` applies the same arithmetic to (x, y) and (y, x), and a table kernel
-stores its validated table symmetrized, so k(x, y) and k(y, x) agree bit for bit.
+``gram`` returns a plain read-only ``(n, n)`` array, ``cross_gram`` a writable,
+C-ordered ``(n, m)`` one, assembled in that one buffer: no second block is held
+while a block is built.  Gram matrices are exactly symmetric with no mirroring
+step: ``cdist`` applies the same arithmetic to (x, y) and (y, x), and a table
+kernel stores its validated table symmetrized, so k(x, y) and k(y, x) agree bit
+for bit and ``cross_gram(kernel, b, a).T`` is ``cross_gram(kernel, a, b)`` in F order.
 """
 
 from __future__ import annotations
@@ -216,12 +218,16 @@ def cross_gram(kernel: Kernel, rows: Sequence[Point], cols: Sequence[Point]) -> 
     if isinstance(kernel, TableKernel):
         ri = kernel._lookup(rows)
         ci = kernel._lookup(cols)
-        return kernel._values_array[np.ix_(ri, ci)].copy()
+        return kernel._values_array[np.ix_(ri, ci)]      # a new, writable C-ordered array
     if isinstance(kernel, GaussianKernel):
-        return np.exp(-cdist(a, b, "sqeuclidean") / (2.0 * kernel.bandwidth**2))
-    if isinstance(kernel, LaplacianKernel):
-        return np.exp(-cdist(a, b, "cityblock") / kernel.scale)
-    raise TypeError(f"unknown kernel type: {type(kernel).__name__}")
+        K, c = cdist(a, b, "sqeuclidean"), 2.0 * kernel.bandwidth**2
+    elif isinstance(kernel, LaplacianKernel):
+        K, c = cdist(a, b, "cityblock"), kernel.scale
+    else:
+        raise TypeError(f"unknown kernel type: {type(kernel).__name__}")
+    # exp(-D / c) in D's own buffer: (-d) / c and d / (-c) round to the same double
+    np.divide(K, -c, out=K)
+    return np.exp(K, out=K)
 
 
 def gram(kernel: Kernel, points: Sequence[Point]) -> np.ndarray:

@@ -17,12 +17,16 @@ reproducible across eigensolver backends.  Large problems use an implicitly
 restarted Arnoldi iteration with a fixed start vector instead of the dense
 solver; both paths satisfy the same residual contract.
 
-G_X and K_YX are formed once per fit, in ``_edmd_system``, and G_X + n*lam*I
-is formed and factored once by :func:`cmekit.estimators._factor_pd` under the
-package's one policy (Cholesky, at most one jitter of 1e-10 * trace / n).
-``edmd_eigen`` measures the residuals with that same factor, so they belong to
-the same, possibly jittered, operator the eigenpairs came from, and it records
-the jitter it added.
+G_X and K_YX are each formed once per fit, and G_X + n*lam*I is factored once
+by :func:`cmekit.estimators._factor_pd` under the package's one policy
+(Cholesky, at most one jitter of 1e-10 * trace / n).  The factor is packed into
+G_X's own buffer: its lower triangle holds L, its strict upper triangle still
+holds G_X, and G_X's diagonal is kept aside, so G_X V is one symmetric product
+over the upper triangle.  A fit thus holds two n x n blocks, the packed factor
+and K_YX; on the dense path M = (G_X + n*lam*I)^{-1} K_YX is solved in K_YX's
+buffer.  ``edmd_eigen`` measures the residuals with that same factor, so they
+belong to the same, possibly jittered, operator the eigenpairs came from, and
+it records the jitter it added.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
+from scipy.linalg.blas import dsymm
 
 from .estimators import PairedSample, _factor_pd
-from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram, gram
+from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram
 
 DENSE_EIG_LIMIT = 1200
 _PAIR_TOL = 1e-10
@@ -77,25 +82,41 @@ class EdmdResult(_Rebuilt):
         return len(self.eigenvalues)
 
 
-def _edmd_system(sample: PairedSample, kernel: Kernel, lam: float):
-    """G_X, K_YX, the factor of G_X + n*lam*I and the jitter that factorization added."""
+def _edmd_factor(sample: PairedSample, kernel: Kernel, lam: float):
+    """The factor of G_X + n*lam*I, packed into G_X's buffer, G_X's diagonal and the jitter."""
     if not (lam > 0):
         raise ValueError(f"lambda must be > 0, got {lam}")
-    G = gram(kernel, sample.X)
-    K_yx = cross_gram(kernel, sample.Y, sample.X)
+    G = cross_gram(kernel, sample.X, sample.X).T          # F-ordered: G_X is exactly symmetric
+    g = G.diagonal().copy()
     factor, jitter = _factor_pd(G, sample.n * lam)
-    return G, K_yx, factor, jitter
+    return factor, g, jitter
+
+
+def _dense_matrix(sample: PairedSample, kernel: Kernel, factor) -> np.ndarray:
+    """M = (G_X + n*lam*I)^{-1} K_YX, solved in K_YX's own buffer."""
+    K_yx = cross_gram(kernel, sample.X, sample.Y).T       # F-ordered cross_gram(Y, X), bit for bit
+    return scipy.linalg.cho_solve(factor, K_yx, overwrite_b=True, check_finite=False)
 
 
 def edmd_matrix(sample: PairedSample, kernel: Kernel, lam: float) -> np.ndarray:
     """The Gram-coordinate matrix M = (G_X + n*lam*I)^{-1} K_YX."""
-    _, K_yx, factor, _ = _edmd_system(sample, kernel, lam)
-    return scipy.linalg.cho_solve(factor, K_yx, check_finite=False)
+    return _dense_matrix(sample, kernel, _edmd_factor(sample, kernel, lam)[0])
 
 
-def _rkhs_norm_sq(G: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Re(v^H G v) per column v of V, from real and imaginary parts: G is never cast to complex."""
-    return sum(np.einsum("ij,ij->j", part, G @ part) for part in (V.real, V.imag))
+def _rkhs_norm_sq(factor, g: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Re(v^H G_X v) per column v of V, from real and imaginary parts: G_X is never cast to complex.
+
+    G_X [Re V, Im V] is one symmetric product over the packed factor's upper
+    triangle, with G_X's diagonal ``g`` put in for it and L's put back after.
+    """
+    A, r = factor[0], V.shape[1]
+    diag, l_diag = slice(None, None, A.shape[0] + 1), A.diagonal().copy()
+    P = np.concatenate([V.real, V.imag], axis=1)
+    A.flat[diag] = g
+    GP = dsymm(1.0, A, P)
+    A.flat[diag] = l_diag
+    q = np.einsum("ij,ij->j", P, GP)
+    return q[:r] + q[r:]
 
 
 def _sort_eigenpairs(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,9 +125,9 @@ def _sort_eigenpairs(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return w[order], V[:, order]
 
 
-def _normalize_columns(w: np.ndarray, V: np.ndarray, G: np.ndarray) -> np.ndarray:
-    scale = float(np.max(np.diag(G)))
-    norm_sq = _rkhs_norm_sq(G, V)
+def _normalize_columns(w: np.ndarray, V: np.ndarray, factor, g: np.ndarray) -> np.ndarray:
+    scale = float(np.max(g))
+    norm_sq = _rkhs_norm_sq(factor, g, V)
     null = norm_sq <= 1e-14 * scale * np.sum(np.abs(V) ** 2, axis=0)
     if np.any(null):
         j = int(np.argmax(null))
@@ -147,15 +168,17 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
     n = sample.n
     if not (1 <= r <= n):
         raise ValueError(f"r out of range: need 1 <= r <= {n}, got {r}")
-    G, K_yx, factor, jitter = _edmd_system(sample, kernel, lam)
+    factor, g, jitter = _edmd_factor(sample, kernel, lam)
 
     if n <= DENSE_EIG_LIMIT or r > n - 2:
-        M = scipy.linalg.cho_solve(factor, K_yx, check_finite=False)
+        M = _dense_matrix(sample, kernel, factor)
         apply = M.__matmul__
         w, V = scipy.linalg.eig(M)
         w, V = _sort_eigenpairs(w, V)
         w, V = w[:r], V[:, :r]
     else:
+        K_yx = cross_gram(kernel, sample.Y, sample.X)
+
         def apply(v: np.ndarray) -> np.ndarray:
             return scipy.linalg.cho_solve(factor, K_yx @ v, check_finite=False)
 
@@ -163,10 +186,10 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
         w, V = scipy.sparse.linalg.eigs(op, k=r, which="LM", v0=np.ones(n))
         w, V = _sort_eigenpairs(w, V)
 
-    V = _normalize_columns(w, V, G)
+    V = _normalize_columns(w, V, factor, g)
     w, V = _enforce_conjugate_pairs(w, V)
     D = apply(V.real) + 1j * apply(V.imag) - V * w
-    residuals = np.sqrt(np.maximum(_rkhs_norm_sq(G, D), 0.0))
+    residuals = np.sqrt(np.maximum(_rkhs_norm_sq(factor, g, D), 0.0))
     return EdmdResult(w, V, sample.X, kernel, lam, residuals=residuals, jitter=jitter)
 
 

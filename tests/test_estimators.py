@@ -335,7 +335,11 @@ class TestFactorization:
         G = gram(GAUSS, pts + pts[:4] + pts)
         G0 = G.copy()
         n, shift = G.shape[0], 1e-17
-        (factor, lower), jitter = _factor_pd(G, shift)
+        buf = np.array(G, order="F")
+        (factor, lower), jitter = _factor_pd(buf, shift)
+        # factored in the buffer it was handed; the strict upper triangle still holds G
+        assert factor is buf
+        assert np.array_equal(np.triu(factor, 1), np.triu(G, 1))
         # the route _factor_pd replaces: G + shift*I, then a jittered copy of it
         A = G.copy()
         A.flat[:: n + 1] += shift

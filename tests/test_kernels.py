@@ -1,9 +1,13 @@
 """Kernel evaluation, Gram assembly, and psd properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from cmekit import (
     GaussianKernel,
@@ -16,6 +20,7 @@ from cmekit import (
     table_kernel,
 )
 from cmekit.kernels import coords_matrix
+from cmekit.models import ou_sample_pairs
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 LAPL2 = LaplacianKernel(scale=2.0)
@@ -154,7 +159,43 @@ class TestCrossGram:
         states = [pt(0.0), pt(1.0)]
         vals = np.array([[1.0, 0.5], [0.5, 1.0]])
         k = table_kernel(states, vals)
-        assert np.array_equal(cross_gram(k, states, states), vals)
+        K = cross_gram(k, states, states)
+        assert np.array_equal(K, vals)
+        assert K.flags.c_contiguous and K.flags.writeable
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_assembly_is_the_textbook_expression_bit_for_bit(self, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        coord = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+        pool = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=6), label="pool")
+        index = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10)
+        rows = [Point(pool[i]) for i in data.draw(index, label="rows")]
+        cols = [Point(pool[i]) for i in data.draw(index, label="cols")]
+        # a duplicated row, and a column at zero distance from it
+        rows, cols = rows + rows[:1], cols + rows[:1]
+        width = data.draw(st.floats(1e-3, 1e3), label="width")
+        a, b = coords_matrix(rows), coords_matrix(cols)
+        for kernel, metric, c in (
+            (GaussianKernel(width), "sqeuclidean", 2.0 * width**2),
+            (LaplacianKernel(width), "cityblock", width),
+        ):
+            reference = np.exp(-cdist(a, b, metric) / c)
+            K = cross_gram(kernel, rows, cols)
+            assert np.array_equal(K, reference)
+            assert K.flags.c_contiguous and K.flags.writeable
+
+    @pytest.mark.parametrize("kernel", [GAUSS, LAPL2], ids=["gauss", "laplace"])
+    def test_a_block_is_assembled_in_one_buffer(self, kernel):
+        sample = ou_sample_pairs(1.0, 0.5, 600, 3)
+        block = 600 * 600 * 8
+        tracemalloc.start()
+        try:
+            K = cross_gram(kernel, sample.X, sample.Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K.nbytes == block and peak <= 1.1 * block
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):

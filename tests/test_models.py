@@ -763,9 +763,10 @@ class TestGeneralizedCovariance:
         rng = rng_for(73)
         for _ in range(5):
             model = random_model(rng, 3)
-            out = generalized_cov_ons_check(model, GAUSS, pt(float(rng.normal())), 2)
-            M = self._double_sum(model, GAUSS, pt(0.0))  # scale reference only
-            M = out.diagonal().mean()
+            anchor = pt(float(rng.normal()))
+            out = generalized_cov_ons_check(model, GAUSS, anchor, 2)
+            # each diagonal entry is the rank-one double sum at the same anchor
+            M = self._double_sum(model, GAUSS, anchor)
             assert abs(out[0, 1]) <= 1e-9 * M and abs(out[1, 0]) <= 1e-9 * M
             assert np.max(np.abs(out.diagonal() - M)) <= 1e-9 * M
 

@@ -1,5 +1,6 @@
 """Kernel-EDMD eigenproblem: matrix reduction, eigenpairs, clustering."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -190,24 +191,42 @@ class TestEdmdEigen:
 
     @pytest.mark.parametrize("limit", [1200, 50], ids=["dense", "arnoldi"])
     def test_one_gram_cross_gram_and_factor_per_fit(self, monkeypatch, limit):
+        sample = random_sample(np.random.default_rng(52), 120)
         calls = Counter()
 
         def counting(name):
             inner = getattr(cmekit.spectral, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                key = name
+                if name == "cross_gram":
+                    # G_X is cross_gram(X, X); K_YX is cross_gram(Y, X) or its transpose
+                    key = "G_X" if args[1] is args[2] is sample.X else "K_YX"
+                calls[key] += 1
                 return inner(*args, **kwargs)
 
             return wrapper
 
-        for name in ("gram", "cross_gram", "_factor_pd"):
+        for name in ("cross_gram", "_factor_pd"):
             monkeypatch.setattr(cmekit.spectral, name, counting(name))
         monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", limit)
-        sample = random_sample(np.random.default_rng(52), 120)
         res = edmd_eigen(sample, GAUSS, 1e-2, 4)
         eigen_residuals(res, sample)
-        assert calls == {"gram": 1, "cross_gram": 1, "_factor_pd": 1}
+        assert calls == {"G_X": 1, "K_YX": 1, "_factor_pd": 1}
+
+    def test_arnoldi_fit_holds_two_blocks(self, monkeypatch):
+        # K_YX and the factor of G_X + n*lam*I packed into G_X's buffer; a factor
+        # formed in a copy of G_X would be a third block
+        monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", 50)
+        sample = ou_sample_pairs(1.0, 0.5, 600, 3)
+        block = 600 * 600 * 8
+        tracemalloc.start()
+        try:
+            edmd_eigen(sample, GAUSS, 1e-3, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * block
 
     @pytest.mark.parametrize("limit", [1200, 50], ids=["dense", "arnoldi"])
     def test_solves_skip_the_finite_scan_of_the_checked_factor(self, monkeypatch, limit):

@@ -42,7 +42,7 @@ from .estimators import (
     PairedSample,
     SpectralFilter,
     Tikhonov,
-    _training_risk_and_hs,
+    _fitted_risk_and_hs,
     fit_cme,
 )
 from .kernels import GaussianKernel, Kernel, LaplacianKernel, Point, coords_matrix, gram
@@ -500,7 +500,7 @@ def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
         raise ConfigError(f"{cfg.path}: [filter] {exc}") from exc
     _warn_jitter(est.jitter)
     write_estimator(out_path, est)
-    risk, hs = _training_risk_and_hs(est)
+    risk, hs = _fitted_risk_and_hs(est)
     metrics = {
         "command": "estimate",
         "n": sample.n,

@@ -31,6 +31,11 @@ cutoff and Landweber filters).
 
 The first conditional-expectation query with an observable costs O(n^2), for
 its coefficients W^T f(Y); later queries with the same values cost O(n).
+
+The training report that ``estimate`` prints for a Tikhonov fit
+(``_fitted_risk_and_hs``) builds G_Y only and costs one n^3 GEMM, holding W,
+G_Y and one n x REPORT_BLOCK block; the general route
+(``_training_risk_and_hs``) builds G_X and G_Y and costs two.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -48,6 +53,7 @@ from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross
 
 RANK_TOL = 1e-12
 JITTER_SCALE = 1e-10
+REPORT_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -128,13 +134,22 @@ class CmeEstimator(_Rebuilt):
     """Fitted estimator: training points plus the n x n coefficient matrix W.
 
     The predicted embedding at x is supported on Y with weights W @ k_X(x).
-    For estimators fitted with the Tikhonov filter, W is the solution of
-    (G_X + n*lam*I) W = I (checked in the test suite, not at construction,
-    since exact oracle witnesses legitimately carry hand-built W).  ``jitter``
-    is what the Tikhonov fit added to the diagonal of the system it factored,
-    G_X + n*lam*I or, on repeated points, its m x m distinct-support form
-    S + n*lam*I (0.0 when none; the other filters factor nothing); estimator
-    files do not store it.
+    ``jitter`` is what the Tikhonov fit added to the diagonal of the system it
+    factored, G_X + n*lam*I or, on repeated points, its m x m distinct-support
+    form S + n*lam*I (0.0 when none; the other filters factor nothing);
+    estimator files do not store it.
+
+    For an estimator that ``fit_cme`` returned with the Tikhonov filter, W
+    satisfies, in exact arithmetic,
+
+        W G_X = (1 + b) I - c W - b P,   c = n*lam + jitter,  b = jitter / (n*lam),
+
+    with P = E C^{-1} E^T the average over repeated X (E the n x m indicator
+    of the distinct X, C their counts).  With no repeated X, P = I and this is
+    (G_X + c I) W = I; with no jitter, b = 0 and it is (G_X + n*lam*I) W = I.
+    It does not hold for the cutoff and Landweber filters, nor for a
+    hand-built W (exact oracle witnesses legitimately carry one), so it is
+    checked in the test suite, not at construction.
     """
 
     kernel: Kernel
@@ -218,13 +233,14 @@ def _support_gram(kernel: Kernel, X: Sequence[Point]) -> tuple[np.ndarray, np.nd
 
     With E the n x m indicator of x_i = d_t, G_X = E K_D E^T and C = E^T E, so
     G_X / n and S / n share their nonzero spectrum.  With no repeated point, S
-    is G_X itself.
+    is G_X itself.  S is exactly symmetric and comes in a writable F-ordered
+    buffer, which :func:`_factor_pd` can factor in place.
     """
     support, inv, counts = _support(X)
-    S = gram(kernel, support)
+    S = cross_gram(kernel, support, support).T           # F-ordered: K_D is exactly symmetric
     if len(support) < len(X):
         root = np.sqrt(counts)
-        S = S * np.outer(root, root)
+        S *= np.outer(root, root)
     return S, inv, counts
 
 
@@ -267,7 +283,8 @@ def fit_cme(sample: PairedSample, kernel: Kernel, filt: SpectralFilter, lam: flo
 
     Tikhonov is one positive-definite solve of the m x m distinct-support
     system (S + n*lam*I) Z = I, which is (G_X + n*lam*I) W = I itself when no
-    point repeats; no matrix inverse is ever formed explicitly.  Cutoff and
+    point repeats; S is factored in its own buffer, so the solve holds two
+    m x m blocks, and no matrix inverse is ever formed explicitly.  Cutoff and
     Landweber eigendecompose S / n and apply the scalar filter to its spectrum.
     """
     if not (lam > 0):
@@ -276,10 +293,13 @@ def fit_cme(sample: PairedSample, kernel: Kernel, filt: SpectralFilter, lam: flo
     S, inv, counts = _support_gram(kernel, sample.X)
     jitter = 0.0
     if isinstance(filt, Tikhonov):
-        Z, jitter = solve_pd(S, np.eye(len(counts), order="F"), n * lam)
+        factor, jitter = _factor_pd(S, n * lam)             # factored in S's own buffer
+        Z = scipy.linalg.cho_solve(factor, np.eye(len(counts), order="F"), overwrite_b=True)
         g0 = 1.0 / (n * lam)
+        del factor
     else:
         Z, g0 = _filtered_coefficients(S, n, filt, lam)
+    del S                       # S's buffer (for Tikhonov, the factor) goes before W is copied
     W = _on_sample(Z, g0, inv, counts)
     return CmeEstimator(
         kernel=kernel, lam=lam, filt=filt, X=sample.X, Y=sample.Y, W=W, jitter=jitter
@@ -311,15 +331,58 @@ def predict_conditional_expectation(est: CmeEstimator, x: Point, f_at_Y: np.ndar
     return float(cross_gram(est.kernel, est.X, [x])[:, 0] @ memo[1])
 
 
-def _training_risk_and_hs(est: CmeEstimator) -> tuple[float, float]:
-    """``empirical_risk`` on the training pairs, and tr(W^T G_Y W G_X) = sum(B * W)."""
-    Omega = est.W @ gram(est.kernel, est.X)                 # G_X is released here
+def _risk_and_hs(est: CmeEstimator, omega: Callable[[slice], np.ndarray]) -> tuple[float, float]:
+    """``empirical_risk`` on the training pairs, and tr(W^T G_Y W G_X) = sum(B * W),
+    B = G_Y Omega, from the blocks Omega[:, J] of Omega = W G_X that ``omega(J)``
+    returns, REPORT_BLOCK columns at a time: W, G_Y and one block are held."""
+    n, W = est.n, est.W
     G_Y = gram(est.kernel, est.Y)
-    B = G_Y @ Omega                                         # B = G_Y W G_X
-    cross_term, norm_term = np.einsum("ji,ji->i", Omega, G_Y), np.einsum("ji,ji->i", Omega, B)
+    cross_term, norm_term, hs = np.empty(n), np.empty(n), 0.0
+    for j in range(0, n, REPORT_BLOCK):
+        J = slice(j, min(j + REPORT_BLOCK, n))
+        Omega = omega(J)
+        B = G_Y @ Omega
+        cross_term[J] = np.einsum("ji,ji->i", Omega, G_Y[:, J])
+        norm_term[J] = np.einsum("ji,ji->i", Omega, B)
+        B *= W[:, J]
+        hs += float(B.sum())
+        del Omega, B                                        # so the next block never meets them
     risk = float(np.mean(np.diagonal(G_Y) - 2.0 * cross_term + norm_term))
-    B *= est.W
-    return risk, float(B.sum())
+    return risk, hs
+
+
+def _training_risk_and_hs(est: CmeEstimator) -> tuple[float, float]:
+    """The training report for any W: Omega = W G_X with G_X built."""
+    G_X = gram(est.kernel, est.X)
+    return _risk_and_hs(est, lambda J: est.W @ G_X[:, J])
+
+
+def _fitted_risk_and_hs(est: CmeEstimator) -> tuple[float, float]:
+    """The training report of an estimator that ``fit_cme`` returned.
+
+    For Tikhonov, Omega = W G_X comes from the solved system (see
+    ``CmeEstimator``), so G_X is never built and B = G_Y Omega is the one
+    GEMM.  Cutoff and Landweber take the general route: their
+    Omega = U diag(s g(s)) U^T costs a GEMM as large as W G_X.
+    """
+    if not isinstance(est.filt, Tikhonov):
+        return _training_risk_and_hs(est)
+    n, W = est.n, est.W
+    c, b = n * est.lam + est.jitter, 0.0
+    if est.jitter:
+        _, inv, counts = _support(est.X)
+        if len(counts) < n:
+            b = est.jitter / (n * est.lam)
+
+    def omega(J: slice) -> np.ndarray:
+        Omega = W[:, J] * -c
+        cols = np.arange(Omega.shape[1])
+        Omega[J.start + cols, cols] += 1.0 + b
+        if b:
+            Omega -= (b / counts[inv[J]]) * (inv[:, None] == inv[J])
+        return Omega
+
+    return _risk_and_hs(est, omega)
 
 
 def hs_norm_sq(est: CmeEstimator) -> float:

@@ -235,7 +235,8 @@ out = {tmp_path / 'lw.txt'}
         capsys.readouterr()
 
     def test_one_gram_per_training_block(self, tmp_path, capsys, monkeypatch):
-        # the fit's G_X, then the report's G_X and G_Y; no n x n cross-Gram
+        # two n-sided blocks: the fit's G_X, built by cross_gram into the buffer
+        # it factors, and the report's G_Y; the report takes W G_X from the fit
         import cmekit.estimators as est_mod
 
         built = count_blocks(monkeypatch, est_mod)
@@ -249,7 +250,7 @@ out = {tmp_path / 'lw.txt'}
         assert main(["estimate", "--config", estimate_config(tmp_path, pairs, lam="0.01")]) == 0
         metrics = json.loads(capsys.readouterr().out)
         assert metrics["hs_norm_sq"] > 0
-        assert built == [("gram", 7)] * 3
+        assert built == [("cross_gram", 7, 7), ("gram", 7)]
 
     def test_jitter_is_reported_on_stderr_only(self, tmp_path, capsys):
         # bandwidth 10 and lambda 1e-17 make G_X + n*lam*I numerically singular
@@ -659,8 +660,10 @@ out = {tmp_path / 'conv.csv'}
         # singular and lambda ~ 1e-17 cannot rescue it.
         import cmekit.estimators as est_mod
 
-        gram = est_mod.gram
-        monkeypatch.setattr(est_mod, "gram", lambda kernel, pts: gram(GaussianKernel(1000.0), pts))
+        cross_gram = est_mod.cross_gram
+        monkeypatch.setattr(
+            est_mod, "cross_gram", lambda kernel, a, b: cross_gram(GaussianKernel(1000.0), a, b)
+        )
         model_file = tmp_path / "model.txt"
         write_model_file(str(model_file), random_model(np.random.default_rng(4), 8))
         cfg = self._config(tmp_path, model_file, grid="30 60", schedule="1e-17*n^-0.5")

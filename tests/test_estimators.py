@@ -40,6 +40,7 @@ from cmekit.estimators import (
     JITTER_SCALE,
     RANK_TOL,
     _factor_pd,
+    _fitted_risk_and_hs,
     _training_risk_and_hs,
     solve_pd,
 )
@@ -580,40 +581,49 @@ class TestNormsAndRisks:
             assert hs_norm_sq(est) == pytest.approx(trace, rel=1e-12)
 
     @staticmethod
-    def check_training_risk_and_hs(est, sample):
-        # the two-GEMM report agrees with empirical_risk and with the trace
-        # formula.  With duplicates, W can be large enough that
-        # tr(W^T G_Y W G_X) in float arithmetic is itself off by 4e-12
-        # relative, so the reference is exact.  hs = sum((G_Y W G_X) * W) can
-        # cancel, so its tolerance is the rounding-error bound of that
-        # evaluation, not a share of |hs|.  The bound has a relative term and
-        # an absolute underflow term: for a tiny W the products B_ij * W_ij
-        # round to subnormals, each off by at most 2**-1075, and
-        # n**3 * 2**-1074 covers those n**2 roundings with room to spare
-        n = sample.n
-        G_X, G_Y = gram(est.kernel, est.X), gram(est.kernel, est.Y)
-        risk, hs = _training_risk_and_hs(est)
-        assert risk == pytest.approx(empirical_risk(est, sample), rel=1e-12, abs=1e-300)
+    def assert_hs_is_the_trace(est, hs, G_Y, G_X):
+        # With duplicates, W can be large enough that tr(W^T G_Y W G_X) in
+        # float arithmetic is itself off by 4e-12 relative, so the reference
+        # is exact.  hs = sum((G_Y W G_X) * W) can cancel, so its tolerance is
+        # the rounding-error bound of that evaluation, not a share of |hs|.
+        # The bound has a relative term and an absolute underflow term: for a
+        # tiny W the products B_ij * W_ij round to subnormals, each off by at
+        # most 2**-1075, and n**3 * 2**-1074 covers those n**2 roundings with
+        # room to spare
+        n = est.n
         A = np.abs(est.W)
         bound = 4 * (n + 2) * np.finfo(float).eps * float(np.sum((abs(G_Y) @ A @ abs(G_X)) * A))
         underflow = n**3 * np.finfo(float).smallest_subnormal
         assert abs(hs - exact_trace(est.W, G_Y, G_X)) <= bound + underflow
 
+    def check_training_risk_and_hs(self, est, sample):
+        # the general report agrees with empirical_risk and with the trace formula
+        G_X, G_Y = gram(est.kernel, est.X), gram(est.kernel, est.Y)
+        risk, hs = _training_risk_and_hs(est)
+        assert risk == pytest.approx(empirical_risk(est, sample), rel=1e-12, abs=1e-300)
+        self.assert_hs_is_the_trace(est, hs, G_Y, G_X)
+
+    @staticmethod
+    def draw_training_set(data):
+        """A sample of n <= 12 pairs from a small pool of points, so it carries
+        duplicates, with a kernel and a lambda."""
+        n = data.draw(st.integers(1, 12))
+        d = data.draw(st.integers(1, 2))
+        coords = st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)
+        pool = data.draw(st.lists(coords.map(lambda c: Point(tuple(c))), min_size=1, max_size=n))
+        X, Y = (tuple(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+                for _ in "xy")
+        width = data.draw(st.floats(0.5, 2.0))
+        kernel = data.draw(st.sampled_from([GaussianKernel(width), LaplacianKernel(width)]))
+        lam = data.draw(st.sampled_from([1e-3, 1e-2, 3e-2]))
+        return PairedSample(X=X, Y=Y), kernel, lam
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_training_risk_and_hs_match_the_general_routes(self, data):
         # for every fit and for a hand-built non-symmetric W
-        n = data.draw(st.integers(1, 12))
-        d = data.draw(st.integers(1, 2))
-        coords = st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)
-        # a small pool of points, so samples carry duplicates
-        pool = data.draw(st.lists(coords.map(lambda c: Point(tuple(c))), min_size=1, max_size=n))
-        X, Y = (tuple(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
-                for _ in "xy")
-        sample = PairedSample(X=X, Y=Y)
-        width = data.draw(st.floats(0.5, 2.0))
-        kernel = data.draw(st.sampled_from([GaussianKernel(width), LaplacianKernel(width)]))
-        lam = data.draw(st.sampled_from([1e-3, 1e-2, 3e-2]))
+        sample, kernel, lam = self.draw_training_set(data)
+        n, X, Y = sample.n, sample.X, sample.Y
         W = data.draw(arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0)))
         for est in (
             *(fit_cme(sample, kernel, filt, lam)
@@ -621,6 +631,47 @@ class TestNormsAndRisks:
             CmeEstimator(kernel=kernel, lam=lam, filt=Tikhonov(), X=X, Y=Y, W=W),
         ):
             self.check_training_risk_and_hs(est, sample)
+
+    def check_fitted_risk_and_hs(self, est, sample):
+        # the report that takes W G_X from the fit agrees with the general
+        # routes.  The risk cancels G_Y_ii - 2 cross_i + norm_i, so its
+        # tolerance is 1e-12 of the size of those terms, not of the risk:
+        # near-interpolating fits have risks around 1e-6 whose every digit is
+        # round-off
+        G_X, G_Y = gram(est.kernel, est.X), gram(est.kernel, est.Y)
+        risk, hs = _fitted_risk_and_hs(est)
+        Omega = est.W @ G_X
+        cross, norm = np.einsum("ji,ji->i", Omega, G_Y), np.einsum("ji,ji->i", Omega, G_Y @ Omega)
+        scale = float(np.mean(np.diagonal(G_Y) + 2.0 * np.abs(cross) + np.abs(norm)))
+        for reference in (_training_risk_and_hs(est)[0], empirical_risk(est, sample)):
+            assert abs(risk - reference) <= 1e-12 * scale
+        self.assert_hs_is_the_trace(est, hs, G_Y, G_X)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fitted_risk_and_hs_match_the_general_routes(self, data):
+        sample, kernel, lam = self.draw_training_set(data)
+        for filt in (Tikhonov(), Cutoff(), Landweber(steps=20, step_size=0.9)):
+            self.check_fitted_risk_and_hs(fit_cme(sample, kernel, filt, lam), sample)
+
+    def test_fitted_risk_and_hs_of_a_jittered_fit_on_repeated_points(self, monkeypatch):
+        # the fit's factorization is made to add a jitter of 0.37 to S + n*lam*I,
+        # so b = jitter / (n*lam) = 33.6 and Omega's P term, the average over
+        # the repeated X, is as large as its other terms
+        import cmekit.estimators as est_mod
+
+        factor_pd = est_mod._factor_pd
+        monkeypatch.setattr(
+            est_mod, "_factor_pd", lambda A, shift: (factor_pd(A, shift + 0.37)[0], 0.37)
+        )
+        rng = np.random.default_rng(31)
+        states = [pt(float(j)) for j in range(4)]
+        X = tuple(states[i % 4] for i in range(11))
+        for Y in (X, tuple(pt(v) for v in rng.normal(size=11))):
+            sample = PairedSample(X=X, Y=Y)
+            est = fit_cme(sample, GAUSS, Tikhonov(), 1e-3)
+            assert est.jitter == 0.37
+            self.check_fitted_risk_and_hs(est, sample)
 
     def test_subnormal_hs_stays_within_the_underflow_floor(self):
         # W of equal entries near 1e-158 on one repeated point: hs is subnormal

@@ -338,7 +338,7 @@ def read_model_file(path: str) -> md.FiniteMarkovModel:
         optional="transition-alt",
     )
     with _invalid(f"{path}: invalid model"):
-        return md.finite_model(
+        return md.FiniteMarkovModel(
             _points(b["states"]), b["pi"], b["transition"], b.get("transition-alt")
         )
 
@@ -580,7 +580,7 @@ def _verify_rows(model: md.FiniteMarkovModel, kernel: Kernel, seed: int) -> list
 
     def mmd_relation(pair):
         """||A - A'||^2 and the MMD integral for the two Markov kernels of ``pair``."""
-        alt = md.finite_model(pair.states, pair.marginal, pair.transition_alt)
+        alt = md.FiniteMarkovModel(pair.states, pair.marginal, pair.transition_alt)
         vals = [md.exact_operator_values(chain, kernel) for chain in (pair, alt)]
         return md.op_norm_diff(*vals, pair, kernel) ** 2, md.exact_mmd_integral(pair, kernel)
 
@@ -623,7 +623,7 @@ def _verify_rows(model: md.FiniteMarkovModel, kernel: Kernel, seed: int) -> list
     # well-specified deterministic map is recovered exactly
     perm = rng.permutation(model.m)
     exact_est = md.well_specified_estimator(model, kernel, perm)
-    det_model = md.finite_model(model.states, model.marginal, np.eye(model.m)[perm])
+    det_model = md.FiniteMarkovModel(model.states, model.marginal, np.eye(model.m)[perm])
     lhs = md.op_norm_diff(
         md.estimator_values(exact_est, det_model, kernel),
         md.exact_operator_values(det_model, kernel),

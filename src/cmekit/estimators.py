@@ -32,7 +32,7 @@ cutoff and Landweber filters).
 The first conditional-expectation query with an observable costs O(n^2), for
 its coefficients W^T f(Y); later queries with the same values cost O(n).
 
-The training report that ``estimate`` prints for a Tikhonov fit
+The training report that ``estimate`` prints for an unjittered Tikhonov fit
 (``_fitted_risk_and_hs``) builds G_Y only and costs one n^3 GEMM, holding W,
 G_Y and one n x REPORT_BLOCK block; the general route
 (``_training_risk_and_hs``) builds G_X and G_Y and costs two.
@@ -139,16 +139,10 @@ class CmeEstimator(_Rebuilt):
     form S + n*lam*I (0.0 when none; the other filters factor nothing);
     estimator files do not store it.
 
-    For an estimator that ``fit_cme`` returned with the Tikhonov filter, W
-    satisfies, in exact arithmetic,
-
-        W G_X = (1 + b) I - c W - b P,   c = n*lam + jitter,  b = jitter / (n*lam),
-
-    with P = E C^{-1} E^T the average over repeated X (E the n x m indicator
-    of the distinct X, C their counts).  With no repeated X, P = I and this is
-    (G_X + c I) W = I; with no jitter, b = 0 and it is (G_X + n*lam*I) W = I.
-    It does not hold for the cutoff and Landweber filters, nor for a
-    hand-built W (exact oracle witnesses legitimately carry one), so it is
+    For an unjittered Tikhonov fit that ``fit_cme`` returned, W satisfies
+    (G_X + n*lam*I) W = I in exact arithmetic, repeated X or not.  It does
+    not hold for a jittered fit, for the cutoff and Landweber filters, nor for
+    a hand-built W (exact oracle witnesses legitimately carry one), so it is
     checked in the test suite, not at construction.
     """
 
@@ -360,26 +354,20 @@ def _training_risk_and_hs(est: CmeEstimator) -> tuple[float, float]:
 def _fitted_risk_and_hs(est: CmeEstimator) -> tuple[float, float]:
     """The training report of an estimator that ``fit_cme`` returned.
 
-    For Tikhonov, Omega = W G_X comes from the solved system (see
-    ``CmeEstimator``), so G_X is never built and B = G_Y Omega is the one
-    GEMM.  Cutoff and Landweber take the general route: their
-    Omega = U diag(s g(s)) U^T costs a GEMM as large as W G_X.
+    For an unjittered Tikhonov fit, Omega = W G_X = I - n*lam*W comes from the
+    solved system (see ``CmeEstimator``), so G_X is never built and
+    B = G_Y Omega is the one GEMM.  A jittered fit takes the general route, as
+    do cutoff and Landweber: their Omega = U diag(s g(s)) U^T costs a GEMM as
+    large as W G_X.
     """
-    if not isinstance(est.filt, Tikhonov):
+    if not isinstance(est.filt, Tikhonov) or est.jitter:
         return _training_risk_and_hs(est)
-    n, W = est.n, est.W
-    c, b = n * est.lam + est.jitter, 0.0
-    if est.jitter:
-        _, inv, counts = _support(est.X)
-        if len(counts) < n:
-            b = est.jitter / (n * est.lam)
+    W, c = est.W, est.n * est.lam
 
     def omega(J: slice) -> np.ndarray:
         Omega = W[:, J] * -c
         cols = np.arange(Omega.shape[1])
-        Omega[J.start + cols, cols] += 1.0 + b
-        if b:
-            Omega -= (b / counts[inv[J]]) * (inv[:, None] == inv[J])
+        Omega[J.start + cols, cols] += 1.0
         return Omega
 
     return _risk_and_hs(est, omega)

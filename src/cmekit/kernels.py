@@ -184,10 +184,6 @@ class TableKernel(_Rebuilt):
 Kernel = Union[GaussianKernel, LaplacianKernel, TableKernel]
 
 
-# TableKernel accepts any point sequence and array-like value matrix
-table_kernel = TableKernel
-
-
 def kernel_eval(kernel: Kernel, x: Point, x2: Point) -> float:
     """Evaluate k(x, x2).
 

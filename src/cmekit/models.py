@@ -98,13 +98,9 @@ def chain_states(m: int) -> tuple[Point, ...]:
     return tuple(Point((j,)) for j in range(m))
 
 
-# FiniteMarkovModel accepts any point sequence and array-likes
-finite_model = FiniteMarkovModel
-
-
 def with_alt(model: FiniteMarkovModel, transition_alt: np.ndarray) -> FiniteMarkovModel:
     """Copy of the model with a second Markov kernel attached."""
-    return finite_model(model.states, model.marginal, model.transition, transition_alt)
+    return FiniteMarkovModel(model.states, model.marginal, model.transition, transition_alt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,7 +335,7 @@ def random_model(rng: np.random.Generator, m: int, alt: bool = False) -> FiniteM
     if alt:
         P_alt = rng.random((m, m)) + 0.05
         P_alt = P_alt / P_alt.sum(axis=1, keepdims=True)
-    return finite_model(chain_states(m), pi, P, P_alt)
+    return FiniteMarkovModel(chain_states(m), pi, P, P_alt)
 
 
 def constant_direction_alt(

@@ -13,9 +13,16 @@ Eigenvalues are sorted by modulus (descending), ties broken by real part
 descending, then nonnegative imaginary part first.  Eigenfunction coefficient
 vectors v are normalized to unit RKHS norm (v^H G_X v = 1) with the first
 nonzero component given nonnegative real part, which makes results
-reproducible across eigensolver backends.  Large problems use an implicitly
-restarted Arnoldi iteration with a fixed start vector instead of the dense
-solver; both paths satisfy the same residual contract.
+reproducible across the two eigensolvers.  A kept complex eigenvalue whose
+conjugate falls past r is replaced by that conjugate, with the conjugate
+eigenvector, so the kept member of a pair cut at r has nonnegative imaginary
+part.
+
+One rule picks the eigensolver: every r <= n - 2 runs ARPACK's implicitly
+restarted Arnoldi iteration (``scipy.sparse.linalg.eigs``, which needs
+r < n - 1 for a real nonsymmetric operator) with a fixed start vector, applying
+M through the factor without forming it; only r >= n - 1 forms M and runs the
+dense ``scipy.linalg.eig``.  Both satisfy the same residual contract.
 
 G_X and K_YX are each formed once per fit, and G_X + n*lam*I is factored once
 by :func:`cmekit.estimators._factor_pd` under the package's one policy
@@ -23,7 +30,7 @@ by :func:`cmekit.estimators._factor_pd` under the package's one policy
 G_X's own buffer: its lower triangle holds L, its strict upper triangle still
 holds G_X, and G_X's diagonal is kept aside, so G_X V is one symmetric product
 over the upper triangle.  A fit thus holds two n x n blocks, the packed factor
-and K_YX; on the dense path M = (G_X + n*lam*I)^{-1} K_YX is solved in K_YX's
+and K_YX; for r >= n - 1, M = (G_X + n*lam*I)^{-1} K_YX is solved in K_YX's
 buffer.  ``edmd_eigen`` measures the residuals with that same factor, so they
 belong to the same, possibly jittered, operator the eigenpairs came from, and
 it records the jitter it added.
@@ -42,7 +49,6 @@ from scipy.linalg.blas import dsymm
 from .estimators import PairedSample, _factor_pd
 from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram
 
-DENSE_EIG_LIMIT = 1200
 _PAIR_TOL = 1e-10
 
 
@@ -82,27 +88,6 @@ class EdmdResult(_Rebuilt):
         return len(self.eigenvalues)
 
 
-def _edmd_factor(sample: PairedSample, kernel: Kernel, lam: float):
-    """The factor of G_X + n*lam*I, packed into G_X's buffer, G_X's diagonal and the jitter."""
-    if not (lam > 0):
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    G = cross_gram(kernel, sample.X, sample.X).T          # F-ordered: G_X is exactly symmetric
-    g = G.diagonal().copy()
-    factor, jitter = _factor_pd(G, sample.n * lam)
-    return factor, g, jitter
-
-
-def _dense_matrix(sample: PairedSample, kernel: Kernel, factor) -> np.ndarray:
-    """M = (G_X + n*lam*I)^{-1} K_YX, solved in K_YX's own buffer."""
-    K_yx = cross_gram(kernel, sample.X, sample.Y).T       # F-ordered cross_gram(Y, X), bit for bit
-    return scipy.linalg.cho_solve(factor, K_yx, overwrite_b=True, check_finite=False)
-
-
-def edmd_matrix(sample: PairedSample, kernel: Kernel, lam: float) -> np.ndarray:
-    """The Gram-coordinate matrix M = (G_X + n*lam*I)^{-1} K_YX."""
-    return _dense_matrix(sample, kernel, _edmd_factor(sample, kernel, lam)[0])
-
-
 def _rkhs_norm_sq(factor, g: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Re(v^H G_X v) per column v of V, from real and imaginary parts: G_X is never cast to complex.
 
@@ -123,6 +108,15 @@ def _sort_eigenpairs(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # lexsort: last key is primary
     order = np.lexsort(((w.imag < 0).astype(int), -w.real, -np.abs(w)))
     return w[order], V[:, order]
+
+
+def _upper_members(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Replace each kept complex eigenpair with negative imaginary part whose conjugate
+    was not kept by (conj(mu), conj(v)): for a real operator that pair is exact too."""
+    tol = _PAIR_TOL * (1.0 + np.abs(w))
+    lone = (w.imag < -tol) & (np.abs(w[:, None] - np.conj(w)[None, :]) > tol).all(axis=0)
+    w[lone], V[:, lone] = np.conj(w[lone]), np.conj(V[:, lone])
+    return w, V
 
 
 def _normalize_columns(w: np.ndarray, V: np.ndarray, factor, g: np.ndarray) -> np.ndarray:
@@ -159,24 +153,22 @@ def _enforce_conjugate_pairs(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, 
 def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> EdmdResult:
     """Top-r eigenpairs of the regularized empirical transition operator.
 
-    Small problems run the dense nonsymmetric eigensolver on M; above
-    ``DENSE_EIG_LIMIT`` training points the matrix is applied implicitly
-    (one Cholesky factorization, matvecs via triangular solves) inside a
-    deterministic Arnoldi iteration.  The same operator application gives the
-    residuals sqrt(d^H G_X d), d = M v_j - mu_j v_j.
+    For r <= n - 2 the matrix M is applied implicitly (one Cholesky
+    factorization, matvecs via triangular solves) inside a deterministic
+    Arnoldi iteration; only r >= n - 1, which ARPACK cannot do, forms M and
+    runs the dense nonsymmetric eigensolver.  The same operator application
+    gives the residuals sqrt(d^H G_X d), d = M v_j - mu_j v_j.
     """
     n = sample.n
     if not (1 <= r <= n):
         raise ValueError(f"r out of range: need 1 <= r <= {n}, got {r}")
-    factor, g, jitter = _edmd_factor(sample, kernel, lam)
+    if not (lam > 0):
+        raise ValueError(f"lambda must be > 0, got {lam}")
+    G = cross_gram(kernel, sample.X, sample.X).T          # F-ordered: G_X is exactly symmetric
+    g = G.diagonal().copy()
+    factor, jitter = _factor_pd(G, n * lam)
 
-    if n <= DENSE_EIG_LIMIT or r > n - 2:
-        M = _dense_matrix(sample, kernel, factor)
-        apply = M.__matmul__
-        w, V = scipy.linalg.eig(M)
-        w, V = _sort_eigenpairs(w, V)
-        w, V = w[:r], V[:, :r]
-    else:
+    if r <= n - 2:
         K_yx = cross_gram(kernel, sample.Y, sample.X)
 
         def apply(v: np.ndarray) -> np.ndarray:
@@ -185,7 +177,14 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
         op = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, dtype=float)
         w, V = scipy.sparse.linalg.eigs(op, k=r, which="LM", v0=np.ones(n))
         w, V = _sort_eigenpairs(w, V)
+    else:
+        K_yx = cross_gram(kernel, sample.X, sample.Y).T   # F-ordered cross_gram(Y, X), bit for bit
+        M = scipy.linalg.cho_solve(factor, K_yx, overwrite_b=True, check_finite=False)
+        apply = M.__matmul__
+        w, V = _sort_eigenpairs(*scipy.linalg.eig(M))
+        w, V = w[:r], V[:, :r]
 
+    w, V = _upper_members(w, V)
     V = _normalize_columns(w, V, factor, g)
     w, V = _enforce_conjugate_pairs(w, V)
     D = apply(V.real) + 1j * apply(V.imag) - V * w

@@ -14,9 +14,11 @@ import pytest
 
 from cmekit import (
     Cutoff,
+    FiniteMarkovModel,
     GaussianKernel,
     Landweber,
     PairedSample,
+    TableKernel,
     Tikhonov,
     chain_states,
     cme_function,
@@ -27,7 +29,6 @@ from cmekit import (
     exact_mmd_integral,
     exact_operator_values,
     exact_risk,
-    finite_model,
     fit_cme,
     fit_tikhonov_closed_form,
     gram,
@@ -41,7 +42,6 @@ from cmekit import (
     random_model,
     sample_pairs,
     stationary_distribution,
-    table_kernel,
     well_specified_estimator,
 )
 from cmekit.cli import main, read_estimator, write_model_file
@@ -129,7 +129,7 @@ def test_criterion_03_mmd_relation():
         model = random_model(rng, int(rng.integers(2, 7)), alt=True)
         vals_p = exact_operator_values(model, GAUSS)
         vals_q = exact_operator_values(
-            finite_model(model.states, model.marginal, model.transition_alt), GAUSS
+            FiniteMarkovModel(model.states, model.marginal, model.transition_alt), GAUSS
         )
         lhs = op_norm_diff(vals_p, vals_q, model, GAUSS) ** 2
         assert lhs <= exact_mmd_integral(model, GAUSS) + 1e-10
@@ -139,25 +139,29 @@ def test_criterion_03_mmd_relation():
         model = constant_direction_alt(random_model(rng, int(rng.integers(2, 7))), rng)
         vals_p = exact_operator_values(model, GAUSS)
         vals_q = exact_operator_values(
-            finite_model(model.states, model.marginal, model.transition_alt), GAUSS
+            FiniteMarkovModel(model.states, model.marginal, model.transition_alt), GAUSS
         )
         lhs = op_norm_diff(vals_p, vals_q, model, GAUSS) ** 2
         assert lhs == pytest.approx(exact_mmd_integral(model, GAUSS), abs=1e-10)
 
     # the 2-state swap example, frozen value 2 - 2 exp(-1/2)
-    swap = finite_model(chain_states(2), [0.5, 0.5], np.eye(2), np.eye(2)[[1, 0]])
+    swap = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2), np.eye(2)[[1, 0]])
     vals_p = exact_operator_values(swap, GAUSS)
-    vals_q = exact_operator_values(finite_model(swap.states, swap.marginal, swap.transition_alt), GAUSS)
+    vals_q = exact_operator_values(
+        FiniteMarkovModel(swap.states, swap.marginal, swap.transition_alt), GAUSS
+    )
     lhs = op_norm_diff(vals_p, vals_q, swap, GAUSS) ** 2
     rhs = exact_mmd_integral(swap, GAUSS)
     assert lhs == pytest.approx(rhs, abs=1e-10)
     assert rhs == pytest.approx(0.7869386806, abs=1e-9)
 
     # documented 3-state instance with a strict gap (recorded in the log)
-    gap_model = finite_model(chain_states(3), np.full(3, 1 / 3), np.eye(3), np.eye(3)[[1, 2, 0]])
+    gap_model = FiniteMarkovModel(
+        chain_states(3), np.full(3, 1 / 3), np.eye(3), np.eye(3)[[1, 2, 0]]
+    )
     vals_p = exact_operator_values(gap_model, GAUSS)
     vals_q = exact_operator_values(
-        finite_model(gap_model.states, gap_model.marginal, gap_model.transition_alt), GAUSS
+        FiniteMarkovModel(gap_model.states, gap_model.marginal, gap_model.transition_alt), GAUSS
     )
     lhs = op_norm_diff(vals_p, vals_q, gap_model, GAUSS) ** 2
     rhs = exact_mmd_integral(gap_model, GAUSS)
@@ -195,7 +199,7 @@ def test_criterion_04_closed_form_equivalence():
 
 def test_criterion_05_well_specified_recovery():
     perm = [1, 2, 3, 0]
-    model = finite_model(chain_states(4), np.full(4, 0.25), np.eye(4)[perm])
+    model = FiniteMarkovModel(chain_states(4), np.full(4, 0.25), np.eye(4)[perm])
     exact = well_specified_estimator(model, GAUSS, perm)
     exact_diff = op_norm_diff(
         estimator_values(exact, model, GAUSS), exact_operator_values(model, GAUSS), model, GAUSS
@@ -258,7 +262,7 @@ def test_criterion_07_noncompact_ons_identity():
 def test_criterion_08a_two_state_chain_spectrum():
     t0 = time.perf_counter()
     P = np.array([[0.9, 0.1], [0.2, 0.8]])
-    model = finite_model(chain_states(2), stationary_distribution(P), P)
+    model = FiniteMarkovModel(chain_states(2), stationary_distribution(P), P)
     sample = sample_pairs(model, 2000, 5)  # documented seed
     res = edmd_eigen(sample, GAUSS, 1e-4, 2)
     moduli = np.abs(res.eigenvalues)
@@ -291,7 +295,7 @@ def test_criterion_08b_ou_spectrum():
 
 def test_criterion_09_finite_rank_convergence():
     pi = stationary_distribution(CONVERGENCE_P)
-    model = finite_model(chain_states(4), pi, CONVERGENCE_P)
+    model = FiniteMarkovModel(chain_states(4), pi, CONVERGENCE_P)
     exact_vals = exact_operator_values(model, GAUSS)
     tracks = []
     for seed in (1, 2, 3):  # documented seeds
@@ -333,12 +337,12 @@ def test_criterion_10_mmd_estimators():
     # (b) Monte Carlo mean of the unbiased estimator vs the exact population
     # value from the probability vectors and the table Gram
     states = chain_states(3)
-    table = table_kernel(
+    table = TableKernel(
         states, np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.5], [0.2, 0.5, 1.0]])
     )
     p = np.array([0.6, 0.3, 0.1])
     q = np.array([0.2, 0.5, 0.3])
-    population = finite_model(states, [1.0, 0.0, 0.0], np.tile(p, (3, 1)), np.tile(q, (3, 1)))
+    population = FiniteMarkovModel(states, [1.0, 0.0, 0.0], np.tile(p, (3, 1)), np.tile(q, (3, 1)))
     exact = exact_mmd_integral(population, table)
     rng = rng_for(31)  # documented seed
     values = np.empty(1000)
@@ -358,7 +362,7 @@ def test_criterion_10_mmd_estimators():
 
 def test_criterion_11_determinism_and_persistence(tmp_path, capsys):
     # byte-identical outputs for identical config + seed
-    model = finite_model(chain_states(2), [2 / 3, 1 / 3], np.array([[0.9, 0.1], [0.2, 0.8]]))
+    model = FiniteMarkovModel(chain_states(2), [2 / 3, 1 / 3], np.array([[0.9, 0.1], [0.2, 0.8]]))
     model_file = tmp_path / "model.txt"
     write_model_file(str(model_file), model)
     est_cfg = tmp_path / "est.cfg"

@@ -15,13 +15,13 @@ from hypothesis.extra.numpy import arrays
 from cmekit import (
     CmeEstimator,
     Cutoff,
+    FiniteMarkovModel,
     GaussianKernel,
     LaplacianKernel,
     Landweber,
     PairedSample,
     Tikhonov,
     chain_states,
-    finite_model,
     fit_cme,
     fit_tikhonov_closed_form,
     ou_sample_pairs,
@@ -85,7 +85,7 @@ class TestConfigParsing:
 
 class TestDataFiles:
     def test_model_roundtrip(self, tmp_path):
-        model = finite_model(
+        model = FiniteMarkovModel(
             chain_states(2),
             [2 / 3, 1 / 3],
             np.array([[0.9, 0.1], [0.2, 0.8]]),
@@ -343,7 +343,7 @@ out = {tmp_path / 'eig.csv'}
         assert err.startswith(f"error: {pairs}: edmd needs x and y of one dimension")
 
     def test_identity_dynamics_csv(self, tmp_path):
-        model = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))
+        model = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2))
         model_file = tmp_path / "model.txt"
         write_model_file(str(model_file), model)
         assert main(["edmd", "--config", self._config(tmp_path, model_file)]) == 0
@@ -357,7 +357,7 @@ out = {tmp_path / 'eig.csv'}
             assert float(row[4]) <= 1e-8               # residual contract
 
     def test_r_out_of_range_is_validation_error(self, tmp_path, capsys):
-        model = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))
+        model = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2))
         model_file = tmp_path / "model.txt"
         write_model_file(str(model_file), model)
         code = main(["edmd", "--config", self._config(tmp_path, model_file, n=5, r=9)])
@@ -373,7 +373,7 @@ out = {tmp_path / 'eig.csv'}
         assert "zero RKHS norm" in capsys.readouterr().err
 
     def test_determinism(self, tmp_path):
-        model = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))
+        model = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2))
         model_file = tmp_path / "model.txt"
         write_model_file(str(model_file), model)
         cfg = self._config(tmp_path, model_file, seed=11)
@@ -502,7 +502,7 @@ seed = {seed}
         )
 
     def test_swap_model_all_pass(self, tmp_path, capsys):
-        model = finite_model(
+        model = FiniteMarkovModel(
             chain_states(2), [0.5, 0.5], np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
         )
         model_file = tmp_path / "model.txt"
@@ -515,7 +515,7 @@ seed = {seed}
         assert "well-specified-recovery" in out
 
     def test_gap_model_reports_info(self, tmp_path, capsys):
-        model = finite_model(
+        model = FiniteMarkovModel(
             chain_states(3), np.full(3, 1 / 3), np.eye(3), np.eye(3)[[1, 2, 0]]
         )
         model_file = tmp_path / "model.txt"
@@ -535,7 +535,7 @@ seed = {seed}
         assert "LinAlgError: singular state Gram K_E" in capsys.readouterr().err
 
     def test_deterministic_table(self, tmp_path, capsys):
-        model = finite_model(chain_states(2), [0.5, 0.5], np.array([[0.8, 0.2], [0.3, 0.7]]))
+        model = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.array([[0.8, 0.2], [0.3, 0.7]]))
         model_file = tmp_path / "model.txt"
         write_model_file(str(model_file), model)
         cfg = self._config(tmp_path, model_file, seed=13)
@@ -565,7 +565,7 @@ out = {tmp_path / 'conv.csv'}
         )
 
     def test_single_point_grid(self, tmp_path):
-        model = finite_model(chain_states(2), [0.5, 0.5], np.array([[0.7, 0.3], [0.4, 0.6]]))
+        model = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.array([[0.7, 0.3], [0.4, 0.6]]))
         model_file = tmp_path / "model.txt"
         write_model_file(str(model_file), model)
         assert main(["convergence", "--config", self._config(tmp_path, model_file)]) == 0
@@ -676,7 +676,7 @@ out = {tmp_path / 'conv.csv'}
         assert len((tmp_path / "conv.csv").read_text().splitlines()) == 3
 
     def test_bad_schedule(self, tmp_path, capsys):
-        model = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))
+        model = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2))
         model_file = tmp_path / "model.txt"
         write_model_file(str(model_file), model)
         # p outside (0, 1); numbers the pattern admits but float() does not; an infinite c
@@ -687,7 +687,7 @@ out = {tmp_path / 'conv.csv'}
             assert err.startswith(f"error: {cfg}: lambda_schedule") and "ValueError" not in err
 
     def test_non_ascending_grid(self, tmp_path, capsys):
-        model = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))
+        model = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2))
         model_file = tmp_path / "model.txt"
         write_model_file(str(model_file), model)
         cfg = self._config(tmp_path, model_file, grid="100 50")
@@ -697,7 +697,7 @@ out = {tmp_path / 'conv.csv'}
 
 class TestSeedAndOutOverrides:
     def test_seed_override_changes_sample(self, tmp_path):
-        model = finite_model(chain_states(2), [0.5, 0.5], np.array([[0.7, 0.3], [0.4, 0.6]]))
+        model = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.array([[0.7, 0.3], [0.4, 0.6]]))
         model_file = tmp_path / "model.txt"
         write_model_file(str(model_file), model)
         cfg = write(
@@ -725,7 +725,7 @@ out = {tmp_path / 'e1.txt'}
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
         model_file = tmp_path / "model.txt"
-        write_model_file(str(model_file), finite_model(chain_states(2), [0.5, 0.5], np.eye(2)))
+        write_model_file(str(model_file), FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2)))
         cfg = write(tmp_path / "ov.cfg", KERNEL + MODEL_DATA.format(data=model_file))
         assert main(["oracle-verify", "--config", cfg, "--seed", seed]) == 2
         assert capsys.readouterr().err.startswith(f"error: {cfg}: seed must be")
@@ -746,7 +746,7 @@ class TestCodec:
     @staticmethod
     def _objects():
         states = (pt(0.0, 1.0), pt(1.0, -0.0), pt(2.5, 1 / 3))
-        model = finite_model(
+        model = FiniteMarkovModel(
             states,
             [0.5, 0.25, 0.25],
             np.array([[0.8, 0.1, 0.1], [0.2, 0.7, 0.1], [0.1, 0.2, 0.7]]),

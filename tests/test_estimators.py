@@ -244,10 +244,10 @@ class TestFitting:
 
     def test_orthonormal_features_shrink_uniformly(self):
         # a table kernel with identity values makes G_X = I, so W = I/(1+n*lam)
-        from cmekit import chain_states, table_kernel
+        from cmekit import TableKernel, chain_states
 
         states = chain_states(3)
-        k = table_kernel(states, np.eye(3))
+        k = TableKernel(states, np.eye(3))
         sample = PairedSample(X=states, Y=states)
         lam = 0.2
         fit = fit_cme(sample, k, Tikhonov(), lam)
@@ -656,8 +656,7 @@ class TestNormsAndRisks:
 
     def test_fitted_risk_and_hs_of_a_jittered_fit_on_repeated_points(self, monkeypatch):
         # the fit's factorization is made to add a jitter of 0.37 to S + n*lam*I,
-        # so b = jitter / (n*lam) = 33.6 and Omega's P term, the average over
-        # the repeated X, is as large as its other terms
+        # so W G_X is far from I - n*lam*W and the report must not assume it
         import cmekit.estimators as est_mod
 
         factor_pd = est_mod._factor_pd
@@ -711,9 +710,9 @@ class TestAgainstFiniteChainOracle:
     """Estimates on a finite 2-state chain converge to the exact oracle."""
 
     def _fitted(self, transition, n=2000, lam=1e-4, seed=3):
-        from cmekit import chain_states, finite_model, sample_pairs
+        from cmekit import FiniteMarkovModel, chain_states, sample_pairs
 
-        model = finite_model(chain_states(2), [0.5, 0.5], transition)
+        model = FiniteMarkovModel(chain_states(2), [0.5, 0.5], transition)
         sample = sample_pairs(model, n, seed)
         return model, fit_tikhonov_closed_form(sample, GAUSS, lam)
 

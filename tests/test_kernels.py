@@ -13,11 +13,11 @@ from cmekit import (
     GaussianKernel,
     LaplacianKernel,
     Point,
+    TableKernel,
     cross_gram,
     gram,
     kernel_eval,
     pt,
-    table_kernel,
 )
 from cmekit.kernels import coords_matrix
 from cmekit.models import ou_sample_pairs
@@ -72,7 +72,7 @@ class TestEval:
                          [0.1, 0.2, 0.3, 1.0]])
         skewed = vals.copy()
         skewed[0, 1] += 1e-13          # accepted: within the 1e-12 tolerance
-        tables = [table_kernel(states, vals), table_kernel(states, skewed)]
+        tables = [TableKernel(states, vals), TableKernel(states, skewed)]
         for kernel in [GAUSS, LAPL2, *tables]:
             pts = states if kernel in tables else random_points(rng, 6, 2)
             for x in pts:
@@ -84,7 +84,7 @@ class TestEval:
             kernel_eval(GAUSS, pt(0.0), pt(0.0, 1.0))
 
     def test_table_lookup_miss(self):
-        k = table_kernel([pt(0.0), pt(1.0)], np.array([[1.0, 0.5], [0.5, 1.0]]))
+        k = TableKernel([pt(0.0), pt(1.0)], np.array([[1.0, 0.5], [0.5, 1.0]]))
         with pytest.raises(ValueError, match="point not in table"):
             kernel_eval(k, pt(0.5), pt(0.0))
 
@@ -125,7 +125,7 @@ class TestGram:
             assert np.array_equal(g, g.T)
         states = random_points(rng, 3, 2)
         skewed = np.array([[1.0, 0.5 + 1e-13, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
-        g = gram(table_kernel(states, skewed), [states[1], states[0], states[2], states[0]])
+        g = gram(TableKernel(states, skewed), [states[1], states[0], states[2], states[0]])
         assert np.array_equal(g, g.T)
 
     def test_empty_raises(self):
@@ -158,7 +158,7 @@ class TestCrossGram:
     def test_table_roundtrip(self):
         states = [pt(0.0), pt(1.0)]
         vals = np.array([[1.0, 0.5], [0.5, 1.0]])
-        k = table_kernel(states, vals)
+        k = TableKernel(states, vals)
         K = cross_gram(k, states, states)
         assert np.array_equal(K, vals)
         assert K.flags.c_contiguous and K.flags.writeable
@@ -208,7 +208,7 @@ class TestCrossGram:
 
 class TestCheckedPointTuples:
     def test_coords_matrix_of_a_checked_tuple_is_its_read_only_array(self):
-        states = table_kernel([pt(0.0, 1.0), pt(2.0, -1.0)], np.eye(2)).states
+        states = TableKernel([pt(0.0, 1.0), pt(2.0, -1.0)], np.eye(2)).states
         coords = coords_matrix(states)
         assert coords is coords_matrix(states)
         assert np.array_equal(coords, [[0.0, 1.0], [2.0, -1.0]])
@@ -216,7 +216,7 @@ class TestCheckedPointTuples:
             coords[0, 0] = 5.0
 
     @pytest.mark.parametrize(
-        "kernel", [GAUSS, table_kernel([pt(0.0), pt(1.0)], np.eye(2))], ids=["gauss", "table"]
+        "kernel", [GAUSS, TableKernel([pt(0.0), pt(1.0)], np.eye(2))], ids=["gauss", "table"]
     )
     def test_mixed_dimensions_raise_the_package_error(self, kernel):
         mixed = [pt(0.0), pt(0.0, 1.0)]
@@ -229,15 +229,15 @@ class TestCheckedPointTuples:
 class TestTableKernelValidation:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            table_kernel([pt(0.0), pt(1.0)], np.array([[1.0, 0.5], [0.4, 1.0]]))
+            TableKernel([pt(0.0), pt(1.0)], np.array([[1.0, 0.5], [0.4, 1.0]]))
 
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError, match="positive semidefinite"):
-            table_kernel([pt(0.0), pt(1.0)], np.array([[1.0, 2.0], [2.0, 1.0]]))
+            TableKernel([pt(0.0), pt(1.0)], np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_duplicate_states_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            table_kernel([pt(0.0), pt(0.0)], np.eye(2))
+            TableKernel([pt(0.0), pt(0.0)], np.eye(2))
 
     def test_bad_bandwidth(self):
         with pytest.raises(ValueError):

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from cmekit import (
     CmeEstimator,
     EdmdResult,
+    FiniteMarkovModel,
     GaussianKernel,
     LaplacianKernel,
     RegressionFunctionRep,
     Cutoff,
     Landweber,
     Point,
+    TableKernel,
     Tikhonov,
     WeightedEmbedding,
     chain_states,
@@ -34,7 +36,6 @@ from cmekit import (
     exact_mmd_integral,
     exact_operator_values,
     exact_risk,
-    finite_model,
     fit_cme,
     fit_tikhonov_closed_form,
     generalized_cov_ons_check,
@@ -47,7 +48,6 @@ from cmekit import (
     random_model,
     sample_pairs,
     stationary_distribution,
-    table_kernel,
     well_specified_estimator,
     with_alt,
 )
@@ -64,20 +64,20 @@ def rng_for(seed):
 class TestModelValidation:
     def test_bad_marginal(self):
         with pytest.raises(ValueError, match="marginal"):
-            finite_model(chain_states(2), [0.6, 0.6], np.eye(2))
+            FiniteMarkovModel(chain_states(2), [0.6, 0.6], np.eye(2))
 
     def test_bad_rows(self):
         with pytest.raises(ValueError, match="rows"):
-            finite_model(chain_states(2), [0.5, 0.5], [[0.9, 0.2], [0.2, 0.8]])
+            FiniteMarkovModel(chain_states(2), [0.5, 0.5], [[0.9, 0.2], [0.2, 0.8]])
 
     def test_duplicate_states(self):
         with pytest.raises(ValueError, match="distinct"):
-            finite_model([pt(0.0), pt(0.0)], [0.5, 0.5], np.eye(2))
+            FiniteMarkovModel([pt(0.0), pt(0.0)], [0.5, 0.5], np.eye(2))
 
 
 MIXED = (pt(0.0), pt(0.0, 1.0))
 NAN_ROW = [[0.5, 0.5], [np.nan, 0.5]]
-TWO_STATES = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))
+TWO_STATES = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2))
 
 
 def _estimator(X, W):
@@ -113,22 +113,26 @@ def _estimator(X, W):
         ),
         pytest.param(lambda: RegressionFunctionRep(C=NAN_ROW), "finite", id="regression-C"),
         pytest.param(
-            lambda: finite_model(MIXED, [0.5, 0.5], np.eye(2)), "dimension", id="model-states"
+            lambda: FiniteMarkovModel(MIXED, [0.5, 0.5], np.eye(2)), "dimension", id="model-states"
         ),
         pytest.param(
-            lambda: finite_model(chain_states(2), [np.nan, 0.5], np.eye(2)), "finite", id="model-pi"
+            lambda: FiniteMarkovModel(chain_states(2), [np.nan, 0.5], np.eye(2)),
+            "finite",
+            id="model-pi",
         ),
         pytest.param(
-            lambda: finite_model(chain_states(2), [0.5, 0.5], NAN_ROW), "finite", id="model-transition"
+            lambda: FiniteMarkovModel(chain_states(2), [0.5, 0.5], NAN_ROW),
+            "finite",
+            id="model-transition",
         ),
         pytest.param(
-            lambda: finite_model(chain_states(2), [0.5, 0.5], np.eye(2), NAN_ROW),
+            lambda: FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2), NAN_ROW),
             "finite",
             id="model-transition-alt",
         ),
-        pytest.param(lambda: table_kernel(MIXED, np.eye(2)), "dimension", id="table-states"),
+        pytest.param(lambda: TableKernel(MIXED, np.eye(2)), "dimension", id="table-states"),
         pytest.param(
-            lambda: table_kernel(chain_states(2), [[1.0, np.nan], [np.nan, 1.0]]),
+            lambda: TableKernel(chain_states(2), [[1.0, np.nan], [np.nan, 1.0]]),
             "finite",
             id="table-values",
         ),
@@ -219,8 +223,8 @@ def checked_point_fields(pts):
         ("estimator Y", est.Y),
         ("embedding", WeightedEmbedding(kernel=GAUSS, support=pts, weights=np.ones(n)).support),
         ("edmd", EdmdResult(np.ones(1), np.ones((n, 1)), pts, GAUSS, 1.0).X),
-        ("model", finite_model(distinct, np.full(m, 1.0 / m), np.eye(m)).states),
-        ("table kernel", table_kernel(distinct, np.eye(m)).states),
+        ("model", FiniteMarkovModel(distinct, np.full(m, 1.0 / m), np.eye(m)).states),
+        ("table kernel", TableKernel(distinct, np.eye(m)).states),
     ]
 
 
@@ -286,7 +290,7 @@ def _small_fit():
             lambda: cme_function(random_model(np.random.default_rng(0), 3)), ["C"], id="regression"
         ),
         pytest.param(
-            lambda: table_kernel(chain_states(3), np.eye(3)), ["_values_array"], id="table-kernel"
+            lambda: TableKernel(chain_states(3), np.eye(3)), ["_values_array"], id="table-kernel"
         ),
     ],
 )
@@ -329,20 +333,20 @@ class TestStationaryDistribution:
 
 class TestExactOperatorValues:
     def test_identity_chain_is_inclusion(self):
-        model = finite_model(chain_states(3), np.full(3, 1 / 3), np.eye(3))
+        model = FiniteMarkovModel(chain_states(3), np.full(3, 1 / 3), np.eye(3))
         vals = exact_operator_values(model, GAUSS)
         K_E = gram(GAUSS, model.states)
         assert np.max(np.abs(vals - K_E)) == 0.0
 
     def test_single_state(self):
-        model = finite_model(chain_states(1), [1.0], [[1.0]])
+        model = FiniteMarkovModel(chain_states(1), [1.0], [[1.0]])
         vals = exact_operator_values(model, GAUSS)
         assert vals.shape == (1, 1) and vals[0, 0] == 1.0
 
     def test_permutation_chain_selects_rows(self):
         perm = [2, 0, 1]
         P = np.eye(3)[perm]
-        model = finite_model(chain_states(3), np.full(3, 1 / 3), P)
+        model = FiniteMarkovModel(chain_states(3), np.full(3, 1 / 3), P)
         vals = exact_operator_values(model, GAUSS)
         K_E = gram(GAUSS, model.states)
         assert np.max(np.abs(vals - K_E[perm, :])) == 0.0
@@ -380,7 +384,7 @@ class TestIllConditionedStateGram:
 
 class TestEstimatorValues:
     def test_zero_coefficients(self):
-        model = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))
+        model = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2))
         est = CmeEstimator(
             kernel=GAUSS,
             lam=0.1,
@@ -394,7 +398,7 @@ class TestEstimatorValues:
 
     def test_single_training_pair_scalar(self):
         lam = 0.3
-        model = finite_model(chain_states(1), [1.0], [[1.0]])
+        model = FiniteMarkovModel(chain_states(1), [1.0], [[1.0]])
         sample = PairedSample(X=(model.states[0],), Y=(model.states[0],))
         est = fit_tikhonov_closed_form(sample, GAUSS, lam)
         vals = estimator_values(est, model, GAUSS)
@@ -443,7 +447,7 @@ class TestEstimatorValues:
             estimator_values(est, model, GAUSS)
 
     def test_kernel_mismatch(self):
-        model = finite_model(chain_states(2), [0.5, 0.5], np.eye(2))
+        model = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2))
         est = well_specified_estimator(model, GAUSS, [0, 1])
         with pytest.raises(ValueError, match="kernel"):
             estimator_values(est, model, GaussianKernel(bandwidth=2.0))
@@ -451,13 +455,13 @@ class TestEstimatorValues:
 
 class TestOpNormDiff:
     def test_identical_maps(self):
-        model = finite_model(chain_states(3), np.full(3, 1 / 3), np.eye(3))
+        model = FiniteMarkovModel(chain_states(3), np.full(3, 1 / 3), np.eye(3))
         vals = exact_operator_values(model, GAUSS)
         assert op_norm_diff(vals, vals, model, GAUSS) == 0.0
 
     def test_single_state_norm_of_p(self):
         # against the zero operator, ||P|| = sup |f(e1)| over unit ball = 1
-        model = finite_model(chain_states(1), [1.0], [[1.0]])
+        model = FiniteMarkovModel(chain_states(1), [1.0], [[1.0]])
         vals = exact_operator_values(model, GAUSS)
         zero = CmeEstimator(
             kernel=GAUSS,
@@ -477,7 +481,7 @@ class TestOpNormDiff:
             model = random_model(rng, 3, alt=True)
             vals_p = exact_operator_values(model, GAUSS)
             vals_q = exact_operator_values(
-                finite_model(model.states, model.marginal, model.transition_alt), GAUSS
+                FiniteMarkovModel(model.states, model.marginal, model.transition_alt), GAUSS
             )
             norm = op_norm_diff(vals_p, vals_q, model, GAUSS)
             K_E = gram(GAUSS, model.states)
@@ -565,7 +569,7 @@ class TestExcessRiskAndBound:
         rng = rng_for(62)
         model = random_model(rng, 4)
         perm = [1, 3, 0, 2]
-        det = finite_model(model.states, model.marginal, np.eye(4)[perm])
+        det = FiniteMarkovModel(model.states, model.marginal, np.eye(4)[perm])
         est = well_specified_estimator(det, GAUSS, perm)
         assert exact_excess_risk(est, det, GAUSS) <= 1e-10
         assert (
@@ -634,7 +638,7 @@ class TestMmdIntegral:
         assert exact_mmd_integral(same, GAUSS) == 0.0
 
     def test_two_state_swap(self):
-        model = finite_model(
+        model = FiniteMarkovModel(
             chain_states(2), [0.5, 0.5], np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
         )
         val = exact_mmd_integral(model, GAUSS)
@@ -646,8 +650,8 @@ class TestMmdIntegral:
         base = np.array([[1.0, 0.4, 0.1], [0.4, 1.0, 0.4], [0.1, 0.4, 1.0]])
         rng = rng_for(67)
         model = random_model(rng, 3, alt=True)
-        v1 = exact_mmd_integral(model, table_kernel(states, base))
-        v3 = exact_mmd_integral(model, table_kernel(states, 3.0 * base))
+        v1 = exact_mmd_integral(model, TableKernel(states, base))
+        v3 = exact_mmd_integral(model, TableKernel(states, 3.0 * base))
         assert v3 == pytest.approx(3.0 * v1, rel=1e-12)
 
     def test_missing_alt(self):
@@ -661,7 +665,7 @@ class TestMmdIntegral:
             model = constant_direction_alt(random_model(rng, int(rng.integers(2, 6))), rng)
             vals_p = exact_operator_values(model, GAUSS)
             vals_q = exact_operator_values(
-                finite_model(model.states, model.marginal, model.transition_alt), GAUSS
+                FiniteMarkovModel(model.states, model.marginal, model.transition_alt), GAUSS
             )
             lhs = op_norm_diff(vals_p, vals_q, model, GAUSS) ** 2
             rhs = exact_mmd_integral(model, GAUSS)
@@ -706,7 +710,7 @@ class TestExactRisk:
 
     def test_perfect_deterministic_prediction(self):
         perm = [1, 2, 0]
-        model = finite_model(chain_states(3), np.full(3, 1 / 3), np.eye(3)[perm])
+        model = FiniteMarkovModel(chain_states(3), np.full(3, 1 / 3), np.eye(3)[perm])
         F = RegressionFunctionRep(C=np.eye(3)[perm])
         assert exact_risk(F, model, GAUSS) <= 1e-14
 
@@ -780,12 +784,12 @@ class TestGeneralizedCovariance:
 class TestSamplers:
     def test_identity_chain_pairs(self):
         rng = rng_for(75)
-        model = finite_model(chain_states(3), [0.2, 0.3, 0.5], np.eye(3))
+        model = FiniteMarkovModel(chain_states(3), [0.2, 0.3, 0.5], np.eye(3))
         sample = sample_pairs(model, 500, 8)
         assert sample.X == sample.Y
 
     def test_point_mass_marginal(self):
-        model = finite_model(chain_states(2), [1.0, 0.0], np.array([[0.5, 0.5], [0.5, 0.5]]))
+        model = FiniteMarkovModel(chain_states(2), [1.0, 0.0], np.array([[0.5, 0.5], [0.5, 0.5]]))
         sample = sample_pairs(model, 200, 9)
         assert all(x == model.states[0] for x in sample.X)
 

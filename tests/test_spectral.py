@@ -1,4 +1,8 @@
-"""Kernel-EDMD eigenproblem: matrix reduction, eigenpairs, clustering."""
+"""Kernel-EDMD eigenproblem: matrix reduction, eigenpairs, clustering.
+
+``edmd_eigen`` runs ARPACK for r <= n - 2 and the dense eigensolver for
+r >= n - 1, so each test picks its branch by r.
+"""
 
 import tracemalloc
 from collections import Counter
@@ -6,14 +10,17 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cmekit.spectral
 from cmekit import (
     EdmdResult,
+    FiniteMarkovModel,
     GaussianKernel,
     PairedSample,
+    cross_gram,
     edmd_eigen,
-    edmd_matrix,
     eigen_residuals,
     embed_inner,
     eval_eigenfunction,
@@ -27,7 +34,7 @@ from cmekit import (
     stationary_distribution,
 )
 from cmekit.estimators import JITTER_SCALE
-from cmekit.models import chain_states, finite_model, random_model
+from cmekit.models import chain_states, random_model
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 
@@ -43,9 +50,27 @@ def random_sample(rng, n):
     return PairedSample(X=X, Y=Y)
 
 
-def recomputed_residuals(res, sample, kernel, lam):
-    """sqrt(Re d^H G d) with d = M v - mu v, M taken from edmd_matrix."""
-    M = edmd_matrix(sample, kernel, lam)
+def reference_matrix(sample, kernel, lam, jitter=0.0):
+    """M = (G_X + n*lam*I + jitter*I)^{-1} K_YX by a plain dense solve."""
+    n = sample.n
+    G = gram(kernel, sample.X) + (n * lam + jitter) * np.eye(n)
+    return scipy.linalg.solve(G, cross_gram(kernel, sample.Y, sample.X))
+
+
+def reference_eigenvalues(M):
+    """All eigenvalues of M in the documented order (modulus descending, then
+    real part descending, then nonnegative imaginary part first), and the
+    first-order error bound of each, eps ||M|| / |y^H x| for its unit left and
+    right eigenvectors y and x."""
+    w, left, right = scipy.linalg.eig(M, left=True)
+    bound = np.finfo(float).eps * np.linalg.norm(M, 2) / np.abs(np.sum(left.conj() * right, axis=0))
+    order = np.lexsort(((w.imag < 0).astype(int), -w.real, -np.abs(w)))
+    return w[order], bound[order]
+
+
+def recomputed_residuals(res, sample, kernel, lam, jitter=0.0):
+    """sqrt(Re d^H G d) with d = M v - mu v, M taken from reference_matrix."""
+    M = reference_matrix(sample, kernel, lam, jitter)
     G = gram(kernel, sample.X)
     out = []
     for j in range(res.r):
@@ -56,36 +81,48 @@ def recomputed_residuals(res, sample, kernel, lam):
 
 
 class TestEdmdMatrix:
+    """The Gram-coordinate matrix M, through edmd_eigen's whole spectrum
+    (r = n) and through the reference solve."""
+
     def test_scalar_identity(self):
         sample = PairedSample(X=(pt(0.3),), Y=(pt(0.3),))
-        M = edmd_matrix(sample, GAUSS, 1.0)
+        M = reference_matrix(sample, GAUSS, 1.0)
         assert M.shape == (1, 1)
         assert M[0, 0] == pytest.approx(0.5, abs=1e-14)
+        assert edmd_eigen(sample, GAUSS, 1.0, 1).eigenvalues[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_identity_dynamics_spectrum(self):
-        # whole spectrum is s_i / (s_i + n lam) for eigenvalues s_i of G_X
-        rng = np.random.default_rng(40)
-        sample = identity_sample(rng, 25)
+        # whole spectrum is s_i / (s_i + n lam) for eigenvalues s_i of G_X, from
+        # the reference at n = 25 and from edmd_eigen with r = n at n = 8: r = n
+        # needs every eigenfunction off G_X's round-off null space, which holds
+        # for 8 of these points but not for 25
         lam = 0.01
-        M = edmd_matrix(sample, GAUSS, lam)
-        got = np.sort(np.linalg.eigvals(M).real)
-        s = np.linalg.eigvalsh(gram(GAUSS, sample.X))
-        expected = np.sort(s / (s + 25 * lam))
-        assert np.max(np.abs(got - expected)) <= 1e-10
-        # strictly inside (0, 1) above the Gram's round-off floor
-        assert np.all(got > -1e-12) and np.all(got < 1)
-        significant = expected > 1e-12
-        assert np.all(got[significant] > 0)
+        for n in (25, 8):
+            sample = identity_sample(np.random.default_rng(40), n)
+            if n == 25:
+                w = np.linalg.eigvals(reference_matrix(sample, GAUSS, lam))
+            else:
+                w = edmd_eigen(sample, GAUSS, lam, n).eigenvalues
+            assert np.max(np.abs(w.imag)) <= 1e-12
+            got = np.sort(w.real)
+            s = np.linalg.eigvalsh(gram(GAUSS, sample.X))
+            expected = np.sort(s / (s + n * lam))
+            assert np.max(np.abs(got - expected)) <= 1e-10
+            # strictly inside (0, 1) above the Gram's round-off floor
+            assert np.all(got > -1e-12) and np.all(got < 1)
+            significant = expected > 1e-12
+            assert np.all(got[significant] > 0)
 
     def test_identity_dynamics_small_lambda(self):
         X = tuple(pt(v) for v in (-2.0, -1.0, 0.0, 1.0, 2.0))
         sample = PairedSample(X=X, Y=X)
-        M = edmd_matrix(sample, GAUSS, 1e-12)
+        M = reference_matrix(sample, GAUSS, 1e-12)
         assert np.max(np.abs(M - np.eye(5))) <= 1e-6
+        assert np.max(np.abs(edmd_eigen(sample, GAUSS, 1e-12, 5).eigenvalues - 1.0)) <= 1e-6
 
     def test_lambda_validation(self):
-        with pytest.raises(ValueError):
-            edmd_matrix(PairedSample(X=(pt(0.0),), Y=(pt(0.0),)), GAUSS, 0.0)
+        with pytest.raises(ValueError, match="lambda must be > 0"):
+            edmd_eigen(PairedSample(X=(pt(0.0),), Y=(pt(0.0),)), GAUSS, 0.0, 1)
 
 
 class TestEdmdEigen:
@@ -120,7 +157,7 @@ class TestEdmdEigen:
     def test_conjugate_pairs(self):
         # a non-reversible cyclic chain has complex transition eigenvalues
         P = np.array([[0.1, 0.8, 0.1], [0.1, 0.1, 0.8], [0.8, 0.1, 0.1]])
-        model = finite_model(chain_states(3), stationary_distribution(P), P)
+        model = FiniteMarkovModel(chain_states(3), stationary_distribution(P), P)
         sample = sample_pairs(model, 600, 6)
         res = edmd_eigen(sample, GAUSS, 1e-4, 3)
         complex_idx = [j for j in range(3) if abs(res.eigenvalues[j].imag) > 1e-8]
@@ -129,7 +166,7 @@ class TestEdmdEigen:
         assert res.eigenvalues[i] == np.conj(res.eigenvalues[j])
         assert np.array_equal(res.coeffs[:, i], np.conj(res.coeffs[:, j]))
         # full matrix spectrum pairs up within 1e-10
-        M = edmd_matrix(sample, GAUSS, 1e-4)
+        M = reference_matrix(sample, GAUSS, 1e-4)
         w = np.linalg.eigvals(M)
         for mu in w[np.abs(w.imag) > 1e-10]:
             assert np.min(np.abs(w - np.conj(mu))) <= 1e-10
@@ -151,13 +188,23 @@ class TestEdmdEigen:
             with pytest.raises(np.linalg.LinAlgError, match="zero RKHS norm.*reduce r"):
                 edmd_eigen(sample, GAUSS, 1e-3, r)
 
-    def test_arnoldi_matches_dense(self, monkeypatch):
+    @pytest.mark.parametrize("n", [300, 1500])
+    def test_pair_cut_at_r_keeps_the_nonnegative_imaginary_member(self, n):
+        # the 4-cycle's spectrum is 1, i, -1, -i: r = 2 keeps 1 and one member
+        # of the pair +-i, whose conjugate is cut
+        model = FiniteMarkovModel(chain_states(4), np.full(4, 0.25), np.roll(np.eye(4), 1, axis=1))
+        res = edmd_eigen(sample_pairs(model, n, 7), GAUSS, 1e-4, 2)
+        mu = res.eigenvalues[1]
+        assert mu.imag > 0.99 and abs(mu.real) <= 1e-3
+        assert np.max(res.residuals) <= 1e-12
+
+    def test_arnoldi_matches_dense(self):
+        # r = 4 runs ARPACK and r = n - 1 = 9 the dense solver on the same sample
         rng = np.random.default_rng(45)
-        sample = random_sample(rng, 160)
-        dense = edmd_eigen(sample, GAUSS, 1e-2, 4)
-        monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", 50)
+        sample = random_sample(rng, 10)
         arnoldi = edmd_eigen(sample, GAUSS, 1e-2, 4)
-        assert np.max(np.abs(dense.eigenvalues - arnoldi.eigenvalues)) <= 1e-8
+        dense = edmd_eigen(sample, GAUSS, 1e-2, 9)
+        assert np.max(np.abs(dense.eigenvalues[:4] - arnoldi.eigenvalues)) <= 1e-8
         for j in range(4):
             # eigenvectors may differ by sign/phase; compare as RKHS elements
             inner = np.abs(
@@ -165,33 +212,81 @@ class TestEdmdEigen:
             )
             assert inner == pytest.approx(1.0, abs=1e-6)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_arnoldi_eigenvalues_match_the_reference(self, data):
+        # OU pairs, OU pairs with repeated X, and cyclic shifts on 3 to 5 states
+        n = data.draw(st.integers(3, 40))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        kind = data.draw(st.sampled_from(["ou", "repeated", "cyclic"]))
+        if kind == "cyclic":
+            m = data.draw(st.integers(3, 5))
+            shift = np.roll(np.eye(m), 1, axis=1)
+            model = FiniteMarkovModel(chain_states(m), np.full(m, 1 / m), shift)
+            sample = sample_pairs(model, n, seed)
+        else:
+            sample = ou_sample_pairs(1.0, 0.5, n, seed)
+            if kind == "repeated":
+                idx = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+                sample = PairedSample(X=tuple(sample.X[i] for i in idx), Y=sample.Y)
+        lam = data.draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
+        want, bound = reference_eigenvalues(reference_matrix(sample, GAUSS, lam))
+        # eigenvalues at round-off level have eigenfunctions in G_X's null space,
+        # which edmd_eigen refuses ("reduce r")
+        r = data.draw(st.integers(1, min(n - 2, int(np.sum(np.abs(want) > 1e-6)))))
+        # skip a cut at r between two moduli within 1e-6 that are not a conjugate
+        # pair, and eigenvalues so ill-conditioned that no solver, the reference's
+        # included, is sure to reach 1e-8
+        cut, rest = want[r - 1], want[r]
+        assume(abs(abs(cut) - abs(rest)) > 1e-6 or abs(cut - np.conj(rest)) <= 1e-8)
+        assume(np.max(bound[:r]) <= 1e-8)
+        got = edmd_eigen(sample, GAUSS, lam, r).eigenvalues
+        assert np.max(np.abs(got - want[:r])) <= 1e-8
+
     def test_jittered_system_is_shared_by_both_paths_and_residuals(self, monkeypatch):
-        # G_X + n*lam*I is numerically singular here: the dense solve jitters
-        # it, and the residuals and the Arnoldi path must factor it the same way
+        # G_X + n*lam*I is numerically singular here: the factorization jitters
+        # it, and the Arnoldi path and the residuals use that one factor
         sample = ou_sample_pairs(1.0, 0.5, 30, 7)
         kernel = GaussianKernel(bandwidth=10.0)
         res = edmd_eigen(sample, kernel, 1e-17, 3)
         resid = eigen_residuals(res, sample)
-        assert resid.shape == (3,)
+        assert res.jitter > 0 and resid.shape == (3,)
+        assert np.all(np.isfinite(res.eigenvalues))
         assert np.all(np.isfinite(resid)) and np.all(resid >= 0)
-        monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", 10)
-        arnoldi = edmd_eigen(sample, kernel, 1e-17, 3)
-        assert np.all(np.isfinite(arnoldi.eigenvalues))
+        # a jitter of 0.37 forced on a well-conditioned system: both branches
+        # return eigenpairs and residuals of the jittered operator
+        factor_pd = cmekit.spectral._factor_pd
+        monkeypatch.setattr(
+            cmekit.spectral, "_factor_pd", lambda A, shift: (factor_pd(A, shift + 0.37)[0], 0.37)
+        )
+        sample = random_sample(np.random.default_rng(54), 8)
+        want = reference_eigenvalues(reference_matrix(sample, GAUSS, 1e-2, jitter=0.37))[0]
+        for r in (4, 8):
+            res = edmd_eigen(sample, GAUSS, 1e-2, r)
+            assert res.jitter == 0.37
+            assert np.max(np.abs(res.eigenvalues - want[:r])) <= 1e-10
+            want_resid = recomputed_residuals(res, sample, GAUSS, 1e-2, jitter=0.37)
+            assert np.max(np.abs(res.residuals - want_resid)) <= 1e-12
 
-    def test_jitter_is_recorded(self, monkeypatch):
+    def test_jitter_is_recorded(self):
+        # trace(G_X + n*lam*I) / n = 1 + n*lam for a Gaussian kernel; r = 3 of
+        # n = 30 runs ARPACK
         sample = ou_sample_pairs(1.0, 0.5, 30, 7)
-        kernel = GaussianKernel(bandwidth=10.0)
-        # trace(G_X + n*lam*I) / n = 1 + n*lam for a Gaussian kernel
         expected = JITTER_SCALE * (1.0 + 30 * 1e-17)
-        assert edmd_eigen(sample, kernel, 1e-17, 3).jitter == pytest.approx(expected, rel=1e-12)
-        monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", 10)
-        assert edmd_eigen(sample, kernel, 1e-17, 3).jitter == pytest.approx(expected, rel=1e-12)
+        res = edmd_eigen(sample, GaussianKernel(bandwidth=10.0), 1e-17, 3)
+        assert res.jitter == pytest.approx(expected, rel=1e-12)
+        # one point twice: G_X is singular, and r = 1 of n = 2 runs the dense
+        # solver; the one eigenfunction is the constant, mu = mean_i k(y_i, 0)
+        sample = PairedSample(X=(pt(0.0), pt(0.0)), Y=(pt(0.5), pt(-0.5)))
+        res = edmd_eigen(sample, GAUSS, 1e-17, 1)
+        assert res.jitter == pytest.approx(JITTER_SCALE * (1.0 + 2 * 1e-17), rel=1e-12)
+        assert res.eigenvalues[0] == pytest.approx(np.exp(-0.125), rel=1e-9)
         rng = np.random.default_rng(51)
         assert edmd_eigen(random_sample(rng, 40), GAUSS, 1e-2, 3).jitter == 0.0
 
-    @pytest.mark.parametrize("limit", [1200, 50], ids=["dense", "arnoldi"])
-    def test_one_gram_cross_gram_and_factor_per_fit(self, monkeypatch, limit):
-        sample = random_sample(np.random.default_rng(52), 120)
+    @pytest.mark.parametrize(("n", "r"), [(8, 8), (120, 4)], ids=["dense", "arnoldi"])
+    def test_one_gram_cross_gram_and_factor_per_fit(self, monkeypatch, n, r):
+        sample = random_sample(np.random.default_rng(52), n)
         calls = Counter()
 
         def counting(name):
@@ -209,15 +304,13 @@ class TestEdmdEigen:
 
         for name in ("cross_gram", "_factor_pd"):
             monkeypatch.setattr(cmekit.spectral, name, counting(name))
-        monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", limit)
-        res = edmd_eigen(sample, GAUSS, 1e-2, 4)
+        res = edmd_eigen(sample, GAUSS, 1e-2, r)
         eigen_residuals(res, sample)
         assert calls == {"G_X": 1, "K_YX": 1, "_factor_pd": 1}
 
-    def test_arnoldi_fit_holds_two_blocks(self, monkeypatch):
+    def test_arnoldi_fit_holds_two_blocks(self):
         # K_YX and the factor of G_X + n*lam*I packed into G_X's buffer; a factor
         # formed in a copy of G_X would be a third block
-        monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", 50)
         sample = ou_sample_pairs(1.0, 0.5, 600, 3)
         block = 600 * 600 * 8
         tracemalloc.start()
@@ -228,8 +321,8 @@ class TestEdmdEigen:
             tracemalloc.stop()
         assert peak <= 2.5 * block
 
-    @pytest.mark.parametrize("limit", [1200, 50], ids=["dense", "arnoldi"])
-    def test_solves_skip_the_finite_scan_of_the_checked_factor(self, monkeypatch, limit):
+    @pytest.mark.parametrize(("n", "r"), [(8, 8), (120, 4)], ids=["dense", "arnoldi"])
+    def test_solves_skip_the_finite_scan_of_the_checked_factor(self, monkeypatch, n, r):
         # _factor_pd already checked G_X: no solve scans the n x n factor again
         checks = []
         inner = scipy.linalg.cho_solve
@@ -239,16 +332,14 @@ class TestEdmdEigen:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(scipy.linalg, "cho_solve", recording)
-        monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", limit)
-        sample = random_sample(np.random.default_rng(52), 120)
-        edmd_eigen(sample, GAUSS, 1e-2, 4)
-        edmd_matrix(sample, GAUSS, 1e-2)
-        assert len(checks) > 1 and not any(checks)
+        sample = random_sample(np.random.default_rng(52), n)
+        edmd_eigen(sample, GAUSS, 1e-2, r)
+        assert checks and not any(checks)
 
     def test_spectral_bound_sanity(self):
         # bounded kernel + acceptance-scale lambda: top modulus <= 1.1
         P = np.array([[0.9, 0.1], [0.2, 0.8]])
-        model = finite_model(chain_states(2), stationary_distribution(P), P)
+        model = FiniteMarkovModel(chain_states(2), stationary_distribution(P), P)
         res = edmd_eigen(sample_pairs(model, 500, 1), GAUSS, 1e-4, 2)
         assert np.abs(res.eigenvalues[0]) <= 1.1
         res_ou = edmd_eigen(ou_sample_pairs(1.0, 0.5, 800, 1), GAUSS, 1e-3, 3)
@@ -269,14 +360,12 @@ class TestResiduals:
         self.check(PairedSample(X=(pt(0.3),), Y=(pt(0.5),)), GAUSS, 1e-2, 1)
 
     @pytest.mark.parametrize("drop", [0, 1], ids=["r=n", "r=n-1"])
-    def test_dense_fallback_for_large_r(self, monkeypatch, drop):
-        # r > n - 2 takes the dense solver even above DENSE_EIG_LIMIT
-        monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", 3)
+    def test_dense_fallback_for_large_r(self, drop):
+        # r > n - 2 is beyond ARPACK: it takes the dense solver
         sample = random_sample(np.random.default_rng(54), 8)
         self.check(sample, GAUSS, 1e-2, 8 - drop)
 
-    def test_arnoldi(self, monkeypatch):
-        monkeypatch.setattr(cmekit.spectral, "DENSE_EIG_LIMIT", 50)
+    def test_arnoldi(self):
         self.check(random_sample(np.random.default_rng(55), 160), GAUSS, 1e-2, 4)
 
     def test_hand_built_result_has_no_residuals(self):
@@ -317,7 +406,7 @@ class TestEigenfunctions:
         lam = 1e-2
         res = edmd_eigen(sample, GAUSS, lam, 3)
         est = fit_tikhonov_closed_form(sample, GAUSS, lam)
-        M = edmd_matrix(sample, GAUSS, lam)
+        M = reference_matrix(sample, GAUSS, lam)
         for j in range(3):
             v = res.coeffs[:, j]
             for part in (v.real, v.imag):

@@ -44,11 +44,13 @@ from .estimators import (
     Tikhonov,
     _fitted_risk_and_hs,
     fit_cme,
+    fit_cme_on_support,
 )
 from .kernels import GaussianKernel, Kernel, LaplacianKernel, Point, coords_matrix, gram
 from .spectral import edmd_eigen, eigen_residuals
 
 _FLOAT_FMT = "%.17g"
+COND_WARN = 1e10
 
 
 class ConfigError(Exception):
@@ -379,7 +381,11 @@ def write_estimator(path: str, est: CmeEstimator) -> None:
 
 
 def read_estimator(path: str) -> CmeEstimator:
-    """Load a ``cme-estimator v2`` file, or a v1 file written by older versions."""
+    """Load a ``cme-estimator v2`` file, or a v1 file written by older versions.
+
+    The records are x (p, d), y (q, d') and w (q, p), as ``CmeEstimator``
+    requires; ``estimate`` writes the paired p = q = n estimator.
+    """
     b = _read_file(
         path,
         ("cme-estimator v2", "cme-estimator v1"),
@@ -499,6 +505,11 @@ def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     except DivergentStepError as exc:
         raise ConfigError(f"{cfg.path}: [filter] {exc}") from exc
     _warn_jitter(est.jitter)
+    if not est.jitter and est.cond_lower_bound > COND_WARN:
+        _log(
+            f"warning: G_X + n*lambda*I has condition number >= {est.cond_lower_bound:.3e}; "
+            "the risk report may have no correct digits"
+        )
     write_estimator(out_path, est)
     risk, hs = _fitted_risk_and_hs(est)
     metrics = {
@@ -594,7 +605,8 @@ def _verify_rows(model: md.FiniteMarkovModel, kernel: Kernel, seed: int) -> list
         filt = [Tikhonov(), Cutoff(), Landweber(steps=int(rng.integers(1, 40)), step_size=0.9)][
             int(rng.integers(0, 3))
         ]
-        diff, rhs = _oracle_pair(fit_cme(sample, kernel, filt, lam), model, kernel, exact_vals)
+        est = fit_cme_on_support(sample, kernel, filt, lam)
+        diff, rhs = _oracle_pair(est, model, kernel, exact_vals)
         if worst is None or diff**2 - rhs > worst[0] - worst[1]:
             worst = (diff**2, rhs)
     leq("operator-norm-bound", worst[0], worst[1], 1e-9)
@@ -711,7 +723,7 @@ def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int
         lam = c * n ** (-p)
         sample = _load_sample(cfg, the_seed, n, model)
         if model is not None:
-            est = fit_cme(sample, kernel, Tikhonov(), lam)
+            est = fit_cme_on_support(sample, kernel, Tikhonov(), lam)
             _warn_jitter(est.jitter, where=f"n = {n}: ")
             diff, excess = _oracle_pair(est, model, kernel, exact_vals)
             rows.append(f"{n},{_fmt(lam)},{_fmt(diff)},{_fmt(excess)},")

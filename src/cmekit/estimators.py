@@ -1,17 +1,19 @@
 """Regularized empirical conditional-mean-embedding estimators in Gram coordinates.
 
-Given paired data (x_i, y_i), i = 1..n, the estimator is the n x n coefficient
+Given paired data (x_i, y_i), i = 1..n, the estimator is the coefficient
 matrix W of the fitted embedding-valued map
 
     F(x) = sum_j (W k_X(x))_j  phi(y_j),      k_X(x)_i = k(x_i, x),
 
 which evaluates the regularized solution of the embedding regression problem
-at any query point.  The regularization parameter ``lam`` is the operator-level
-lambda; in Gram coordinates it enters as G_X + n*lam*I (equivalently as a
-spectral filter applied to the eigenvalues of G_X / n), so lambda stays
-comparable across sample sizes.
+at any query point.  W has shape (len(Y), len(X)): n x n over the training
+pairs as ``fit_cme`` returns it, or m_Y x m_X over the distinct X and Y
+values as ``fit_cme_on_support`` returns it (see below).  The regularization
+parameter ``lam`` is the operator-level lambda; in Gram coordinates it enters
+as G_X + n*lam*I (equivalently as a spectral filter applied to the
+eigenvalues of G_X / n), so lambda stays comparable across sample sizes.
 
-``fit_cme`` is the one fit entry, with one route per filter:
+``fit_cme`` is the fit entry, with one route per filter:
 
     Tikhonov           one symmetric positive-definite solve of
                        (G_X + n*lam*I) W = I
@@ -23,19 +25,31 @@ fit does m x m algebra on S = C^{1/2} K_D C^{1/2} and expands W exactly by
 the push-through identity (see ``_on_sample``).  With no repeated point S is
 G_X and W is computed exactly as the n x n algebra above.
 
+``fit_cme_on_support`` runs the same solve but never expands it: it returns
+the support estimator on X = D_X, Y = D_Y (the distinct Y values) with
+
+    W_c = F^T W E = N^T C^{-1/2} Z C^{1/2}              (m_Y x m_X),
+
+where F is the n x m_Y indicator of Y, N = E^T F the pair counts and Z the
+solve's output (see ``_on_support``).  Summing W's rows over repeated Y and
+its columns over repeated X leaves every prediction unchanged, so the two
+estimators define the same operator; with no repeated point W_c is W.
+
 Filters: Tikhonov g(s) = 1/(s + lam); hard cutoff g(s) = 1/s for s >= lam,
 else 0; Landweber g(s) = (1 - (1 - eta*s)^m) / s with the s = 0 limit m*eta.
 Eigenvalues below 1e-12 of the largest are treated as exactly 0 (round-off
 directions contribute nothing to the fitted map but would destabilize the
 cutoff and Landweber filters).
 
-The first conditional-expectation query with an observable costs O(n^2), for
-its coefficients W^T f(Y); later queries with the same values cost O(n).
+The first conditional-expectation query with an observable costs
+O(len(X) len(Y)), for its coefficients W^T f(Y); later queries with the same
+values cost O(len(X)).
 
 The training report that ``estimate`` prints for an unjittered Tikhonov fit
 (``_fitted_risk_and_hs``) builds G_Y only and costs one n^3 GEMM, holding W,
 G_Y and one n x REPORT_BLOCK block; the general route
-(``_training_risk_and_hs``) builds G_X and G_Y and costs two.
+(``_training_risk_and_hs``) builds G_X and G_Y and costs two.  Both take the
+training pairs as (x_i, y_i): they need the paired n x n W of ``fit_cme``.
 """
 
 from __future__ import annotations
@@ -47,6 +61,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .embeddings import WeightedEmbedding
 from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram, gram, kernel_eval
@@ -131,19 +146,28 @@ def filter_value(filt: SpectralFilter, lam: float, s: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CmeEstimator(_Rebuilt):
-    """Fitted estimator: training points plus the n x n coefficient matrix W.
+    """Fitted estimator: training points X and Y, and the (len(Y), len(X)) coefficients W.
 
     The predicted embedding at x is supported on Y with weights W @ k_X(x).
+    ``fit_cme`` returns the paired estimator, len(X) = len(Y) = n;
+    ``fit_cme_on_support`` returns the support estimator over the distinct X
+    and Y values, whose W_c = F^T W E sums the paired W over the indicators E
+    of X and F of Y, so both predict the same embedding at every x.
+
     ``jitter`` is what the Tikhonov fit added to the diagonal of the system it
     factored, G_X + n*lam*I or, on repeated points, its m x m distinct-support
-    form S + n*lam*I (0.0 when none; the other filters factor nothing);
-    estimator files do not store it.
+    form S + n*lam*I (0.0 when none; the other filters factor nothing), and
+    ``cond_lower_bound`` is (max_i L_ii / min_i L_ii)^2 of that system's
+    Cholesky factor L, a lower bound on the condition number of
+    G_X + n*lam*I (0.0 when nothing was factored).  Estimator files store
+    neither.
 
     For an unjittered Tikhonov fit that ``fit_cme`` returned, W satisfies
     (G_X + n*lam*I) W = I in exact arithmetic, repeated X or not.  It does
-    not hold for a jittered fit, for the cutoff and Landweber filters, nor for
-    a hand-built W (exact oracle witnesses legitimately carry one), so it is
-    checked in the test suite, not at construction.
+    not hold for a jittered fit, for the cutoff and Landweber filters, for a
+    support estimator with repeated points, nor for a hand-built W (exact
+    oracle witnesses legitimately carry one), so it is checked in the test
+    suite, not at construction.
     """
 
     kernel: Kernel
@@ -153,23 +177,22 @@ class CmeEstimator(_Rebuilt):
     Y: tuple[Point, ...]
     W: np.ndarray
     jitter: float = 0.0
+    cond_lower_bound: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.lam > 0):
             raise ValueError(f"lambda must be > 0, got {self.lam}")
         X, Y = _point_tuple(self.X, "estimator X"), _point_tuple(self.Y, "estimator Y")
-        n = len(X)
-        if len(Y) != n:
-            raise ValueError(f"X and Y must have equal length, got {n} and {len(Y)}")
         W = _frozen_array(self.W, "W")
-        if W.shape != (n, n):
-            raise ValueError(f"W must be {n}x{n}, got {W.shape}")
+        if W.shape != (len(Y), len(X)):
+            raise ValueError(f"W must be (len(Y), len(X)) = {(len(Y), len(X))}, got {W.shape}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "W", W)
 
     @property
     def n(self) -> int:
+        """The number of training X points, len(X)."""
         return len(self.X)
 
 
@@ -221,21 +244,41 @@ def _support(points: Sequence[Point]) -> tuple[tuple[Point, ...], np.ndarray, np
     return tuple(index), inv, np.bincount(inv).astype(float)
 
 
-def _support_gram(kernel: Kernel, X: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S = C^{1/2} K_D C^{1/2} over the distinct points D of X, the index of each x_i
-    into D, and the counts C.
+def _support_gram(kernel: Kernel, support: Sequence[Point], counts: np.ndarray) -> np.ndarray:
+    """S = C^{1/2} K_D C^{1/2} over the distinct points D of X and their counts C.
 
     With E the n x m indicator of x_i = d_t, G_X = E K_D E^T and C = E^T E, so
     G_X / n and S / n share their nonzero spectrum.  With no repeated point, S
     is G_X itself.  S is exactly symmetric and comes in a writable F-ordered
     buffer, which :func:`_factor_pd` can factor in place.
     """
-    support, inv, counts = _support(X)
     S = cross_gram(kernel, support, support).T           # F-ordered: K_D is exactly symmetric
-    if len(support) < len(X):
+    if np.any(counts > 1.0):
         root = np.sqrt(counts)
         S *= np.outer(root, root)
-    return S, inv, counts
+    return S
+
+
+def _support_solve(
+    S: np.ndarray, n: int, filt: SpectralFilter, lam: float
+) -> tuple[np.ndarray, float, float, float]:
+    """The m x m solve both fits share: Z and g0 (see :func:`_on_sample`), the
+    jitter, and the Cholesky bound (max L_ii / min L_ii)^2 (0.0 for the filters
+    that factor nothing).
+
+    Tikhonov factors S + n*lam*I in S's own buffer and solves it against I;
+    cutoff and Landweber eigendecompose S / n.  S's buffer (for Tikhonov, the
+    factor) is gone once this returns, before a fit forms its W.
+    """
+    if not (lam > 0):
+        raise ValueError(f"lambda must be > 0, got {lam}")
+    if not isinstance(filt, Tikhonov):
+        return (*_filtered_coefficients(S, n, filt, lam), 0.0, 0.0)
+    factor, jitter = _factor_pd(S, n * lam)
+    diag = np.diagonal(factor[0])
+    cond = float((diag.max() / diag.min()) ** 2)
+    Z = scipy.linalg.cho_solve(factor, np.eye(S.shape[0], order="F"), overwrite_b=True)
+    return Z, 1.0 / (n * lam), jitter, cond
 
 
 def _on_sample(Z: np.ndarray, g0: float, inv: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -256,6 +299,27 @@ def _on_sample(Z: np.ndarray, g0: float, inv: np.ndarray, counts: np.ndarray) ->
     return W
 
 
+def _on_support(
+    Z: np.ndarray, inv: np.ndarray, counts: np.ndarray, inv_y: np.ndarray, m_y: int
+) -> np.ndarray:
+    """W_c = N^T C^{-1/2} Z C^{1/2}, the m_Y x m_X coefficients of a fit over the distinct X and Y.
+
+    With F the n x m_Y indicator of Y and N = E^T F the pair counts, F^T E = N^T
+    and E^T E = C turn F^T W E, for W of :func:`_on_sample`, into
+    N^T (C^{-1/2} Z C^{-1/2} - g0 C^{-1}) C + g0 N^T, in which g0 cancels.
+    With no repeated X, C = I and N^T = F^T sums Z's rows over repeated Y; with
+    no repeated point either, W_c is ``Z`` itself.
+    """
+    n, m = len(inv), len(counts)
+    if m < n:
+        root = np.sqrt(counts)
+        Z = Z * np.outer(1.0 / root, root)
+    if m == m_y == n:
+        return Z
+    N_T = scipy.sparse.csr_array((np.ones(n), (inv_y, inv)), shape=(m_y, m))
+    return N_T @ Z
+
+
 def _filtered_coefficients(
     S: np.ndarray, n: int, filt: SpectralFilter, lam: float
 ) -> tuple[np.ndarray, float]:
@@ -273,7 +337,7 @@ def _filtered_coefficients(
 
 
 def fit_cme(sample: PairedSample, kernel: Kernel, filt: SpectralFilter, lam: float) -> CmeEstimator:
-    """Fit the regularized estimator with a spectral filter: the package's one fit entry.
+    """Fit the regularized estimator with a spectral filter: the package's fit entry.
 
     Tikhonov is one positive-definite solve of the m x m distinct-support
     system (S + n*lam*I) Z = I, which is (G_X + n*lam*I) W = I itself when no
@@ -281,22 +345,36 @@ def fit_cme(sample: PairedSample, kernel: Kernel, filt: SpectralFilter, lam: flo
     m x m blocks, and no matrix inverse is ever formed explicitly.  Cutoff and
     Landweber eigendecompose S / n and apply the scalar filter to its spectrum.
     """
-    if not (lam > 0):
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    n = sample.n
-    S, inv, counts = _support_gram(kernel, sample.X)
-    jitter = 0.0
-    if isinstance(filt, Tikhonov):
-        factor, jitter = _factor_pd(S, n * lam)             # factored in S's own buffer
-        Z = scipy.linalg.cho_solve(factor, np.eye(len(counts), order="F"), overwrite_b=True)
-        g0 = 1.0 / (n * lam)
-        del factor
-    else:
-        Z, g0 = _filtered_coefficients(S, n, filt, lam)
-    del S                       # S's buffer (for Tikhonov, the factor) goes before W is copied
-    W = _on_sample(Z, g0, inv, counts)
+    support, inv, counts = _support(sample.X)
+    Z, g0, jitter, cond = _support_solve(
+        _support_gram(kernel, support, counts), sample.n, filt, lam
+    )
     return CmeEstimator(
-        kernel=kernel, lam=lam, filt=filt, X=sample.X, Y=sample.Y, W=W, jitter=jitter
+        kernel=kernel, lam=lam, filt=filt, X=sample.X, Y=sample.Y,
+        W=_on_sample(Z, g0, inv, counts), jitter=jitter, cond_lower_bound=cond,
+    )
+
+
+def fit_cme_on_support(
+    sample: PairedSample, kernel: Kernel, filt: SpectralFilter, lam: float
+) -> CmeEstimator:
+    """``fit_cme``'s fit as a support estimator: X and Y are the distinct values of
+    the sample's X and Y, and W_c = F^T W E is m_Y x m_X (see ``_on_support``).
+
+    It predicts the same embedding as ``fit_cme``'s estimator at every x, up to
+    round-off, and holds no n x n block: past the O(n) pass that finds the
+    distinct values, its arrays are m_X x m_X and m_Y x m_X.  With no repeated
+    X or Y value, it is ``fit_cme``'s estimator bit for bit.
+    """
+    support, inv, counts = _support(sample.X)
+    Z, _, jitter, cond = _support_solve(
+        _support_gram(kernel, support, counts), sample.n, filt, lam
+    )
+    support_y, inv_y, _ = _support(sample.Y)
+    return CmeEstimator(
+        kernel=kernel, lam=lam, filt=filt, X=support, Y=support_y,
+        W=_on_support(Z, inv, counts, inv_y, len(support_y)),
+        jitter=jitter, cond_lower_bound=cond,
     )
 
 
@@ -317,8 +395,8 @@ def predict_conditional_expectation(est: CmeEstimator, x: Point, f_at_Y: np.ndar
     Evaluated as k_X(x) . alpha, alpha = W^T f(Y), memoized with f's bytes as one pair.
     """
     f_vals = np.asarray(f_at_Y, dtype=float).reshape(-1)
-    if f_vals.shape[0] != est.n:
-        raise ValueError(f"f_at_Y must have length {est.n}, got {f_vals.shape[0]}")
+    if f_vals.shape[0] != len(est.Y):
+        raise ValueError(f"f_at_Y must have length {len(est.Y)}, got {f_vals.shape[0]}")
     key, memo = f_vals.tobytes(), getattr(est, "_alpha_memo", (None, None))
     if memo[0] != key:      # one assignment swaps the bytes and alpha together: thread-safe
         object.__setattr__(est, "_alpha_memo", memo := (key, est.W.T @ f_vals))
@@ -346,7 +424,7 @@ def _risk_and_hs(est: CmeEstimator, omega: Callable[[slice], np.ndarray]) -> tup
 
 
 def _training_risk_and_hs(est: CmeEstimator) -> tuple[float, float]:
-    """The training report for any W: Omega = W G_X with G_X built."""
+    """The training report for any paired W: Omega = W G_X with G_X built."""
     G_X = gram(est.kernel, est.X)
     return _risk_and_hs(est, lambda J: est.W @ G_X[:, J])
 
@@ -374,8 +452,11 @@ def _fitted_risk_and_hs(est: CmeEstimator) -> tuple[float, float]:
 
 
 def hs_norm_sq(est: CmeEstimator) -> float:
-    """Squared Hilbert-Schmidt norm of the fitted operator: tr(W^T G_Y W G_X)."""
-    return _training_risk_and_hs(est)[1]
+    """Squared Hilbert-Schmidt norm of the fitted operator: tr(W^T G_Y W G_X),
+    evaluated as sum((G_Y W) * (W G_X)) for W of any shape."""
+    B = gram(est.kernel, est.Y) @ est.W
+    B *= est.W @ gram(est.kernel, est.X)
+    return float(B.sum())
 
 
 def empirical_risk(est: CmeEstimator, sample: PairedSample) -> float:

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -23,10 +24,14 @@ from cmekit import (
     PairedSample,
     Point,
     Tikhonov,
+    chain_states,
     cross_gram,
     empirical_risk,
+    estimator_values,
+    exact_excess_risk,
     filter_value,
     fit_cme,
+    fit_cme_on_support,
     fit_tikhonov_closed_form,
     gram,
     hs_norm_sq,
@@ -34,12 +39,15 @@ from cmekit import (
     predict_conditional_expectation,
     predict_embedding,
     pt,
+    random_model,
     regularized_empirical_risk,
+    sample_pairs,
 )
 from cmekit.estimators import (
     JITTER_SCALE,
     RANK_TOL,
     _factor_pd,
+    _support,
     _fitted_risk_and_hs,
     _training_risk_and_hs,
     solve_pd,
@@ -327,6 +335,148 @@ class TestDistinctSupport:
         # trace(S + n*lam*I) / m = 5 + n*lam
         assert est.jitter == pytest.approx(JITTER_SCALE * (5.0 + 30 * 1e-17), rel=1e-12)
 
+
+class TestSupportView:
+    """The support estimator of ``fit_cme_on_support`` is ``fit_cme``'s operator on the
+    distinct X and Y values: W_c = F^T W E, the same predictions up to round-off."""
+
+    STATES = chain_states(8)
+    FILTERS = [Tikhonov(), Cutoff(), Landweber(steps=20, step_size=0.9)]
+
+    @staticmethod
+    def close(a, b, rtol=1e-10):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert np.max(np.abs(a - b)) <= rtol * max(np.max(np.abs(a)), np.max(np.abs(b)))
+
+    def check(self, sample, kernel, filt, lam, model, held_out):
+        paired = fit_cme(sample, kernel, filt, lam)
+        support = fit_cme_on_support(sample, kernel, filt, lam)
+        D_X, _, _ = _support(sample.X)
+        D_Y, inv_y, _ = _support(sample.Y)
+        assert support.X == D_X and support.Y == D_Y
+        assert support.W.shape == (len(D_Y), len(D_X))
+        assert support.jitter == paired.jitter
+        assert support.cond_lower_bound == paired.cond_lower_bound
+        if len(D_X) == len(D_Y) == sample.n:
+            assert np.array_equal(support.W, paired.W)
+        self.close(
+            estimator_values(support, model, kernel), estimator_values(paired, model, kernel)
+        )
+        self.close(
+            exact_excess_risk(support, model, kernel), exact_excess_risk(paired, model, kernel)
+        )
+        self.close(hs_norm_sq(support), hs_norm_sq(paired))
+        self.close(empirical_risk(support, held_out), empirical_risk(paired, held_out))
+        for x in (*self.STATES, pt(0.37), pt(9.5)):
+            summed = np.bincount(inv_y, weights=predict_embedding(paired, x).weights)
+            self.close(predict_embedding(support, x).weights, summed)
+
+    def draw_points(self, data, n, repeated):
+        """n of the states, at least one of them twice when ``repeated``, else n distinct."""
+        if not repeated:
+            return tuple(self.STATES[i] for i in data.draw(st.permutations(range(8)))[:n])
+        m = data.draw(st.integers(1, n - 1))
+        pool = data.draw(st.permutations(range(8)))[:m]
+        extra = data.draw(st.lists(st.sampled_from(pool), min_size=n - m, max_size=n - m))
+        return tuple(self.STATES[i] for i in data.draw(st.permutations(pool + extra)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_support_view_matches_fit_cme(self, data):
+        n = data.draw(st.integers(1, 8))
+        repeat_x, repeat_y = (n > 1 and data.draw(st.booleans()) for _ in "xy")
+        sample = PairedSample(
+            X=self.draw_points(data, n, repeat_x), Y=self.draw_points(data, n, repeat_y)
+        )
+        width = data.draw(st.floats(0.5, 1.5))
+        kernel = data.draw(st.sampled_from([GaussianKernel(width), LaplacianKernel(width)]))
+        lam = 10.0 ** data.draw(st.floats(-3.0, 0.0))
+        model = random_model(np.random.default_rng(data.draw(st.integers(0, 2**32))), 8)
+        k = data.draw(st.integers(1, 5))
+        coords = st.lists(st.floats(-1.0, 8.0), min_size=k, max_size=k)
+        held_out = PairedSample(
+            X=tuple(pt(v) for v in data.draw(coords)), Y=tuple(pt(v) for v in data.draw(coords))
+        )
+        for filt in self.FILTERS:
+            self.check(sample, kernel, filt, lam, model, held_out)
+
+    @pytest.mark.parametrize(
+        "x_idx, y_idx",
+        [
+            ([3], [5]),
+            ([0, 4, 2, 7, 1], [6, 6, 2, 6, 2]),
+            ([0, 4, 0, 0, 1], [6, 3, 2, 5, 1]),
+            ([0, 4, 0, 0, 1], [6, 6, 2, 6, 2]),
+            ([0, 4, 2, 7, 1], [6, 3, 2, 5, 1]),
+        ],
+        ids=["n=1", "repeated-y", "repeated-x", "both", "neither"],
+    )
+    def test_edge_supports(self, x_idx, y_idx):
+        sample = PairedSample(
+            X=tuple(self.STATES[i] for i in x_idx), Y=tuple(self.STATES[i] for i in y_idx)
+        )
+        model = random_model(np.random.default_rng(40), 8)
+        held_out = PairedSample(X=(pt(0.5), pt(3.0)), Y=(pt(2.0), pt(-1.0)))
+        for lam in (1e-3, 0.3):
+            for filt in self.FILTERS:
+                self.check(sample, GAUSS, filt, lam, model, held_out)
+
+    def test_tikhonov_support_view_keeps_every_digit_at_small_lambda(self):
+        # For Tikhonov, C^{-1/2} (S + n*lam*I)^{-1} C^{1/2} = (K_D C + n*lam*I)^{-1}, so
+        # W_c = N^T (K_D C + n*lam*I)^{-1} is rational in the float entries of K_D and
+        # has an exact reference.  The expanded n x n W carries g0 = 1/(n*lam), about
+        # 1.5e3 here, on its diagonal, and its predictions lose those digits to
+        # cancellation; the support view never forms g0
+        model = random_model(np.random.default_rng(2), 4)
+        sample = sample_pairs(model, 180, 12)
+        lam = 3.7e-6
+        est = fit_cme_on_support(sample, GAUSS, Tikhonov(), lam)
+        D_X, inv, counts = _support(sample.X)
+        D_Y, inv_y, _ = _support(sample.Y)
+        K = [[Fraction(v) for v in row] for row in cross_gram(GAUSS, D_X, D_X).tolist()]
+        m, shift = len(D_X), Fraction(sample.n) * Fraction(lam)
+        A = [[K[i][j] * int(counts[j]) + shift * (i == j) for j in range(m)] for i in range(m)]
+        inverse = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+        for col in range(m):                    # Gauss-Jordan on A, exact
+            pivot = A[col][col]
+            A[col] = [v / pivot for v in A[col]]
+            inverse[col] = [v / pivot for v in inverse[col]]
+            for row in range(m):
+                if row != col and A[row][col]:
+                    f = A[row][col]
+                    A[row] = [a - f * b for a, b in zip(A[row], A[col])]
+                    inverse[row] = [a - f * b for a, b in zip(inverse[row], inverse[col])]
+        W_exact = [[Fraction(0)] * m for _ in range(len(D_Y))]
+        for i, s in zip(inv, inv_y):
+            W_exact[s] = [a + b for a, b in zip(W_exact[s], inverse[i])]
+        W_exact = np.array([[float(v) for v in row] for row in W_exact])
+        assert np.max(np.abs(est.W - W_exact)) <= 1e-13 * np.max(np.abs(W_exact))
+
+    def test_conditional_expectation_with_fewer_distinct_y_than_x(self):
+        # four distinct X, two distinct Y: f is given at the support's two Y values
+        X = tuple(pt(v) for v in (0.0, 1.0, 2.0, 3.0, 1.0, 0.0))
+        Y = tuple(pt(v) for v in (5.0, 6.0, 5.0, 5.0, 6.0, 6.0))
+        sample = PairedSample(X=X, Y=Y)
+        support = fit_cme_on_support(sample, GAUSS, Tikhonov(), 0.05)
+        paired = fit_cme(sample, GAUSS, Tikhonov(), 0.05)
+        assert (len(support.X), len(support.Y)) == (4, 2)
+        f_support = np.array([1.5, -0.5])                   # f(5), f(6)
+        f_paired = np.array([1.5 if y == pt(5.0) else -0.5 for y in Y])
+        for x in (pt(0.0), pt(2.5), pt(-1.0)):
+            got = predict_conditional_expectation(support, x, f_support)
+            expected = predict_conditional_expectation(paired, x, f_paired)
+            assert got == pytest.approx(expected, rel=1e-12)
+            embedded = float(predict_embedding(support, x).weights @ f_support)
+            assert got == pytest.approx(embedded, rel=1e-12)
+        with pytest.raises(ValueError, match="length 2"):
+            predict_conditional_expectation(support, pt(0.0), np.zeros(4))
+
+    def test_w_must_be_len_y_by_len_x(self):
+        X, Y = (pt(0.0), pt(1.0), pt(2.0)), (pt(0.5), pt(1.5))
+        est = CmeEstimator(kernel=GAUSS, lam=0.1, filt=Tikhonov(), X=X, Y=Y, W=np.ones((2, 3)))
+        assert est.W.shape == (2, 3) and est.n == 3
+        with pytest.raises(ValueError, match=re.escape("(len(Y), len(X)) = (2, 3)")):
+            CmeEstimator(kernel=GAUSS, lam=0.1, filt=Tikhonov(), X=X, Y=Y, W=np.ones((3, 2)))
 
 class TestFactorization:
     def test_jitter_retry_matches_the_two_step_factor_bitwise(self):

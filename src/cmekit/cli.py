@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import re
 import sys
 import time
@@ -467,6 +468,8 @@ def _resolve_out(cfg: Config, override: Optional[str], required: bool = True) ->
     out = override if override is not None else cfg.get("run", "out")
     if out is None and required:
         raise ConfigError(f"{cfg.path}: no output path: set [run] out or pass --out")
+    if out is not None and not os.access(Path(out).parent, os.W_OK):
+        raise ConfigError(f"{out}: the output directory does not exist or is not writable")
     return out
 
 
@@ -535,7 +538,7 @@ def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     out_path = _resolve_out(cfg, out)
     result = edmd_eigen(sample, kernel, lam, r)
     _warn_jitter(result.jitter, note="; the residual column has no correct digits")
-    residuals = eigen_residuals(result, sample)
+    residuals = eigen_residuals(result)
     rows = ["index,re,im,modulus,residual"]
     for j, (mu, res) in enumerate(zip(result.eigenvalues, residuals)):
         rows.append(
@@ -552,6 +555,7 @@ def cmd_mmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     P, Q = map(read_point_sample, files)
     if P[0].dim != Q[0].dim:
         raise ConfigError(f"{files[0]}, {files[1]}: points of dimension {P[0].dim} and {Q[0].dim}")
+    out_path = _resolve_out(cfg, out, required=False)
     # the biased estimate exists for any nonempty samples; the unbiased one
     # needs two points per side, and its absence is a validation failure
     biased, unbiased = _mmd_sq(kernel, P, Q)
@@ -563,7 +567,7 @@ def cmd_mmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
         "biased": biased,
         "unbiased": unbiased,
     }
-    _emit(json.dumps(report, indent=2) + "\n", _resolve_out(cfg, out, required=False))
+    _emit(json.dumps(report, indent=2) + "\n", out_path)
     if unbiased is None:
         _log("error: the unbiased estimator needs n, m >= 2; reported as null")
         return 2
@@ -671,6 +675,7 @@ def _verify_rows(model: md.FiniteMarkovModel, kernel: Kernel, seed: int) -> list
 def cmd_oracle_verify(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     kernel = build_kernel(cfg)
     model = read_model_file(cfg.require("data", "model_file"))
+    out_path = _resolve_out(cfg, out, required=False)
     rows = _verify_rows(model, kernel, _resolve_seed(cfg, seed))
     width = max(len(r[0]) for r in rows)
     lines = [f"{'check'.ljust(width)}  {'lhs':>24} {'rhs':>24} {'tolerance':>10} verdict"]
@@ -678,14 +683,14 @@ def cmd_oracle_verify(cfg: Config, seed: Optional[int], out: Optional[str]) -> i
         lines.append(
             f"{name.ljust(width)}  {lhs:>24.16e} {rhs:>24.16e} {tol:>10.1e} {verdict}"
         )
-    _emit("\n".join(lines) + "\n", _resolve_out(cfg, out, required=False))
+    _emit("\n".join(lines) + "\n", out_path)
     return 0 if all(r[4] != "FAIL" for r in rows) else 1
 
 
 def _parse_schedule(cfg: Config) -> tuple[float, float]:
     """Parse 'c*n^-p' (or 'n^-p'), requiring c > 0 and p in (0, 1)."""
     raw = cfg.require("run", "lambda_schedule").replace(" ", "")
-    match = re.fullmatch(r"(?:([0-9.eE+-]+)\*)?n\^(-[0-9.eE+]+)", raw)
+    match = re.fullmatch(r"(?:([0-9.eE+-]+)\*)?n\^(-[0-9.eE+-]+)", raw)
     with _invalid(f"{cfg.path}: lambda_schedule must be 'c*n^-p' with finite c > 0, p in (0,1)"):
         if match is None:
             raise ValueError(f"got '{raw}'")

@@ -11,12 +11,13 @@ eigenpairs of M; eigenvalues outside the span are not accessible.
 
 Eigenvalues are sorted by modulus (descending), ties broken by real part
 descending, then nonnegative imaginary part first.  Eigenfunction coefficient
-vectors v are normalized to unit RKHS norm (v^H G_X v = 1) with the first
-nonzero component given nonnegative real part, which makes results
-reproducible across the two eigensolvers.  A kept complex eigenvalue whose
-conjugate falls past r is replaced by that conjugate, with the conjugate
-eigenvector, so the kept member of a pair cut at r has nonnegative imaginary
-part.
+vectors v are normalized to unit RKHS norm (v^H G_X v = 1) and negated when
+their first significant component (above 1e-12 of the largest) has negative
+real part.  Both eigensolvers return each complex pair as exact conjugates,
+eigenvectors included, and these rules keep it so.  A kept eigenvalue with
+negative imaginary part whose exact conjugate falls past r is replaced by that
+conjugate, with the conjugate eigenvector, so the kept member of a pair cut at
+r has nonnegative imaginary part, also when a complex eigenvalue repeats.
 
 One rule picks the eigensolver: every r <= n - 2 runs ARPACK's implicitly
 restarted Arnoldi iteration (``scipy.sparse.linalg.eigs``, which needs
@@ -48,9 +49,6 @@ from scipy.linalg.blas import dsymm
 
 from .estimators import PairedSample, _factor_pd
 from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram
-
-_PAIR_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class EdmdResult(_Rebuilt):
@@ -104,17 +102,12 @@ def _rkhs_norm_sq(factor, g: np.ndarray, V: np.ndarray) -> np.ndarray:
     return q[:r] + q[r:]
 
 
-def _sort_eigenpairs(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_pairs(w: np.ndarray, V: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first r eigenpairs in the documented order; a pair cut at r keeps its upper member."""
     # lexsort: last key is primary
-    order = np.lexsort(((w.imag < 0).astype(int), -w.real, -np.abs(w)))
-    return w[order], V[:, order]
-
-
-def _upper_members(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Replace each kept complex eigenpair with negative imaginary part whose conjugate
-    was not kept by (conj(mu), conj(v)): for a real operator that pair is exact too."""
-    tol = _PAIR_TOL * (1.0 + np.abs(w))
-    lone = (w.imag < -tol) & (np.abs(w[:, None] - np.conj(w)[None, :]) > tol).all(axis=0)
+    order = np.lexsort(((w.imag < 0).astype(int), -w.real, -np.abs(w)))[:r]
+    w, V = w[order], V[:, order]
+    lone = (w.imag < 0) & ~np.isin(np.conj(w), w)
     w[lone], V[:, lone] = np.conj(w[lone]), np.conj(V[:, lone])
     return w, V
 
@@ -132,22 +125,7 @@ def _normalize_columns(w: np.ndarray, V: np.ndarray, factor, g: np.ndarray) -> n
     V = V / np.sqrt(norm_sq)
     A = np.abs(V)
     lead = V[np.argmax(A > 1e-12 * A.max(axis=0), axis=0), np.arange(V.shape[1])]
-    return V * np.where((lead.real < 0) | ((lead.real == 0) & (lead.imag < 0)), -1, 1)
-
-
-def _enforce_conjugate_pairs(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # pairs in place: w and V are fresh arrays from _sort_eigenpairs / _normalize_columns
-    used = np.zeros(len(w), dtype=bool)
-    for i in range(len(w)):
-        if used[i] or abs(w[i].imag) <= _PAIR_TOL * (1.0 + abs(w[i])):
-            continue
-        for j in range(i + 1, len(w)):
-            if not used[j] and abs(w[j] - np.conj(w[i])) <= _PAIR_TOL * (1.0 + abs(w[i])):
-                w[j] = np.conj(w[i])
-                V[:, j] = np.conj(V[:, i])
-                used[i] = used[j] = True
-                break
-    return w, V
+    return V * np.where(lead.real < 0, -1, 1)
 
 
 def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> EdmdResult:
@@ -175,18 +153,14 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
             return scipy.linalg.cho_solve(factor, K_yx @ v, check_finite=False)
 
         op = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, dtype=float)
-        w, V = scipy.sparse.linalg.eigs(op, k=r, which="LM", v0=np.ones(n))
-        w, V = _sort_eigenpairs(w, V)
+        w, V = _sorted_pairs(*scipy.sparse.linalg.eigs(op, k=r, which="LM", v0=np.ones(n)), r)
     else:
         K_yx = cross_gram(kernel, sample.X, sample.Y).T   # F-ordered cross_gram(Y, X), bit for bit
         M = scipy.linalg.cho_solve(factor, K_yx, overwrite_b=True, check_finite=False)
         apply = M.__matmul__
-        w, V = _sort_eigenpairs(*scipy.linalg.eig(M))
-        w, V = w[:r], V[:, :r]
+        w, V = _sorted_pairs(*scipy.linalg.eig(M), r)
 
-    w, V = _upper_members(w, V)
     V = _normalize_columns(w, V, factor, g)
-    w, V = _enforce_conjugate_pairs(w, V)
     D = apply(V.real) + 1j * apply(V.imag) - V * w
     residuals = np.sqrt(np.maximum(_rkhs_norm_sq(factor, g, D), 0.0))
     return EdmdResult(w, V, sample.X, kernel, lam, residuals=residuals, jitter=jitter)
@@ -200,15 +174,12 @@ def eval_eigenfunction(res: EdmdResult, j: int, x: Point) -> complex:
     return complex(res.coeffs[:, j] @ kx)
 
 
-def eigen_residuals(res: EdmdResult, sample: PairedSample) -> np.ndarray:
+def eigen_residuals(res: EdmdResult) -> np.ndarray:
     """RKHS-norm residuals ||A f_j - mu_j f_j||_H for unit-norm eigenfunctions.
 
     ``edmd_eigen`` computes them with the factorization its eigenpairs came
-    from; residual j is sqrt(d^H G_X d) with d = M v_j - mu_j v_j.  ``sample``
-    must be the one the result was fitted on.
+    from; residual j is sqrt(d^H G_X d) with d = M v_j - mu_j v_j.
     """
-    if tuple(sample.X) != res.X:
-        raise ValueError("sample does not match the training points of the result")
     if res.residuals is None:
         raise ValueError("the result carries no residuals; compute it with edmd_eigen")
     return res.residuals

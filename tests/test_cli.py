@@ -727,6 +727,16 @@ out = {tmp_path / 'conv.csv'}
             err = capsys.readouterr().err
             assert err.startswith(f"error: {cfg}: lambda_schedule") and "ValueError" not in err
 
+    def test_schedule_exponent_in_e_notation(self, tmp_path):
+        model_file = tmp_path / "model.txt"
+        write_model_file(str(model_file), random_model(np.random.default_rng(5), 4))
+        csv = []
+        for schedule in ("1e-3*n^-5e-1", "1e-3*n^-0.5"):
+            cfg = self._config(tmp_path, model_file, grid="40 90", schedule=schedule)
+            assert main(["convergence", "--config", cfg]) == 0
+            csv.append((tmp_path / "conv.csv").read_bytes())
+        assert csv[0] == csv[1]
+
     def test_non_ascending_grid(self, tmp_path, capsys):
         model = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2))
         model_file = tmp_path / "model.txt"
@@ -1056,6 +1066,56 @@ def test_validation_failures_exit_2(tmp_path, capsys, command, config, data):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "ValueError" not in err
     assert (data_path or cfg) in err
+
+
+@pytest.mark.parametrize(
+    "command, config, data, computes",
+    [
+        pytest.param(
+            "estimate",
+            KERNEL + TIKHONOV + OU_DATA.format(theta=1) + ESTIMATE_RUN,
+            None,
+            "fit_cme",
+            id="estimate",
+        ),
+        pytest.param(
+            "edmd", KERNEL + OU_DATA.format(theta=1) + ESTIMATE_RUN + "r = 2\n", None, "edmd_eigen",
+            id="edmd",
+        ),
+        pytest.param(
+            "mmd", KERNEL + MMD_DATA, "sample v1\npoints 2 1\n0.5\n1.5\n", "_mmd_sq", id="mmd"
+        ),
+        pytest.param(
+            "oracle-verify",
+            KERNEL + MODEL_DATA,
+            MODEL_FILE.format(pi="0.5 0.5", row="0.5 0.5"),
+            "_verify_rows",
+            id="oracle-verify",
+        ),
+        pytest.param(
+            "convergence",
+            KERNEL + MODEL_DATA + CONVERGENCE_RUN,
+            MODEL_FILE.format(pi="0.5 0.5", row="0.5 0.5"),
+            "fit_cme_on_support",
+            id="convergence",
+        ),
+    ],
+)
+def test_out_in_a_missing_directory_exits_2_before_computing(
+    tmp_path, capsys, monkeypatch, command, config, data, computes
+):
+    import cmekit.cli
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError(f"{computes} ran before the output path was checked")
+
+    monkeypatch.setattr(cmekit.cli, computes, not_reached)
+    out = tmp_path / "missing" / "out.txt"
+    data_path = write(tmp_path / "data.txt", data) if data is not None else None
+    cfg = write(tmp_path / "run.cfg", config.format(data=data_path, out=out))
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: the output directory does not exist")
 
 
 def test_readme_example_config_runs(tmp_path, capsys):

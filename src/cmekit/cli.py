@@ -45,7 +45,6 @@ from .estimators import (
     Tikhonov,
     _fitted_risk_and_hs,
     fit_cme,
-    fit_cme_on_support,
 )
 from .kernels import GaussianKernel, Kernel, LaplacianKernel, Point, coords_matrix, gram
 from .spectral import edmd_eigen, eigen_residuals
@@ -385,7 +384,8 @@ def read_estimator(path: str) -> CmeEstimator:
     """Load a ``cme-estimator v2`` file, or a v1 file written by older versions.
 
     The records are x (p, d), y (q, d') and w (q, p), as ``CmeEstimator``
-    requires; ``estimate`` writes the paired p = q = n estimator.
+    requires; ``estimate`` writes the support estimator, p and q the numbers
+    of distinct x and y values (p = q = n when no value repeats).
     """
     b = _read_file(
         path,
@@ -514,7 +514,7 @@ def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
             "the risk report may have no correct digits"
         )
     write_estimator(out_path, est)
-    risk, hs = _fitted_risk_and_hs(est)
+    risk, hs = _fitted_risk_and_hs(est, sample)
     metrics = {
         "command": "estimate",
         "n": sample.n,
@@ -609,7 +609,7 @@ def _verify_rows(model: md.FiniteMarkovModel, kernel: Kernel, seed: int) -> list
         filt = [Tikhonov(), Cutoff(), Landweber(steps=int(rng.integers(1, 40)), step_size=0.9)][
             int(rng.integers(0, 3))
         ]
-        est = fit_cme_on_support(sample, kernel, filt, lam)
+        est = fit_cme(sample, kernel, filt, lam)
         diff, rhs = _oracle_pair(est, model, kernel, exact_vals)
         if worst is None or diff**2 - rhs > worst[0] - worst[1]:
             worst = (diff**2, rhs)
@@ -728,7 +728,7 @@ def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int
         lam = c * n ** (-p)
         sample = _load_sample(cfg, the_seed, n, model)
         if model is not None:
-            est = fit_cme_on_support(sample, kernel, Tikhonov(), lam)
+            est = fit_cme(sample, kernel, Tikhonov(), lam)
             _warn_jitter(est.jitter, where=f"n = {n}: ")
             diff, excess = _oracle_pair(est, model, kernel, exact_vals)
             rows.append(f"{n},{_fmt(lam)},{_fmt(diff)},{_fmt(excess)},")

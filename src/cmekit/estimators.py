@@ -6,12 +6,10 @@ matrix W of the fitted embedding-valued map
     F(x) = sum_j (W k_X(x))_j  phi(y_j),      k_X(x)_i = k(x_i, x),
 
 which evaluates the regularized solution of the embedding regression problem
-at any query point.  W has shape (len(Y), len(X)): n x n over the training
-pairs as ``fit_cme`` returns it, or m_Y x m_X over the distinct X and Y
-values as ``fit_cme_on_support`` returns it (see below).  The regularization
-parameter ``lam`` is the operator-level lambda; in Gram coordinates it enters
-as G_X + n*lam*I (equivalently as a spectral filter applied to the
-eigenvalues of G_X / n), so lambda stays comparable across sample sizes.
+at any query point.  The regularization parameter ``lam`` is the
+operator-level lambda; in Gram coordinates it enters as G_X + n*lam*I
+(equivalently as a spectral filter applied to the eigenvalues of G_X / n), so
+lambda stays comparable across sample sizes.
 
 ``fit_cme`` is the fit entry, with one route per filter:
 
@@ -21,19 +19,17 @@ eigenvalues of G_X / n), so lambda stays comparable across sample sizes.
 
 Both routes work on the distinct support: if X holds only m < n distinct
 points D with counts C, G_X = E K_D E^T for the n x m indicator E, so the
-fit does m x m algebra on S = C^{1/2} K_D C^{1/2} and expands W exactly by
-the push-through identity (see ``_on_sample``).  With no repeated point S is
-G_X and W is computed exactly as the n x n algebra above.
-
-``fit_cme_on_support`` runs the same solve but never expands it: it returns
-the support estimator on X = D_X, Y = D_Y (the distinct Y values) with
+fit does m x m algebra on S = C^{1/2} K_D C^{1/2}.  It never forms the n x n
+W of the formulas above: it returns the support estimator on X = D_X and
+Y = D_Y, the distinct X and Y values in first-appearance order, with
 
     W_c = F^T W E = N^T C^{-1/2} Z C^{1/2}              (m_Y x m_X),
 
 where F is the n x m_Y indicator of Y, N = E^T F the pair counts and Z the
 solve's output (see ``_on_support``).  Summing W's rows over repeated Y and
-its columns over repeated X leaves every prediction unchanged, so the two
-estimators define the same operator; with no repeated point W_c is W.
+its columns over repeated X leaves every prediction unchanged, so W_c is the
+operator W.  With no repeated point S is G_X, and W_c is W, computed exactly
+as the n x n algebra above.
 
 Filters: Tikhonov g(s) = 1/(s + lam); hard cutoff g(s) = 1/s for s >= lam,
 else 0; Landweber g(s) = (1 - (1 - eta*s)^m) / s with the s = 0 limit m*eta.
@@ -45,11 +41,10 @@ The first conditional-expectation query with an observable costs
 O(len(X) len(Y)), for its coefficients W^T f(Y); later queries with the same
 values cost O(len(X)).
 
-The training report that ``estimate`` prints for an unjittered Tikhonov fit
-(``_fitted_risk_and_hs``) builds G_Y only and costs one n^3 GEMM, holding W,
-G_Y and one n x REPORT_BLOCK block; the general route
-(``_training_risk_and_hs``) builds G_X and G_Y and costs two.  Both take the
-training pairs as (x_i, y_i): they need the paired n x n W of ``fit_cme``.
+The training report that ``estimate`` prints (``_fitted_risk_and_hs``)
+builds G_Y and, except for an unjittered Tikhonov fit on distinct points,
+G_X; its kernel blocks are m_X or m_Y on a side.  On distinct points it costs
+one n^3 GEMM for Tikhonov and two for the other filters.
 """
 
 from __future__ import annotations
@@ -57,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 import scipy.linalg
@@ -149,10 +144,10 @@ class CmeEstimator(_Rebuilt):
     """Fitted estimator: training points X and Y, and the (len(Y), len(X)) coefficients W.
 
     The predicted embedding at x is supported on Y with weights W @ k_X(x).
-    ``fit_cme`` returns the paired estimator, len(X) = len(Y) = n;
-    ``fit_cme_on_support`` returns the support estimator over the distinct X
-    and Y values, whose W_c = F^T W E sums the paired W over the indicators E
-    of X and F of Y, so both predict the same embedding at every x.
+    ``fit_cme`` returns the support estimator: X and Y are the distinct x and
+    y values of the sample, and W_c = F^T W E sums the n x n coefficients W
+    over the indicators E of X and F of Y, so both predict the same embedding
+    at every x.  With no repeated value, X and Y are the sample's and W_c is W.
 
     ``jitter`` is what the Tikhonov fit added to the diagonal of the system it
     factored, G_X + n*lam*I or, on repeated points, its m x m distinct-support
@@ -162,12 +157,12 @@ class CmeEstimator(_Rebuilt):
     G_X + n*lam*I (0.0 when nothing was factored).  Estimator files store
     neither.
 
-    For an unjittered Tikhonov fit that ``fit_cme`` returned, W satisfies
-    (G_X + n*lam*I) W = I in exact arithmetic, repeated X or not.  It does
-    not hold for a jittered fit, for the cutoff and Landweber filters, for a
-    support estimator with repeated points, nor for a hand-built W (exact
-    oracle witnesses legitimately carry one), so it is checked in the test
-    suite, not at construction.
+    For an unjittered Tikhonov fit that ``fit_cme`` returned on a sample with
+    no repeated point, W satisfies (G_X + n*lam*I) W = I in exact arithmetic.
+    It does not hold for a jittered fit, for the cutoff and Landweber filters,
+    for a fit on repeated points, nor for a hand-built W (exact oracle
+    witnesses legitimately carry one), so it is checked in the test suite, not
+    at construction.
     """
 
     kernel: Kernel
@@ -189,11 +184,6 @@ class CmeEstimator(_Rebuilt):
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "W", W)
-
-    @property
-    def n(self) -> int:
-        """The number of training X points, len(X)."""
-        return len(self.X)
 
 
 def _factor_pd(A: np.ndarray, shift: float = 0.0) -> tuple[tuple[np.ndarray, bool], float]:
@@ -261,42 +251,23 @@ def _support_gram(kernel: Kernel, support: Sequence[Point], counts: np.ndarray) 
 
 def _support_solve(
     S: np.ndarray, n: int, filt: SpectralFilter, lam: float
-) -> tuple[np.ndarray, float, float, float]:
-    """The m x m solve both fits share: Z and g0 (see :func:`_on_sample`), the
-    jitter, and the Cholesky bound (max L_ii / min L_ii)^2 (0.0 for the filters
-    that factor nothing).
+) -> tuple[np.ndarray, float, float]:
+    """The fit's m x m solve: Z = g_lam(S/n) / n, the jitter, and the Cholesky
+    bound (max L_ii / min L_ii)^2 (0.0 for the filters that factor nothing).
 
     Tikhonov factors S + n*lam*I in S's own buffer and solves it against I;
     cutoff and Landweber eigendecompose S / n.  S's buffer (for Tikhonov, the
-    factor) is gone once this returns, before a fit forms its W.
+    factor) is gone once this returns, before the fit forms its W.
     """
     if not (lam > 0):
         raise ValueError(f"lambda must be > 0, got {lam}")
     if not isinstance(filt, Tikhonov):
-        return (*_filtered_coefficients(S, n, filt, lam), 0.0, 0.0)
+        return _filtered_coefficients(S, n, filt, lam), 0.0, 0.0
     factor, jitter = _factor_pd(S, n * lam)
     diag = np.diagonal(factor[0])
     cond = float((diag.max() / diag.min()) ** 2)
     Z = scipy.linalg.cho_solve(factor, np.eye(S.shape[0], order="F"), overwrite_b=True)
-    return Z, 1.0 / (n * lam), jitter, cond
-
-
-def _on_sample(Z: np.ndarray, g0: float, inv: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """W = E (C^{-1/2} Z C^{-1/2} - g0 C^{-1}) E^T + g0 I, the n x n coefficients of a fit.
-
-    For a spectral function g of G_X / n = Q (S/n) Q^T with Q = E C^{-1/2},
-    g(G_X/n) = Q (g(S/n) - g(0)) Q^T + g(0) I; ``Z`` is g(S/n) / n and ``g0``
-    is g(0) / n.  With no repeated point E = C = I and W is ``Z`` itself.
-    """
-    n, m = len(inv), len(counts)
-    if m == n:
-        return Z
-    root = np.sqrt(counts)
-    A = Z / np.outer(root, root)
-    A.flat[:: m + 1] -= g0 / counts
-    W = A[inv][:, inv]                      # A[np.ix_(inv, inv)], gathered in a faster order
-    W.flat[:: n + 1] += g0
-    return W
+    return Z, jitter, cond
 
 
 def _on_support(
@@ -304,11 +275,13 @@ def _on_support(
 ) -> np.ndarray:
     """W_c = N^T C^{-1/2} Z C^{1/2}, the m_Y x m_X coefficients of a fit over the distinct X and Y.
 
-    With F the n x m_Y indicator of Y and N = E^T F the pair counts, F^T E = N^T
-    and E^T E = C turn F^T W E, for W of :func:`_on_sample`, into
-    N^T (C^{-1/2} Z C^{-1/2} - g0 C^{-1}) C + g0 N^T, in which g0 cancels.
-    With no repeated X, C = I and N^T = F^T sums Z's rows over repeated Y; with
-    no repeated point either, W_c is ``Z`` itself.
+    For a spectral function g of G_X / n = Q (S/n) Q^T with Q = E C^{-1/2}, the
+    n x n coefficients are W = g(G_X/n) / n = Q (Z - c I) Q^T + c I, where
+    Z = g(S/n) / n and c = g(0) / n.  With F the n x m_Y indicator of Y and
+    N = E^T F the pair counts, F^T E = N^T and E^T E = C turn F^T W E into
+    N^T C^{-1/2} (Z - c I) C^{1/2} + c N^T, in which c cancels.  With no
+    repeated X, C = I and N^T = F^T sums Z's rows over repeated Y; with no
+    repeated point either, W_c is ``Z`` itself.
     """
     n, m = len(inv), len(counts)
     if m < n:
@@ -320,10 +293,8 @@ def _on_support(
     return N_T @ Z
 
 
-def _filtered_coefficients(
-    S: np.ndarray, n: int, filt: SpectralFilter, lam: float
-) -> tuple[np.ndarray, float]:
-    """Z = (1/n) U g_lam(s) U^T from the eigendecomposition S/n = U diag(s) U^T, and g_lam(0) / n."""
+def _filtered_coefficients(S: np.ndarray, n: int, filt: SpectralFilter, lam: float) -> np.ndarray:
+    """Z = (1/n) U g_lam(s) U^T from the eigendecomposition S/n = U diag(s) U^T."""
     s, U = np.linalg.eigh(S / n)
     s_max = max(float(s[-1]), 0.0)
     s = np.where(s < RANK_TOL * s_max, 0.0, s)            # round-off eigenvalues act as exact zeros
@@ -333,43 +304,24 @@ def _filtered_coefficients(
             f"({s_max:.6g}) <= 2; the iteration would diverge"
         )
     g = np.array([filter_value(filt, lam, float(si)) for si in s])
-    return (U * g) @ U.T / n, filter_value(filt, lam, 0.0) / n
+    return (U * g) @ U.T / n
 
 
 def fit_cme(sample: PairedSample, kernel: Kernel, filt: SpectralFilter, lam: float) -> CmeEstimator:
     """Fit the regularized estimator with a spectral filter: the package's fit entry.
 
+    It returns the support estimator: X and Y are the distinct values of the
+    sample's X and Y, and W_c = F^T W E is m_Y x m_X (see ``_on_support``).
     Tikhonov is one positive-definite solve of the m x m distinct-support
     system (S + n*lam*I) Z = I, which is (G_X + n*lam*I) W = I itself when no
     point repeats; S is factored in its own buffer, so the solve holds two
     m x m blocks, and no matrix inverse is ever formed explicitly.  Cutoff and
     Landweber eigendecompose S / n and apply the scalar filter to its spectrum.
+    Past the O(n) passes that find the distinct values, every array is
+    m_X x m_X or m_Y x m_X.
     """
     support, inv, counts = _support(sample.X)
-    Z, g0, jitter, cond = _support_solve(
-        _support_gram(kernel, support, counts), sample.n, filt, lam
-    )
-    return CmeEstimator(
-        kernel=kernel, lam=lam, filt=filt, X=sample.X, Y=sample.Y,
-        W=_on_sample(Z, g0, inv, counts), jitter=jitter, cond_lower_bound=cond,
-    )
-
-
-def fit_cme_on_support(
-    sample: PairedSample, kernel: Kernel, filt: SpectralFilter, lam: float
-) -> CmeEstimator:
-    """``fit_cme``'s fit as a support estimator: X and Y are the distinct values of
-    the sample's X and Y, and W_c = F^T W E is m_Y x m_X (see ``_on_support``).
-
-    It predicts the same embedding as ``fit_cme``'s estimator at every x, up to
-    round-off, and holds no n x n block: past the O(n) pass that finds the
-    distinct values, its arrays are m_X x m_X and m_Y x m_X.  With no repeated
-    X or Y value, it is ``fit_cme``'s estimator bit for bit.
-    """
-    support, inv, counts = _support(sample.X)
-    Z, _, jitter, cond = _support_solve(
-        _support_gram(kernel, support, counts), sample.n, filt, lam
-    )
+    Z, jitter, cond = _support_solve(_support_gram(kernel, support, counts), sample.n, filt, lam)
     support_y, inv_y, _ = _support(sample.Y)
     return CmeEstimator(
         kernel=kernel, lam=lam, filt=filt, X=support, Y=support_y,
@@ -403,52 +355,55 @@ def predict_conditional_expectation(est: CmeEstimator, x: Point, f_at_Y: np.ndar
     return float(cross_gram(est.kernel, est.X, [x])[:, 0] @ memo[1])
 
 
-def _risk_and_hs(est: CmeEstimator, omega: Callable[[slice], np.ndarray]) -> tuple[float, float]:
-    """``empirical_risk`` on the training pairs, and tr(W^T G_Y W G_X) = sum(B * W),
-    B = G_Y Omega, from the blocks Omega[:, J] of Omega = W G_X that ``omega(J)``
-    returns, REPORT_BLOCK columns at a time: W, G_Y and one block are held."""
-    n, W = est.n, est.W
+def _fitted_risk_and_hs(est: CmeEstimator, sample: PairedSample) -> tuple[float, float]:
+    """The training report of ``fit_cme(sample, ...)``'s estimator: ``empirical_risk``
+    on ``sample`` and ``hs_norm_sq``, both from B = G_Y Omega, Omega = W G_X.
+
+    Pair i at columns t of X and u of Y adds k(y_i, y_i) - 2 B[u, t] +
+    Omega[:, t]^T B[:, t] to the risk, and tr(W^T G_Y W G_X) = sum(B * W).
+    Omega is formed REPORT_BLOCK columns at a time, so W, G_Y and one block
+    are held (and G_X, when it is built).  With no repeated point W is n x n
+    and pair i is column i; for an unjittered Tikhonov fit (one that factored
+    its system: cond_lower_bound > 0) Omega = I - n*lam*W comes from the
+    solved system (see ``CmeEstimator``), so G_X is never built and B is the
+    one GEMM.  On repeated points the columns come from ``_support``, the
+    fit's own first-appearance order, and every block is m_X or m_Y on a side.
+    """
+    n, W = sample.n, est.W
+    m = W.shape[1]
+    paired = W.shape == (n, n)
     G_Y = gram(est.kernel, est.Y)
-    cross_term, norm_term, hs = np.empty(n), np.empty(n), 0.0
-    for j in range(0, n, REPORT_BLOCK):
-        J = slice(j, min(j + REPORT_BLOCK, n))
+    if paired and est.cond_lower_bound > 0 and not est.jitter:
+        c = n * est.lam
+
+        def omega(J: slice) -> np.ndarray:
+            Omega = W[:, J] * -c
+            cols = np.arange(Omega.shape[1])
+            Omega[J.start + cols, cols] += 1.0
+            return Omega
+    else:
+        G_X = gram(est.kernel, est.X)
+
+        def omega(J: slice) -> np.ndarray:
+            return W @ G_X[:, J]
+
+    t, u = (slice(None),) * 2 if paired else (_support(sample.X)[1], _support(sample.Y)[1])
+    cross_term, norm_term, hs = np.empty(n), np.empty(m), 0.0
+    for j in range(0, m, REPORT_BLOCK):
+        J = slice(j, min(j + REPORT_BLOCK, m))
         Omega = omega(J)
         B = G_Y @ Omega
-        cross_term[J] = np.einsum("ji,ji->i", Omega, G_Y[:, J])
+        if paired:
+            cross_term[J] = np.einsum("ji,ji->i", Omega, G_Y[:, J])
+        else:
+            at = (t >= J.start) & (t < J.stop)
+            cross_term[at] = B[u[at], t[at] - j]
         norm_term[J] = np.einsum("ji,ji->i", Omega, B)
         B *= W[:, J]
         hs += float(B.sum())
         del Omega, B                                        # so the next block never meets them
-    risk = float(np.mean(np.diagonal(G_Y) - 2.0 * cross_term + norm_term))
+    risk = float(np.mean(np.diagonal(G_Y)[u] - 2.0 * cross_term + norm_term[t]))
     return risk, hs
-
-
-def _training_risk_and_hs(est: CmeEstimator) -> tuple[float, float]:
-    """The training report for any paired W: Omega = W G_X with G_X built."""
-    G_X = gram(est.kernel, est.X)
-    return _risk_and_hs(est, lambda J: est.W @ G_X[:, J])
-
-
-def _fitted_risk_and_hs(est: CmeEstimator) -> tuple[float, float]:
-    """The training report of an estimator that ``fit_cme`` returned.
-
-    For an unjittered Tikhonov fit, Omega = W G_X = I - n*lam*W comes from the
-    solved system (see ``CmeEstimator``), so G_X is never built and
-    B = G_Y Omega is the one GEMM.  A jittered fit takes the general route, as
-    do cutoff and Landweber: their Omega = U diag(s g(s)) U^T costs a GEMM as
-    large as W G_X.
-    """
-    if not isinstance(est.filt, Tikhonov) or est.jitter:
-        return _training_risk_and_hs(est)
-    W, c = est.W, est.n * est.lam
-
-    def omega(J: slice) -> np.ndarray:
-        Omega = W[:, J] * -c
-        cols = np.arange(Omega.shape[1])
-        Omega[J.start + cols, cols] += 1.0
-        return Omega
-
-    return _risk_and_hs(est, omega)
 
 
 def hs_norm_sq(est: CmeEstimator) -> float:

@@ -170,6 +170,14 @@ def test_criterion_03_mmd_relation():
     report(3, "MMD relation", f"strict gap instance: lhs={lhs:.6f} rhs={rhs:.6f} gap={gap:.6f}")
 
 
+def indicator(points, support):
+    """The len(points) x len(support) matrix with a 1 where points[i] is support[t]."""
+    index = {p: t for t, p in enumerate(support)}
+    E = np.zeros((len(points), len(support)))
+    E[np.arange(len(points)), [index[p] for p in points]] = 1.0
+    return E
+
+
 def test_criterion_04_closed_form_equivalence():
     t0 = time.perf_counter()
     rng, repeat_rng = rng_for(400), rng_for(401)
@@ -189,8 +197,11 @@ def test_criterion_04_closed_form_equivalence():
             # G_X / n = U diag(s) U^T
             s, U = np.linalg.eigh(gram(GAUSS, sample.X) / n)
             w_filter = (U * (1.0 / (s + lam))) @ U.T / n
-            w_closed = fit_cme(sample, GAUSS, Tikhonov(), lam).W
-            worst = max(worst, float(np.max(np.abs(w_filter - w_closed))))
+            # the fit is the support estimator over the distinct X and Y: the
+            # formula's W summed over their indicators E and F, F^T W E
+            est = fit_cme(sample, GAUSS, Tikhonov(), lam)
+            w_filter = indicator(sample.Y, est.Y).T @ w_filter @ indicator(sample.X, est.X)
+            worst = max(worst, float(np.max(np.abs(w_filter - est.W))))
             assert worst <= 1e-8
     elapsed = time.perf_counter() - t0
     assert elapsed <= 10.0

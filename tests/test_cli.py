@@ -22,13 +22,16 @@ from cmekit import (
     PairedSample,
     Tikhonov,
     chain_states,
+    cross_gram,
     fit_cme,
-    fit_cme_on_support,
     fit_tikhonov_closed_form,
+    gram,
     ou_sample_pairs,
+    predict_conditional_expectation,
     predict_embedding,
     pt,
     random_model,
+    sample_pairs,
 )
 from cmekit.cli import (
     ConfigError,
@@ -287,19 +290,19 @@ out = {tmp_path / 'est.bin'}
         assert np.array_equal(read_estimator(str(tmp_path / "est.bin")).W, direct.W)
 
     @pytest.mark.parametrize(
-        "bandwidth, lam, data, warns",
+        "bandwidth, lam, data, warns, side",
         [
             # the Cholesky factor's diagonal bounds the condition number below by 3.0e14
-            (10.0, "1e-16", OU_SOURCE + "[run]\nn = 30\nseed = 7\n", True),
+            (10.0, "1e-16", OU_SOURCE + "[run]\nn = 30\nseed = 7\n", True, 30),
             # four states repeated to n = 11: 1.7e15
-            (1000.0, "1e-17", "source = paired-sample\nsample_file = {pairs}\n[run]\n", True),
+            (1000.0, "1e-17", "source = paired-sample\nsample_file = {pairs}\n[run]\n", True, 4),
             # the ou-fit-query benchmark workload: 1.5
-            (1.0, "1e-3", OU_SOURCE + "[run]\nn = 2000\nseed = 11\n", False),
+            (1.0, "1e-3", OU_SOURCE + "[run]\nn = 2000\nseed = 11\n", False, 2000),
         ],
         ids=["ou-30", "four-states-11", "ou-fit-query"],
     )
     def test_ill_conditioned_system_is_reported_on_stderr_only(
-        self, tmp_path, capsys, bandwidth, lam, data, warns
+        self, tmp_path, capsys, bandwidth, lam, data, warns, side
     ):
         # Cholesky succeeds without jitter, but the report Omega = I - n*lam*W
         # keeps no digits of a near-singular system
@@ -319,9 +322,9 @@ out = {tmp_path / 'est.bin'}
         warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
         assert len(warnings) == int(warns)
         assert all("condition number >= " in w and "jitter" not in w for w in warnings)
-        # the estimator file stays the paired n x n one
-        n = json.loads(captured.out)["n"]
-        assert read_estimator(str(out)).W.shape == (n, n)
+        # the estimator file holds the support estimator: n x n on OU data, and
+        # 4 x 4 over the four repeated states
+        assert read_estimator(str(out)).W.shape == (side, side)
 
     def test_double_well_source(self, tmp_path, capsys):
         cfg = write(
@@ -680,17 +683,39 @@ out = {tmp_path / 'conv.csv'}
 
     def test_finite_model_fits_build_no_n_by_n_block(self, tmp_path, monkeypatch):
         # repeated states: the support estimator lives on the 4 distinct states,
-        # so the fit, the operator values and the excess risk never build a
-        # kernel block with a side longer than 4
+        # so the fit, the operator values, the excess risk, and estimate's
+        # report and file never build a kernel block with a side longer than 4
         import cmekit.estimators as est_mod
         import cmekit.models as md_mod
 
         built = [count_blocks(monkeypatch, mod) for mod in (est_mod, md_mod)]
+        model = random_model(np.random.default_rng(5), 4)
         model_file = tmp_path / "model.txt"
-        write_model_file(str(model_file), random_model(np.random.default_rng(5), 4))
+        write_model_file(str(model_file), model)
         assert main(["convergence", "--config", self._config(tmp_path, model_file, grid="40 90")]) == 0
-        blocks = built[0] + built[1]
+        n, lam, out = 300, 1e-3, tmp_path / "est.bin"
+        cfg = write(
+            tmp_path / "est.cfg",
+            "[kernel]\nvariant = gaussian\nbandwidth = 1.0\n[filter]\nvariant = tikhonov\n"
+            f"[data]\nsource = finite-model\nmodel_file = {model_file}\n"
+            f"[run]\nlambda = {lam}\nn = {n}\nseed = 3\nout = {out}\n",
+        )
+        assert main(["estimate", "--config", cfg]) == 0
+        blocks = [b for calls in built for b in calls]
         assert blocks and all(max(b[1:]) <= 4 for b in blocks)
+        monkeypatch.undo()
+        # the file holds the m_Y x m_X support estimator, and it predicts what the
+        # paired n x n route (G_X + n*lam*I) W = I predicts
+        sample = sample_pairs(model, n, 3)
+        est = read_estimator(str(out))
+        assert est.W.shape == (len(set(sample.Y)), len(set(sample.X))) == (4, 4)
+        W = np.linalg.solve(gram(GAUSS, sample.X) + n * lam * np.eye(n), np.eye(n))
+        f = {state: float(v) for state, v in zip(model.states, (1.5, -0.5, 2.0, 0.25))}
+        f_paired = np.array([f[y] for y in sample.Y])
+        for x in (*model.states, pt(0.37), pt(9.5)):
+            expected = float(cross_gram(GAUSS, sample.X, [x])[:, 0] @ (W.T @ f_paired))
+            got = predict_conditional_expectation(est, x, np.array([f[y] for y in est.Y]))
+            assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_finite_jitter_is_reported_per_n(self, tmp_path, capsys, monkeypatch):
         # The oracle rejects a state Gram whose eigenvalue ratio is at most
@@ -810,7 +835,7 @@ class TestCodec:
         )
         est = fit_cme(sample, LaplacianKernel(scale=1.5), Landweber(steps=7, step_size=0.5), 0.01)
         repeated = PairedSample(X=sample.X[:2] * 3, Y=sample.Y[:3] * 2)
-        support = fit_cme_on_support(repeated, GAUSS, Tikhonov(), 0.01)
+        support = fit_cme(repeated, GAUSS, Tikhonov(), 0.01)
         return {
             "model": (model, write_model_file, read_model_file),
             "paired-sample": (sample, write_paired_sample, read_paired_sample),
@@ -1096,7 +1121,7 @@ def test_validation_failures_exit_2(tmp_path, capsys, command, config, data):
             "convergence",
             KERNEL + MODEL_DATA + CONVERGENCE_RUN,
             MODEL_FILE.format(pi="0.5 0.5", row="0.5 0.5"),
-            "fit_cme_on_support",
+            "fit_cme",
             id="convergence",
         ),
     ],

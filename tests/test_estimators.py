@@ -31,10 +31,10 @@ from cmekit import (
     exact_excess_risk,
     filter_value,
     fit_cme,
-    fit_cme_on_support,
     fit_tikhonov_closed_form,
     gram,
     hs_norm_sq,
+    kernel_eval,
     ou_sample_pairs,
     predict_conditional_expectation,
     predict_embedding,
@@ -47,9 +47,8 @@ from cmekit.estimators import (
     JITTER_SCALE,
     RANK_TOL,
     _factor_pd,
-    _support,
     _fitted_risk_and_hs,
-    _training_risk_and_hs,
+    _support,
     solve_pd,
 )
 
@@ -103,12 +102,61 @@ def full_filtered_W(sample, kernel, filt, lam):
     return (U * g) @ U.T / n
 
 
-def assert_fits_match_full_routes(sample, kernel, lam, filters):
-    """The fit equals the uncompressed routes within 1e-10 of max |W|, or both diverge."""
-    def close(W, ref):
-        assert np.max(np.abs(W - ref)) <= 1e-10 * np.max(np.abs(ref))
+def paired_reference(sample, kernel, filt, lam):
+    """The uncompressed routes' estimator: the sample's X and Y, and the n x n W."""
+    if isinstance(filt, Tikhonov):
+        W = full_closed_form_W(sample, kernel, lam)
+    else:
+        W = full_filtered_W(sample, kernel, filt, lam)
+    return CmeEstimator(kernel=kernel, lam=lam, filt=filt, X=sample.X, Y=sample.Y, W=W)
 
-    close(fit_tikhonov_closed_form(sample, kernel, lam).W, full_closed_form_W(sample, kernel, lam))
+
+def indicator(points, support):
+    """The len(points) x len(support) matrix with a 1 where points[i] is support[t]."""
+    index = {p: t for t, p in enumerate(support)}
+    E = np.zeros((len(points), len(support)))
+    E[np.arange(len(points)), [index[p] for p in points]] = 1.0
+    return E
+
+
+def on_support(W, sample, est):
+    """F^T W E: the paired n x n W summed over the indicators E of the sample's X
+    on est.X and F of its Y on est.Y (exactly W when no value repeats)."""
+    return indicator(sample.Y, est.Y).T @ W @ indicator(sample.X, est.X)
+
+
+def paired_twin(est, sample):
+    """A hand-built paired estimator on the sample's X and Y with the operator of
+    the support estimator ``est``: W_c[u, t] sits at one pair whose y is est.Y[u]
+    and one whose x is est.X[t], and zeros elsewhere, so that F^T W E is W_c
+    exactly."""
+    at_y, at_x = ({p: i for i, p in enumerate(P)} for P in (sample.Y, sample.X))
+    W = np.zeros((sample.n, sample.n))
+    W[np.ix_([at_y[y] for y in est.Y], [at_x[x] for x in est.X])] = est.W
+    return CmeEstimator(
+        kernel=est.kernel, lam=est.lam, filt=est.filt, X=sample.X, Y=sample.Y, W=W
+    )
+
+
+def risk_scale(est, sample):
+    """mean(k(y_i, y_i) + 2|cross_i| + |norm_i|) over the pairs of ``sample``: the
+    size of the terms that ``empirical_risk`` cancels.  Near-interpolating fits
+    have risks around 1e-6 whose every digit is round-off, so risk tolerances
+    are a share of this, not of the risk."""
+    Omega = est.W @ cross_gram(est.kernel, est.X, sample.X)
+    cross = np.einsum("ji,ji->i", Omega, cross_gram(est.kernel, est.Y, sample.Y))
+    norm = np.einsum("ji,ji->i", Omega, gram(est.kernel, est.Y) @ Omega)
+    diag = np.array([kernel_eval(est.kernel, y, y) for y in sample.Y])
+    return float(np.mean(diag + 2.0 * np.abs(cross) + np.abs(norm)))
+
+
+def assert_fits_match_full_routes(sample, kernel, lam, filters):
+    """The fit equals the uncompressed routes summed over the indicators, F^T W E,
+    within 1e-10 of max |W|, or both diverge."""
+    def close(est, ref):
+        assert np.max(np.abs(est.W - on_support(ref, sample, est))) <= 1e-10 * np.max(np.abs(ref))
+
+    close(fit_tikhonov_closed_form(sample, kernel, lam), full_closed_form_W(sample, kernel, lam))
     for filt in filters:
         try:
             ref = full_filtered_W(sample, kernel, filt, lam)
@@ -116,7 +164,7 @@ def assert_fits_match_full_routes(sample, kernel, lam, filters):
             with pytest.raises(DivergentStepError):
                 fit_cme(sample, kernel, filt, lam)
             continue
-        close(fit_cme(sample, kernel, filt, lam).W, ref)
+        close(fit_cme(sample, kernel, filt, lam), ref)
 
 
 class TestFilterValue:
@@ -221,7 +269,8 @@ class TestFitting:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_fits_are_permutation_equivariant(self, data):
-        # permuting the pairs by Pi permutes W to Pi W Pi^T
+        # permuting the pairs reorders the distinct X and Y values, and W's
+        # columns and rows with them
         n = data.draw(st.integers(2, 20))
         d = data.draw(st.integers(1, 2))
         coords = st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)
@@ -237,9 +286,12 @@ class TestFitting:
             st.sampled_from([Tikhonov(), Cutoff()])
             | st.builds(Landweber, st.integers(1, 50), st.floats(0.1, 1.5))
         )
-        W = fit_cme(sample, kernel, filt, lam).W
-        W_perm = fit_cme(permuted, kernel, filt, lam).W
-        assert np.max(np.abs(W_perm - W[np.ix_(perm, perm)])) <= 1e-10 * np.max(np.abs(W))
+        est, twin = fit_cme(sample, kernel, filt, lam), fit_cme(permuted, kernel, filt, lam)
+        # twin.X[a] is est.X[px[a]] and twin.Y[b] is est.Y[py[b]]
+        px = [est.X.index(x) for x in twin.X]
+        py = [est.Y.index(y) for y in twin.Y]
+        assert sorted(px) == list(range(len(est.X))) and sorted(py) == list(range(len(est.Y)))
+        assert np.max(np.abs(twin.W - est.W[np.ix_(py, px)])) <= 1e-10 * np.max(np.abs(est.W))
 
     def test_tikhonov_inverse_roundtrip(self):
         rng = np.random.default_rng(22)
@@ -337,8 +389,9 @@ class TestDistinctSupport:
 
 
 class TestSupportView:
-    """The support estimator of ``fit_cme_on_support`` is ``fit_cme``'s operator on the
-    distinct X and Y values: W_c = F^T W E, the same predictions up to round-off."""
+    """``fit_cme`` returns the support estimator: the operator of the paired n x n
+    routes on the distinct X and Y values, W_c = F^T W E, with the same
+    predictions up to round-off."""
 
     STATES = chain_states(8)
     FILTERS = [Tikhonov(), Cutoff(), Landweber(steps=20, step_size=0.9)]
@@ -349,16 +402,15 @@ class TestSupportView:
         assert np.max(np.abs(a - b)) <= rtol * max(np.max(np.abs(a)), np.max(np.abs(b)))
 
     def check(self, sample, kernel, filt, lam, model, held_out):
-        paired = fit_cme(sample, kernel, filt, lam)
-        support = fit_cme_on_support(sample, kernel, filt, lam)
+        paired = paired_reference(sample, kernel, filt, lam)
+        support = fit_cme(sample, kernel, filt, lam)
         D_X, _, _ = _support(sample.X)
         D_Y, inv_y, _ = _support(sample.Y)
         assert support.X == D_X and support.Y == D_Y
         assert support.W.shape == (len(D_Y), len(D_X))
-        assert support.jitter == paired.jitter
-        assert support.cond_lower_bound == paired.cond_lower_bound
         if len(D_X) == len(D_Y) == sample.n:
             assert np.array_equal(support.W, paired.W)
+        self.close(support.W, on_support(paired.W, sample, support))
         self.close(
             estimator_values(support, model, kernel), estimator_values(paired, model, kernel)
         )
@@ -366,7 +418,9 @@ class TestSupportView:
             exact_excess_risk(support, model, kernel), exact_excess_risk(paired, model, kernel)
         )
         self.close(hs_norm_sq(support), hs_norm_sq(paired))
-        self.close(empirical_risk(support, held_out), empirical_risk(paired, held_out))
+        # the held-out risk cancels terms of order 1 down to as little as 1e-7
+        risk = empirical_risk(support, held_out)
+        assert abs(risk - empirical_risk(paired, held_out)) <= 1e-12 * risk_scale(paired, held_out)
         for x in (*self.STATES, pt(0.37), pt(9.5)):
             summed = np.bincount(inv_y, weights=predict_embedding(paired, x).weights)
             self.close(predict_embedding(support, x).weights, summed)
@@ -382,7 +436,7 @@ class TestSupportView:
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_support_view_matches_fit_cme(self, data):
+    def test_fit_cme_matches_the_paired_routes(self, data):
         n = data.draw(st.integers(1, 8))
         repeat_x, repeat_y = (n > 1 and data.draw(st.booleans()) for _ in "xy")
         sample = PairedSample(
@@ -391,6 +445,10 @@ class TestSupportView:
         width = data.draw(st.floats(0.5, 1.5))
         kernel = data.draw(st.sampled_from([GaussianKernel(width), LaplacianKernel(width)]))
         lam = 10.0 ** data.draw(st.floats(-3.0, 0.0))
+        # away from the cutoff's jump at lam, where the two routes' round-off may
+        # keep or drop an eigenvalue differently
+        s = np.linalg.eigvalsh(gram(kernel, sample.X) / n)
+        assume(np.all(np.abs(s - lam) > 0.05 * lam))
         model = random_model(np.random.default_rng(data.draw(st.integers(0, 2**32))), 8)
         k = data.draw(st.integers(1, 5))
         coords = st.lists(st.floats(-1.0, 8.0), min_size=k, max_size=k)
@@ -424,13 +482,13 @@ class TestSupportView:
     def test_tikhonov_support_view_keeps_every_digit_at_small_lambda(self):
         # For Tikhonov, C^{-1/2} (S + n*lam*I)^{-1} C^{1/2} = (K_D C + n*lam*I)^{-1}, so
         # W_c = N^T (K_D C + n*lam*I)^{-1} is rational in the float entries of K_D and
-        # has an exact reference.  The expanded n x n W carries g0 = 1/(n*lam), about
-        # 1.5e3 here, on its diagonal, and its predictions lose those digits to
-        # cancellation; the support view never forms g0
+        # has an exact reference.  The paired n x n W carries 1/(n*lam), about 1.5e3
+        # here, on its diagonal, and its predictions lose those digits to
+        # cancellation; the fit never forms it
         model = random_model(np.random.default_rng(2), 4)
         sample = sample_pairs(model, 180, 12)
         lam = 3.7e-6
-        est = fit_cme_on_support(sample, GAUSS, Tikhonov(), lam)
+        est = fit_cme(sample, GAUSS, Tikhonov(), lam)
         D_X, inv, counts = _support(sample.X)
         D_Y, inv_y, _ = _support(sample.Y)
         K = [[Fraction(v) for v in row] for row in cross_gram(GAUSS, D_X, D_X).tolist()]
@@ -457,8 +515,8 @@ class TestSupportView:
         X = tuple(pt(v) for v in (0.0, 1.0, 2.0, 3.0, 1.0, 0.0))
         Y = tuple(pt(v) for v in (5.0, 6.0, 5.0, 5.0, 6.0, 6.0))
         sample = PairedSample(X=X, Y=Y)
-        support = fit_cme_on_support(sample, GAUSS, Tikhonov(), 0.05)
-        paired = fit_cme(sample, GAUSS, Tikhonov(), 0.05)
+        support = fit_cme(sample, GAUSS, Tikhonov(), 0.05)
+        paired = paired_reference(sample, GAUSS, Tikhonov(), 0.05)
         assert (len(support.X), len(support.Y)) == (4, 2)
         f_support = np.array([1.5, -0.5])                   # f(5), f(6)
         f_paired = np.array([1.5 if y == pt(5.0) else -0.5 for y in Y])
@@ -474,7 +532,7 @@ class TestSupportView:
     def test_w_must_be_len_y_by_len_x(self):
         X, Y = (pt(0.0), pt(1.0), pt(2.0)), (pt(0.5), pt(1.5))
         est = CmeEstimator(kernel=GAUSS, lam=0.1, filt=Tikhonov(), X=X, Y=Y, W=np.ones((2, 3)))
-        assert est.W.shape == (2, 3) and est.n == 3
+        assert est.W.shape == (2, 3)
         with pytest.raises(ValueError, match=re.escape("(len(Y), len(X)) = (2, 3)")):
             CmeEstimator(kernel=GAUSS, lam=0.1, filt=Tikhonov(), X=X, Y=Y, W=np.ones((3, 2)))
 
@@ -600,8 +658,9 @@ class TestPrediction:
             W = data.draw(arrays(float, (n, n), elements=st.floats(-2.0, 2.0)))
             est = CmeEstimator(kernel=kernel, lam=lam, filt=Tikhonov(), X=X, Y=X[::-1], W=W)
         else:
-            est = fit_cme(sample, kernel, filt, lam)
-        values = arrays(float, n, elements=st.floats(-5.0, 5.0))
+            est = fit_cme(sample, kernel, filt, lam)        # on the distinct X and Y
+        q = len(est.Y)
+        values = arrays(float, q, elements=st.floats(-5.0, 5.0))
         observables = [data.draw(values) for _ in range(data.draw(st.integers(2, 3)))]
         queries = [pt(c) for c in data.draw(st.lists(coords, min_size=1, max_size=3))] + [X[0]]
         first_bits = {}
@@ -609,15 +668,16 @@ class TestPrediction:
             f = data.draw(st.sampled_from(observables))
             if data.draw(st.booleans()):
                 # an in-place change keeps the array object but not its values
-                f[data.draw(st.integers(0, n - 1))] = data.draw(st.floats(-5.0, 5.0))
+                f[data.draw(st.integers(0, q - 1))] = data.draw(st.floats(-5.0, 5.0))
             x = data.draw(st.sampled_from(queries))
             got = predict_conditional_expectation(est, x, f)
             ref = float(predict_embedding(est, x).weights @ f)
-            # each route is two nested length-n sums of products whose sizes sum to
+            # each route is two nested sums of at most n products whose sizes sum to
             # |k_x| @ |W|^T @ |f|, so to first order it errs by n * eps times that; each
-            # of its n^2 + n products may also underflow by half a subnormal step, and
-            # an inner one is then scaled by |f_i| (W k_x first) or |k_x,i| (W^T f first)
-            k_x = cross_gram(kernel, X, [x])[:, 0]
+            # of its at most n^2 + n products may also underflow by half a subnormal
+            # step, and an inner one is then scaled by |f_i| (W k_x first) or |k_x,i|
+            # (W^T f first)
+            k_x = cross_gram(kernel, est.X, [x])[:, 0]
             scale = np.abs(k_x) @ np.abs(est.W).T @ np.abs(f)
             floor = n * (1 + np.abs(k_x).sum() + np.abs(f).sum())
             fp = np.finfo(float)
@@ -740,16 +800,16 @@ class TestNormsAndRisks:
         # tiny W the products B_ij * W_ij round to subnormals, each off by at
         # most 2**-1075, and n**3 * 2**-1074 covers those n**2 roundings with
         # room to spare
-        n = est.n
+        n = max(est.W.shape)
         A = np.abs(est.W)
         bound = 4 * (n + 2) * np.finfo(float).eps * float(np.sum((abs(G_Y) @ A @ abs(G_X)) * A))
         underflow = n**3 * np.finfo(float).smallest_subnormal
         assert abs(hs - exact_trace(est.W, G_Y, G_X)) <= bound + underflow
 
     def check_training_risk_and_hs(self, est, sample):
-        # the general report agrees with empirical_risk and with the trace formula
+        # the report agrees with empirical_risk and with the trace formula
         G_X, G_Y = gram(est.kernel, est.X), gram(est.kernel, est.Y)
-        risk, hs = _training_risk_and_hs(est)
+        risk, hs = _fitted_risk_and_hs(est, sample)
         assert risk == pytest.approx(empirical_risk(est, sample), rel=1e-12, abs=1e-300)
         self.assert_hs_is_the_trace(est, hs, G_Y, G_X)
 
@@ -771,30 +831,33 @@ class TestNormsAndRisks:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_training_risk_and_hs_match_the_general_routes(self, data):
-        # for every fit and for a hand-built non-symmetric W
+        # for hand-built W: a paired n x n one on the sample's X and Y, and a
+        # support one on its distinct values with its paired twin
         sample, kernel, lam = self.draw_training_set(data)
         n, X, Y = sample.n, sample.X, sample.Y
-        W = data.draw(arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0)))
+        D_X, D_Y = _support(X)[0], _support(Y)[0]
+        W, W_c = (
+            data.draw(arrays(np.float64, shape, elements=st.floats(-2.0, 2.0)))
+            for shape in ((n, n), (len(D_Y), len(D_X)))
+        )
+        support = CmeEstimator(kernel=kernel, lam=lam, filt=Tikhonov(), X=D_X, Y=D_Y, W=W_c)
         for est in (
-            *(fit_cme(sample, kernel, filt, lam)
-              for filt in (Tikhonov(), Cutoff(), Landweber(steps=20, step_size=0.9))),
             CmeEstimator(kernel=kernel, lam=lam, filt=Tikhonov(), X=X, Y=Y, W=W),
+            support,
+            paired_twin(support, sample),
         ):
             self.check_training_risk_and_hs(est, sample)
 
     def check_fitted_risk_and_hs(self, est, sample):
-        # the report that takes W G_X from the fit agrees with the general
-        # routes.  The risk cancels G_Y_ii - 2 cross_i + norm_i, so its
-        # tolerance is 1e-12 of the size of those terms, not of the risk:
-        # near-interpolating fits have risks around 1e-6 whose every digit is
-        # round-off
+        # the report of a fit agrees with empirical_risk and with the report of
+        # its paired twin, which holds the same operator in an n x n W and
+        # factored nothing, so its Omega is W G_X.  The risk cancels
+        # G_Y_ii - 2 cross_i + norm_i, so its tolerance is 1e-12 of risk_scale
         G_X, G_Y = gram(est.kernel, est.X), gram(est.kernel, est.Y)
-        risk, hs = _fitted_risk_and_hs(est)
-        Omega = est.W @ G_X
-        cross, norm = np.einsum("ji,ji->i", Omega, G_Y), np.einsum("ji,ji->i", Omega, G_Y @ Omega)
-        scale = float(np.mean(np.diagonal(G_Y) + 2.0 * np.abs(cross) + np.abs(norm)))
-        for reference in (_training_risk_and_hs(est)[0], empirical_risk(est, sample)):
-            assert abs(risk - reference) <= 1e-12 * scale
+        risk, hs = _fitted_risk_and_hs(est, sample)
+        twin = paired_twin(est, sample)
+        for reference in (_fitted_risk_and_hs(twin, sample)[0], empirical_risk(est, sample)):
+            assert abs(risk - reference) <= 1e-12 * risk_scale(est, sample)
         self.assert_hs_is_the_trace(est, hs, G_Y, G_X)
 
     @settings(max_examples=60, deadline=None)
@@ -806,7 +869,8 @@ class TestNormsAndRisks:
 
     def test_fitted_risk_and_hs_of_a_jittered_fit_on_repeated_points(self, monkeypatch):
         # the fit's factorization is made to add a jitter of 0.37 to S + n*lam*I,
-        # so W G_X is far from I - n*lam*W and the report must not assume it
+        # so W G_X is far from I - n*lam*W and the report must not assume it; on
+        # the last sample, where no point repeats, it would otherwise take it
         import cmekit.estimators as est_mod
 
         factor_pd = est_mod._factor_pd
@@ -816,11 +880,28 @@ class TestNormsAndRisks:
         rng = np.random.default_rng(31)
         states = [pt(float(j)) for j in range(4)]
         X = tuple(states[i % 4] for i in range(11))
-        for Y in (X, tuple(pt(v) for v in rng.normal(size=11))):
-            sample = PairedSample(X=X, Y=Y)
+        Y = tuple(pt(v) for v in rng.normal(size=11))
+        for sample in (
+            PairedSample(X=X, Y=X), PairedSample(X=X, Y=Y), PairedSample(X=Y, Y=Y[::-1])
+        ):
             est = fit_cme(sample, GAUSS, Tikhonov(), 1e-3)
             assert est.jitter == 0.37
             self.check_fitted_risk_and_hs(est, sample)
+
+    def test_report_in_blocks_of_three_columns(self, monkeypatch):
+        # the report forms Omega REPORT_BLOCK columns at a time; with blocks of
+        # three, each pair's cross term comes from the block that holds its column
+        import cmekit.estimators as est_mod
+
+        monkeypatch.setattr(est_mod, "REPORT_BLOCK", 3)
+        rng = np.random.default_rng(32)
+        pool = [pt(v) for v in rng.normal(size=10)]
+        X, Y = (tuple(pool[i] for i in rng.integers(0, m, size=30)) for m in (10, 4))
+        for sample in (PairedSample(X=X, Y=Y), random_sample(rng, 11)):
+            for filt in (Tikhonov(), Cutoff(), Landweber(steps=20, step_size=0.9)):
+                est = fit_cme(sample, GAUSS, filt, 1e-3)
+                assert len(est.X) > 6
+                self.check_fitted_risk_and_hs(est, sample)
 
     def test_subnormal_hs_stays_within_the_underflow_floor(self):
         # W of equal entries near 1e-158 on one repeated point: hs is subnormal

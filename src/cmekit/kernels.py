@@ -10,10 +10,26 @@ Kernel conventions (every derived constant in this package depends on them):
 
 ``gram`` returns a plain read-only ``(n, n)`` array, ``cross_gram`` a writable,
 C-ordered ``(n, m)`` one, assembled in that one buffer: no second block is held
-while a block is built.  Gram matrices are exactly symmetric with no mirroring
-step: ``cdist`` applies the same arithmetic to (x, y) and (y, x), and a table
-kernel stores its validated table symmetrized, so k(x, y) and k(y, x) agree bit
-for bit and ``cross_gram(kernel, b, a).T`` is ``cross_gram(kernel, a, b)`` in F order.
+while a block is built.  ``kernel_eval`` is the ``1 x 1`` block, so one point
+pair gets the same double from every route.
+
+Two routes build a Gaussian or Laplacian block, chosen by the dimension d:
+
+- d = 1: numpy ufuncs fill the buffer in row blocks of about ``_BLOCK_ENTRIES``
+  entries, small enough to stay in L2.  Each row block runs ``x - y``, its
+  square or absolute value, ``/ (-c)`` and ``exp`` in place: ``cdist``'s
+  arithmetic at d = 1, so the doubles are the ones it would give.
+- d >= 2: ``scipy.spatial.distance.cdist`` sums the coordinates' squared or
+  absolute differences (faster than a numpy loop over the coordinates), then
+  ``/ (-c)`` and ``exp`` run in its buffer.  ``scipy.spatial`` is imported on
+  the first such block, so 1-D work never loads it.
+
+Gram matrices are exactly symmetric with no mirroring step: ``x - y`` is
+``-(y - x)`` exactly, so ``(x - y)^2 == (y - x)^2`` and ``|x - y| == |y - x|``
+hold bit for bit, and every later step is the same for (x, y) and (y, x); a
+table kernel stores its validated table symmetrized.  So k(x, y) and k(y, x)
+agree bit for bit and ``cross_gram(kernel, b, a).T`` is
+``cross_gram(kernel, a, b)`` in F order.
 """
 
 from __future__ import annotations
@@ -24,10 +40,10 @@ from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
+_BLOCK_ENTRIES = 1 << 15          # 256 KB of doubles per row block of a 1-D Gram block
 
 
 @dataclass(frozen=True)
@@ -185,25 +201,12 @@ Kernel = Union[GaussianKernel, LaplacianKernel, TableKernel]
 
 
 def kernel_eval(kernel: Kernel, x: Point, x2: Point) -> float:
-    """Evaluate k(x, x2).
+    """Evaluate k(x, x2): the ``1 x 1`` ``cross_gram`` block, bit for bit.
 
     Raises ValueError on dimension mismatch, and for table kernels when
     either point is not an exact member of the state list.
     """
-    if x.dim != x2.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {x2.dim}")
-    a = np.asarray(x.coords)
-    b = np.asarray(x2.coords)
-    if isinstance(kernel, GaussianKernel):
-        d2 = float(np.dot(a - b, a - b))
-        return math.exp(-d2 / (2.0 * kernel.bandwidth**2))
-    if isinstance(kernel, LaplacianKernel):
-        d1 = float(np.sum(np.abs(a - b)))
-        return math.exp(-d1 / kernel.scale)
-    if isinstance(kernel, TableKernel):
-        i, j = kernel._lookup([x, x2])
-        return float(kernel._values_array[i, j])
-    raise TypeError(f"unknown kernel type: {type(kernel).__name__}")
+    return float(cross_gram(kernel, [x], [x2])[0, 0])
 
 
 def cross_gram(kernel: Kernel, rows: Sequence[Point], cols: Sequence[Point]) -> np.ndarray:
@@ -216,14 +219,29 @@ def cross_gram(kernel: Kernel, rows: Sequence[Point], cols: Sequence[Point]) -> 
         ci = kernel._lookup(cols)
         return kernel._values_array[np.ix_(ri, ci)]      # a new, writable C-ordered array
     if isinstance(kernel, GaussianKernel):
-        K, c = cdist(a, b, "sqeuclidean"), 2.0 * kernel.bandwidth**2
+        metric, norm, c = "sqeuclidean", np.square, 2.0 * kernel.bandwidth**2
     elif isinstance(kernel, LaplacianKernel):
-        K, c = cdist(a, b, "cityblock"), kernel.scale
+        metric, norm, c = "cityblock", np.abs, kernel.scale
     else:
         raise TypeError(f"unknown kernel type: {type(kernel).__name__}")
-    # exp(-D / c) in D's own buffer: (-d) / c and d / (-c) round to the same double
-    np.divide(K, -c, out=K)
-    return np.exp(K, out=K)
+    if a.shape[1] > 1:
+        from scipy.spatial.distance import cdist
+
+        K = cdist(a, b, metric)
+        # exp(-D / c) in D's own buffer: (-d) / c and d / (-c) round to the same double
+        np.divide(K, -c, out=K)
+        return np.exp(K, out=K)
+    x, y = a[:, 0], b[:, 0]
+    K = np.empty((len(x), len(y)))
+    step = max(1, _BLOCK_ENTRIES // len(y))
+    for i in range(0, len(x), step):
+        # each row block is finished while it is still in cache
+        block = K[i:i + step]
+        np.subtract.outer(x[i:i + step], y, out=block)
+        norm(block, out=block)
+        np.divide(block, -c, out=block)
+        np.exp(block, out=block)
+    return K
 
 
 def gram(kernel: Kernel, points: Sequence[Point]) -> np.ndarray:

@@ -1,7 +1,12 @@
 """Kernel evaluation, Gram assembly, and psd properties."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,11 +24,13 @@ from cmekit import (
     kernel_eval,
     pt,
 )
+from cmekit import kernels
 from cmekit.kernels import coords_matrix
 from cmekit.models import ou_sample_pairs
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 LAPL2 = LaplacianKernel(scale=2.0)
+COORD = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
 
 
 def random_points(rng, n, d):
@@ -82,6 +89,16 @@ class TestEval:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             kernel_eval(GAUSS, pt(0.0), pt(0.0, 1.0))
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_eval_is_the_one_by_one_block_bit_for_bit(self, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        x = Point(data.draw(st.tuples(*[COORD] * d), label="x"))
+        y = Point(data.draw(st.tuples(*[COORD] * d), label="y"))
+        width = data.draw(st.floats(1e-3, 1e3), label="width")
+        for kernel in (GaussianKernel(width), LaplacianKernel(width)):
+            assert kernel_eval(kernel, x, y) == cross_gram(kernel, [x], [y])[0, 0]
 
     def test_table_lookup_miss(self):
         k = TableKernel([pt(0.0), pt(1.0)], np.array([[1.0, 0.5], [0.5, 1.0]]))
@@ -163,18 +180,10 @@ class TestCrossGram:
         assert np.array_equal(K, vals)
         assert K.flags.c_contiguous and K.flags.writeable
 
-    @settings(max_examples=200)
-    @given(st.data())
-    def test_assembly_is_the_textbook_expression_bit_for_bit(self, data):
-        d = data.draw(st.integers(1, 3), label="d")
-        coord = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
-        pool = data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=6), label="pool")
-        index = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10)
-        rows = [Point(pool[i]) for i in data.draw(index, label="rows")]
-        cols = [Point(pool[i]) for i in data.draw(index, label="cols")]
-        # a duplicated row, and a column at zero distance from it
-        rows, cols = rows + rows[:1], cols + rows[:1]
-        width = data.draw(st.floats(1e-3, 1e3), label="width")
+    @staticmethod
+    def assert_textbook_assembly(rows, cols, width):
+        """Each kernel's block is exp(-cdist / c) bit for bit, and swapping rows and
+        columns gives its transpose bit for bit."""
         a, b = coords_matrix(rows), coords_matrix(cols)
         for kernel, metric, c in (
             (GaussianKernel(width), "sqeuclidean", 2.0 * width**2),
@@ -184,6 +193,32 @@ class TestCrossGram:
             K = cross_gram(kernel, rows, cols)
             assert np.array_equal(K, reference)
             assert K.flags.c_contiguous and K.flags.writeable
+            assert np.array_equal(cross_gram(kernel, cols, rows).T, K)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_assembly_is_the_textbook_expression_bit_for_bit(self, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        pool = data.draw(st.lists(st.tuples(*[COORD] * d), min_size=1, max_size=6), label="pool")
+        index = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=10)
+        rows = [Point(pool[i]) for i in data.draw(index, label="rows")]
+        cols = [Point(pool[i]) for i in data.draw(index, label="cols")]
+        # a duplicated row, and a column at zero distance from it
+        rows, cols = rows + rows[:1], cols + rows[:1]
+        width = data.draw(st.floats(1e-3, 1e3), label="width")
+        # row blocks from one entry up, so most blocks split and the last one is ragged
+        block_entries = data.draw(st.integers(1, 40), label="block_entries")
+        with mock.patch.object(kernels, "_BLOCK_ENTRIES", block_entries):
+            self.assert_textbook_assembly(rows, cols, width)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n, m", [(301, 333), (3, 33000)], ids=["ragged", "row-per-block"])
+    def test_several_row_blocks_are_the_textbook_expression(self, d, n, m):
+        # 333 columns take 98 rows per block, so 301 rows end in a block of 7;
+        # 33000 columns are wider than a block, which then holds one row
+        assert n > max(1, kernels._BLOCK_ENTRIES // m)
+        rng = np.random.default_rng(6)
+        self.assert_textbook_assembly(random_points(rng, n, d), random_points(rng, m, d), 0.9)
 
     @pytest.mark.parametrize("kernel", [GAUSS, LAPL2], ids=["gauss", "laplace"])
     def test_a_block_is_assembled_in_one_buffer(self, kernel):
@@ -244,3 +279,18 @@ class TestTableKernelValidation:
             GaussianKernel(bandwidth=0.0)
         with pytest.raises(ValueError):
             LaplacianKernel(scale=-1.0)
+
+
+def test_scipy_spatial_loads_only_for_multi_dimensional_blocks():
+    script = (
+        "import sys, cmekit, cmekit.cli\n"
+        "from cmekit import GaussianKernel, gram, pt\n"
+        "gram(GaussianKernel(1.0), [pt(0.0), pt(1.0)])\n"
+        "print('scipy.spatial' in sys.modules)\n"
+        "gram(GaussianKernel(1.0), [pt(0.0, 1.0), pt(1.0, 0.0)])\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]

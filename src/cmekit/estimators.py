@@ -13,8 +13,8 @@ lambda stays comparable across sample sizes.
 
 ``fit_cme`` is the fit entry, with one route per filter:
 
-    Tikhonov           one symmetric positive-definite solve of
-                       (G_X + n*lam*I) W = I
+    Tikhonov           W = (G_X + n*lam*I)^{-1}, formed in place from its
+                       Cholesky factor
     cutoff, Landweber  g_lam applied to the eigenvalues of G_X / n
 
 Both routes work on the distinct support: if X holds only m < n distinct
@@ -59,11 +59,15 @@ import scipy.linalg
 import scipy.sparse
 
 from .embeddings import WeightedEmbedding
-from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram, gram, kernel_eval
+from .kernels import (
+    Kernel, Point, _Rebuilt, _frozen_array, _kernel_diagonal, _point_tuple, cross_gram, gram,
+)
 
 RANK_TOL = 1e-12
 JITTER_SCALE = 1e-10
 REPORT_BLOCK = 512
+MIRROR_BLOCK = 128
+_STRICT_UPPER = np.triu(np.ones((MIRROR_BLOCK, MIRROR_BLOCK), dtype=bool), 1)
 
 
 @dataclass(frozen=True)
@@ -255,19 +259,41 @@ def _support_solve(
     """The fit's m x m solve: Z = g_lam(S/n) / n, the jitter, and the Cholesky
     bound (max L_ii / min L_ii)^2 (0.0 for the filters that factor nothing).
 
-    Tikhonov factors S + n*lam*I in S's own buffer and solves it against I;
-    cutoff and Landweber eigendecompose S / n.  S's buffer (for Tikhonov, the
-    factor) is gone once this returns, before the fit forms its W.
+    Tikhonov factors S + n*lam*I in S's own buffer, reads the bound from the
+    factor's diagonal, and turns the factor into the inverse in that buffer
+    (LAPACK ``dpotri``, which writes the lower triangle; ``_mirror_lower``
+    overwrites the strict upper one, which still held S).  So Z is exactly
+    symmetric, is S's buffer, and the solve holds one m x m block.  Cutoff and
+    Landweber eigendecompose S / n, and S's buffer is gone once this returns.
     """
     if not (lam > 0):
         raise ValueError(f"lambda must be > 0, got {lam}")
     if not isinstance(filt, Tikhonov):
         return _filtered_coefficients(S, n, filt, lam), 0.0, 0.0
-    factor, jitter = _factor_pd(S, n * lam)
-    diag = np.diagonal(factor[0])
-    cond = float((diag.max() / diag.min()) ** 2)
-    Z = scipy.linalg.cho_solve(factor, np.eye(S.shape[0], order="F"), overwrite_b=True)
+    (L, _), jitter = _factor_pd(S, n * lam)
+    diag = np.diagonal(L)
+    cond = float((diag.max() / diag.min()) ** 2)        # before dpotri overwrites L
+    Z, info = scipy.linalg.lapack.dpotri(L, lower=1, overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotri failed on the Cholesky factor (info {info})")
+    _mirror_lower(Z)
     return Z, jitter, cond
+
+
+def _mirror_lower(Z: np.ndarray) -> None:
+    """Copy the lower triangle of the square ``Z`` into its strict upper triangle, in place.
+
+    One column block at a time: the block's diagonal square takes its own
+    transpose under a strict-upper mask, and the row block to its right the
+    transpose of the column block below it.  Only block-sized temporaries are
+    held, and Z comes out exactly symmetric.
+    """
+    m = Z.shape[0]
+    for j in range(0, m, MIRROR_BLOCK):
+        k = min(j + MIRROR_BLOCK, m)
+        D = Z[j:k, j:k]
+        np.copyto(D, D.T, where=_STRICT_UPPER[: k - j, : k - j])
+        Z[j:k, k:] = Z[k:, j:k].T
 
 
 def _on_support(
@@ -312,11 +338,11 @@ def fit_cme(sample: PairedSample, kernel: Kernel, filt: SpectralFilter, lam: flo
 
     It returns the support estimator: X and Y are the distinct values of the
     sample's X and Y, and W_c = F^T W E is m_Y x m_X (see ``_on_support``).
-    Tikhonov is one positive-definite solve of the m x m distinct-support
-    system (S + n*lam*I) Z = I, which is (G_X + n*lam*I) W = I itself when no
-    point repeats; S is factored in its own buffer, so the solve holds two
-    m x m blocks, and no matrix inverse is ever formed explicitly.  Cutoff and
-    Landweber eigendecompose S / n and apply the scalar filter to its spectrum.
+    Tikhonov forms Z = (S + n*lam*I)^{-1} of the m x m distinct-support
+    system, which is W = (G_X + n*lam*I)^{-1} itself when no point repeats,
+    from its Cholesky factor in S's own buffer, so the solve holds one m x m
+    block (see ``_support_solve``).  Cutoff and Landweber eigendecompose
+    S / n and apply the scalar filter to its spectrum.
     Past the O(n) passes that find the distinct values, every array is
     m_X x m_X or m_Y x m_X.
     """
@@ -420,7 +446,7 @@ def empirical_risk(est: CmeEstimator, sample: PairedSample) -> float:
     K_yy = cross_gram(est.kernel, est.Y, sample.Y)          # train-Y x query-Y
     Omega = est.W @ K_xq                                    # column i = weights at x_i
     G_Y = gram(est.kernel, est.Y)
-    diag_k = np.array([kernel_eval(est.kernel, y, y) for y in sample.Y])
+    diag_k = _kernel_diagonal(est.kernel, sample.Y)
     cross_term = np.einsum("ji,ji->i", Omega, K_yy)
     norm_term = np.einsum("ji,ji->i", Omega, G_Y @ Omega)
     return float(np.mean(diag_k - 2.0 * cross_term + norm_term))

@@ -209,6 +209,18 @@ def kernel_eval(kernel: Kernel, x: Point, x2: Point) -> float:
     return float(cross_gram(kernel, [x], [x2])[0, 0])
 
 
+def _kernel_diagonal(kernel: Kernel, points: Sequence[Point]) -> np.ndarray:
+    """k(p, p) for each point, the doubles ``kernel_eval(kernel, p, p)`` gives.
+
+    A Gaussian or Laplacian kernel's is exactly 1.0 (``exp(-0.0)``), and a
+    table kernel's is its table's diagonal at the points.
+    """
+    if isinstance(kernel, TableKernel):
+        idx = kernel._lookup(points)
+        return kernel._values_array[idx, idx]
+    return np.ones(len(points))
+
+
 def cross_gram(kernel: Kernel, rows: Sequence[Point], cols: Sequence[Point]) -> np.ndarray:
     """Matrix K with K[i, j] = k(rows[i], cols[j])."""
     a, b = coords_matrix(rows), coords_matrix(cols)

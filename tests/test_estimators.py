@@ -48,9 +48,14 @@ from cmekit.estimators import (
     RANK_TOL,
     _factor_pd,
     _fitted_risk_and_hs,
+    _mirror_lower,
+    _on_support,
     _support,
+    _support_gram,
+    _support_solve,
     solve_pd,
 )
+from cmekit.kernels import _kernel_diagonal
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 
@@ -81,9 +86,18 @@ def singleton_sample():
 
 
 def full_closed_form_W(sample, kernel, lam):
-    """The uncompressed closed-form route: (G_X + n*lam*I) W = I solved at full size."""
+    """The uncompressed closed-form route: W = (G_X + n*lam*I)^{-1} at full size, from
+    the Cholesky factor by LAPACK dpotri, its lower triangle mirrored."""
     n = sample.n
-    return solve_pd(gram(kernel, sample.X), np.eye(n, order="F"), n * lam)[0]
+    (L, _), _ = _factor_pd(np.array(gram(kernel, sample.X), order="F"), n * lam)
+    Z, info = scipy.linalg.lapack.dpotri(L, lower=1)
+    assert info == 0
+    return np.tril(Z) + np.tril(Z, -1).T
+
+
+def cho_solve_W(S, n, lam):
+    """The earlier Tikhonov route: (S + n*lam*I) Z = I solved against I by ``cho_solve``."""
+    return solve_pd(S, np.eye(S.shape[0], order="F"), n * lam)[0]
 
 
 def full_filtered_W(sample, kernel, filt, lam):
@@ -582,6 +596,90 @@ class TestFactorization:
         assert fit_cme(sample, kernel, Cutoff(), 1e-17).jitter == 0.0
 
 
+class TestInverse:
+    """The Tikhonov fit turns the Cholesky factor of S + n*lam*I into its inverse
+    in S's own buffer (LAPACK dpotri) and mirrors the lower triangle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_w_is_the_symmetric_inverse_of_the_cho_solve_route(self, data):
+        n = data.draw(st.integers(1, 40))
+        d = data.draw(st.integers(1, 2))
+        m = data.draw(st.integers(1, n - 1)) if n > 1 and data.draw(st.booleans()) else n
+        coords = st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d).map(tuple)
+        pool = [Point(c) for c in data.draw(st.lists(coords, min_size=m, max_size=m, unique=True))]
+        extra = data.draw(st.lists(st.integers(0, m - 1), min_size=n - m, max_size=n - m))
+        X = tuple(pool[i] for i in data.draw(st.permutations(list(range(m)) + extra)))
+        sample = PairedSample(X=X, Y=X[::-1])
+        width = data.draw(st.floats(0.5, 2.0))
+        kernel = data.draw(st.sampled_from([GaussianKernel(width), LaplacianKernel(width)]))
+        lam = 10.0 ** data.draw(st.floats(-6.0, 0.0))
+        est = fit_cme(sample, kernel, Tikhonov(), lam)
+        if m == n:
+            assert np.array_equal(est.W, est.W.T)
+        support, inv, counts = _support(X)
+        _, inv_y, _ = _support(sample.Y)
+        Z = cho_solve_W(_support_gram(kernel, support, counts), n, lam)
+        ref = _on_support(Z, inv, counts, inv_y, len(est.Y))
+        bound = 1e-13 * est.cond_lower_bound * np.max(np.abs(ref))
+        assert np.max(np.abs(est.W - ref)) <= bound
+
+    def test_cond_lower_bound_is_read_from_the_factor_bit_for_bit(self):
+        # dpotri overwrites L with the inverse, so the bound must be read first
+        rng = np.random.default_rng(33)
+        pool = [pt(v) for v in rng.normal(size=5)]
+        repeated = tuple(pool[i] for i in rng.integers(0, 5, size=20))
+        for sample in (random_sample(rng, 30), PairedSample(X=repeated, Y=repeated[::-1])):
+            for lam in (1e-5, 0.1):
+                est = fit_cme(sample, GAUSS, Tikhonov(), lam)
+                support, _, counts = _support(sample.X)
+                A = _support_gram(GAUSS, support, counts)
+                A.flat[:: A.shape[0] + 1] += sample.n * lam
+                L = np.diagonal(scipy.linalg.cho_factor(A, lower=True)[0])
+                assert est.cond_lower_bound == float((L.max() / L.min()) ** 2)
+
+    def test_the_inverse_is_formed_in_the_buffer_of_s(self):
+        import tracemalloc
+
+        sample = random_sample(np.random.default_rng(34), 300)
+        support, _, counts = _support(sample.X)
+        S = _support_gram(GAUSS, support, counts)
+        tracemalloc.start()
+        try:
+            Z, jitter, cond = _support_solve(S, sample.n, Tikhonov(), 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(Z, S) and jitter == 0.0 and cond > 0.0
+        assert np.array_equal(Z, full_closed_form_W(sample, GAUSS, 1e-3))
+        # solving against I held a second 300 x 300 block
+        assert peak <= 0.5 * S.nbytes
+
+    @pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 300])
+    def test_mirror_is_the_textbook_mirror_bit_for_bit(self, m):
+        Z = np.asfortranarray(np.random.default_rng(m).normal(size=(m, m)))
+        expected = np.tril(Z) + np.tril(Z, -1).T
+        _mirror_lower(Z)
+        assert np.array_equal(Z, expected) and np.array_equal(Z, Z.T)
+
+    def test_a_jittered_fit_is_the_inverse_of_the_jittered_system(self):
+        # bandwidth 10 and lambda 1e-17 make G_X + n*lam*I numerically singular
+        sample = ou_sample_pairs(1.0, 0.5, 30, 7)
+        kernel, n, lam = GaussianKernel(bandwidth=10.0), 30, 1e-17
+        est = fit_cme(sample, kernel, Tikhonov(), lam)
+        assert est.jitter > 0 and np.array_equal(est.W, est.W.T)
+        A = np.array(gram(kernel, sample.X))
+        A.flat[:: n + 1] += n * lam
+        unjittered = A.copy()
+        A.flat[:: n + 1] += est.jitter                      # the system _factor_pd factored
+        W, tol = est.W, 1e-13 * est.cond_lower_bound
+        ref = cho_solve_W(gram(kernel, sample.X), n, lam)   # jitters the same way
+        assert np.max(np.abs(W - ref)) <= tol * np.max(np.abs(ref))
+        assert np.max(np.abs(A @ W - np.eye(n))) <= tol
+        # the jitter moves the inverse by far more than that tolerance
+        assert np.max(np.abs(unjittered @ W - np.eye(n))) > 100 * tol
+
+
 class TestPrediction:
     def test_scalar_prediction(self):
         lam = 0.7
@@ -777,6 +875,31 @@ class TestNormsAndRisks:
         sample = PairedSample(X=X, Y=Y)
         est = fit_cme(sample, GAUSS, Cutoff(), 1e-9)
         assert empirical_risk(est, sample) <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["gauss", "laplace", "table"])
+    def test_empirical_risk_is_the_per_pair_diagonal_route_bit_for_bit(self, kind):
+        # k(y_i, y_i) comes from one vectorized diagonal, not one kernel_eval per pair
+        from cmekit import TableKernel
+
+        rng = np.random.default_rng(35)
+        if kind == "table":
+            states = chain_states(5)
+            B = rng.normal(size=(5, 5))
+            kernel = TableKernel(states, B @ B.T)
+            sample = PairedSample(*(tuple(states[i] for i in rng.integers(0, 5, 40)) for _ in "xy"))
+        else:
+            kernel = GAUSS if kind == "gauss" else LaplacianKernel(scale=1.3)
+            sample = random_sample(rng, 40, d=2)
+        held_out = PairedSample(X=sample.X[::-1], Y=sample.Y[::-1])
+        est = fit_cme(sample, kernel, Tikhonov(), 1e-2)
+        diag = np.array([kernel_eval(kernel, y, y) for y in held_out.Y])
+        assert np.array_equal(_kernel_diagonal(kernel, held_out.Y), diag)
+        Omega = est.W @ cross_gram(kernel, est.X, held_out.X)
+        cross = np.einsum("ji,ji->i", Omega, cross_gram(kernel, est.Y, held_out.Y))
+        norm = np.einsum("ji,ji->i", Omega, gram(kernel, est.Y) @ Omega)
+        assert bits([empirical_risk(est, held_out)]) == bits(
+            [float(np.mean(diag - 2.0 * cross + norm))]
+        )
 
     def test_hs_norm_matches_trace_formula(self):
         rng = np.random.default_rng(30)

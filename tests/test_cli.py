@@ -508,7 +508,41 @@ sample_file_2 = {file_b}
         assert main(["mmd", "--config", self._config(tmp_path, a, b)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert isinstance(report["biased"], float) and isinstance(report["unbiased"], float)
-        assert sorted(built) == [("cross_gram", 3, 4), ("gram", 3), ("gram", 4)]
+        # each block fits in one row block, so it is one cross_gram call
+        assert sorted(built) == [("cross_gram", 3, 3), ("cross_gram", 3, 4), ("cross_gram", 4, 4)]
+
+    def test_row_blocks_cover_each_sample_once(self, tmp_path, capsys, monkeypatch):
+        # 25 entries per row block: 7 columns take 3 rows and 11 columns 2, so
+        # every block splits and ends in a ragged row block
+        import cmekit.embeddings as emb
+        import cmekit.kernels as kernels
+
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 25)
+        monkeypatch.setattr(emb, "gram", lambda *args: pytest.fail("gram was called"))
+        calls, cross_gram = [], emb.cross_gram
+
+        def recording(kernel, rows, cols):
+            calls.append((tuple(rows), tuple(cols)))
+            return cross_gram(kernel, rows, cols)
+
+        monkeypatch.setattr(emb, "cross_gram", recording)
+        P = tuple(pt(0.25 * i) for i in range(7))
+        Q = tuple(pt(2.0 + 0.5 * i) for i in range(11))
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_point_sample(str(a), list(Q))
+        write_point_sample(str(b), list(P))
+        assert main(["mmd", "--config", self._config(tmp_path, a, b)]) == 0
+        covered = {}
+        for rows, cols in calls:
+            assert len(rows) <= max(1, 25 // len(cols))
+            sample = P if rows[0] in P else Q
+            start = sample.index(rows[0])
+            assert rows == sample[start:start + len(rows)]
+            covered.setdefault((sample, cols), []).extend(range(start, start + len(rows)))
+        assert covered.keys() == {(P, P), (P, Q), (Q, Q)}
+        for (sample, _), indices in covered.items():
+            assert sorted(indices) == list(range(len(sample)))
+        assert len(calls) == 3 + 4 + 6
 
     def test_samples_of_two_dimensions_exit_2(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -1,15 +1,23 @@
 """Weighted embeddings, inner products, and MMD estimators."""
 
 import math
+import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmekit import (
     GaussianKernel,
     LaplacianKernel,
     Point,
+    TableKernel,
     WeightedEmbedding,
+    cross_gram,
     embed_diff,
     embed_inner,
     embed_norm_sq,
@@ -19,6 +27,8 @@ from cmekit import (
     mmd_sq_unbiased,
     pt,
 )
+from cmekit import kernels
+from cmekit.embeddings import _mmd_sq
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 
@@ -226,3 +236,67 @@ class TestMmdUnbiased:
                 seen_negative = True
                 break
         assert seen_negative
+
+
+def exact_mmd_sq(kernel, P, Q):
+    """Biased and unbiased squared MMD from exact (Fraction) sums over the full
+    blocks, rounded once, and the size of the terms each one adds up."""
+    def sums(A, B):
+        K = cross_gram(kernel, A, B)
+        return sum(map(Fraction, K.ravel().tolist())), math.fsum(np.abs(K).ravel())
+
+    n, m = len(P), len(Q)
+    (spp, app), (sqq, aqq), (spq, apq) = sums(P, P), sums(Q, Q), sums(P, Q)
+    biased = spp / (n * n) + sqq / (m * m) - 2 * spq / (n * m)
+    scale_b = app / (n * n) + aqq / (m * m) + 2.0 * apq / (n * m)
+    if n < 2 or m < 2:
+        return (float(biased), None), (scale_b, None)
+    tpp, tqq = (sum(map(Fraction, np.diag(cross_gram(kernel, S, S)).tolist())) for S in (P, Q))
+    unbiased = (spp - tpp) / (n * (n - 1)) + (sqq - tqq) / (m * (m - 1)) - 2 * spq / (n * m)
+    scale_u = (app + float(abs(tpp))) / (n * (n - 1)) + (aqq + float(abs(tqq))) / (m * (m - 1))
+    return (float(biased), float(unbiased)), (scale_b, scale_u + 2.0 * apq / (n * m))
+
+
+class TestStreamedMmd:
+    """``_mmd_sq`` sums each Gram block one row block of ``_BLOCK_ENTRIES`` at a time."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_peak_memory_is_a_few_row_blocks(self, d):
+        rng = np.random.default_rng(17)
+        P, Q = random_points(rng, 600, d), random_points(rng, 700, d)
+        row_block = kernels._BLOCK_ENTRIES * 8
+        _mmd_sq(GAUSS, P[:2], Q[:2])        # loads scipy.spatial for d = 2 outside the trace
+        tracemalloc.start()
+        try:
+            _mmd_sq(GAUSS, P, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 600 x 700 block would be 3.4 MB, about thirteen row blocks
+        assert peak <= 3 * row_block < 600 * 700 * 8 / 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_row_block_sums_match_the_exact_sums(self, data):
+        d = data.draw(st.integers(1, 2), label="d")
+        coords = st.tuples(*[st.floats(-3.0, 3.0)] * d)
+        pool = data.draw(st.lists(coords, min_size=1, max_size=8, unique=True), label="pool")
+        states = [Point(c) for c in pool]
+        index = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30)
+        P, Q = ([states[i] for i in data.draw(index, label=name)] for name in "PQ")
+        width = data.draw(st.floats(0.3, 3.0), label="width")
+        A = data.draw(arrays(np.float64, (len(pool), len(pool)), elements=st.floats(-1.0, 1.0)))
+        choices = [GaussianKernel(width), LaplacianKernel(width), TableKernel(states, A @ A.T)]
+        kernel = data.draw(st.sampled_from(choices), label="kernel")
+        # row blocks from one entry up, so most blocks split and the last one is ragged
+        block_entries = data.draw(st.integers(1, 40), label="block_entries")
+        with mock.patch.object(kernels, "_BLOCK_ENTRIES", block_entries):
+            assert mmd_sq_biased(kernel, P, P) == 0.0
+            values = _mmd_sq(kernel, P, Q)
+            assert repr(_mmd_sq(kernel, Q, P)) == repr(values)
+        references, scales = exact_mmd_sq(kernel, P, Q)
+        for value, reference, scale in zip(values, references, scales):
+            if reference is None:
+                assert value is None
+            else:
+                assert abs(value - reference) <= 1e-13 * scale

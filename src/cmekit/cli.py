@@ -46,7 +46,7 @@ from .estimators import (
     _fitted_risk_and_hs,
     fit_cme,
 )
-from .kernels import GaussianKernel, Kernel, LaplacianKernel, Point, coords_matrix, gram
+from .kernels import GaussianKernel, Kernel, LaplacianKernel, Point, coords_matrix
 from .spectral import edmd_eigen, eigen_residuals
 
 _FLOAT_FMT = "%.17g"
@@ -574,109 +574,11 @@ def cmd_mmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     return 0
 
 
-def _oracle_pair(
-    est: CmeEstimator, model: md.FiniteMarkovModel, kernel: Kernel, exact_vals: np.ndarray
-) -> tuple[float, float]:
-    """``||A_est - A||`` from H to L2(pi), ``A`` given by ``exact_vals``, and the excess risk."""
-    diff = md.op_norm_diff(md.estimator_values(est, model, kernel), exact_vals, model, kernel)
-    return diff, md.exact_excess_risk(est, model, kernel)
-
-
-def _verify_rows(model: md.FiniteMarkovModel, kernel: Kernel, seed: int) -> list[tuple]:
-    """One row per oracle identity/inequality: (name, lhs, rhs, tol, verdict)."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    rows: list[tuple] = []
-
-    def leq(name, lhs, rhs, tol):
-        rows.append((name, lhs, rhs, tol, "PASS" if lhs <= rhs + tol else "FAIL"))
-
-    def close(name, lhs, rhs, tol):
-        rows.append((name, lhs, rhs, tol, "PASS" if abs(lhs - rhs) <= tol else "FAIL"))
-
-    def mmd_relation(pair):
-        """||A - A'||^2 and the MMD integral for the two Markov kernels of ``pair``."""
-        alt = md.FiniteMarkovModel(pair.states, pair.marginal, pair.transition_alt)
-        vals = [md.exact_operator_values(chain, kernel) for chain in (pair, alt)]
-        return md.op_norm_diff(*vals, pair, kernel) ** 2, md.exact_mmd_integral(pair, kernel)
-
-    # operator-norm bound on randomized fitted estimators (worst instance shown)
-    worst = None
-    exact_vals = md.exact_operator_values(model, kernel)
-    for _ in range(20):
-        n = int(rng.integers(40, 200))
-        sample = md.sample_pairs(model, n, int(rng.integers(0, 2**63)))
-        lam = float(10.0 ** rng.uniform(-6, 0))
-        filt = [Tikhonov(), Cutoff(), Landweber(steps=int(rng.integers(1, 40)), step_size=0.9)][
-            int(rng.integers(0, 3))
-        ]
-        est = fit_cme(sample, kernel, filt, lam)
-        diff, rhs = _oracle_pair(est, model, kernel, exact_vals)
-        if worst is None or diff**2 - rhs > worst[0] - worst[1]:
-            worst = (diff**2, rhs)
-    leq("operator-norm-bound", worst[0], worst[1], 1e-9)
-
-    # sharpness: constant-difference witness attains equality
-    shift = rng.standard_normal(model.m) * 0.3
-    witness = md.constant_shift_estimator(model, kernel, shift)
-    diff, rhs = _oracle_pair(witness, model, kernel, exact_vals)
-    close("bound-sharpness", diff**2, rhs, 1e-9)
-
-    # MMD relation for a pair of Markov kernels
-    if model.transition_alt is not None:
-        pair = model
-    else:
-        pair = md.with_alt(model, md.random_model(rng, model.m).transition)
-    lhs, rhs = mmd_relation(pair)
-    leq("mmd-relation-inequality", lhs, rhs, 1e-10)
-    if rhs - lhs > 1e-10:
-        rows.append(("mmd-relation-strict-gap", lhs, rhs, 1e-10, "INFO"))
-
-    # equality on the constant-direction family
-    if model.m >= 2:
-        lhs, rhs = mmd_relation(md.constant_direction_alt(model, rng))
-        close("mmd-relation-equality-aligned", lhs, rhs, 1e-10)
-
-    # well-specified deterministic map is recovered exactly
-    perm = rng.permutation(model.m)
-    exact_est = md.well_specified_estimator(model, kernel, perm)
-    det_model = md.FiniteMarkovModel(model.states, model.marginal, np.eye(model.m)[perm])
-    lhs = md.op_norm_diff(
-        md.estimator_values(exact_est, det_model, kernel),
-        md.exact_operator_values(det_model, kernel),
-        det_model,
-        kernel,
-    )
-    leq("well-specified-recovery", lhs, 0.0, 1e-10)
-
-    # risk decomposition, worst of 20 random embedding-valued functions
-    f_star = md.cme_function(model)
-    irreducible = md.exact_risk(f_star, model, kernel)
-    K_E = gram(kernel, model.states)
-    worst_dev = (0.0, 0.0)
-    for _ in range(20):
-        C = rng.standard_normal((model.m, model.m))
-        lhs = md.exact_risk(md.RegressionFunctionRep(C=C), model, kernel)
-        delta = C - model.transition
-        rhs = float(model.marginal @ np.einsum("ij,jk,ik->i", delta, K_E, delta)) + irreducible
-        if abs(lhs - rhs) > abs(worst_dev[0] - worst_dev[1]):
-            worst_dev = (lhs, rhs)
-    close("risk-decomposition", worst_dev[0], worst_dev[1], 1e-10)
-
-    # noncompact generalized covariance: <T F_i, T F_j> = M * delta_ij
-    r = min(model.m, 3)
-    check = md.generalized_cov_ons_check(model, kernel, model.states[0], r)
-    M = float(np.mean(np.diag(check)))
-    off = float(np.max(np.abs(check - np.diag(np.diag(check))))) if r > 1 else 0.0
-    spread = float(np.max(np.abs(np.diag(check) - M)))
-    close("noncompact-ons-identity", max(off, spread), 0.0, 1e-9 * max(M, 1e-300))
-    return rows
-
-
 def cmd_oracle_verify(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     kernel = build_kernel(cfg)
     model = read_model_file(cfg.require("data", "model_file"))
     out_path = _resolve_out(cfg, out, required=False)
-    rows = _verify_rows(model, kernel, _resolve_seed(cfg, seed))
+    rows = md.verify(model, kernel, _resolve_seed(cfg, seed))
     width = max(len(r[0]) for r in rows)
     lines = [f"{'check'.ljust(width)}  {'lhs':>24} {'rhs':>24} {'tolerance':>10} verdict"]
     for name, lhs, rhs, tol, verdict in rows:
@@ -730,7 +632,7 @@ def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int
         if model is not None:
             est = fit_cme(sample, kernel, Tikhonov(), lam)
             _warn_jitter(est.jitter, where=f"n = {n}: ")
-            diff, excess = _oracle_pair(est, model, kernel, exact_vals)
+            diff, excess = md._oracle_pair(est, model, kernel, exact_vals)
             rows.append(f"{n},{_fmt(lam)},{_fmt(diff)},{_fmt(excess)},")
         else:
             result = edmd_eigen(sample, kernel, lam, r)

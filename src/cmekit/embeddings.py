@@ -91,7 +91,9 @@ def _mmd_sq(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> tuple[flo
 
     (P, Q) is put in a canonical order (size, then coordinate bytes), so both
     values are bitwise symmetric, and the same list gives exactly 0.0: the three
-    sums run the same code on the same data.  Peak memory is one row block.
+    sums run the same code on the same data.  Peak memory is one row block.  A
+    table kernel's sums are quadratic forms c_rows^T T c_cols in the state
+    counts c of each sample, one table lookup per point.
     The unbiased value is None below two points per sample.
     """
     if len(P) == 0 or len(Q) == 0:
@@ -100,12 +102,18 @@ def _mmd_sq(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> tuple[flo
     if (len(Q), Q._coords.tobytes()) < (len(P), P._coords.tobytes()):
         P, Q = Q, P
     n, m = len(P), len(Q)
-    spp, sqq = _block_sum(kernel, P, P), _block_sum(kernel, Q, Q)
-    kpq = _block_sum(kernel, P, Q) / (n * m)
+    if isinstance(kernel, kernels.TableKernel):
+        T = kernel._values_array
+        cp, cq = (np.bincount(kernel._lookup(S), minlength=len(T)) for S in (P, Q))
+        spp, sqq, spq = cp @ T @ cp, cq @ T @ cq, cp @ T @ cq
+        tpp, tqq = cp @ np.diag(T), cq @ np.diag(T)
+    else:
+        spp, sqq, spq = (_block_sum(kernel, A, B) for A, B in ((P, P), (Q, Q), (P, Q)))
+        tpp, tqq = (kernels._kernel_diagonal(kernel, S).sum() for S in (P, Q))
+    kpq = spq / (n * m)
     biased = float(spp / (n * n) + sqq / (m * m) - 2.0 * kpq)
     if n < 2 or m < 2:
         return biased, None
-    tpp, tqq = (kernels._kernel_diagonal(kernel, S).sum() for S in (P, Q))
     return biased, float((spp - tpp) / (n * (n - 1)) + (sqq - tqq) / (m * (m - 1)) - 2.0 * kpq)
 
 

@@ -12,7 +12,9 @@ are exact up to round-off:
     problem in K_E (see :func:`op_norm_diff` for why span phi(states) loses
     nothing); an estimator compares only when its training Y lie on the states;
   * the excess risk, the risk decomposition, and the Markov-kernel MMD
-    integral are finite quadratic forms in K_E.
+    integral are finite quadratic forms in K_E;
+  * :func:`verify` checks the bounds and identities between them on random
+    instances, the rows that ``cmekit oracle-verify`` prints.
 
 Samplers (finite chains, Ornstein-Uhlenbeck, double-well Langevin) use the
 counter-based Philox generator, so a 64-bit seed fully determines the stream
@@ -33,7 +35,9 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .estimators import CmeEstimator, Cutoff, PairedSample, _support, solve_pd
+from .estimators import (
+    CmeEstimator, Cutoff, Landweber, PairedSample, Tikhonov, _support, fit_cme, solve_pd,
+)
 from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram, gram
 
 COND_TOL = 1e-10
@@ -101,19 +105,6 @@ def chain_states(m: int) -> tuple[Point, ...]:
 def with_alt(model: FiniteMarkovModel, transition_alt: np.ndarray) -> FiniteMarkovModel:
     """Copy of the model with a second Markov kernel attached."""
     return FiniteMarkovModel(model.states, model.marginal, model.transition, transition_alt)
-
-
-@dataclass(frozen=True, eq=False)
-class RegressionFunctionRep(_Rebuilt):
-    """State-supported embedding-valued function: F(e_i) = sum_j C[i, j] phi(e_j)."""
-
-    C: np.ndarray
-
-    def __post_init__(self) -> None:
-        C = _frozen_array(self.C, "C")
-        if C.ndim != 2 or C.shape[0] != C.shape[1]:
-            raise ValueError(f"C must be square, got shape {C.shape}")
-        object.__setattr__(self, "C", C)
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -234,23 +225,22 @@ def exact_mmd_integral(model: FiniteMarkovModel, kernel: Kernel) -> float:
     return float(model.marginal @ per_state)
 
 
-def exact_risk(F: RegressionFunctionRep, model: FiniteMarkovModel, kernel: Kernel) -> float:
-    """Exact embedding regression risk sum_i pi_i sum_j P_ij ||phi(e_j) - F(e_i)||^2."""
-    m = model.m
-    if F.C.shape != (m, m):
-        raise ValueError(f"F must be represented over the {m} model states")
+def exact_risk(C: np.ndarray, model: FiniteMarkovModel, kernel: Kernel) -> float:
+    """Exact embedding regression risk sum_i pi_i sum_j P_ij ||phi(e_j) - F(e_i)||^2
+    of the state-supported function F(e_i) = sum_j C[i, j] phi(e_j), C an m x m array."""
+    C = _state_matrix(C, model.m, "C")
     K_E = _state_gram(model, kernel)
     P = model.transition
-    CK = F.C @ K_E
-    sq_norms = np.einsum("ij,ij->i", CK, F.C)      # ||F(e_i)||^2 = (C K_E C^T)_ii
+    CK = C @ K_E
+    sq_norms = np.einsum("ij,ij->i", CK, C)      # ||F(e_i)||^2 = (C K_E C^T)_ii
     diag = np.diag(K_E)
     per_pair = diag[None, :] - 2.0 * CK + sq_norms[:, None]
     return float(model.marginal @ np.einsum("ij,ij->i", P, per_pair))
 
 
-def cme_function(model: FiniteMarkovModel) -> RegressionFunctionRep:
-    """The true conditional mean embedding function: coefficients C = P_mat."""
-    return RegressionFunctionRep(C=model.transition.copy())
+def cme_function(model: FiniteMarkovModel) -> np.ndarray:
+    """The true conditional mean embedding function's coefficients C = P_mat (read-only)."""
+    return model.transition
 
 
 def generalized_cov_ons_check(
@@ -364,6 +354,103 @@ def constant_direction_alt(
         # and the row differences stay exact scalar multiples of d
         P_alt[i] = P[i] + c * d
     return with_alt(model, P_alt)
+
+
+def _oracle_pair(
+    est: CmeEstimator, model: FiniteMarkovModel, kernel: Kernel, exact_vals: np.ndarray
+) -> tuple[float, float]:
+    """``||A_est - A||`` from H to L2(pi), ``A`` given by ``exact_vals``, and the excess risk."""
+    diff = op_norm_diff(estimator_values(est, model, kernel), exact_vals, model, kernel)
+    return diff, exact_excess_risk(est, model, kernel)
+
+
+def verify(model: FiniteMarkovModel, kernel: Kernel, seed: int) -> list[tuple]:
+    """Check the oracle's identities and inequalities on random instances drawn with ``seed``.
+
+    One row per check, ``(name, lhs, rhs, tol, verdict)``; the verdict is PASS
+    or FAIL, or INFO for a row that only reports.  The instances come from one
+    Philox stream in a fixed order, so a seed fixes every row bit for bit.
+    """
+    rng = _generator(seed)
+    rows: list[tuple] = []
+
+    def leq(name, lhs, rhs, tol):
+        rows.append((name, lhs, rhs, tol, "PASS" if lhs <= rhs + tol else "FAIL"))
+
+    def close(name, lhs, rhs, tol):
+        rows.append((name, lhs, rhs, tol, "PASS" if abs(lhs - rhs) <= tol else "FAIL"))
+
+    def mmd_relation(pair):
+        """||A - A'||^2 and the MMD integral for the two Markov kernels of ``pair``."""
+        alt = FiniteMarkovModel(pair.states, pair.marginal, pair.transition_alt)
+        vals = [exact_operator_values(chain, kernel) for chain in (pair, alt)]
+        return op_norm_diff(*vals, pair, kernel) ** 2, exact_mmd_integral(pair, kernel)
+
+    # operator-norm bound on randomized fitted estimators (worst instance shown)
+    worst = None
+    exact_vals = exact_operator_values(model, kernel)
+    for _ in range(20):
+        n = int(rng.integers(40, 200))
+        sample = sample_pairs(model, n, int(rng.integers(0, 2**63)))
+        lam = float(10.0 ** rng.uniform(-6, 0))
+        filt = [Tikhonov(), Cutoff(), Landweber(steps=int(rng.integers(1, 40)), step_size=0.9)][
+            int(rng.integers(0, 3))
+        ]
+        est = fit_cme(sample, kernel, filt, lam)
+        diff, rhs = _oracle_pair(est, model, kernel, exact_vals)
+        if worst is None or diff**2 - rhs > worst[0] - worst[1]:
+            worst = (diff**2, rhs)
+    leq("operator-norm-bound", worst[0], worst[1], 1e-9)
+
+    # sharpness: constant-difference witness attains equality
+    shift = rng.standard_normal(model.m) * 0.3
+    witness = constant_shift_estimator(model, kernel, shift)
+    diff, rhs = _oracle_pair(witness, model, kernel, exact_vals)
+    close("bound-sharpness", diff**2, rhs, 1e-9)
+
+    # MMD relation for a pair of Markov kernels
+    pair = model
+    if model.transition_alt is None:
+        pair = with_alt(model, random_model(rng, model.m).transition)
+    lhs, rhs = mmd_relation(pair)
+    leq("mmd-relation-inequality", lhs, rhs, 1e-10)
+    if rhs - lhs > 1e-10:
+        rows.append(("mmd-relation-strict-gap", lhs, rhs, 1e-10, "INFO"))
+
+    # equality on the constant-direction family
+    if model.m >= 2:
+        lhs, rhs = mmd_relation(constant_direction_alt(model, rng))
+        close("mmd-relation-equality-aligned", lhs, rhs, 1e-10)
+
+    # well-specified deterministic map is recovered exactly
+    perm = rng.permutation(model.m)
+    exact_est = well_specified_estimator(model, kernel, perm)
+    det_model = FiniteMarkovModel(model.states, model.marginal, np.eye(model.m)[perm])
+    det_vals = exact_operator_values(det_model, kernel)
+    lhs = op_norm_diff(estimator_values(exact_est, det_model, kernel), det_vals, det_model, kernel)
+    leq("well-specified-recovery", lhs, 0.0, 1e-10)
+
+    # risk decomposition, worst of 20 random embedding-valued functions
+    irreducible = exact_risk(cme_function(model), model, kernel)
+    K_E = gram(kernel, model.states)
+    worst_dev = (0.0, 0.0)
+    for _ in range(20):
+        C = rng.standard_normal((model.m, model.m))
+        lhs = exact_risk(C, model, kernel)
+        delta = C - model.transition
+        rhs = float(model.marginal @ np.einsum("ij,jk,ik->i", delta, K_E, delta)) + irreducible
+        if abs(lhs - rhs) > abs(worst_dev[0] - worst_dev[1]):
+            worst_dev = (lhs, rhs)
+    close("risk-decomposition", worst_dev[0], worst_dev[1], 1e-10)
+
+    # noncompact generalized covariance: <T F_i, T F_j> = M * delta_ij
+    r = min(model.m, 3)
+    check = generalized_cov_ons_check(model, kernel, model.states[0], r)
+    M = float(np.mean(np.diag(check)))
+    off = float(np.max(np.abs(check - np.diag(np.diag(check))))) if r > 1 else 0.0
+    spread = float(np.max(np.abs(np.diag(check) - M)))
+    close("noncompact-ons-identity", max(off, spread), 0.0, 1e-9 * max(M, 1e-300))
+    return rows
 
 
 def _generator(seed: int) -> np.random.Generator:

@@ -1134,28 +1134,31 @@ def test_validation_failures_exit_2(tmp_path, capsys, command, config, data):
             "estimate",
             KERNEL + TIKHONOV + OU_DATA.format(theta=1) + ESTIMATE_RUN,
             None,
-            "fit_cme",
+            "cli.fit_cme",
             id="estimate",
         ),
         pytest.param(
-            "edmd", KERNEL + OU_DATA.format(theta=1) + ESTIMATE_RUN + "r = 2\n", None, "edmd_eigen",
+            "edmd",
+            KERNEL + OU_DATA.format(theta=1) + ESTIMATE_RUN + "r = 2\n",
+            None,
+            "cli.edmd_eigen",
             id="edmd",
         ),
         pytest.param(
-            "mmd", KERNEL + MMD_DATA, "sample v1\npoints 2 1\n0.5\n1.5\n", "_mmd_sq", id="mmd"
+            "mmd", KERNEL + MMD_DATA, "sample v1\npoints 2 1\n0.5\n1.5\n", "cli._mmd_sq", id="mmd"
         ),
         pytest.param(
             "oracle-verify",
             KERNEL + MODEL_DATA,
             MODEL_FILE.format(pi="0.5 0.5", row="0.5 0.5"),
-            "_verify_rows",
+            "models.verify",
             id="oracle-verify",
         ),
         pytest.param(
             "convergence",
             KERNEL + MODEL_DATA + CONVERGENCE_RUN,
             MODEL_FILE.format(pi="0.5 0.5", row="0.5 0.5"),
-            "fit_cme",
+            "cli.fit_cme",
             id="convergence",
         ),
     ],
@@ -1163,12 +1166,10 @@ def test_validation_failures_exit_2(tmp_path, capsys, command, config, data):
 def test_out_in_a_missing_directory_exits_2_before_computing(
     tmp_path, capsys, monkeypatch, command, config, data, computes
 ):
-    import cmekit.cli
-
     def not_reached(*args, **kwargs):
         raise AssertionError(f"{computes} ran before the output path was checked")
 
-    monkeypatch.setattr(cmekit.cli, computes, not_reached)
+    monkeypatch.setattr(f"cmekit.{computes}", not_reached)
     out = tmp_path / "missing" / "out.txt"
     data_path = write(tmp_path / "data.txt", data) if data is not None else None
     cfg = write(tmp_path / "run.cfg", config.format(data=data_path, out=out))

@@ -275,6 +275,28 @@ class TestStreamedMmd:
         # one 600 x 700 block would be 3.4 MB, about thirteen row blocks
         assert peak <= 3 * row_block < 600 * 700 * 8 / 4
 
+    def test_table_kernel_sums_state_counts_not_row_blocks(self):
+        # one table lookup per point, however many row blocks the samples span
+        rng = np.random.default_rng(23)
+        A = rng.standard_normal((20, 20))
+        states = [pt(float(j)) for j in range(20)]
+        kernel = TableKernel(states, A @ A.T)
+        n, m = 300, 400
+        P, Q = ([states[i] for i in rng.integers(0, 20, size)] for size in (n, m))
+        lookup, looked_up = TableKernel._lookup, []
+
+        def counted(table, points):
+            looked_up.append(len(points))
+            return lookup(table, points)
+
+        with mock.patch.object(TableKernel, "_lookup", counted), mock.patch.object(
+            kernels, "_BLOCK_ENTRIES", 50
+        ):
+            for statistic in (mmd_sq_biased, mmd_sq_unbiased):
+                looked_up.clear()
+                statistic(kernel, P, Q)
+                assert sum(looked_up) <= 2 * (n + m)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_row_block_sums_match_the_exact_sums(self, data):

@@ -16,7 +16,6 @@ from cmekit import (
     FiniteMarkovModel,
     GaussianKernel,
     LaplacianKernel,
-    RegressionFunctionRep,
     Cutoff,
     Landweber,
     Point,
@@ -31,6 +30,7 @@ from cmekit import (
     double_well_pairs,
     embed_diff,
     embed_norm_sq,
+    empirical_risk,
     estimator_values,
     exact_excess_risk,
     exact_mmd_integral,
@@ -53,6 +53,7 @@ from cmekit import (
 )
 from cmekit.estimators import PairedSample
 from cmekit.kernels import _point_tuple, coords_matrix
+from cmekit.models import verify
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 
@@ -111,7 +112,14 @@ def _estimator(X, W):
             r"B_a must be 2x2, got \(3, 3\)",
             id="values-shape",
         ),
-        pytest.param(lambda: RegressionFunctionRep(C=NAN_ROW), "finite", id="regression-C"),
+        pytest.param(
+            lambda: exact_risk(NAN_ROW, TWO_STATES, GAUSS), "C must be finite", id="regression-C"
+        ),
+        pytest.param(
+            lambda: exact_risk(np.eye(3), TWO_STATES, GAUSS),
+            r"C must be 2x2, got \(3, 3\)",
+            id="regression-shape",
+        ),
         pytest.param(
             lambda: FiniteMarkovModel(MIXED, [0.5, 0.5], np.eye(2)), "dimension", id="model-states"
         ),
@@ -285,9 +293,6 @@ def _small_fit():
             lambda: WeightedEmbedding(kernel=GAUSS, support=chain_states(3), weights=np.ones(3)),
             ["weights"],
             id="embedding",
-        ),
-        pytest.param(
-            lambda: cme_function(random_model(np.random.default_rng(0), 3)), ["C"], id="regression"
         ),
         pytest.param(
             lambda: TableKernel(chain_states(3), np.eye(3)), ["_values_array"], id="table-kernel"
@@ -629,6 +634,23 @@ class TestExcessRiskAndBound:
         rhs = exact_excess_risk(witness, model, GAUSS)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
+    def test_excess_risk_is_the_held_out_risk_gap(self):
+        # E||phi(Y) - F(X)||^2 - E||phi(Y) - F*(X)||^2 = E||F(X) - F*(X)||^2: the gap
+        # of held-out risks, in 20 batches of 10 000 pairs, brackets the exact value
+        rng = rng_for(67)
+        for _ in range(4):
+            model = random_model(rng, int(rng.integers(3, 7)))
+            sample = sample_pairs(model, 200, int(rng.integers(0, 2**32)))
+            est = fit_cme(sample, GAUSS, Tikhonov(), 1e-2)
+            f_star = constant_shift_estimator(model, GAUSS, np.zeros(model.m))
+            gaps = []
+            for _ in range(20):
+                held = sample_pairs(model, 10_000, int(rng.integers(0, 2**32)))
+                gaps.append(empirical_risk(est, held) - empirical_risk(f_star, held))
+            excess = exact_excess_risk(est, model, GAUSS)
+            se = np.std(gaps, ddof=1) / np.sqrt(len(gaps))
+            assert abs(np.mean(gaps) - excess) <= 4.0 * se
+            assert 8.0 * se < excess      # the band is narrower than what it checks
 
 class TestMmdIntegral:
     def test_equal_kernels(self):
@@ -695,30 +717,28 @@ class TestExactRisk:
         for _ in range(20):
             m = int(rng.integers(1, 6))
             model = random_model(rng, m)
-            F = RegressionFunctionRep(C=rng.standard_normal((m, m)))
+            C = rng.standard_normal((m, m))
             e, k = model.states, lambda a, b: kernel_eval(GAUSS, a, b)
             pairs = [(t, u) for t in range(m) for u in range(m)]
             total = scale = 0.0
             for i in range(m):
-                norm_sq = sum(F.C[i, t] * F.C[i, u] * k(e[t], e[u]) for t, u in pairs)
+                norm_sq = sum(C[i, t] * C[i, u] * k(e[t], e[u]) for t, u in pairs)
                 for j in range(m):
-                    cross = sum(F.C[i, t] * k(e[t], e[j]) for t in range(m))
+                    cross = sum(C[i, t] * k(e[t], e[j]) for t in range(m))
                     weight = model.marginal[i] * model.transition[i, j]
                     total += weight * (k(e[j], e[j]) - 2.0 * cross + norm_sq)
                     scale += weight * (k(e[j], e[j]) + 2.0 * abs(cross) + norm_sq)
-            assert abs(exact_risk(F, model, GAUSS) - total) <= 1e-12 * scale
+            assert abs(exact_risk(C, model, GAUSS) - total) <= 1e-12 * scale
 
     def test_perfect_deterministic_prediction(self):
         perm = [1, 2, 0]
         model = FiniteMarkovModel(chain_states(3), np.full(3, 1 / 3), np.eye(3)[perm])
-        F = RegressionFunctionRep(C=np.eye(3)[perm])
-        assert exact_risk(F, model, GAUSS) <= 1e-14
+        assert exact_risk(np.eye(3)[perm], model, GAUSS) <= 1e-14
 
     def test_zero_function(self):
         rng = rng_for(70)
         model = random_model(rng, 4)
-        F = RegressionFunctionRep(C=np.zeros((4, 4)))
-        assert exact_risk(F, model, GAUSS) == pytest.approx(1.0, abs=1e-12)
+        assert exact_risk(np.zeros((4, 4)), model, GAUSS) == pytest.approx(1.0, abs=1e-12)
 
     def test_decomposition_identity(self):
         # risk(F) = sum_i pi_i ||F(e_i) - F*(e_i)||^2 + risk(F*), both sides
@@ -727,14 +747,14 @@ class TestExactRisk:
         for _ in range(20):
             m = int(rng.integers(2, 6))
             model = random_model(rng, m)
-            F = RegressionFunctionRep(C=rng.standard_normal((m, m)))
+            C = rng.standard_normal((m, m))
             f_star = cme_function(model)
-            lhs = exact_risk(F, model, GAUSS)
+            lhs = exact_risk(C, model, GAUSS)
             drift = 0.0
             for i in range(m):
                 diff = embed_diff(
-                    WeightedEmbedding(kernel=GAUSS, support=model.states, weights=F.C[i]),
-                    WeightedEmbedding(kernel=GAUSS, support=model.states, weights=f_star.C[i]),
+                    WeightedEmbedding(kernel=GAUSS, support=model.states, weights=C[i]),
+                    WeightedEmbedding(kernel=GAUSS, support=model.states, weights=f_star[i]),
                 )
                 drift += model.marginal[i] * embed_norm_sq(diff)
             rhs = drift + exact_risk(f_star, model, GAUSS)
@@ -779,6 +799,35 @@ class TestGeneralizedCovariance:
         model = random_model(rng, 2)
         with pytest.raises(ValueError):
             generalized_cov_ons_check(model, GAUSS, pt(0.0), 3)
+
+
+class TestVerify:
+    CHECKS = {
+        "operator-norm-bound",
+        "bound-sharpness",
+        "mmd-relation-inequality",
+        "well-specified-recovery",
+        "risk-decomposition",
+        "noncompact-ons-identity",
+    }
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+        alt=st.booleans(),
+        kernel=st.sampled_from([GAUSS, LaplacianKernel(scale=1.0)]),
+    )
+    def test_random_models_pass_every_check(self, m, seed, alt, kernel):
+        model = random_model(np.random.default_rng(seed), m, alt=alt)
+        rows = verify(model, kernel, seed)
+        verdicts = {name: verdict for name, _, _, _, verdict in rows}
+        assert len(verdicts) == len(rows)
+        assert "FAIL" not in verdicts.values()
+        info = {name for name, verdict in verdicts.items() if verdict == "INFO"}
+        assert info <= {"mmd-relation-strict-gap"}
+        aligned = {"mmd-relation-equality-aligned"} if m >= 2 else set()
+        assert set(verdicts) - info == self.CHECKS | aligned
 
 
 class TestSamplers:

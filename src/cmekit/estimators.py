@@ -206,8 +206,8 @@ def _factor_pd(A: np.ndarray, shift: float = 0.0) -> tuple[tuple[np.ndarray, boo
     for retry in (False, True):
         if retry:
             # a failed Cholesky may have overwritten part of the lower triangle: restore G + shift*I
-            for j in range(n - 1):
-                A[j + 1 :, j] = A[j, j + 1 :]
+            # from the strict upper one (A.T's strict lower), which still holds G
+            _mirror_lower(A.T)
             A.flat[diag] = g + shift
             jitter = float(JITTER_SCALE * np.trace(A) / n)
             A.flat[diag] += jitter

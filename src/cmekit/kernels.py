@@ -13,16 +13,18 @@ C-ordered ``(n, m)`` one, assembled in that one buffer: no second block is held
 while a block is built.  ``kernel_eval`` is the ``1 x 1`` block, so one point
 pair gets the same double from every route.
 
-Two routes build a Gaussian or Laplacian block, chosen by the dimension d:
+A Gaussian or Laplacian block is filled in row blocks of about
+``_BLOCK_ENTRIES`` entries, small enough to stay in L2, and each row block is
+finished while it is in cache: its distances, then ``/ (-c)`` and ``exp`` in
+place.  The distance step depends on the dimension d:
 
-- d = 1: numpy ufuncs fill the buffer in row blocks of about ``_BLOCK_ENTRIES``
-  entries, small enough to stay in L2.  Each row block runs ``x - y``, its
-  square or absolute value, ``/ (-c)`` and ``exp`` in place: ``cdist``'s
-  arithmetic at d = 1, so the doubles are the ones it would give.
-- d >= 2: ``scipy.spatial.distance.cdist`` sums the coordinates' squared or
-  absolute differences (faster than a numpy loop over the coordinates), then
-  ``/ (-c)`` and ``exp`` run in its buffer.  ``scipy.spatial`` is imported on
-  the first such block, so 1-D work never loads it.
+- d = 1: ``x - y`` and its square or absolute value, numpy ufuncs in place:
+  ``cdist``'s arithmetic at d = 1, so the doubles are the ones it would give.
+- d >= 2: ``scipy.spatial.distance.cdist`` writes the row block's summed
+  squared or absolute coordinate differences (faster than a numpy loop over
+  the coordinates).  Each entry depends only on its own two points, so a row
+  block gets the doubles a whole-block call would.  ``scipy.spatial`` is
+  imported on the first such block, so 1-D work never loads it.
 
 Gram matrices are exactly symmetric with no mirroring step: ``x - y`` is
 ``-(y - x)`` exactly, so ``(x - y)^2 == (y - x)^2`` and ``|x - y| == |y - x|``
@@ -43,7 +45,7 @@ import numpy as np
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
-_BLOCK_ENTRIES = 1 << 15          # 256 KB of doubles per row block of a 1-D Gram block
+_BLOCK_ENTRIES = 1 << 15          # 256 KB of doubles per row block of a Gram block
 
 
 @dataclass(frozen=True)
@@ -238,19 +240,17 @@ def cross_gram(kernel: Kernel, rows: Sequence[Point], cols: Sequence[Point]) -> 
         raise TypeError(f"unknown kernel type: {type(kernel).__name__}")
     if a.shape[1] > 1:
         from scipy.spatial.distance import cdist
-
-        K = cdist(a, b, metric)
-        # exp(-D / c) in D's own buffer: (-d) / c and d / (-c) round to the same double
-        np.divide(K, -c, out=K)
-        return np.exp(K, out=K)
-    x, y = a[:, 0], b[:, 0]
-    K = np.empty((len(x), len(y)))
-    step = max(1, _BLOCK_ENTRIES // len(y))
-    for i in range(0, len(x), step):
+    K = np.empty((len(a), len(b)))
+    step = max(1, _BLOCK_ENTRIES // len(b))
+    for i in range(0, len(a), step):
         # each row block is finished while it is still in cache
         block = K[i:i + step]
-        np.subtract.outer(x[i:i + step], y, out=block)
-        norm(block, out=block)
+        if a.shape[1] > 1:
+            cdist(a[i:i + step], b, metric, out=block)
+        else:
+            np.subtract.outer(a[i:i + step, 0], b[:, 0], out=block)
+            norm(block, out=block)
+        # exp(-D / c) in D's own buffer: (-d) / c and d / (-c) round to the same double
         np.divide(block, -c, out=block)
         np.exp(block, out=block)
     return K

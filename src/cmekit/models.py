@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from .estimators import (
-    CmeEstimator, Cutoff, Landweber, PairedSample, Tikhonov, _support, fit_cme, solve_pd,
+    CmeEstimator, Cutoff, Landweber, PairedSample, Tikhonov, fit_cme, solve_pd,
 )
 from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram, gram
 
@@ -193,22 +193,17 @@ def exact_excess_risk(est: CmeEstimator, model: FiniteMarkovModel, kernel: Kerne
     """Exact E[ ||F*(X) - A* phi(X)||_H^2 ] under the model's marginal.
 
     F*(e_i) carries the transition row i on the states; the estimator side is
-    the predicted embedding at e_i (weights W k_X(e_i) on est.Y), with the
-    weights on repeated Y points summed so that only the Gram of the distinct
-    Y values is formed.
+    the predicted embedding at e_i, weights W k_X(e_i) on est.Y.
     """
     if est.kernel != kernel:
         raise ValueError("estimator kernel does not match the oracle kernel")
     P = model.transition
     K_E = _state_gram(model, kernel)
-    support, inv, _ = _support(est.Y)
-    K_xe = cross_gram(kernel, est.X, model.states)
-    omega = np.zeros((len(support), model.m))  # column i = predicted weights at e_i
-    np.add.at(omega, inv, est.W @ K_xe)
-    K_sy = cross_gram(kernel, model.states, support)
+    omega = est.W @ cross_gram(kernel, est.X, model.states)  # column i = predicted weights at e_i
+    K_sy = cross_gram(kernel, model.states, est.Y)
     t_true = np.einsum("ij,jk,ik->i", P, K_E, P)
     t_cross = np.einsum("ij,jt,ti->i", P, K_sy, omega)
-    t_est = np.einsum("ti,ti->i", omega, gram(kernel, support) @ omega)
+    t_est = np.einsum("ti,ti->i", omega, gram(kernel, est.Y) @ omega)
     return float(model.marginal @ (t_true - 2.0 * t_cross + t_est))
 
 
@@ -432,7 +427,7 @@ def verify(model: FiniteMarkovModel, kernel: Kernel, seed: int) -> list[tuple]:
 
     # risk decomposition, worst of 20 random embedding-valued functions
     irreducible = exact_risk(cme_function(model), model, kernel)
-    K_E = gram(kernel, model.states)
+    K_E = _state_gram(model, kernel)
     worst_dev = (0.0, 0.0)
     for _ in range(20):
         C = rng.standard_normal((model.m, model.m))
@@ -471,7 +466,7 @@ def sample_pairs(model: FiniteMarkovModel, n: int, seed: int) -> PairedSample:
     if n < 1:
         raise ValueError("need n >= 1 samples")
     rng = _generator(seed)
-    x_idx = _inverse_cdf_rows(np.tile(model.marginal, (n, 1)), rng.random(n))
+    x_idx = _inverse_cdf_rows(model.marginal[None, :], rng.random(n))
     y_idx = _inverse_cdf_rows(model.transition[x_idx], rng.random(n))
     X = tuple(model.states[i] for i in x_idx)
     Y = tuple(model.states[i] for i in y_idx)

@@ -45,6 +45,7 @@ from cmekit import (
 )
 from cmekit.estimators import (
     JITTER_SCALE,
+    MIRROR_BLOCK,
     RANK_TOL,
     _factor_pd,
     _fitted_risk_and_hs,
@@ -570,11 +571,15 @@ class TestSupportView:
             CmeEstimator(kernel=GAUSS, lam=0.1, filt=Tikhonov(), X=X, Y=Y, W=np.ones((3, 2)))
 
 class TestFactorization:
-    def test_jitter_retry_matches_the_two_step_factor_bitwise(self):
+    @pytest.mark.parametrize(
+        "values, repeated",
+        [(np.random.default_rng(23).normal(size=6), 4), (3.0 * np.arange(150), 100)],
+        ids=["16", "400"],
+    )
+    def test_jitter_retry_matches_the_two_step_factor_bitwise(self, values, repeated):
         # duplicated points make G rank deficient, so G + shift*I fails Cholesky
-        rng = np.random.default_rng(23)
-        pts = [pt(v) for v in rng.normal(size=6)]
-        G = gram(GAUSS, pts + pts[:4] + pts)
+        pts = [pt(v) for v in values]
+        G = gram(GAUSS, pts + pts[:repeated] + pts)
         G0 = G.copy()
         n, shift = G.shape[0], 1e-17
         buf = np.array(G, order="F")
@@ -587,6 +592,10 @@ class TestFactorization:
         A.flat[:: n + 1] += shift
         with pytest.raises(scipy.linalg.LinAlgError):
             scipy.linalg.cho_factor(A, lower=True)
+        # 150 well-separated points fail only at the first repeat, so the restore of
+        # the columns the failed attempt overwrote crosses a mirror block
+        fails_at = scipy.linalg.lapack.dpotrf(A, lower=1)[1]
+        assert (fails_at > MIRROR_BLOCK) == (n > MIRROR_BLOCK)
         expected_jitter = float(JITTER_SCALE * np.trace(A) / n)
         A.flat[:: n + 1] += expected_jitter
         expected = scipy.linalg.cho_factor(A, lower=True)

@@ -25,7 +25,7 @@ from cmekit import (
     pt,
 )
 from cmekit import kernels
-from cmekit.kernels import coords_matrix
+from cmekit.kernels import _point_tuple, coords_matrix
 from cmekit.models import ou_sample_pairs
 
 GAUSS = GaussianKernel(bandwidth=1.0)
@@ -220,13 +220,23 @@ class TestCrossGram:
         rng = np.random.default_rng(6)
         self.assert_textbook_assembly(random_points(rng, n, d), random_points(rng, m, d), 0.9)
 
-    @pytest.mark.parametrize("kernel", [GAUSS, LAPL2], ids=["gauss", "laplace"])
-    def test_a_block_is_assembled_in_one_buffer(self, kernel):
-        sample = ou_sample_pairs(1.0, 0.5, 600, 3)
+    @pytest.mark.parametrize(
+        "kernel, d",
+        [(GAUSS, 1), (LAPL2, 1), (GAUSS, 2), (LAPL2, 2)],
+        ids=["gauss", "laplace", "gauss-2d", "laplace-2d"],
+    )
+    def test_a_block_is_assembled_in_one_buffer(self, kernel, d):
+        if d == 1:
+            sample = ou_sample_pairs(1.0, 0.5, 600, 3)
+            rows, cols = sample.X, sample.Y
+        else:
+            rng = np.random.default_rng(3)
+            rows, cols = (_point_tuple(random_points(rng, 600, d), "points") for _ in range(2))
+            cross_gram(kernel, rows[:2], cols[:2])      # loads scipy.spatial outside the trace
         block = 600 * 600 * 8
         tracemalloc.start()
         try:
-            K = cross_gram(kernel, sample.X, sample.Y)
+            K = cross_gram(kernel, rows, cols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

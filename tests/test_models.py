@@ -29,6 +29,7 @@ from cmekit import (
     constant_shift_estimator,
     double_well_pairs,
     embed_diff,
+    embed_inner,
     embed_norm_sq,
     empirical_risk,
     estimator_values,
@@ -44,6 +45,7 @@ from cmekit import (
     op_norm_diff,
     ou_sample_pairs,
     predict_conditional_expectation,
+    predict_embedding,
     pt,
     random_model,
     sample_pairs,
@@ -535,24 +537,25 @@ class TestOpNormDiff:
             op_norm_diff(vals, vals[:1], model, GAUSS)
 
 
-def excess_risk_full_G_Y(est, model, kernel):
-    """exact_excess_risk through the n x n Gram of est.Y, without summing repeated Y.
+def excess_risk_by_embeddings(est, model, kernel):
+    """exact_excess_risk by a route that shares no formula with it: the RKHS
+    distance between F*(e_i) and the predicted embedding at e_i, per state.
 
     Also returns the size of the three terms that the risk cancels, the scale
-    on which two evaluation orders of it can agree.
+    on which the two routes can agree.
     """
-    P = model.transition
-    K_E = gram(kernel, model.states)
-    omega = est.W @ cross_gram(kernel, est.X, model.states)
-    t_true = np.einsum("ij,jk,ik->i", P, K_E, P)
-    t_cross = np.einsum("ij,jt,ti->i", P, cross_gram(kernel, model.states, est.Y), omega)
-    t_est = np.einsum("ti,ti->i", omega, gram(kernel, est.Y) @ omega)
-    risk = float(model.marginal @ (t_true - 2.0 * t_cross + t_est))
-    return risk, float(model.marginal @ (t_true + 2.0 * np.abs(t_cross) + t_est))
+    risk = scale = 0.0
+    for i, state in enumerate(model.states):
+        truth = WeightedEmbedding(kernel, model.states, model.transition[i])
+        pred = predict_embedding(est, state)
+        risk += model.marginal[i] * embed_norm_sq(embed_diff(truth, pred))
+        terms = embed_norm_sq(truth) + 2.0 * abs(embed_inner(truth, pred)) + embed_norm_sq(pred)
+        scale += model.marginal[i] * terms
+    return risk, scale
 
 
 class TestExcessRiskAndBound:
-    def test_summed_weights_match_the_full_G_Y_route(self):
+    def test_matches_the_per_state_embeddings_route(self):
         rng = rng_for(61)
         for _ in range(30):
             model = random_model(rng, int(rng.integers(1, 6)))
@@ -561,13 +564,13 @@ class TestExcessRiskAndBound:
             filters = (Tikhonov(), Cutoff(), Landweber(steps=20, step_size=0.9))
             for est in (
                 *(fit_cme(sample, GAUSS, filt, lam) for filt in filters),
-                # a hand-built W exercises the sums without any fit structure
+                # a hand-built W on repeated Y, without any fit structure
                 CmeEstimator(
                     kernel=GAUSS, lam=lam, filt=Tikhonov(), X=sample.X, Y=sample.Y,
                     W=rng.standard_normal((sample.n, sample.n)),
                 ),
             ):
-                expected, scale = excess_risk_full_G_Y(est, model, GAUSS)
+                expected, scale = excess_risk_by_embeddings(est, model, GAUSS)
                 assert abs(exact_excess_risk(est, model, GAUSS) - expected) <= 1e-12 * scale
 
     def test_well_specified_is_zero(self):

@@ -501,8 +501,8 @@ def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     kernel = build_kernel(cfg)
     filt = build_filter(cfg)
     lam = _resolve_lambda(cfg)
-    sample = _load_sample(cfg, _resolve_seed(cfg, seed))
     out_path = _resolve_out(cfg, out)
+    sample = _load_sample(cfg, _resolve_seed(cfg, seed))
     try:
         est = fit_cme(sample, kernel, filt, lam)
     except DivergentStepError as exc:
@@ -531,11 +531,11 @@ def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
 def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     kernel = build_kernel(cfg)
     lam = _resolve_lambda(cfg)
+    out_path = _resolve_out(cfg, out)
     sample = _load_sample(cfg, _resolve_seed(cfg, seed))
     r = _resolve_r(cfg, sample.n)
     if sample.X[0].dim != sample.Y[0].dim:  # only a paired-sample file can differ
         raise ConfigError(f"{cfg.get('data', 'sample_file')}: edmd needs x and y of one dimension")
-    out_path = _resolve_out(cfg, out)
     result = edmd_eigen(sample, kernel, lam, r)
     _warn_jitter(result.jitter, note="; the residual column has no correct digits")
     residuals = eigen_residuals(result)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram, gram
+from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,12 +59,6 @@ def embed_inner(a: WeightedEmbedding, b: WeightedEmbedding) -> float:
         raise ValueError("embeddings use different kernels")
     K = cross_gram(a.kernel, a.support, b.support)
     return float(a.weights @ K @ b.weights)
-
-
-def embed_norm_sq(a: WeightedEmbedding) -> float:
-    """Squared RKHS norm; >= -1e-10 up to psd round-off."""
-    K = gram(a.kernel, a.support)
-    return float(a.weights @ K @ a.weights)
 
 
 def embed_diff(a: WeightedEmbedding, b: WeightedEmbedding) -> WeightedEmbedding:

@@ -29,7 +29,7 @@ only.  Double well: dX = -V'(X) dt + sqrt(2/beta) dW with V(x) = (x^2 - 1)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -100,11 +100,6 @@ def chain_states(m: int) -> tuple[Point, ...]:
     if m < 1:
         raise ValueError("need at least one state")
     return tuple(Point((j,)) for j in range(m))
-
-
-def with_alt(model: FiniteMarkovModel, transition_alt: np.ndarray) -> FiniteMarkovModel:
-    """Copy of the model with a second Markov kernel attached."""
-    return FiniteMarkovModel(model.states, model.marginal, model.transition, transition_alt)
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -233,11 +228,6 @@ def exact_risk(C: np.ndarray, model: FiniteMarkovModel, kernel: Kernel) -> float
     return float(model.marginal @ np.einsum("ij,ij->i", P, per_pair))
 
 
-def cme_function(model: FiniteMarkovModel) -> np.ndarray:
-    """The true conditional mean embedding function's coefficients C = P_mat (read-only)."""
-    return model.transition
-
-
 def generalized_cov_ons_check(
     model: FiniteMarkovModel, kernel: Kernel, anchor: Point, r: int
 ) -> np.ndarray:
@@ -348,7 +338,7 @@ def constant_direction_alt(
         # no renormalization: d sums to ~0, so rows stay stochastic to 1e-16
         # and the row differences stay exact scalar multiples of d
         P_alt[i] = P[i] + c * d
-    return with_alt(model, P_alt)
+    return replace(model, transition_alt=P_alt)
 
 
 def _oracle_pair(
@@ -406,7 +396,7 @@ def verify(model: FiniteMarkovModel, kernel: Kernel, seed: int) -> list[tuple]:
     # MMD relation for a pair of Markov kernels
     pair = model
     if model.transition_alt is None:
-        pair = with_alt(model, random_model(rng, model.m).transition)
+        pair = replace(model, transition_alt=random_model(rng, model.m).transition)
     lhs, rhs = mmd_relation(pair)
     leq("mmd-relation-inequality", lhs, rhs, 1e-10)
     if rhs - lhs > 1e-10:
@@ -426,7 +416,7 @@ def verify(model: FiniteMarkovModel, kernel: Kernel, seed: int) -> list[tuple]:
     leq("well-specified-recovery", lhs, 0.0, 1e-10)
 
     # risk decomposition, worst of 20 random embedding-valued functions
-    irreducible = exact_risk(cme_function(model), model, kernel)
+    irreducible = exact_risk(model.transition, model, kernel)
     K_E = _state_gram(model, kernel)
     worst_dev = (0.0, 0.0)
     for _ in range(20):

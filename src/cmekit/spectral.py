@@ -65,18 +65,18 @@ class EdmdResult(_Rebuilt):
     X: tuple[Point, ...]
     kernel: Kernel
     lam: float
-    residuals: np.ndarray | None = None
+    residuals: np.ndarray
     jitter: float = 0.0
 
     def __post_init__(self) -> None:
         X = _point_tuple(self.X, "EdmdResult X")
         w = _frozen_array(self.eigenvalues, "eigenvalues", complex)
         V = _frozen_array(self.coeffs, "coeffs", complex)
-        res = None if self.residuals is None else _frozen_array(self.residuals, "residuals")
-        if w.ndim != 1 or V.shape != (len(X), len(w)) or res is not None and res.shape != w.shape:
+        res = _frozen_array(self.residuals, "residuals")
+        if w.ndim != 1 or V.shape != (len(X), len(w)) or res.shape != w.shape:
             raise ValueError(
                 f"need eigenvalues of shape (r,), coeffs ({len(X)}, r) and residuals (r,); "
-                f"got shapes {w.shape}, {V.shape} and {None if res is None else res.shape}"
+                f"got shapes {w.shape}, {V.shape} and {res.shape}"
             )
         for name, value in (("X", X), ("eigenvalues", w), ("coeffs", V), ("residuals", res)):
             object.__setattr__(self, name, value)
@@ -163,7 +163,7 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
     V = _normalize_columns(w, V, factor, g)
     D = apply(V.real) + 1j * apply(V.imag) - V * w
     residuals = np.sqrt(np.maximum(_rkhs_norm_sq(factor, g, D), 0.0))
-    return EdmdResult(w, V, sample.X, kernel, lam, residuals=residuals, jitter=jitter)
+    return EdmdResult(w, V, sample.X, kernel, lam, residuals, jitter)
 
 
 def eval_eigenfunction(res: EdmdResult, j: int, x: Point) -> complex:
@@ -180,8 +180,6 @@ def eigen_residuals(res: EdmdResult) -> np.ndarray:
     ``edmd_eigen`` computes them with the factorization its eigenpairs came
     from; residual j is sqrt(d^H G_X d) with d = M v_j - mu_j v_j.
     """
-    if res.residuals is None:
-        raise ValueError("the result carries no residuals; compute it with edmd_eigen")
     return res.residuals
 
 

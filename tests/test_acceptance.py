@@ -21,7 +21,6 @@ from cmekit import (
     TableKernel,
     Tikhonov,
     chain_states,
-    cme_function,
     constant_direction_alt,
     constant_shift_estimator,
     estimator_values,
@@ -230,7 +229,7 @@ def test_criterion_06_risk_decomposition():
         m = int(rng.integers(2, 7))
         model = random_model(rng, m)
         C = rng.standard_normal((m, m))
-        f_star = cme_function(model)
+        f_star = model.transition
         lhs = exact_risk(C, model, GAUSS)
         K_E = gram(GAUSS, model.states)
         delta = C - f_star

@@ -20,7 +20,6 @@ from cmekit import (
     cross_gram,
     embed_diff,
     embed_inner,
-    embed_norm_sq,
     kernel_eval,
     mean_embed,
     mmd_sq_biased,
@@ -69,12 +68,12 @@ class TestMeanEmbed:
     def test_repeated_point_collapses_to_feature(self):
         e = mean_embed(GAUSS, [pt(2.0)] * 5)
         assert np.array_equal(e.weights, np.full(5, 0.2))
-        assert embed_norm_sq(e) == pytest.approx(1.0, abs=1e-12)
+        assert embed_inner(e, e) == pytest.approx(1.0, abs=1e-12)
 
     def test_two_point_norm(self):
         e = mean_embed(GAUSS, [pt(0.0), pt(1.0)])
-        assert embed_norm_sq(e) == pytest.approx(0.8032653299, abs=1e-9)
-        assert embed_norm_sq(e) == pytest.approx(TWO_POINT_NORM_SQ, abs=1e-14)
+        assert embed_inner(e, e) == pytest.approx(0.8032653299, abs=1e-9)
+        assert embed_inner(e, e) == pytest.approx(TWO_POINT_NORM_SQ, abs=1e-14)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -132,11 +131,12 @@ class TestEmbedInner:
 
 class TestEmbedNorm:
     def test_feature_norm_one(self):
-        assert embed_norm_sq(feature(GAUSS, pt(-2.0))) == 1.0
+        e = feature(GAUSS, pt(-2.0))
+        assert embed_inner(e, e) == 1.0
 
     def test_zero_weights(self):
         zero = WeightedEmbedding(kernel=GAUSS, support=(pt(0.0),), weights=np.array([0.0]))
-        assert embed_norm_sq(zero) == 0.0
+        assert embed_inner(zero, zero) == 0.0
 
     def test_nonnegative_up_to_roundoff(self):
         rng = np.random.default_rng(12)
@@ -146,14 +146,14 @@ class TestEmbedNorm:
                 support=tuple(random_points(rng, 6, d=2)),
                 weights=rng.normal(size=6),
             )
-            assert embed_norm_sq(e) >= -1e-10
+            assert embed_inner(e, e) >= -1e-10
 
     def test_diff(self):
         a = mean_embed(GAUSS, [pt(0.0), pt(1.0)])
         b = feature(GAUSS, pt(0.0))
         d = embed_diff(a, b)
-        expected = embed_norm_sq(a) - 2 * embed_inner(a, b) + 1.0
-        assert embed_norm_sq(d) == pytest.approx(expected, abs=1e-13)
+        expected = embed_inner(a, a) - 2 * embed_inner(a, b) + 1.0
+        assert embed_inner(d, d) == pytest.approx(expected, abs=1e-13)
 
 
 class TestMmdBiased:

@@ -1114,14 +1114,15 @@ class TestAgainstFiniteChainOracle:
     def test_deterministic_chain_embedding_recovery(self):
         # y = T(x) swaps the states; the predicted embedding at e_i lands
         # within MMD 0.05 of phi(T(e_i))
-        from cmekit import WeightedEmbedding, embed_diff, embed_norm_sq
+        from cmekit import WeightedEmbedding, embed_diff, embed_inner
 
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         model, est = self._fitted(swap)
         for i, target in ((0, model.states[1]), (1, model.states[0])):
             predicted = predict_embedding(est, model.states[i])
             phi = WeightedEmbedding(kernel=GAUSS, support=(target,), weights=np.array([1.0]))
-            mmd = np.sqrt(max(embed_norm_sq(embed_diff(predicted, phi)), 0.0))
+            diff = embed_diff(predicted, phi)
+            mmd = np.sqrt(max(embed_inner(diff, diff), 0.0))
             assert mmd <= 0.05
 
     def test_conditional_expectation_matches_transition_rows(self):

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,14 +24,12 @@ from cmekit import (
     Tikhonov,
     WeightedEmbedding,
     chain_states,
-    cme_function,
     cross_gram,
     constant_direction_alt,
     constant_shift_estimator,
     double_well_pairs,
     embed_diff,
     embed_inner,
-    embed_norm_sq,
     empirical_risk,
     estimator_values,
     exact_excess_risk,
@@ -51,7 +50,6 @@ from cmekit import (
     sample_pairs,
     stationary_distribution,
     well_specified_estimator,
-    with_alt,
 )
 from cmekit.estimators import PairedSample
 from cmekit.kernels import _point_tuple, coords_matrix
@@ -147,17 +145,21 @@ def _estimator(X, W):
             id="table-values",
         ),
         pytest.param(
-            lambda: EdmdResult(np.ones(1), np.ones((2, 1)), MIXED, GAUSS, 1.0),
+            lambda: EdmdResult(np.ones(1), np.ones((2, 1)), MIXED, GAUSS, 1.0, np.zeros(1)),
             "dimension",
             id="edmd-X",
         ),
         pytest.param(
-            lambda: EdmdResult(np.ones(2), np.ones((5, 1)), chain_states(3), GAUSS, 1.0),
+            lambda: EdmdResult(
+                np.ones(2), np.ones((5, 1)), chain_states(3), GAUSS, 1.0, np.zeros(2)
+            ),
             "shape",
             id="edmd-coeffs-shape",
         ),
         pytest.param(
-            lambda: EdmdResult(np.ones((2, 1)), np.ones((3, 2)), chain_states(3), GAUSS, 1.0),
+            lambda: EdmdResult(
+                np.ones((2, 1)), np.ones((3, 2)), chain_states(3), GAUSS, 1.0, np.zeros(2)
+            ),
             "shape",
             id="edmd-eigenvalues-shape",
         ),
@@ -169,12 +171,16 @@ def _estimator(X, W):
             id="edmd-residuals-shape",
         ),
         pytest.param(
-            lambda: EdmdResult([1.0, np.nan], np.ones((3, 2)), chain_states(3), GAUSS, 1.0),
+            lambda: EdmdResult(
+                [1.0, np.nan], np.ones((3, 2)), chain_states(3), GAUSS, 1.0, np.zeros(2)
+            ),
             "finite",
             id="edmd-eigenvalues",
         ),
         pytest.param(
-            lambda: EdmdResult(np.ones(1), [[1.0], [np.inf], [1.0]], chain_states(3), GAUSS, 1.0),
+            lambda: EdmdResult(
+                np.ones(1), [[1.0], [np.inf], [1.0]], chain_states(3), GAUSS, 1.0, np.zeros(1)
+            ),
             "finite",
             id="edmd-coeffs",
         ),
@@ -232,7 +238,7 @@ def checked_point_fields(pts):
         ("estimator X", est.X),
         ("estimator Y", est.Y),
         ("embedding", WeightedEmbedding(kernel=GAUSS, support=pts, weights=np.ones(n)).support),
-        ("edmd", EdmdResult(np.ones(1), np.ones((n, 1)), pts, GAUSS, 1.0).X),
+        ("edmd", EdmdResult(np.ones(1), np.ones((n, 1)), pts, GAUSS, 1.0, np.zeros(1)).X),
         ("model", FiniteMarkovModel(distinct, np.full(m, 1.0 / m), np.eye(m)).states),
         ("table kernel", TableKernel(distinct, np.eye(m)).states),
     ]
@@ -378,8 +384,8 @@ class TestIllConditionedStateGram:
         calls = [
             lambda: exact_operator_values(model, k),
             lambda: exact_excess_risk(est, model, k),
-            lambda: exact_mmd_integral(with_alt(model, model.transition[::-1]), k),
-            lambda: exact_risk(cme_function(model), model, k),
+            lambda: exact_mmd_integral(replace(model, transition_alt=model.transition[::-1]), k),
+            lambda: exact_risk(model.transition, model, k),
             lambda: well_specified_estimator(model, k, list(range(8))),
             lambda: constant_shift_estimator(model, k, np.zeros(8)),
             lambda: generalized_cov_ons_check(model, k, model.states[0], 3),
@@ -548,8 +554,11 @@ def excess_risk_by_embeddings(est, model, kernel):
     for i, state in enumerate(model.states):
         truth = WeightedEmbedding(kernel, model.states, model.transition[i])
         pred = predict_embedding(est, state)
-        risk += model.marginal[i] * embed_norm_sq(embed_diff(truth, pred))
-        terms = embed_norm_sq(truth) + 2.0 * abs(embed_inner(truth, pred)) + embed_norm_sq(pred)
+        diff = embed_diff(truth, pred)
+        risk += model.marginal[i] * embed_inner(diff, diff)
+        terms = (
+            embed_inner(truth, truth) + 2.0 * abs(embed_inner(truth, pred)) + embed_inner(pred, pred)
+        )
         scale += model.marginal[i] * terms
     return risk, scale
 
@@ -659,7 +668,7 @@ class TestMmdIntegral:
     def test_equal_kernels(self):
         rng = rng_for(66)
         model = random_model(rng, 3)
-        same = with_alt(model, model.transition)
+        same = replace(model, transition_alt=model.transition)
         assert exact_mmd_integral(same, GAUSS) == 0.0
 
     def test_two_state_swap(self):
@@ -709,7 +718,7 @@ class TestMmdIntegral:
                         WeightedEmbedding(kernel, model.states, model.transition[i]),
                         WeightedEmbedding(kernel, model.states, model.transition_alt[i]),
                     )
-                    total += model.marginal[i] * embed_norm_sq(diff)
+                    total += model.marginal[i] * embed_inner(diff, diff)
                 assert exact_mmd_integral(model, kernel) == pytest.approx(total, rel=1e-12)
 
 
@@ -751,7 +760,7 @@ class TestExactRisk:
             m = int(rng.integers(2, 6))
             model = random_model(rng, m)
             C = rng.standard_normal((m, m))
-            f_star = cme_function(model)
+            f_star = model.transition
             lhs = exact_risk(C, model, GAUSS)
             drift = 0.0
             for i in range(m):
@@ -759,7 +768,7 @@ class TestExactRisk:
                     WeightedEmbedding(kernel=GAUSS, support=model.states, weights=C[i]),
                     WeightedEmbedding(kernel=GAUSS, support=model.states, weights=f_star[i]),
                 )
-                drift += model.marginal[i] * embed_norm_sq(diff)
+                drift += model.marginal[i] * embed_inner(diff, diff)
             rhs = drift + exact_risk(f_star, model, GAUSS)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 

@@ -427,14 +427,12 @@ class TestResiduals:
     def test_arnoldi(self):
         self.check(random_sample(np.random.default_rng(55), 160), GAUSS, 1e-2, 4)
 
-    def test_hand_built_result_has_no_residuals(self):
-        X = (pt(0.0), pt(1.0))
-        res = EdmdResult(
-            eigenvalues=np.ones(1, dtype=complex), coeffs=np.ones((2, 1), dtype=complex),
-            X=X, kernel=GAUSS, lam=0.1,
-        )
-        with pytest.raises(ValueError, match="no residuals"):
-            eigen_residuals(res)
+    def test_a_result_without_residuals_is_refused(self):
+        with pytest.raises(TypeError, match="residuals"):
+            EdmdResult(
+                eigenvalues=np.ones(1, dtype=complex), coeffs=np.ones((2, 1), dtype=complex),
+                X=(pt(0.0), pt(1.0)), kernel=GAUSS, lam=0.1,
+            )
 
 
 class TestEigenfunctions:
@@ -492,6 +490,7 @@ class TestSignCluster:
             X=tuple(X),
             kernel=GAUSS,
             lam=0.1,
+            residuals=np.zeros(len(eigenvalues)),
         )
 
     def test_positive_everywhere_gives_label_zero(self):

@@ -46,7 +46,7 @@ from .estimators import (
     _fitted_risk_and_hs,
     fit_cme,
 )
-from .kernels import GaussianKernel, Kernel, LaplacianKernel, Point, coords_matrix
+from .kernels import GaussianKernel, Kernel, LaplacianKernel, Point, _Adopted, coords_matrix
 from .spectral import edmd_eigen, eigen_residuals
 
 _FLOAT_FMT = "%.17g"
@@ -399,13 +399,17 @@ def read_estimator(path: str) -> CmeEstimator:
         (lam,) = map(float, tokens)
     with _invalid(f"{path}: invalid estimator"):
         return CmeEstimator(
-            kernel=kernel, lam=lam, filt=filt, X=_points(b["x"]), Y=_points(b["y"]), W=b["w"]
+            kernel=kernel, lam=lam, filt=filt, X=_points(b["x"]), Y=_points(b["y"]),
+            W=_Adopted(b["w"]),
         )
 
 
 # ---------------------------------------------------------------------------
 # data sources
 # ---------------------------------------------------------------------------
+
+
+_SAMPLED_SOURCES = ("finite-model", "ou", "double-well")
 
 
 def _load_sample(
@@ -416,13 +420,11 @@ def _load_sample(
     source = cfg.require("data", "source").lower()
     if source == "paired-sample":
         return read_paired_sample(cfg.require("data", "sample_file"))
-    if source not in ("finite-model", "ou", "double-well"):
+    if source not in _SAMPLED_SOURCES:
         raise ConfigError(f"{cfg.path}: unknown data source '{source}'")
     if source == "finite-model" and model is None:
         model = read_model_file(cfg.require("data", "model_file"))
-    n = cfg.get_int("run", "n", default=0) if n is None else n
-    if n < 1:
-        raise ConfigError(f"{cfg.path}: sampled data sources need n >= 1 in [run]")
+    n = _run_n(cfg) if n is None else n
     # values from the config reach the samplers unchecked until here
     with _invalid(f"{cfg.path}: invalid sampling parameters"):
         if source == "finite-model":
@@ -441,6 +443,14 @@ def _load_sample(
             n=n,
             seed=seed,
         )
+
+
+def _run_n(cfg: Config) -> int:
+    """``[run] n``, the number of pairs a sampled source draws."""
+    n = cfg.get_int("run", "n", default=0)
+    if n < 1:
+        raise ConfigError(f"{cfg.path}: sampled data sources need n >= 1 in [run]")
+    return n
 
 
 def _resolve_seed(cfg: Config, override: Optional[int]) -> int:
@@ -532,7 +542,10 @@ def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     kernel = build_kernel(cfg)
     lam = _resolve_lambda(cfg)
     out_path = _resolve_out(cfg, out)
-    sample = _load_sample(cfg, _resolve_seed(cfg, seed))
+    the_seed = _resolve_seed(cfg, seed)
+    if cfg.require("data", "source").lower() in _SAMPLED_SOURCES:
+        _resolve_r(cfg, _run_n(cfg))        # before the draw, which can take seconds
+    sample = _load_sample(cfg, the_seed)
     r = _resolve_r(cfg, sample.n)
     if sample.X[0].dim != sample.Y[0].dim:  # only a paired-sample file can differ
         raise ConfigError(f"{cfg.get('data', 'sample_file')}: edmd needs x and y of one dimension")

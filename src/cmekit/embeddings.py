@@ -72,11 +72,12 @@ def embed_diff(a: WeightedEmbedding, b: WeightedEmbedding) -> WeightedEmbedding:
     )
 
 
-def _block_sum(kernel: Kernel, rows: Sequence[Point], cols: Sequence[Point]) -> float:
+def _block_sum(kernel: Kernel, rows: kernels._Points, cols: kernels._Points) -> float:
     """sum_ij k(rows[i], cols[j]), row blocks of about ``_BLOCK_ENTRIES`` entries added exactly."""
     step = max(1, kernels._BLOCK_ENTRIES // len(cols))
     return math.fsum(
-        cross_gram(kernel, rows[i:i + step], cols).sum() for i in range(0, len(rows), step)
+        cross_gram(kernel, kernels._point_rows(rows, slice(i, i + step)), cols).sum()
+        for i in range(0, len(rows), step)
     )
 
 

@@ -41,10 +41,11 @@ The first conditional-expectation query with an observable costs
 O(len(X) len(Y)), for its coefficients W^T f(Y); later queries with the same
 values cost O(len(X)).
 
-The training report that ``estimate`` prints (``_fitted_risk_and_hs``)
-builds G_Y and, except for an unjittered Tikhonov fit on distinct points,
-G_X; its kernel blocks are m_X or m_Y on a side.  On distinct points it costs
-one n^3 GEMM for Tikhonov and two for the other filters.
+The training report that ``estimate`` prints (``_fitted_risk_and_hs``) of an
+unjittered Tikhonov fit on distinct points costs one n^3 GEMM over row blocks
+of W and of G_Y's lower block triangle.  The estimator holds the solve's own
+buffer, so fit and report hold one n x n block.  Every other report builds
+G_Y and G_X, m_Y and m_X on a side, and on distinct points costs two n^3 GEMMs.
 """
 
 from __future__ import annotations
@@ -60,12 +61,14 @@ import scipy.sparse
 
 from .embeddings import WeightedEmbedding
 from .kernels import (
-    Kernel, Point, _Rebuilt, _frozen_array, _kernel_diagonal, _point_tuple, cross_gram, gram,
+    Kernel, Point, _Adopted, _Rebuilt, _frozen_array, _kernel_diagonal, _point_rows, _point_tuple,
+    cross_gram, gram,
 )
 
 RANK_TOL = 1e-12
 JITTER_SCALE = 1e-10
 REPORT_BLOCK = 512
+REPORT_ROWS = 128
 MIRROR_BLOCK = 128
 _STRICT_UPPER = np.triu(np.ones((MIRROR_BLOCK, MIRROR_BLOCK), dtype=bool), 1)
 
@@ -263,8 +266,10 @@ def _support_solve(
     factor's diagonal, and turns the factor into the inverse in that buffer
     (LAPACK ``dpotri``, which writes the lower triangle; ``_mirror_lower``
     overwrites the strict upper one, which still held S).  So Z is exactly
-    symmetric, is S's buffer, and the solve holds one m x m block.  Cutoff and
-    Landweber eigendecompose S / n, and S's buffer is gone once this returns.
+    symmetric, is S's buffer, and the solve holds one m x m block; it is
+    returned as Z.T, a C-ordered view of the same doubles.  Cutoff and
+    Landweber eigendecompose S / n into a new C-ordered Z, and S's buffer is
+    gone once this returns.
     """
     if not (lam > 0):
         raise ValueError(f"lambda must be > 0, got {lam}")
@@ -277,7 +282,7 @@ def _support_solve(
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotri failed on the Cholesky factor (info {info})")
     _mirror_lower(Z)
-    return Z, jitter, cond
+    return Z.T, jitter, cond
 
 
 def _mirror_lower(Z: np.ndarray) -> None:
@@ -344,14 +349,15 @@ def fit_cme(sample: PairedSample, kernel: Kernel, filt: SpectralFilter, lam: flo
     block (see ``_support_solve``).  Cutoff and Landweber eigendecompose
     S / n and apply the scalar filter to its spectrum.
     Past the O(n) passes that find the distinct values, every array is
-    m_X x m_X or m_Y x m_X.
+    m_X x m_X or m_Y x m_X, and the estimator holds the array the solve made
+    (for no repeated point, S's own buffer) without a copy.
     """
     support, inv, counts = _support(sample.X)
     Z, jitter, cond = _support_solve(_support_gram(kernel, support, counts), sample.n, filt, lam)
     support_y, inv_y, _ = _support(sample.Y)
     return CmeEstimator(
         kernel=kernel, lam=lam, filt=filt, X=support, Y=support_y,
-        W=_on_support(Z, inv, counts, inv_y, len(support_y)),
+        W=_Adopted(_on_support(Z, inv, counts, inv_y, len(support_y))),
         jitter=jitter, cond_lower_bound=cond,
     )
 
@@ -383,41 +389,30 @@ def predict_conditional_expectation(est: CmeEstimator, x: Point, f_at_Y: np.ndar
 
 def _fitted_risk_and_hs(est: CmeEstimator, sample: PairedSample) -> tuple[float, float]:
     """The training report of ``fit_cme(sample, ...)``'s estimator: ``empirical_risk``
-    on ``sample`` and ``hs_norm_sq``, both from B = G_Y Omega, Omega = W G_X.
+    on ``sample`` and ``hs_norm_sq``.
 
-    Pair i at columns t of X and u of Y adds k(y_i, y_i) - 2 B[u, t] +
-    Omega[:, t]^T B[:, t] to the risk, and tr(W^T G_Y W G_X) = sum(B * W).
-    Omega is formed REPORT_BLOCK columns at a time, so W, G_Y and one block
-    are held (and G_X, when it is built).  With no repeated point W is n x n
-    and pair i is column i; for an unjittered Tikhonov fit (one that factored
-    its system: cond_lower_bound > 0) Omega = I - n*lam*W comes from the
-    solved system (see ``CmeEstimator``), so G_X is never built and B is the
-    one GEMM.  On repeated points the columns come from ``_support``, the
-    fit's own first-appearance order, and every block is m_X or m_Y on a side.
+    An unjittered Tikhonov fit (one that factored its system: cond_lower_bound
+    > 0) on a sample with no repeated point takes ``_tikhonov_risk_and_hs``,
+    which needs neither G_X nor a full G_Y.  Every other estimator takes the
+    general route, from B = G_Y Omega, Omega = W G_X: pair i at columns t of X
+    and u of Y adds k(y_i, y_i) - 2 B[u, t] + Omega[:, t]^T B[:, t] to the
+    risk, and tr(W^T G_Y W G_X) = sum(B * W).  Omega is formed REPORT_BLOCK
+    columns at a time, so W, G_Y, G_X and one block are held.  With no
+    repeated point W is n x n and pair i is column i; on repeated points the
+    columns come from ``_support``, the fit's own first-appearance order, and
+    every block is m_X or m_Y on a side.
     """
     n, W = sample.n, est.W
-    m = W.shape[1]
     paired = W.shape == (n, n)
-    G_Y = gram(est.kernel, est.Y)
     if paired and est.cond_lower_bound > 0 and not est.jitter:
-        c = n * est.lam
-
-        def omega(J: slice) -> np.ndarray:
-            Omega = W[:, J] * -c
-            cols = np.arange(Omega.shape[1])
-            Omega[J.start + cols, cols] += 1.0
-            return Omega
-    else:
-        G_X = gram(est.kernel, est.X)
-
-        def omega(J: slice) -> np.ndarray:
-            return W @ G_X[:, J]
-
+        return _tikhonov_risk_and_hs(est)
+    m = W.shape[1]
+    G_Y, G_X = gram(est.kernel, est.Y), gram(est.kernel, est.X)
     t, u = (slice(None),) * 2 if paired else (_support(sample.X)[1], _support(sample.Y)[1])
     cross_term, norm_term, hs = np.empty(n), np.empty(m), 0.0
     for j in range(0, m, REPORT_BLOCK):
         J = slice(j, min(j + REPORT_BLOCK, m))
-        Omega = omega(J)
+        Omega = W @ G_X[:, J]
         B = G_Y @ Omega
         if paired:
             cross_term[J] = np.einsum("ji,ji->i", Omega, G_Y[:, J])
@@ -430,6 +425,44 @@ def _fitted_risk_and_hs(est: CmeEstimator, sample: PairedSample) -> tuple[float,
         del Omega, B                                        # so the next block never meets them
     risk = float(np.mean(np.diagonal(G_Y)[u] - 2.0 * cross_term + norm_term[t]))
     return risk, hs
+
+
+def _tikhonov_risk_and_hs(est: CmeEstimator) -> tuple[float, float]:
+    """The report of an unjittered Tikhonov fit on n distinct points, from its solved system.
+
+    With c = n*lam, (G_X + c I) W = I (see ``CmeEstimator``) makes W symmetric
+    and Omega = W G_X = I - c W.  So the risk (1/n) tr((I - Omega)^T G_Y (I - Omega))
+    is (c^2/n) q with q = sum(G_Y * W^2), and hs = tr(G_Y W G_X W) =
+    sum(G_Y * (W - c W^2)).  Both are sums over the lower block triangle,
+    REPORT_ROWS rows J at a time: W[J, :] @ W[:J.stop].T, one GEMM, against
+    the cross-Gram block G_Y[J, :J.stop], whose entries left of the diagonal
+    block count twice.  That is n^3 flops, and W plus two row blocks are held.
+
+    W - c W^2 is formed entry by entry before the sum: at large lambda c W is
+    near I, and tr(G_Y W) - c q cancels.  So does W_ii - c (W^2)_ii, whose
+    GEMM value carries the rounding of adding W_ii^2 to n small terms; the
+    diagonal is formed as W_ii (1 - c W_ii) - c sum_{l != i} W_il^2 instead.
+    """
+    W, Y = est.W, est.Y
+    n = W.shape[0]
+    c = n * est.lam
+    q = hs = 0.0
+    for j in range(0, n, REPORT_ROWS):
+        J = slice(j, min(j + REPORT_ROWS, n))
+        k, rows = J.stop, np.arange(J.stop - j)
+        P = W[J] @ W[:k].T                                  # (W^2)[J, :J.stop]
+        G = cross_gram(est.kernel, _point_rows(Y, J), _point_rows(Y, slice(0, k)))
+        G[:, :j] *= 2.0                                     # exact: the mirrored entries
+        q += float(np.einsum("ij,ij->i", G, P).sum())
+        d, square = W[rows + j, rows + j], np.array(W[J, J])
+        square[rows, rows] = 0.0
+        off = sum(np.einsum("ij,ij->i", A, A) for A in (W[J, :j], square, W[J, k:]))
+        P *= -c
+        P += W[J, :k]
+        P[rows, rows + j] = d * (1.0 - c * d) - c * off     # (W - c W^2)[J, :J.stop]
+        hs += float(np.einsum("ij,ij->i", G, P).sum())
+        del P, G                                            # so the next block never meets them
+    return c * c * q / n, hs
 
 
 def hs_norm_sq(est: CmeEstimator) -> float:

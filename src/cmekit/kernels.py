@@ -99,13 +99,38 @@ def _point_tuple(points: Sequence[Point], what: str) -> _Points:
     return pts
 
 
+def _point_rows(points: _Points, rows: slice) -> Sequence[Point]:
+    """``points[rows]`` of a checked tuple, carrying a view of its coordinates, so that no
+    row block stacks them again.  An empty slice stays a plain tuple, which no check accepts."""
+    part = points[rows]
+    if not part:
+        return part
+    part = _Points(part)
+    part._coords = points._coords[rows]
+    return part
+
+
+class _Adopted:
+    """An array the package made itself, handed to a value type: ``_frozen_array`` holds it
+    without a copy.  No other code keeps it, so freezing it cannot surprise a caller."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 def _frozen_array(values, what: str, dtype: type = float) -> np.ndarray:
     """A read-only, C-ordered, finite copy of ``values``: every value type's array check.
 
     C order keeps results bit-identical whether an array came from a solver
-    (Fortran order) or from a file.
+    (Fortran order) or from a file.  An ``_Adopted`` array already of that
+    dtype and order is checked and frozen in place, not copied.
     """
-    arr = np.array(values, dtype=dtype, order="C")
+    if type(values) is _Adopted:
+        arr = np.asarray(values.array, dtype=dtype, order="C")
+    else:
+        arr = np.array(values, dtype=dtype, order="C")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must be finite")
     arr.setflags(write=False)

@@ -244,10 +244,12 @@ out = {tmp_path / 'lw.txt'}
         capsys.readouterr()
 
     def test_one_gram_per_training_block(self, tmp_path, capsys, monkeypatch):
-        # two n-sided blocks: the fit's G_X, built by cross_gram into the buffer
-        # it factors, and the report's G_Y; the report takes W G_X from the fit
+        # one n-sided block, the fit's G_X, built by cross_gram into the buffer it
+        # factors; the report builds only the lower block triangle of G_Y, in row
+        # blocks (here of three rows), and needs no G_X: W G_X = I - n*lam*W
         import cmekit.estimators as est_mod
 
+        monkeypatch.setattr(est_mod, "REPORT_ROWS", 3)
         built = count_blocks(monkeypatch, est_mod)
         rng = np.random.default_rng(3)
         sample = PairedSample(
@@ -259,7 +261,8 @@ out = {tmp_path / 'lw.txt'}
         assert main(["estimate", "--config", estimate_config(tmp_path, pairs, lam="0.01")]) == 0
         metrics = json.loads(capsys.readouterr().out)
         assert metrics["hs_norm_sq"] > 0
-        assert built == [("cross_gram", 7, 7), ("gram", 7)]
+        assert built == [("cross_gram", 7, 7), ("cross_gram", 3, 3), ("cross_gram", 3, 6),
+                         ("cross_gram", 1, 7)]
 
     def test_jitter_is_reported_on_stderr_only(self, tmp_path, capsys):
         # bandwidth 10 and lambda 1e-17 make G_X + n*lam*I numerically singular
@@ -409,6 +412,38 @@ out = {tmp_path / 'eig.csv'}
         code = main(["edmd", "--config", self._config(tmp_path, model_file, n=5, r=9)])
         assert code == 2
         assert "r out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sampler, data",
+        [
+            ("sample_pairs", "source = finite-model\nmodel_file = {model}\n"),
+            ("ou_sample_pairs", OU_SOURCE),
+            ("double_well_pairs",
+             "source = double-well\nbeta = 3.0\ndt = 0.001\nsteps_per_pair = 500\n"),
+        ],
+        ids=["finite-model", "ou", "double-well"],
+    )
+    def test_r_is_checked_before_the_sample_is_drawn(self, tmp_path, capsys, monkeypatch,
+                                                      sampler, data):
+        # a sampled source draws [run] n pairs, so an r out of range exits 2
+        # without running the sampler, which can take seconds
+        import cmekit.models as md
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler ran")
+
+        monkeypatch.setattr(md, sampler, refuse)
+        model_file = tmp_path / "model.txt"
+        write_model_file(str(model_file), FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2)))
+        for r in (0, 6):
+            cfg = write(
+                tmp_path / "edmd.cfg",
+                "[kernel]\nvariant = gaussian\nbandwidth = 1.0\n[data]\n"
+                + data.format(model=model_file)
+                + f"[run]\nlambda = 1e-3\nn = 5\nr = {r}\nout = {tmp_path / 'eig.csv'}\n",
+            )
+            assert main(["edmd", "--config", cfg]) == 2
+            assert "r out of range: need 1 <= r <= n = 5" in capsys.readouterr().err
 
     def test_r_above_the_distinct_states_exits_1(self, tmp_path, capsys):
         # r <= n passes validation, but 4 states give only 4 eigenfunctions of nonzero norm
@@ -853,6 +888,24 @@ out = {tmp_path / 'e1.txt'}
 
 class TestCodec:
     """File formats: byte-stable round trips and parse errors that name the line."""
+
+    def test_reading_an_estimator_holds_one_w_block(self, tmp_path):
+        # the estimator holds the w record that the reader made, not a copy of it
+        import tracemalloc
+
+        est = fit_cme(ou_sample_pairs(1.0, 0.5, 600, 3), GAUSS, Tikhonov(), 1e-3)
+        path = str(tmp_path / "est.bin")
+        write_estimator(path, est)
+        tracemalloc.start()
+        try:
+            loaded = read_estimator(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.W.tobytes() == est.W.tobytes()
+        assert loaded.W.flags.c_contiguous and not loaded.W.flags.writeable
+        # W is one block; the finiteness check's n x n booleans are 0.125 more
+        assert peak <= 1.3 * est.W.nbytes
 
     @staticmethod
     def _objects():

@@ -26,7 +26,7 @@ from cmekit import (
     mmd_sq_unbiased,
     pt,
 )
-from cmekit import kernels
+from cmekit import embeddings, kernels
 from cmekit.embeddings import _mmd_sq
 
 GAUSS = GaussianKernel(bandwidth=1.0)
@@ -274,6 +274,24 @@ class TestStreamedMmd:
             tracemalloc.stop()
         # one 600 x 700 block would be 3.4 MB, about thirteen row blocks
         assert peak <= 3 * row_block < 600 * 700 * 8 / 4
+
+    def test_row_blocks_are_slices_of_the_checked_sample(self):
+        # each row block reaches cross_gram with a view of the sample's coordinates,
+        # so no cross_gram call stacks its rows again
+        rng = np.random.default_rng(29)
+        P, Q = random_points(rng, 300, 1), random_points(rng, 200, 1)
+        inner, blocks = embeddings.cross_gram, []
+
+        def recording(kernel, rows, cols):
+            blocks.append(rows)
+            return inner(kernel, rows, cols)
+
+        with mock.patch.object(embeddings, "cross_gram", recording):
+            _mmd_sq(GAUSS, P, Q)
+        assert len(blocks) > 3
+        for rows in blocks:
+            assert type(rows) is kernels._Points and rows._coords.base is not None
+            assert np.array_equal(rows._coords, [p.coords for p in rows])
 
     def test_table_kernel_sums_state_counts_not_row_blocks(self):
         # one table lookup per point, however many row blocks the samples span

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,13 +68,14 @@ def random_sample(rng, n, d=1, spread=2.0):
     return PairedSample(X=X, Y=Y)
 
 
+def exact_ints(A):
+    """A float matrix as exact integers: every float64 is an integer multiple of 2**-1074."""
+    return np.array([[int(Fraction(v) * 2**1074) for v in row] for row in A], dtype=object)
+
+
 def exact_trace(W, G_Y, G_X):
     """tr(W^T G_Y W G_X) of float matrices in exact arithmetic, rounded once."""
-    # every float64 is an integer multiple of 2**-1074
-    def ints(A):
-        return np.array([[int(Fraction(v) * 2**1074) for v in row] for row in A], dtype=object)
-
-    Wi, GYi, GXi = ints(W), ints(G_Y), ints(G_X)
+    Wi, GYi, GXi = exact_ints(W), exact_ints(G_Y), exact_ints(G_X)
     return float(Fraction(int(((GYi @ Wi) * (Wi @ GXi)).sum()), 2 ** (4 * 1074)))
 
 
@@ -708,6 +710,38 @@ class TestInverse:
         assert np.max(np.abs(unjittered @ W - np.eye(n))) > 100 * tol
 
 
+    def test_the_fitted_w_is_the_solve_buffer(self, monkeypatch):
+        # the estimator holds the array the solve made, C-ordered and frozen,
+        # with its doubles unchanged; for Tikhonov that is S's own buffer
+        import cmekit.estimators as est_mod
+
+        solve, solved = est_mod._support_solve, []
+
+        def recording(S, *args):
+            out = solve(S, *args)
+            solved.append((S, out[0], out[0].tobytes()))
+            return out
+
+        monkeypatch.setattr(est_mod, "_support_solve", recording)
+        sample = random_sample(np.random.default_rng(36), 40)
+        for filt in (Tikhonov(), Cutoff(), Landweber(steps=20, step_size=0.9)):
+            solved.clear()
+            est = fit_cme(sample, GAUSS, filt, 1e-3)
+            (S, Z, solved_bytes), = solved
+            assert np.shares_memory(est.W, Z)
+            assert np.shares_memory(est.W, S) == isinstance(filt, Tikhonov)
+            assert est.W.flags.c_contiguous and not est.W.flags.writeable
+            assert est.W.tobytes() == solved_bytes
+
+    def test_a_callers_array_is_copied(self):
+        sample = random_sample(np.random.default_rng(37), 6)
+        for W in (np.random.default_rng(38).normal(size=(6, 6)), np.eye(6, order="F")):
+            kept = W.copy()
+            est = CmeEstimator(kernel=GAUSS, lam=0.1, filt=Tikhonov(), X=sample.X, Y=sample.Y, W=W)
+            W[0, 0] += 1.0
+            assert not np.shares_memory(est.W, W) and np.array_equal(est.W, kept)
+            assert est.W.flags.c_contiguous and not est.W.flags.writeable and W.flags.writeable
+
 class TestPrediction:
     def test_scalar_prediction(self):
         lam = 0.7
@@ -951,11 +985,15 @@ class TestNormsAndRisks:
         # tiny W the products B_ij * W_ij round to subnormals, each off by at
         # most 2**-1075, and n**3 * 2**-1074 covers those n**2 roundings with
         # room to spare
+        assert abs(hs - exact_trace(est.W, G_Y, G_X)) <= TestNormsAndRisks.hs_bound(est, G_Y, G_X)
+
+    @staticmethod
+    def hs_bound(est, G_Y, G_X):
         n = max(est.W.shape)
         A = np.abs(est.W)
         bound = 4 * (n + 2) * np.finfo(float).eps * float(np.sum((abs(G_Y) @ A @ abs(G_X)) * A))
         underflow = n**3 * np.finfo(float).smallest_subnormal
-        assert abs(hs - exact_trace(est.W, G_Y, G_X)) <= bound + underflow
+        return bound + underflow
 
     def check_training_risk_and_hs(self, est, sample):
         # the report agrees with empirical_risk and with the trace formula
@@ -1054,10 +1092,12 @@ class TestNormsAndRisks:
 
     def test_report_in_blocks_of_three_columns(self, monkeypatch):
         # the report forms Omega REPORT_BLOCK columns at a time; with blocks of
-        # three, each pair's cross term comes from the block that holds its column
+        # three, each pair's cross term comes from the block that holds its column.
+        # An unjittered Tikhonov fit on distinct points takes REPORT_ROWS rows
         import cmekit.estimators as est_mod
 
         monkeypatch.setattr(est_mod, "REPORT_BLOCK", 3)
+        monkeypatch.setattr(est_mod, "REPORT_ROWS", 3)
         rng = np.random.default_rng(32)
         pool = [pt(v) for v in rng.normal(size=10)]
         X, Y = (tuple(pool[i] for i in rng.integers(0, m, size=30)) for m in (10, 4))
@@ -1066,6 +1106,72 @@ class TestNormsAndRisks:
                 est = fit_cme(sample, GAUSS, filt, 1e-3)
                 assert len(est.X) > 6
                 self.check_fitted_risk_and_hs(est, sample)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_tikhonov_report_matches_the_general_route(self, data):
+        # an unjittered Tikhonov fit on distinct points takes its report from the
+        # solved system, in row blocks of any size; its paired twin, which factored
+        # nothing, takes the general route
+        import cmekit.estimators as est_mod
+
+        n = data.draw(st.integers(1, 30), label="n")
+        d = data.draw(st.integers(1, 2), label="d")
+        coords = st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d).map(tuple)
+        X, Y = (tuple(map(Point, data.draw(st.lists(coords, min_size=n, max_size=n, unique=True))))
+                for _ in "xy")
+        sample = PairedSample(X=X, Y=Y)
+        width = data.draw(st.floats(0.5, 2.0), label="width")
+        kernel = data.draw(st.sampled_from([GaussianKernel(width), LaplacianKernel(width)]))
+        lam = 10.0 ** data.draw(st.floats(-3.0, 0.0), label="log10 lambda")
+        est = fit_cme(sample, kernel, Tikhonov(), lam)
+        assert est.W.shape == (n, n) and est.cond_lower_bound > 0 and est.jitter == 0.0
+        rows = data.draw(st.integers(1, 8), label="rows")
+        with mock.patch.object(est_mod, "REPORT_ROWS", rows):
+            self.check_fitted_risk_and_hs(est, sample)
+
+    def test_a_large_lambda_report_keeps_the_trace_bound(self):
+        # at lambda = 1e3, c W is near I: on this draw tr(G_Y W) - c q breaks the
+        # hs bound by 8.2x, and the report keeps within 0.35x of it
+        sample = ou_sample_pairs(1.0, 0.5, 100, 11)
+        est = fit_cme(sample, LaplacianKernel(1.0), Tikhonov(), 1e3)
+        assert est.cond_lower_bound > 0 and est.jitter == 0.0
+        self.check_training_risk_and_hs(est, sample)
+
+    def test_the_report_rounds_w_minus_c_w2_within_the_bound(self):
+        # at lambda = 1e3 c W is near I.  Against the exact sum(G_Y * (W - c W^2))
+        # of the same W, the report's own rounding is 0.04x the hs bound.  The
+        # GEMM's (W W)_ii, which adds W_ii^2 to n small terms, would carry 4.3x,
+        # and tr(G_Y W) - c q 8.0x
+        sample, kernel, lam = ou_sample_pairs(1.0, 0.5, 60, 12), LaplacianKernel(1.0), 1e3
+        est = fit_cme(sample, kernel, Tikhonov(), lam)
+        G_Y, G_X = gram(kernel, est.Y), gram(kernel, est.X)
+        Wi, Gi = exact_ints(est.W), exact_ints(G_Y)
+        exact = Fraction(int((Gi * Wi).sum()), 2**2148) - Fraction(sample.n * lam) * Fraction(
+            int((Gi * (Wi @ Wi)).sum()), 2**3222
+        )
+        hs = _fitted_risk_and_hs(est, sample)[1]
+        assert abs(hs - float(exact)) <= self.hs_bound(est, G_Y, G_X)
+
+    def test_fit_and_report_hold_one_block(self, monkeypatch):
+        # the fit hands the solve's buffer to the estimator, and the report holds
+        # W and two row blocks: no n x n G_X, G_Y or W copy.  32 rows are the
+        # share of W at n = 600 that REPORT_ROWS = 128 rows are at n = 2400
+        import tracemalloc
+
+        import cmekit.estimators as est_mod
+
+        monkeypatch.setattr(est_mod, "REPORT_ROWS", 32)
+        sample, kernel = ou_sample_pairs(1.0, 0.5, 600, 11), GaussianKernel(1.0)
+        tracemalloc.start()
+        try:
+            est = fit_cme(sample, kernel, Tikhonov(), 1e-3)
+            _fitted_risk_and_hs(est, sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # W is one block; the finiteness check's n x n booleans are 0.125 more
+        assert peak <= 1.3 * est.W.nbytes
 
     def test_subnormal_hs_stays_within_the_underflow_floor(self):
         # W of equal entries near 1e-158 on one repeated point: hs is subnormal

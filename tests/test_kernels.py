@@ -260,6 +260,22 @@ class TestCheckedPointTuples:
         with pytest.raises(ValueError, match="read-only"):
             coords[0, 0] = 5.0
 
+    @pytest.mark.parametrize("rows", [slice(0, 3), slice(2, 7), slice(5, 9), slice(1, 8, 3)])
+    def test_a_row_slice_carries_a_view_of_the_coordinates(self, rows):
+        points = _point_tuple(random_points(np.random.default_rng(7), 8, 2), "points")
+        part = kernels._point_rows(points, rows)
+        assert part == points[rows] and _point_tuple(part, "rows") is part
+        assert part._coords.tobytes() == np.array([p.coords for p in part]).tobytes()
+        assert np.shares_memory(part._coords, points._coords)
+        assert not part._coords.flags.writeable
+
+    def test_an_empty_row_slice_stays_a_plain_tuple(self):
+        points = _point_tuple(random_points(np.random.default_rng(8), 4, 1), "points")
+        part = kernels._point_rows(points, slice(2, 2))
+        assert type(part) is tuple and part == ()
+        with pytest.raises(ValueError, match="must be nonempty"):
+            coords_matrix(part)
+
     @pytest.mark.parametrize(
         "kernel", [GAUSS, TableKernel([pt(0.0), pt(1.0)], np.eye(2))], ids=["gauss", "table"]
     )

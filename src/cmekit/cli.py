@@ -645,7 +645,7 @@ def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int
         if model is not None:
             est = fit_cme(sample, kernel, Tikhonov(), lam)
             _warn_jitter(est.jitter, where=f"n = {n}: ")
-            diff, excess = md._oracle_pair(est, model, kernel, exact_vals)
+            diff, excess = md._oracle_pair(est, model, exact_vals)
             rows.append(f"{n},{_fmt(lam)},{_fmt(diff)},{_fmt(excess)},")
         else:
             result = edmd_eigen(sample, kernel, lam, r)

@@ -91,8 +91,6 @@ def _mmd_sq(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> tuple[flo
     counts c of each sample, one table lookup per point.
     The unbiased value is None below two points per sample.
     """
-    if len(P) == 0 or len(Q) == 0:
-        raise ValueError("cannot compute MMD of an empty sample")
     P, Q = _point_tuple(P, "MMD sample"), _point_tuple(Q, "MMD sample")
     if (len(Q), Q._coords.tobytes()) < (len(P), P._coords.tobytes()):
         P, Q = Q, P

@@ -142,21 +142,19 @@ def exact_operator_values(model: FiniteMarkovModel, kernel: Kernel) -> np.ndarra
     return model.transition @ _state_gram(model, kernel)
 
 
-def estimator_values(est: CmeEstimator, model: FiniteMarkovModel, kernel: Kernel) -> np.ndarray:
-    """The fitted operator in state coordinates: B = K_EX W^T K_YE.
+def estimator_values(est: CmeEstimator, model: FiniteMarkovModel) -> np.ndarray:
+    """The fitted operator in state coordinates: B = K_EX W^T K_YE, K the estimator's kernel.
 
     Row i evaluates the fitted operator at e_i exactly as
     predict_conditional_expectation does, column j is the image of phi(e_j).
     Training Y off the states raise ``ValueError``: the operator then senses
     f off span phi(states), where the exact map says nothing.
     """
-    if est.kernel != kernel:
-        raise ValueError("estimator kernel does not match the oracle kernel")
     off = set(est.Y).difference(model.states)
     if off:
         raise ValueError(f"training Y off the model states: {sorted(p.coords for p in off)}")
-    K_ex = cross_gram(kernel, model.states, est.X)
-    return K_ex @ est.W.T @ cross_gram(kernel, est.Y, model.states)
+    K_ex = cross_gram(est.kernel, model.states, est.X)
+    return K_ex @ est.W.T @ cross_gram(est.kernel, est.Y, model.states)
 
 
 def op_norm_diff(
@@ -184,14 +182,13 @@ def op_norm_diff(
     return float(np.sqrt(max(top[-1], 0.0)))
 
 
-def exact_excess_risk(est: CmeEstimator, model: FiniteMarkovModel, kernel: Kernel) -> float:
-    """Exact E[ ||F*(X) - A* phi(X)||_H^2 ] under the model's marginal.
+def exact_excess_risk(est: CmeEstimator, model: FiniteMarkovModel) -> float:
+    """Exact E[ ||F*(X) - A* phi(X)||_H^2 ] under the model's marginal, H the estimator's RKHS.
 
     F*(e_i) carries the transition row i on the states; the estimator side is
     the predicted embedding at e_i, weights W k_X(e_i) on est.Y.
     """
-    if est.kernel != kernel:
-        raise ValueError("estimator kernel does not match the oracle kernel")
+    kernel = est.kernel
     P = model.transition
     K_E = _state_gram(model, kernel)
     omega = est.W @ cross_gram(kernel, est.X, model.states)  # column i = predicted weights at e_i
@@ -342,11 +339,12 @@ def constant_direction_alt(
 
 
 def _oracle_pair(
-    est: CmeEstimator, model: FiniteMarkovModel, kernel: Kernel, exact_vals: np.ndarray
+    est: CmeEstimator, model: FiniteMarkovModel, exact_vals: np.ndarray
 ) -> tuple[float, float]:
-    """``||A_est - A||`` from H to L2(pi), ``A`` given by ``exact_vals``, and the excess risk."""
-    diff = op_norm_diff(estimator_values(est, model, kernel), exact_vals, model, kernel)
-    return diff, exact_excess_risk(est, model, kernel)
+    """``||A_est - A||`` from H to L2(pi), ``A`` given by ``exact_vals``, and the excess risk;
+    H is the estimator's RKHS, so ``exact_vals`` must come from ``est.kernel``."""
+    diff = op_norm_diff(estimator_values(est, model), exact_vals, model, est.kernel)
+    return diff, exact_excess_risk(est, model)
 
 
 def verify(model: FiniteMarkovModel, kernel: Kernel, seed: int) -> list[tuple]:
@@ -367,9 +365,9 @@ def verify(model: FiniteMarkovModel, kernel: Kernel, seed: int) -> list[tuple]:
 
     def mmd_relation(pair):
         """||A - A'||^2 and the MMD integral for the two Markov kernels of ``pair``."""
-        alt = FiniteMarkovModel(pair.states, pair.marginal, pair.transition_alt)
-        vals = [exact_operator_values(chain, kernel) for chain in (pair, alt)]
-        return op_norm_diff(*vals, pair, kernel) ** 2, exact_mmd_integral(pair, kernel)
+        K_E = _state_gram(pair, kernel)
+        diff = op_norm_diff(pair.transition @ K_E, pair.transition_alt @ K_E, pair, kernel)
+        return diff**2, exact_mmd_integral(pair, kernel)
 
     # operator-norm bound on randomized fitted estimators (worst instance shown)
     worst = None
@@ -382,7 +380,7 @@ def verify(model: FiniteMarkovModel, kernel: Kernel, seed: int) -> list[tuple]:
             int(rng.integers(0, 3))
         ]
         est = fit_cme(sample, kernel, filt, lam)
-        diff, rhs = _oracle_pair(est, model, kernel, exact_vals)
+        diff, rhs = _oracle_pair(est, model, exact_vals)
         if worst is None or diff**2 - rhs > worst[0] - worst[1]:
             worst = (diff**2, rhs)
     leq("operator-norm-bound", worst[0], worst[1], 1e-9)
@@ -390,7 +388,7 @@ def verify(model: FiniteMarkovModel, kernel: Kernel, seed: int) -> list[tuple]:
     # sharpness: constant-difference witness attains equality
     shift = rng.standard_normal(model.m) * 0.3
     witness = constant_shift_estimator(model, kernel, shift)
-    diff, rhs = _oracle_pair(witness, model, kernel, exact_vals)
+    diff, rhs = _oracle_pair(witness, model, exact_vals)
     close("bound-sharpness", diff**2, rhs, 1e-9)
 
     # MMD relation for a pair of Markov kernels
@@ -412,7 +410,7 @@ def verify(model: FiniteMarkovModel, kernel: Kernel, seed: int) -> list[tuple]:
     exact_est = well_specified_estimator(model, kernel, perm)
     det_model = FiniteMarkovModel(model.states, model.marginal, np.eye(model.m)[perm])
     det_vals = exact_operator_values(det_model, kernel)
-    lhs = op_norm_diff(estimator_values(exact_est, det_model, kernel), det_vals, det_model, kernel)
+    lhs = op_norm_diff(estimator_values(exact_est, det_model), det_vals, det_model, kernel)
     leq("well-specified-recovery", lhs, 0.0, 1e-10)
 
     # risk decomposition, worst of 20 random embedding-valued functions

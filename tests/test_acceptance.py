@@ -68,9 +68,9 @@ def rng_for(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-def bound_sides(est, model, kernel):
-    """||A_est - A||^2 from H to L2(pi) and the exact excess risk of ``est``."""
-    diff, excess = _oracle_pair(est, model, kernel, exact_operator_values(model, kernel))
+def bound_sides(est, model):
+    """||A_est - A||^2 from H to L2(pi), H the estimator's RKHS, and the exact excess risk."""
+    diff, excess = _oracle_pair(est, model, exact_operator_values(model, est.kernel))
     return diff**2, excess
 
 
@@ -91,7 +91,7 @@ def test_criterion_01_operator_norm_bound():
         ][int(rng.integers(0, 3))]
         sample = sample_pairs(model, n, int(rng.integers(0, 2**63)))
         est = fit_cme(sample, GAUSS, filt, lam)
-        lhs, rhs = bound_sides(est, model, GAUSS)
+        lhs, rhs = bound_sides(est, model)
         worst = max(worst, lhs - rhs)
         assert lhs <= rhs + 1e-9
     elapsed = time.perf_counter() - t0
@@ -106,7 +106,7 @@ def test_criterion_02_bound_sharpness():
     for _ in range(10):
         model = random_model(rng, int(rng.integers(2, 7)))
         witness = constant_shift_estimator(model, GAUSS, rng.standard_normal(model.m) * 0.5)
-        lhs, rhs = bound_sides(witness, model, GAUSS)
+        lhs, rhs = bound_sides(witness, model)
         worst = max(worst, abs(lhs - rhs))
         assert lhs == pytest.approx(rhs, abs=1e-9)
     report(2, "bound sharpness", f"worst deviation {worst:.2e}")
@@ -203,7 +203,7 @@ def test_criterion_05_well_specified_recovery():
     model = FiniteMarkovModel(chain_states(4), np.full(4, 0.25), np.eye(4)[perm])
     exact = well_specified_estimator(model, GAUSS, perm)
     exact_diff = op_norm_diff(
-        estimator_values(exact, model, GAUSS), exact_operator_values(model, GAUSS), model, GAUSS
+        estimator_values(exact, model), exact_operator_values(model, GAUSS), model, GAUSS
     )
     assert exact_diff <= 1e-10
     estimated = []
@@ -211,7 +211,7 @@ def test_criterion_05_well_specified_recovery():
         sample = sample_pairs(model, 4000, seed)
         est = fit_tikhonov_closed_form(sample, GAUSS, 1e-4)
         diff = op_norm_diff(
-            estimator_values(est, model, GAUSS), exact_operator_values(model, GAUSS), model, GAUSS
+            estimator_values(est, model), exact_operator_values(model, GAUSS), model, GAUSS
         )
         estimated.append(diff)
         assert diff <= 0.05
@@ -306,7 +306,7 @@ def test_criterion_09_finite_rank_convergence():
             sample = sample_pairs(model, n, seed)
             est = fit_tikhonov_closed_form(sample, GAUSS, lam)
             diffs.append(
-                op_norm_diff(estimator_values(est, model, GAUSS), exact_vals, model, GAUSS)
+                op_norm_diff(estimator_values(est, model), exact_vals, model, GAUSS)
             )
         tracks.append(diffs)
         assert all(b <= 1.1 * a for a, b in zip(diffs, diffs[1:]))

@@ -202,8 +202,9 @@ class TestMmdBiased:
             assert d_pr <= d_pq + d_qr + 1e-10
 
     def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            mmd_sq_biased(GAUSS, [], [pt(0.0)])
+        for P, Q in (([], [pt(0.0)]), ([pt(0.0)], [])):
+            with pytest.raises(ValueError, match="MMD sample must be nonempty"):
+                mmd_sq_biased(GAUSS, P, Q)
 
     def test_mixed_dimensions_raise_the_package_error(self):
         with pytest.raises(ValueError, match="inconsistent point dimensions"):

@@ -429,12 +429,8 @@ class TestSupportView:
             assert np.array_equal(support.W, paired.W)
         summed_W = on_support(paired.W, sample, support)
         self.close(support.W, summed_W)
-        self.close(
-            estimator_values(support, model, kernel), estimator_values(paired, model, kernel)
-        )
-        self.close(
-            exact_excess_risk(support, model, kernel), exact_excess_risk(paired, model, kernel)
-        )
+        self.close(estimator_values(support, model), estimator_values(paired, model))
+        self.close(exact_excess_risk(support, model), exact_excess_risk(paired, model))
         self.close(hs_norm_sq(support), hs_norm_sq(paired))
         # the held-out risk cancels terms of order 1 down to as little as 1e-7
         risk = empirical_risk(support, held_out)

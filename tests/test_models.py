@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,6 +52,7 @@ from cmekit import (
     stationary_distribution,
     well_specified_estimator,
 )
+from cmekit import models
 from cmekit.estimators import PairedSample
 from cmekit.kernels import _point_tuple, coords_matrix
 from cmekit.models import verify
@@ -383,7 +385,7 @@ class TestIllConditionedStateGram:
         est = fit_tikhonov_closed_form(sample_pairs(model, 50, 1), k, 1e-3)
         calls = [
             lambda: exact_operator_values(model, k),
-            lambda: exact_excess_risk(est, model, k),
+            lambda: exact_excess_risk(est, model),
             lambda: exact_mmd_integral(replace(model, transition_alt=model.transition[::-1]), k),
             lambda: exact_risk(model.transition, model, k),
             lambda: well_specified_estimator(model, k, list(range(8))),
@@ -406,7 +408,7 @@ class TestEstimatorValues:
             Y=model.states,
             W=np.zeros((2, 2)),
         )
-        vals = estimator_values(est, model, GAUSS)
+        vals = estimator_values(est, model)
         assert np.max(np.abs(vals)) == 0.0
 
     def test_single_training_pair_scalar(self):
@@ -414,7 +416,7 @@ class TestEstimatorValues:
         model = FiniteMarkovModel(chain_states(1), [1.0], [[1.0]])
         sample = PairedSample(X=(model.states[0],), Y=(model.states[0],))
         est = fit_tikhonov_closed_form(sample, GAUSS, lam)
-        vals = estimator_values(est, model, GAUSS)
+        vals = estimator_values(est, model)
         assert vals[0, 0] == pytest.approx(1.0 / (1.0 + lam), abs=1e-14)
 
     def test_agrees_with_prediction_route(self):
@@ -422,7 +424,7 @@ class TestEstimatorValues:
         model = random_model(rng, 4)
         sample = sample_pairs(model, 100, 17)
         est = fit_tikhonov_closed_form(sample, GAUSS, 1e-2)
-        vals = estimator_values(est, model, GAUSS)
+        vals = estimator_values(est, model)
         assert vals.shape == (4, 4)
         # column j holds the values at the states of the image of k(., e_j)
         for j, e_j in enumerate(model.states):
@@ -443,8 +445,8 @@ class TestEstimatorValues:
             )
             lam = float(10.0 ** rng.uniform(-3, -1))
             for filt in (Tikhonov(), Cutoff(), Landweber(steps=20, step_size=0.9)):
-                vals = estimator_values(fit_cme(sample, GAUSS, filt, lam), model, GAUSS)
-                twin = estimator_values(fit_cme(permuted, GAUSS, filt, lam), model, GAUSS)
+                vals = estimator_values(fit_cme(sample, GAUSS, filt, lam), model)
+                twin = estimator_values(fit_cme(permuted, GAUSS, filt, lam), model)
                 assert np.max(np.abs(twin - vals)) <= 1e-12 * np.max(np.abs(vals))
 
     def test_off_state_training_Y_is_refused(self):
@@ -457,13 +459,7 @@ class TestEstimatorValues:
         est = fit_tikhonov_closed_form(sample, GAUSS, 0.05)
         off = r"off the model states: \[\(0\.6,\), \(1\.1,\), \(2\.9,\)\]"
         with pytest.raises(ValueError, match=off):
-            estimator_values(est, model, GAUSS)
-
-    def test_kernel_mismatch(self):
-        model = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2))
-        est = well_specified_estimator(model, GAUSS, [0, 1])
-        with pytest.raises(ValueError, match="kernel"):
-            estimator_values(est, model, GaussianKernel(bandwidth=2.0))
+            estimator_values(est, model)
 
 
 class TestOpNormDiff:
@@ -484,7 +480,7 @@ class TestOpNormDiff:
             Y=model.states,
             W=np.zeros((1, 1)),
         )
-        zero_vals = estimator_values(zero, model, GAUSS)
+        zero_vals = estimator_values(zero, model)
         assert op_norm_diff(zero_vals, vals, model, GAUSS) == pytest.approx(1.0, abs=1e-12)
 
     def test_dominates_random_search(self):
@@ -580,7 +576,7 @@ class TestExcessRiskAndBound:
                 ),
             ):
                 expected, scale = excess_risk_by_embeddings(est, model, GAUSS)
-                assert abs(exact_excess_risk(est, model, GAUSS) - expected) <= 1e-12 * scale
+                assert abs(exact_excess_risk(est, model) - expected) <= 1e-12 * scale
 
     def test_well_specified_is_zero(self):
         rng = rng_for(62)
@@ -588,10 +584,10 @@ class TestExcessRiskAndBound:
         perm = [1, 3, 0, 2]
         det = FiniteMarkovModel(model.states, model.marginal, np.eye(4)[perm])
         est = well_specified_estimator(det, GAUSS, perm)
-        assert exact_excess_risk(est, det, GAUSS) <= 1e-10
+        assert exact_excess_risk(est, det) <= 1e-10
         assert (
             op_norm_diff(
-                estimator_values(est, det, GAUSS), exact_operator_values(det, GAUSS), det, GAUSS
+                estimator_values(est, det), exact_operator_values(det, GAUSS), det, GAUSS
             )
             <= 1e-10
         )
@@ -611,7 +607,7 @@ class TestExcessRiskAndBound:
         expected = float(
             model.marginal @ np.einsum("ij,jk,ik->i", model.transition, K_E, model.transition)
         )
-        assert exact_excess_risk(est, model, GAUSS) == pytest.approx(expected, abs=1e-12)
+        assert exact_excess_risk(est, model) == pytest.approx(expected, abs=1e-12)
 
     def test_bound_on_random_configurations(self):
         rng = rng_for(64)
@@ -621,14 +617,14 @@ class TestExcessRiskAndBound:
             est = fit_cme(sample, GAUSS, Tikhonov(), float(10.0 ** rng.uniform(-5, 0)))
             lhs = (
                 op_norm_diff(
-                    estimator_values(est, model, GAUSS),
+                    estimator_values(est, model),
                     exact_operator_values(model, GAUSS),
                     model,
                     GAUSS,
                 )
                 ** 2
             )
-            assert lhs <= exact_excess_risk(est, model, GAUSS) + 1e-9
+            assert lhs <= exact_excess_risk(est, model) + 1e-9
 
     def test_sharpness_witness(self):
         rng = rng_for(65)
@@ -636,14 +632,14 @@ class TestExcessRiskAndBound:
         witness = constant_shift_estimator(model, GAUSS, rng.standard_normal(4) * 0.4)
         lhs = (
             op_norm_diff(
-                estimator_values(witness, model, GAUSS),
+                estimator_values(witness, model),
                 exact_operator_values(model, GAUSS),
                 model,
                 GAUSS,
             )
             ** 2
         )
-        rhs = exact_excess_risk(witness, model, GAUSS)
+        rhs = exact_excess_risk(witness, model)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_excess_risk_is_the_held_out_risk_gap(self):
@@ -659,7 +655,7 @@ class TestExcessRiskAndBound:
             for _ in range(20):
                 held = sample_pairs(model, 10_000, int(rng.integers(0, 2**32)))
                 gaps.append(empirical_risk(est, held) - empirical_risk(f_star, held))
-            excess = exact_excess_risk(est, model, GAUSS)
+            excess = exact_excess_risk(est, model)
             se = np.std(gaps, ddof=1) / np.sqrt(len(gaps))
             assert abs(np.mean(gaps) - excess) <= 4.0 * se
             assert 8.0 * se < excess      # the band is narrower than what it checks
@@ -840,6 +836,31 @@ class TestVerify:
         assert info <= {"mmd-relation-strict-gap"}
         aligned = {"mmd-relation-equality-aligned"} if m >= 2 else set()
         assert set(verdicts) - info == self.CHECKS | aligned
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m=st.integers(1, 6),
+        seed=st.integers(0, 2**64 - 1),
+        alt=st.booleans(),
+        kernel=st.sampled_from([GAUSS, LaplacianKernel(scale=1.0)]),
+    )
+    def test_mmd_rows_match_the_route_through_both_models(self, m, seed, alt, kernel):
+        # each mmd-relation row, bit for bit, by exact_operator_values of the pair and
+        # of a second model that carries the pair's alternative kernel as its own
+        model = random_model(np.random.default_rng(seed), m, alt=alt)
+        with mock.patch.object(models, "exact_mmd_integral", wraps=exact_mmd_integral) as spy:
+            rows = verify(model, kernel, seed)
+        pairs = [call.args[0] for call in spy.call_args_list]
+        assert len(pairs) == (2 if m >= 2 else 1)
+        names = ["mmd-relation-inequality", "mmd-relation-equality-aligned"]
+        got = {name: (lhs, rhs) for name, lhs, rhs, _, _ in rows}
+        for name, pair in zip(names, pairs):
+            alt_model = FiniteMarkovModel(pair.states, pair.marginal, pair.transition_alt)
+            vals = [exact_operator_values(chain, kernel) for chain in (pair, alt_model)]
+            expected = op_norm_diff(*vals, pair, kernel) ** 2, exact_mmd_integral(pair, kernel)
+            assert got[name] == expected
+        if "mmd-relation-strict-gap" in got:
+            assert got["mmd-relation-strict-gap"] == got["mmd-relation-inequality"]
 
 
 class TestSamplers:

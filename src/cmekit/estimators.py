@@ -29,7 +29,9 @@ where F is the n x m_Y indicator of Y, N = E^T F the pair counts and Z the
 solve's output (see ``_on_support``).  Summing W's rows over repeated Y and
 its columns over repeated X leaves every prediction unchanged, so W_c is the
 operator W.  With no repeated point S is G_X, and W_c is W, computed exactly
-as the n x n algebra above.
+as the n x n algebra above.  ``_support`` finds the distinct values with
+``np.unique`` on the sample's coordinate array, and ``_on_support`` sums
+N^T Z in row gathers of Z, so neither loops over the n points in Python.
 
 Filters: Tikhonov g(s) = 1/(s + lam); hard cutoff g(s) = 1/s for s >= lam,
 else 0; Landweber g(s) = (1 - (1 - eta*s)^m) / s with the s = 0 limit m*eta.
@@ -57,12 +59,11 @@ from typing import Sequence, Union
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .embeddings import WeightedEmbedding
 from .kernels import (
-    Kernel, Point, _Adopted, _Rebuilt, _frozen_array, _kernel_diagonal, _point_rows, _point_tuple,
-    cross_gram, gram,
+    _BLOCK_ENTRIES, Kernel, Point, _Adopted, _Rebuilt, _frozen_array, _kernel_diagonal, _point_rows,
+    _point_tuple, cross_gram, gram,
 )
 
 RANK_TOL = 1e-12
@@ -234,11 +235,24 @@ def solve_pd(matrix: np.ndarray, rhs: np.ndarray, shift: float = 0.0) -> tuple[n
     return scipy.linalg.cho_solve(factor, X, overwrite_b=True), jitter
 
 
-def _support(points: Sequence[Point]) -> tuple[tuple[Point, ...], np.ndarray, np.ndarray]:
-    """Distinct points D in first-appearance order, each point's index into D, and D's counts."""
-    index: dict[Point, int] = {}
-    inv = np.array([index.setdefault(p, len(index)) for p in points], dtype=np.intp)
-    return tuple(index), inv, np.bincount(inv).astype(float)
+def _support(points: Sequence[Point]) -> tuple[Sequence[Point], np.ndarray, np.ndarray]:
+    """Distinct points D in first-appearance order, each point's index into D, and D's counts.
+
+    ``np.unique`` keys each row of the checked tuple's coordinates by its value
+    at d = 1 and by its bytes at d >= 2 (``axis=0`` sorts a structured view,
+    several times slower).  Adding 0.0 makes -0.0 and 0.0 one point, as
+    ``Point`` equality does, so finite rows are equal exactly when their bytes
+    are.  Ranking the first indices restores first-appearance order; D holds
+    each value's first Point and its coordinate row.
+    """
+    pts = _point_tuple(points, "point list")
+    coords = pts._coords + 0.0
+    row_bytes = np.dtype((np.void, coords[0].nbytes))
+    keys = coords[:, 0] if coords.shape[1] == 1 else coords.view(row_bytes)[:, 0]
+    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    inv = np.argsort(order)[inv]                            # argsort inverts the permutation
+    return _point_rows(pts, first[order]), inv, np.bincount(inv).astype(float)
 
 
 def _support_gram(kernel: Kernel, support: Sequence[Point], counts: np.ndarray) -> np.ndarray:
@@ -313,15 +327,38 @@ def _on_support(
     N^T C^{-1/2} (Z - c I) C^{1/2} + c N^T, in which c cancels.  With no
     repeated X, C = I and N^T = F^T sums Z's rows over repeated Y; with no
     repeated point either, W_c is ``Z`` itself.
+
+    Row u of W_c is summed in a sparse CSR product's order: 0.0 plus its first
+    X partner's term (that row of C^{-1/2} Z C^{1/2} times their pair count),
+    then each further partner's, in ascending X order.  The first terms go
+    straight into W_c in row blocks of about ``_BLOCK_ENTRIES`` entries; each
+    later pass adds one partner to every row that has one.
     """
     n, m = len(inv), len(counts)
-    if m < n:
-        root = np.sqrt(counts)
-        Z = Z * np.outer(1.0 / root, root)
     if m == m_y == n:
         return Z
-    N_T = scipy.sparse.csr_array((np.ones(n), (inv_y, inv)), shape=(m_y, m))
-    return N_T @ Z
+    pairs, N = np.unique(inv_y * m + inv, return_counts=True)   # ascending Y, then X
+    rows, cols = np.divmod(pairs, m)
+    N, root = N.astype(float), np.sqrt(counts)
+    inv_root = 1.0 / root
+
+    def terms(at: np.ndarray) -> np.ndarray:
+        """Rows cols[at] of C^{-1/2} Z C^{1/2}, times the pair counts N[at]."""
+        T = Z[cols[at]]
+        if m < n:
+            T *= np.outer(inv_root[cols[at]], root)
+        T *= N[at, None]
+        return T
+
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))             # row u's first partner
+    W_c, step = np.empty((m_y, m)), max(1, _BLOCK_ENTRIES // m)
+    for j in range(0, m_y, step):
+        np.add(terms(starts[j:j + step]), 0.0, out=W_c[j:j + step])  # 0.0 + a*z: -0.0 becomes 0.0
+    rank = np.arange(len(pairs)) - np.repeat(starts, np.diff(starts, append=len(pairs)))
+    for k in range(1, int(rank.max()) + 1):
+        at = np.flatnonzero(rank == k)
+        W_c[rows[at]] += terms(at)
+    return W_c
 
 
 def _filtered_coefficients(S: np.ndarray, n: int, filt: SpectralFilter, lam: float) -> np.ndarray:
@@ -348,7 +385,7 @@ def fit_cme(sample: PairedSample, kernel: Kernel, filt: SpectralFilter, lam: flo
     from its Cholesky factor in S's own buffer, so the solve holds one m x m
     block (see ``_support_solve``).  Cutoff and Landweber eigendecompose
     S / n and apply the scalar filter to its spectrum.
-    Past the O(n) passes that find the distinct values, every array is
+    Past the O(n) array passes that find the distinct values, every array is
     m_X x m_X or m_Y x m_X, and the estimator holds the array the solve made
     (for no repeated point, S's own buffer) without a copy.
     """

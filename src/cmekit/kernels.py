@@ -99,14 +99,17 @@ def _point_tuple(points: Sequence[Point], what: str) -> _Points:
     return pts
 
 
-def _point_rows(points: _Points, rows: slice) -> Sequence[Point]:
-    """``points[rows]`` of a checked tuple, carrying a view of its coordinates, so that no
-    row block stacks them again.  An empty slice stays a plain tuple, which no check accepts."""
-    part = points[rows]
+def _point_rows(points: _Points, rows: Union[slice, np.ndarray]) -> Sequence[Point]:
+    """The rows of a checked tuple picked by a slice or an index array, carrying their
+    coordinate rows (a view for a slice), so that nothing stacks them again.  An empty
+    pick stays a plain tuple, which no check accepts."""
+    pick = points.__getitem__
+    part = points[rows] if isinstance(rows, slice) else tuple(map(pick, rows.tolist()))
     if not part:
         return part
     part = _Points(part)
     part._coords = points._coords[rows]
+    part._coords.setflags(write=False)
     return part
 
 

@@ -38,7 +38,9 @@ import scipy.linalg
 from .estimators import (
     CmeEstimator, Cutoff, Landweber, PairedSample, Tikhonov, fit_cme, solve_pd,
 )
-from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram, gram
+from .kernels import (
+    Kernel, Point, _Rebuilt, _frozen_array, _point_rows, _point_tuple, cross_gram, gram,
+)
 
 COND_TOL = 1e-10
 STATIONARY_TOL = 1e-10
@@ -125,11 +127,19 @@ def _state_gram(model: FiniteMarkovModel, kernel: Kernel) -> np.ndarray:
     """K_E over the model states, whose smallest eigenvalue exceeds 1e-10 of the largest.
 
     The oracle never perturbs K_E: one that fails the test raises
-    ``LinAlgError``.  A K_E that passes it factors without jitter.
+    ``LinAlgError``, on every call.  A K_E that passes it factors without
+    jitter.  The model keeps the last K_E that passed, with its kernel (held by
+    identity, so an equal kernel builds its own), in one private attribute that
+    is not a field: pickle and deepcopy rebuild the model without it.
     """
+    kernel_memo, K_E = getattr(model, "_gram_memo", (None, None))
+    if kernel_memo is kernel:
+        return K_E
     K_E = gram(kernel, model.states)
     eigvals = np.linalg.eigvalsh(K_E)
     if eigvals[0] > COND_TOL * max(eigvals[-1], 0.0):
+        # one assignment swaps the kernel and K_E together: thread-safe
+        object.__setattr__(model, "_gram_memo", (kernel, K_E))
         return K_E
     raise np.linalg.LinAlgError("singular state Gram K_E")
 
@@ -456,9 +466,7 @@ def sample_pairs(model: FiniteMarkovModel, n: int, seed: int) -> PairedSample:
     rng = _generator(seed)
     x_idx = _inverse_cdf_rows(model.marginal[None, :], rng.random(n))
     y_idx = _inverse_cdf_rows(model.transition[x_idx], rng.random(n))
-    X = tuple(model.states[i] for i in x_idx)
-    Y = tuple(model.states[i] for i in y_idx)
-    return PairedSample(X=X, Y=Y)
+    return PairedSample(X=_point_rows(model.states, x_idx), Y=_point_rows(model.states, y_idx))
 
 
 def ou_sample_pairs(theta: float, tau: float, n: int, seed: int) -> PairedSample:

@@ -24,6 +24,8 @@ restarted Arnoldi iteration (``scipy.sparse.linalg.eigs``, which needs
 r < n - 1 for a real nonsymmetric operator) with a fixed start vector, applying
 M through the factor without forming it; only r >= n - 1 forms M and runs the
 dense ``scipy.linalg.eig``.  Both satisfy the same residual contract.
+``scipy.sparse.linalg`` is imported on the first Arnoldi fit, so nothing else
+in the package loads ``scipy.sparse``.
 
 G_X and K_YX are each formed once per fit, and G_X + n*lam*I is factored once
 by :func:`cmekit.estimators._factor_pd` under the package's one policy
@@ -44,7 +46,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 from scipy.linalg.blas import dsymm
 
 from .estimators import PairedSample, _factor_pd
@@ -147,13 +148,15 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
     factor, jitter = _factor_pd(G, n * lam)
 
     if r <= n - 2:
+        from scipy.sparse.linalg import LinearOperator, eigs   # loaded on the first Arnoldi fit
+
         K_yx = cross_gram(kernel, sample.Y, sample.X)
 
         def apply(v: np.ndarray) -> np.ndarray:
             return scipy.linalg.cho_solve(factor, K_yx @ v, check_finite=False)
 
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=apply, dtype=float)
-        w, V = _sorted_pairs(*scipy.sparse.linalg.eigs(op, k=r, which="LM", v0=np.ones(n)), r)
+        op = LinearOperator((n, n), matvec=apply, dtype=float)
+        w, V = _sorted_pairs(*eigs(op, k=r, which="LM", v0=np.ones(n)), r)
     else:
         K_yx = cross_gram(kernel, sample.X, sample.Y).T   # F-ordered cross_gram(Y, X), bit for bit
         M = scipy.linalg.cho_solve(factor, K_yx, overwrite_b=True, check_finite=False)

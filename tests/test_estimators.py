@@ -57,7 +57,7 @@ from cmekit.estimators import (
     _support_solve,
     solve_pd,
 )
-from cmekit.kernels import _kernel_diagonal
+from cmekit.kernels import _kernel_diagonal, coords_matrix
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 
@@ -403,6 +403,99 @@ class TestDistinctSupport:
         est = fit_tikhonov_closed_form(PairedSample(X=X, Y=X), GaussianKernel(1000.0), 1e-17)
         # trace(S + n*lam*I) / m = 5 + n*lam
         assert est.jitter == pytest.approx(JITTER_SCALE * (5.0 + 30 * 1e-17), rel=1e-12)
+
+
+def support_by_dict(points):
+    """The reference for ``_support``: a dict over the Points, in first-appearance order."""
+    index = {}
+    inv = np.array([index.setdefault(p, len(index)) for p in points], dtype=np.intp)
+    return tuple(index), inv, np.bincount(inv).astype(float)
+
+
+def on_support_by_sparse_product(Z, inv, counts, inv_y, m_y):
+    """The reference for ``_on_support``: N^T C^{-1/2} Z C^{1/2} as a scipy.sparse CSR product."""
+    from scipy.sparse import csr_array
+
+    n, m = len(inv), len(counts)
+    if m < n:
+        root = np.sqrt(counts)
+        Z = Z * np.outer(1.0 / root, root)
+    if m == m_y == n:
+        return Z
+    return csr_array((np.ones(n), (inv_y, inv)), shape=(m_y, m)) @ Z
+
+
+def assert_on_support_is_the_sparse_product(x_idx, y_idx, Z):
+    inv, counts = support_by_dict(x_idx)[1:]
+    inv_y = support_by_dict(y_idx)[1]
+    m_y = int(inv_y.max()) + 1
+    got = _on_support(Z, inv, counts, inv_y, m_y)
+    ref = on_support_by_sparse_product(Z, inv, counts, inv_y, m_y)
+    assert got.shape == ref.shape == (m_y, len(counts))
+    assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def signed_zero_rows(rng, m):
+    """An m x m Z of normal draws with every third row -0.0."""
+    Z = rng.normal(size=(m, m))
+    Z[::3] = -0.0
+    return Z
+
+
+class TestSupportArrays:
+    """``_support`` and ``_on_support`` work on arrays and give, bit for bit, what the
+    dict over Points and the scipy.sparse product gave."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_support_matches_the_dict_route(self, data):
+        d = data.draw(st.integers(1, 3))
+        value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.5]), st.floats(-3.0, 3.0))
+        row = st.lists(value, min_size=d, max_size=d).map(tuple)
+        pool = [Point(c) for c in data.draw(st.lists(row, min_size=1, max_size=8))]
+        pool += [Point(tuple(-c if c == 0.0 else c for c in p.coords)) for p in pool]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
+        points = [pool[i] for i in picks]
+        D, inv, counts = _support(points)
+        D_ref, inv_ref, counts_ref = support_by_dict(points)
+        assert len(D) == len(D_ref) and all(a is b for a, b in zip(D, D_ref))
+        assert inv.dtype == np.intp and np.array_equal(inv, inv_ref)
+        assert np.array_equal(counts, counts_ref)
+        # the support carries its Points' coordinate rows, read-only
+        carried = coords_matrix(D)
+        assert carried.tobytes() == np.array([p.coords for p in D]).tobytes()
+        assert not carried.flags.writeable
+
+    @pytest.mark.parametrize(
+        "x_idx, y_idx",
+        [
+            ([0, 1, 0, 2, 2, 1, 0], list(range(7))),
+            (list(range(7)), [0, 1, 0, 2, 2, 1, 0]),
+            ([0, 1, 0, 2, 2, 1, 0], [3, 1, 0, 0, 2, 3, 1]),
+            ([0, 1, 0, 2, 2, 1, 0, 3], [0] * 8),
+            (list(range(12)), [0] * 12),
+            (list(range(499)) + [250], list(range(500))),
+            (list(range(500)), list(range(499)) + [17]),
+        ],
+        ids=["repeated-x", "repeated-y", "both", "all-y-equal", "distinct-x-all-y-equal",
+             "near-distinct-x", "near-distinct-y"],
+    )
+    def test_on_support_cases_are_the_sparse_product(self, x_idx, y_idx):
+        m = len(set(x_idx))
+        Z = signed_zero_rows(np.random.default_rng(m), m)
+        assert_on_support_is_the_sparse_product(x_idx, y_idx, Z)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_on_support_is_the_sparse_product(self, data):
+        n = data.draw(st.integers(1, 40))
+        values = st.integers(0, n - 1).flatmap(lambda top: st.integers(0, top))
+        x_idx, y_idx = (data.draw(st.lists(values, min_size=n, max_size=n)) for _ in "XY")
+        m = len(set(x_idx))
+        Z = signed_zero_rows(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), m)
+        if data.draw(st.booleans()):
+            Z = np.asfortranarray(Z)
+        assert_on_support_is_the_sparse_product(x_idx, y_idx, Z)
 
 
 class TestSupportView:

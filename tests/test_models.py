@@ -397,6 +397,49 @@ class TestIllConditionedStateGram:
                 call()
 
 
+class TestStateGramMemo:
+    """A model keeps its checked K_E for the last kernel, so the oracle builds it once."""
+
+    @pytest.mark.parametrize("m, alt", [(1, False), (4, False), (4, True)])
+    def test_verify_checks_each_models_state_gram_once(self, m, alt):
+        # verify builds at most four models: the given one, its MMD pair, the
+        # aligned-direction pair and the permutation chain
+        model = random_model(np.random.default_rng(2), m, alt=alt)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+            verify(model, GAUSS, 11)
+        assert spy.call_count <= 5
+        assert all(call.args[0].shape == (m, m) for call in spy.call_args_list)
+
+    def test_each_kernel_gets_its_own_state_gram(self):
+        model = random_model(np.random.default_rng(3), 4)
+        laplace = LaplacianKernel(scale=1.0)
+        for kernel in (GAUSS, laplace, GAUSS, GaussianKernel(bandwidth=1.0), laplace):
+            K_E = models._state_gram(model, kernel)
+            assert np.array_equal(K_E, gram(kernel, model.states)) and not K_E.flags.writeable
+        assert models._state_gram(model, laplace) is models._state_gram(model, laplace)
+
+    def test_an_ill_conditioned_state_gram_raises_on_every_call(self):
+        model = random_model(np.random.default_rng(0), 8)
+        singular = TestIllConditionedStateGram.KERNEL
+        for before in (None, None, GAUSS):                  # the last pass keeps a good K_E first
+            if before is not None:
+                exact_operator_values(model, before)
+            with pytest.raises(np.linalg.LinAlgError, match="singular state Gram K_E"):
+                exact_operator_values(model, singular)
+
+    @pytest.mark.parametrize(
+        "copier",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copies_drop_the_memo(self, copier):
+        model = random_model(np.random.default_rng(4), 3)
+        K_E = models._state_gram(model, GAUSS)
+        twin = copier(model)
+        assert not hasattr(twin, "_gram_memo")
+        assert np.array_equal(models._state_gram(twin, GAUSS), K_E)
+
+
 class TestEstimatorValues:
     def test_zero_coefficients(self):
         model = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2))

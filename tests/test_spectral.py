@@ -4,8 +4,12 @@
 r >= n - 1, so each test picks its branch by r.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -529,3 +533,24 @@ class TestSignCluster:
         signs = np.array([p.coords[0] > 0 for p in query])
         agreement = max(np.mean((labels == 0) == signs), np.mean((labels == 1) == signs))
         assert agreement >= 0.9
+
+
+def test_scipy_sparse_loads_only_for_an_arnoldi_fit():
+    # the fit on repeated states sums its pair counts without scipy.sparse;
+    # edmd_eigen's ARPACK route (r <= n - 2) is the package's one user of it
+    script = (
+        "import sys, numpy as np, cmekit, cmekit.cli\n"
+        "from cmekit import GaussianKernel, Tikhonov, edmd_eigen, fit_cme, random_model\n"
+        "from cmekit import sample_pairs\n"
+        "model = random_model(np.random.default_rng(2), 4)\n"
+        "fit_cme(sample_pairs(model, 200, 11), GaussianKernel(1.0), Tikhonov(), 1e-3)\n"
+        "print(any(m.startswith('scipy.sparse') for m in sys.modules))\n"
+        "edmd_eigen(sample_pairs(model, 30, 12), GaussianKernel(1.0), 1e-3, 2)\n"
+        "print(any(m.startswith('scipy.sparse') for m in sys.modules))\n"
+    )
+    src = str(Path(cmekit.spectral.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "True"]

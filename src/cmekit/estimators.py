@@ -30,8 +30,8 @@ solve's output (see ``_on_support``).  Summing W's rows over repeated Y and
 its columns over repeated X leaves every prediction unchanged, so W_c is the
 operator W.  With no repeated point S is G_X, and W_c is W, computed exactly
 as the n x n algebra above.  ``_support`` finds the distinct values with
-``np.unique`` on the sample's coordinate array, and ``_on_support`` sums
-N^T Z in row gathers of Z, so neither loops over the n points in Python.
+``np.unique`` on the sample's coordinate array, and ``_on_support`` adds
+N^T Z's terms with ``np.add.at``, so neither loops over the n points in Python.
 
 Filters: Tikhonov g(s) = 1/(s + lam); hard cutoff g(s) = 1/s for s >= lam,
 else 0; Landweber g(s) = (1 - (1 - eta*s)^m) / s with the s = 0 limit m*eta.
@@ -328,37 +328,28 @@ def _on_support(
     repeated X, C = I and N^T = F^T sums Z's rows over repeated Y; with no
     repeated point either, W_c is ``Z`` itself.
 
-    Row u of W_c is summed in a sparse CSR product's order: 0.0 plus its first
-    X partner's term (that row of C^{-1/2} Z C^{1/2} times their pair count),
-    then each further partner's, in ascending X order.  The first terms go
-    straight into W_c in row blocks of about ``_BLOCK_ENTRIES`` entries; each
-    later pass adds one partner to every row that has one.
+    Row u of W_c is summed in a sparse CSR product's order: 0.0 plus the term
+    of each X partner (that row of C^{-1/2} Z C^{1/2} times their pair count),
+    in ascending X order.  With the pairs sorted by Y, then X, one unbuffered
+    ``np.add.at`` per block of about ``_BLOCK_ENTRIES`` entries adds the terms
+    in that order into the flattened W_c.
     """
     n, m = len(inv), len(counts)
     if m == m_y == n:
         return Z
     pairs, N = np.unique(inv_y * m + inv, return_counts=True)   # ascending Y, then X
     rows, cols = np.divmod(pairs, m)
-    N, root = N.astype(float), np.sqrt(counts)
-    inv_root = 1.0 / root
-
-    def terms(at: np.ndarray) -> np.ndarray:
-        """Rows cols[at] of C^{-1/2} Z C^{1/2}, times the pair counts N[at]."""
-        T = Z[cols[at]]
+    root = np.sqrt(counts)
+    W_c, step = np.zeros(m_y * m), max(1, _BLOCK_ENTRIES // m)
+    for j in range(0, len(pairs), step):
+        u, v = rows[j:j + step], cols[j:j + step]
+        T = Z[v]
         if m < n:
-            T *= np.outer(inv_root[cols[at]], root)
-        T *= N[at, None]
-        return T
-
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))             # row u's first partner
-    W_c, step = np.empty((m_y, m)), max(1, _BLOCK_ENTRIES // m)
-    for j in range(0, m_y, step):
-        np.add(terms(starts[j:j + step]), 0.0, out=W_c[j:j + step])  # 0.0 + a*z: -0.0 becomes 0.0
-    rank = np.arange(len(pairs)) - np.repeat(starts, np.diff(starts, append=len(pairs)))
-    for k in range(1, int(rank.max()) + 1):
-        at = np.flatnonzero(rank == k)
-        W_c[rows[at]] += terms(at)
-    return W_c
+            T *= np.outer(1.0 / root[v], root)
+        T *= N[j:j + step, None]
+        at = ((u * m)[:, None] + np.arange(m)).ravel()      # 1-D indices take the fast path
+        np.add.at(W_c, at, T.ravel())
+    return W_c.reshape(m_y, m)
 
 
 def _filtered_coefficients(S: np.ndarray, n: int, filt: SpectralFilter, lam: float) -> np.ndarray:

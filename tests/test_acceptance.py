@@ -70,7 +70,7 @@ def rng_for(seed):
 
 def bound_sides(est, model):
     """||A_est - A||^2 from H to L2(pi), H the estimator's RKHS, and the exact excess risk."""
-    diff, excess = _oracle_pair(est, model, exact_operator_values(model, est.kernel))
+    diff, excess = _oracle_pair(est, model)
     return diff**2, excess
 
 

@@ -476,9 +476,13 @@ class TestSupportArrays:
             (list(range(12)), [0] * 12),
             (list(range(499)) + [250], list(range(500))),
             (list(range(500)), list(range(499)) + [17]),
+            # 300 X partners per Y row span several add.at blocks of _BLOCK_ENTRIES // 300 pairs
+            (list(range(300)), [0] * 300),
+            (list(range(300)), [i % 3 for i in range(300)]),
         ],
         ids=["repeated-x", "repeated-y", "both", "all-y-equal", "distinct-x-all-y-equal",
-             "near-distinct-x", "near-distinct-y"],
+             "near-distinct-x", "near-distinct-y", "one-y-row-over-blocks",
+             "three-y-rows-over-blocks"],
     )
     def test_on_support_cases_are_the_sparse_product(self, x_idx, y_idx):
         m = len(set(x_idx))

@@ -744,6 +744,21 @@ class TestMmdIntegral:
             rhs = exact_mmd_integral(model, GAUSS)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 7])
+    def test_aligned_rows_take_m_normals_then_m_uniforms(self, m):
+        # verify draws every later instance from the same Philox stream
+        model = random_model(rng_for(70), m)
+        rng, twin = models._generator(m), models._generator(m)
+        P_alt = constant_direction_alt(model, rng).transition_alt
+        d = twin.standard_normal(m)
+        d = d - d.mean()
+        d = d / np.max(np.abs(d))
+        for i, p in enumerate(model.transition):    # one scalar draw per row
+            c_hi = np.min(p[d < 0] / -d[d < 0])
+            c_lo = -np.min(p[d > 0] / d[d > 0])
+            assert np.array_equal(P_alt[i], p + twin.uniform(0.9 * c_lo, 0.9 * c_hi) * d)
+        assert rng.random() == twin.random()
+
     def test_per_state_embedding_differences(self):
         # a route that shares no formula with the closed form: the pi-weighted sum of
         # the squared RKHS norms of the two next-state embeddings' differences

@@ -8,8 +8,10 @@ For each seed in ``SEEDS`` and each benchmark workload, writes the inputs with
 It prints one line per output: seed, workload, output name and the sha256 of
 the output, where the outputs are the pass's fields other than its timings
 (exit codes, stdout, CSVs, oracle-verify runs, predictions) and the estimator
-file the pass wrote.  Text is hashed with the temporary directory's path
-replaced by ``WORKDIR``.
+file the pass wrote.  It then runs each of ``EXTRA_RUNS``, CLI streams the
+workloads never produce, and prints the same lines for its exit code, stdout,
+stderr (less its ``wall_time_ms`` line) and output file.  Text is hashed with
+the temporary directory's path replaced by ``WORKDIR``.
 
 The program and the benchmark helpers are imported from DIR (default: the
 checkout that holds this script), so the listings of two checkouts differ
@@ -19,13 +21,31 @@ exactly where a CLI output differs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
 from pathlib import Path
 
 SEEDS = (11, 12, 13)
+
+# (name, command, data source, [filter] lines, [run] lines); "finite-model" takes
+# the finite-oracle workload's kernel and model file
+EXTRA_RUNS = (
+    ("estimate-finite-tikhonov", "estimate", "finite-model", "variant = tikhonov",
+     "lambda = 1e-3\nn = 1000"),
+    ("estimate-finite-cutoff", "estimate", "finite-model", "variant = cutoff",
+     "lambda = 1e-3\nn = 1000"),
+    ("estimate-finite-landweber", "estimate", "finite-model",
+     "variant = landweber\nsteps = 20\nstep_size = 0.9", "lambda = 1e-3\nn = 1000"),
+    ("estimate-ou-cutoff", "estimate", "ou", "variant = cutoff", "lambda = 1e-3\nn = 300"),
+    ("estimate-ou-landweber", "estimate", "ou",
+     "variant = landweber\nsteps = 20\nstep_size = 0.9", "lambda = 1e-3\nn = 300"),
+    ("edmd-ou-dense", "edmd", "ou", None, "lambda = 1e-3\nn = 10\nr = 9"),   # r = n - 1
+    ("edmd-double-well", "edmd", "double-well", None, "lambda = 1e-3\nn = 300\nr = 4"),
+)
 
 
 def _sha256(data: bytes) -> str:
@@ -34,6 +54,39 @@ def _sha256(data: bytes) -> str:
 
 def _is_timing(key: str) -> bool:
     return key.endswith("_s") or key == "query_ms"
+
+
+def _extra_outputs(
+    seed: int, command: str, source: str, filt: str | None, run: str, tmp: Path
+) -> dict:
+    """Run one of ``EXTRA_RUNS`` in-process on inputs under ``tmp``: its streams, and the
+    bytes of its output file (``None`` if it wrote none)."""
+    from cmekit import cli
+    from perfbench import workloads as wl
+
+    if source == "finite-model":
+        inputs = wl.make_inputs("finite-oracle", seed, tmp)
+        head = Path(inputs["verify_config"]).read_text(encoding="utf-8")
+    else:
+        data = {
+            "ou": f"theta = {wl.THETA}\ntau = {wl.TAU}",
+            "double-well": "beta = 3.0\ndt = 0.001\nsteps_per_pair = 10",
+        }[source]
+        head = (f"[kernel]\nvariant = gaussian\nbandwidth = {wl.BANDWIDTH}\n"
+                f"[data]\nsource = {source}\n{data}\n")
+    out_file = tmp / "out.txt"
+    config = tmp / "extra.cfg"
+    config.write_text(
+        head + (f"[filter]\n{filt}\n" if filt else "")
+        + f"[run]\n{run}\nseed = {seed}\nout = {out_file}\n",
+        encoding="utf-8",
+    )
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([command, "--config", str(config)])
+    err_lines = [ln for ln in stderr.getvalue().splitlines() if not ln.startswith("wall_time_ms=")]
+    return {"exit": code, "stdout": stdout.getvalue(), "stderr": err_lines,
+            "out_file": out_file.read_bytes() if out_file.is_file() else None}
 
 
 def main() -> int:
@@ -56,6 +109,13 @@ def main() -> int:
                     p = Path(inputs["estimator_file"])
                     digest = _sha256(p.read_bytes()) if p.is_file() else "missing"
                     print(f"{seed} {workload} estimator_file {digest}", flush=True)
+        for name, *run in EXTRA_RUNS:
+            with tempfile.TemporaryDirectory(prefix="cli_outputs_") as tmp:
+                out = _extra_outputs(seed, *run, Path(tmp))
+                for key, value in out.items():
+                    if not isinstance(value, bytes):
+                        value = json.dumps(value).replace(tmp, "WORKDIR").encode()
+                    print(f"{seed} {name} {key} {_sha256(value)}", flush=True)
     ran = Path(sys.modules["cmekit"].__file__).resolve()
     if ran.parents[1] != root / "src":  # an installed cmekit would shadow the checkout's
         sys.exit(f"ran cmekit from {ran}, not from {root / 'src'}")

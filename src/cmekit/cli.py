@@ -9,12 +9,11 @@ stderr so they never perturb the deterministic streams.
 Exit codes: 0 success (and, for oracle-verify, all checks passed),
 1 runtime failure, 2 validation failure (config, file parse, range checks).
 
-Model, sample and v1 estimator files are UTF-8 text with LF line endings,
-'.' decimal separator, and floats printed with 17 significant digits, so that
+Model and sample files are UTF-8 text with LF line endings, '.' decimal
+separator, and floats printed with 17 significant digits, so that
 read(write(x)) restores every IEEE double bit-exactly.  A ``cme-estimator v2``
-file, the only estimator format written, is not text: a few UTF-8 head lines
-followed by ``.npy`` records of C-order little-endian float64, which reload
-bit-exactly by construction.  v1 estimator files are still read.
+file is not text: a few UTF-8 head lines followed by ``.npy`` records of
+C-order little-endian float64, which reload bit-exactly by construction.
 """
 
 from __future__ import annotations
@@ -46,7 +45,9 @@ from .estimators import (
     _fitted_risk_and_hs,
     fit_cme,
 )
-from .kernels import GaussianKernel, Kernel, LaplacianKernel, Point, _Adopted, coords_matrix
+from .kernels import (
+    GaussianKernel, Kernel, LaplacianKernel, Point, _Adopted, _point_tuple, coords_matrix,
+)
 from .spectral import edmd_eigen, eigen_residuals
 
 _FLOAT_FMT = "%.17g"
@@ -237,23 +238,20 @@ def _parse_rows(rows: list[str], cols: int) -> Optional[np.ndarray]:
     return arr if arr.shape[1] == cols else None
 
 
-def _read_file(
-    path: str, magic: str | tuple[str, ...], schema: dict[str, int], optional: str = ""
-) -> dict:
+def _read_file(path: str, magic: str, schema: dict[str, int], optional: str = "") -> dict:
     """Parse a file laid out as ``schema`` maps entry name -> ndim, in order.
 
-    ``magic`` is the magic line the file must start with, or a tuple of
-    accepted ones.  An ndim-0 entry is a token line ``name tokens...`` and
-    reads as ``(where, tokens)``, ``where`` being ``path:line``.  An ndim-1 or
-    ndim-2 entry is a block and reads as an array of those dimensions.  In a
-    text file a block is a header ``name length`` or ``name rows cols``, then
-    one line of ``length`` numbers or ``rows`` lines of ``cols`` numbers;
-    blank lines are skipped everywhere.  In a file whose magic line is in
+    ``magic`` is the magic line the file must start with.  An ndim-0 entry is
+    a token line ``name tokens...`` and reads as ``(where, tokens)``, ``where``
+    being ``path:line``.  An ndim-1 or ndim-2 entry is a block and reads as an
+    array of those dimensions.  In a text file a block is a header ``name
+    length`` or ``name rows cols``, then one line of ``length`` numbers or
+    ``rows`` lines of ``cols`` numbers; blank lines are skipped everywhere, and
+    no other line follows the last block.  In a file whose magic line is in
     ``_NPY_FORMATS`` the token lines come first and each block is one ``.npy``
     record of float64, with nothing after the last.  The ``optional`` entry
     may be missing at the end of the file.
     """
-    magics = (magic,) if isinstance(magic, str) else magic
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -265,10 +263,9 @@ def _read_file(
             for no, raw in enumerate(fh, start=1)
             if (text := raw.decode("utf-8", errors="replace").strip())
         )
-        first = next(lines, (0, ""))[1]
-        if first not in magics:
-            raise ConfigError(f"{path}: not a {' or '.join(magics)} file")
-        npy = first in _NPY_FORMATS
+        if next(lines, (0, ""))[1] != magic:
+            raise ConfigError(f"{path}: not a {magic} file")
+        npy = magic in _NPY_FORMATS
         out: dict = {}
         for name, ndim in schema.items():
             if npy and ndim:
@@ -312,13 +309,12 @@ def _read_file(
                 bad = next((n for n, s in chunk if _parse_rows([s], cols) is None), no)
                 raise ConfigError(f"{path}:{bad}: expected {cols} numbers in this row of '{name}'")
             out[name] = arr if ndim == 2 else arr[0]
-        if npy and fh.read(1):
-            raise ConfigError(f"{path}: unexpected bytes after the last record")
+        if npy:
+            if fh.read(1):
+                raise ConfigError(f"{path}: unexpected bytes after the last record")
+        elif (extra := next(lines, None)) is not None:
+            raise ConfigError(f"{path}:{extra[0]}: unexpected '{extra[1]}' after the last block")
     return out
-
-
-def _points(arr: np.ndarray) -> tuple[Point, ...]:
-    return tuple(Point(tuple(row)) for row in arr.tolist())
 
 
 def write_model_file(path: str, model: md.FiniteMarkovModel) -> None:
@@ -341,7 +337,7 @@ def read_model_file(path: str) -> md.FiniteMarkovModel:
     )
     with _invalid(f"{path}: invalid model"):
         return md.FiniteMarkovModel(
-            _points(b["states"]), b["pi"], b["transition"], b.get("transition-alt")
+            b["states"], b["pi"], b["transition"], b.get("transition-alt")
         )
 
 
@@ -354,7 +350,7 @@ def write_paired_sample(path: str, sample: PairedSample) -> None:
 def read_paired_sample(path: str) -> PairedSample:
     b = _read_file(path, "paired-sample v1", {"x": 2, "y": 2})
     with _invalid(f"{path}: invalid sample"):
-        return PairedSample(X=_points(b["x"]), Y=_points(b["y"]))
+        return PairedSample(X=b["x"], Y=b["y"])
 
 
 def write_point_sample(path: str, points: Sequence[Point]) -> None:
@@ -366,7 +362,7 @@ def read_point_sample(path: str) -> list[Point]:
     if pts.shape[0] == 0:
         raise ConfigError(f"{path}: empty sample")
     with _invalid(f"{path}: invalid sample"):
-        return list(_points(pts))
+        return list(_point_tuple(pts, "sample points"))
 
 
 def write_estimator(path: str, est: CmeEstimator) -> None:
@@ -381,16 +377,14 @@ def write_estimator(path: str, est: CmeEstimator) -> None:
 
 
 def read_estimator(path: str) -> CmeEstimator:
-    """Load a ``cme-estimator v2`` file, or a v1 file written by older versions.
+    """Load a ``cme-estimator v2`` file.
 
     The records are x (p, d), y (q, d') and w (q, p), as ``CmeEstimator``
     requires; ``estimate`` writes the support estimator, p and q the numbers
     of distinct x and y values (p = q = n when no value repeats).
     """
     b = _read_file(
-        path,
-        ("cme-estimator v2", "cme-estimator v1"),
-        {"kernel": 0, "lambda": 0, "filter": 0, "x": 2, "y": 2, "w": 2},
+        path, "cme-estimator v2", {"kernel": 0, "lambda": 0, "filter": 0, "x": 2, "y": 2, "w": 2}
     )
     kernel = _from_tokens(_KERNELS, "kernel", *b["kernel"])
     filt = _from_tokens(_FILTERS, "filter", *b["filter"])
@@ -399,8 +393,7 @@ def read_estimator(path: str) -> CmeEstimator:
         (lam,) = map(float, tokens)
     with _invalid(f"{path}: invalid estimator"):
         return CmeEstimator(
-            kernel=kernel, lam=lam, filt=filt, X=_points(b["x"]), Y=_points(b["y"]),
-            W=_Adopted(b["w"]),
+            kernel=kernel, lam=lam, filt=filt, X=b["x"], Y=b["y"], W=_Adopted(b["w"])
         )
 
 
@@ -480,6 +473,8 @@ def _resolve_out(cfg: Config, override: Optional[str], required: bool = True) ->
         raise ConfigError(f"{cfg.path}: no output path: set [run] out or pass --out")
     if out is not None and not os.access(Path(out).parent, os.W_OK):
         raise ConfigError(f"{out}: the output directory does not exist or is not writable")
+    if out is not None and Path(out).is_dir():
+        raise ConfigError(f"{out}: the output path is a directory")
     return out
 
 
@@ -632,6 +627,7 @@ def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int
     model = None
     if source == "finite-model":
         model = read_model_file(cfg.require("data", "model_file"))
+        md._state_gram(model, kernel)       # a singular K_E fails before the first fit
     else:
         theta = cfg.get_float("data", "theta")
         tau = cfg.get_float("data", "tau")

@@ -37,10 +37,6 @@ class WeightedEmbedding(_Rebuilt):
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def n(self) -> int:
-        return len(self.support)
-
 
 def mean_embed(kernel: Kernel, samples: Sequence[Point]) -> WeightedEmbedding:
     """Empirical mean embedding: uniform weights 1/n on the sample points."""

@@ -76,7 +76,7 @@ _STRICT_UPPER = np.triu(np.ones((MIRROR_BLOCK, MIRROR_BLOCK), dtype=bool), 1)
 
 @dataclass(frozen=True)
 class PairedSample:
-    """iid draws (x_i, y_i) from the joint law, as two equal-length point lists."""
+    """iid draws (x_i, y_i) from the joint law, as two equal-length point lists or (n, d) arrays."""
 
     X: tuple[Point, ...]
     Y: tuple[Point, ...]
@@ -223,14 +223,14 @@ def _factor_pd(A: np.ndarray, shift: float = 0.0) -> tuple[tuple[np.ndarray, boo
                 raise np.linalg.LinAlgError(msg) from exc
 
 
-def solve_pd(matrix: np.ndarray, rhs: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray, float]:
-    """X solving (matrix + shift*I) X = rhs, and the jitter :func:`_factor_pd` added.
+def solve_pd(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """X solving matrix X = rhs, and the jitter :func:`_factor_pd` added.
 
     ``matrix`` is never written: an F-ordered copy of it is factored.  X is
     solved into ``rhs`` in place when ``rhs`` is an F-ordered float64 array,
     and into an F-ordered copy of it otherwise.
     """
-    factor, jitter = _factor_pd(np.array(matrix, dtype=float, order="F"), shift)
+    factor, jitter = _factor_pd(np.array(matrix, dtype=float, order="F"))
     X = np.asfortranarray(rhs, dtype=float)
     return scipy.linalg.cho_solve(factor, X, overwrite_b=True), jitter
 

@@ -80,13 +80,19 @@ class _Points(tuple):
         return _point_tuple, (tuple(self), "point list")
 
 
-def _point_tuple(points: Sequence[Point], what: str) -> _Points:
+def _point_tuple(points: Union[Sequence[Point], np.ndarray], what: str) -> _Points:
     """``points`` as a nonempty tuple of Points of one dimension: every value type's point check.
 
-    The coordinates are stacked here, once; a tuple already checked comes back as it is.
+    ``points`` is a sequence of Points or an (n, d) float array, one Point per
+    row.  The coordinates are stacked here, once; a tuple already checked comes
+    back as it is.
     """
     if type(points) is _Points:
         return points
+    if isinstance(points, np.ndarray):
+        if points.ndim != 2:
+            raise ValueError(f"{what} must be an (n, d) array, got shape {points.shape}")
+        points = [Point(tuple(row)) for row in points.tolist()]
     pts = _Points(points)
     if len(pts) == 0:
         raise ValueError(f"{what} must be nonempty")

@@ -359,6 +359,7 @@ def verify(model: FiniteMarkovModel, kernel: Kernel, seed: int) -> list[tuple]:
     Philox stream in a fixed order, so a seed fixes every row bit for bit.
     """
     rng = _generator(seed)
+    K_E = _state_gram(model, kernel)        # a singular K_E fails before the first fit
     rows: list[tuple] = []
 
     def leq(name, lhs, rhs, tol):
@@ -418,7 +419,6 @@ def verify(model: FiniteMarkovModel, kernel: Kernel, seed: int) -> list[tuple]:
 
     # risk decomposition, worst of 20 random embedding-valued functions
     irreducible = exact_risk(model.transition, model, kernel)
-    K_E = _state_gram(model, kernel)
     worst_dev = (0.0, 0.0)
     for _ in range(20):
         C = rng.standard_normal((model.m, model.m))
@@ -478,10 +478,7 @@ def ou_sample_pairs(theta: float, tau: float, n: int, seed: int) -> PairedSample
     decay = np.exp(-theta * tau)
     noise_std = np.sqrt((1.0 - np.exp(-2.0 * theta * tau)) / (2.0 * theta))
     y = x * decay + rng.standard_normal(n) * noise_std
-    return PairedSample(
-        X=tuple(Point((v,)) for v in x),
-        Y=tuple(Point((v,)) for v in y),
-    )
+    return PairedSample(X=x[:, None], Y=y[:, None])
 
 
 def double_well_pairs(
@@ -517,6 +514,4 @@ def double_well_pairs(
             )
         path[t + 1] = x
     starts = BURN_IN_STEPS + steps_per_pair * np.arange(n)
-    X = tuple(Point((path[s],)) for s in starts)
-    Y = tuple(Point((path[s + steps_per_pair],)) for s in starts)
-    return PairedSample(X=X, Y=Y)
+    return PairedSample(X=path[starts, None], Y=path[starts + steps_per_pair, None])

@@ -52,8 +52,23 @@ GAUSS = GaussianKernel(bandwidth=1.0)
 
 
 def write(path, text):
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def npy(arr, allow_pickle=False):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def v2_file(kernel="gaussian 1", filt="tikhonov"):
+    """A ``cme-estimator v2`` file with the given kernel and filter lines and valid 1 x 1 records."""
+    head = f"cme-estimator v2\nkernel {kernel}\nlambda 0.1\nfilter {filt}\n".encode()
+    return head + npy(np.zeros((1, 1))) * 2 + npy(np.ones((1, 1)))
 
 
 class TestConfigParsing:
@@ -979,16 +994,6 @@ class TestCodec:
             assert payload.read(expected.nbytes) == expected.tobytes()
         assert payload.read() == b""
 
-    def test_v1_file_still_reads(self, tmp_path):
-        path = tmp_path / "est.txt"
-        path.write_bytes(
-            b"cme-estimator v1\nkernel laplacian 1.5\nlambda 0.10000000000000001\n"
-            b"filter landweber 7 0.5\nx 1 2\n0.25 -0\n"
-            b"y 1 2\n4.9406564584124654e-324 1.0000000000000001e+300\n"
-            b"w 1 1\n0.33333333333333331\n"
-        )
-        self._assert_bit_identical(read_estimator(str(path)), self._layout_estimator())
-
     @settings(
         max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
@@ -1024,12 +1029,6 @@ class TestCodec:
         write_estimator(str(second), loaded)
         assert first.read_bytes() == second.read_bytes()
 
-    @staticmethod
-    def _npy(arr, allow_pickle=False):
-        buf = io.BytesIO()
-        np.lib.format.write_array(buf, arr, allow_pickle=allow_pickle)
-        return buf.getvalue()
-
     @pytest.mark.parametrize(
         "case", ["truncated", "w-shape", "int-dtype", "object-dtype", "trailing-bytes"]
     )
@@ -1037,12 +1036,12 @@ class TestCodec:
         good = tmp_path / "good.bin"
         write_estimator(str(good), self._layout_estimator())
         blob = good.read_bytes()
-        w_record = self._npy(np.array([[1 / 3]]))
+        w_record = npy(np.array([[1 / 3]]))
         assert blob.endswith(w_record)
         swap_w = {
-            "w-shape": self._npy(np.zeros((2, 2))),
-            "int-dtype": self._npy(np.array([[1]])),
-            "object-dtype": self._npy(np.array([[1 / 3]], dtype=object), allow_pickle=True),
+            "w-shape": npy(np.zeros((2, 2))),
+            "int-dtype": npy(np.array([[1]])),
+            "object-dtype": npy(np.array([[1 / 3]], dtype=object), allow_pickle=True),
         }
         if case == "truncated":
             blob = blob[:-3]
@@ -1065,11 +1064,11 @@ class TestCodec:
         good = tmp_path / "good.bin"
         write_estimator(str(good), est)
         self._assert_bit_identical(read_estimator(str(good)), est)
-        w_record = self._npy(est.W)
+        w_record = npy(est.W)
         blob = good.read_bytes()
         assert blob.endswith(w_record)
         path = tmp_path / "bad.bin"
-        path.write_bytes(blob[: -len(w_record)] + self._npy(est.W.T.copy()))
+        path.write_bytes(blob[: -len(w_record)] + npy(est.W.T.copy()))
         with pytest.raises(ConfigError, match=re.escape(f"{path}: invalid estimator")) as err:
             read_estimator(str(path))
         assert "(len(Y), len(X)) = (3, 2)" in str(err.value)
@@ -1083,18 +1082,25 @@ class TestCodec:
             pytest.param("point", "sample v1\npoints 3 2\n1 2\n3 4\n", 2, id="missing-rows"),
             pytest.param("point", "sample v1\npoints 2 2\n1 2\n# note\n3 4\n", 4, id="hash"),
             pytest.param("model", "finite-model v1\nstates 1 1\n0\npi 1\n1 2\n", 5, id="vector"),
+            pytest.param("estimator", v2_file(kernel="gaussian -1"), 2, id="kernel-line"),
+            # a text file ends where its last block ends
+            pytest.param("point", "sample v1\npoints 2 1\n1\n2\n3\n", 5, id="extra-point-row"),
             pytest.param(
-                "estimator",
-                "cme-estimator v1\nkernel gaussian -1\nlambda 0.1\nfilter tikhonov\n"
-                "x 1 1\n0\ny 1 1\n0\nw 1 1\n1\n",
-                2,
-                id="kernel-line",
+                "paired", "paired-sample v1\nx 2 1\n0\n1\ny 2 1\n0\n1\n2\n", 8, id="extra-y-row"
+            ),
+            pytest.param(
+                "model",
+                "finite-model v1\nstates 2 1\n0\n1\npi 2\n0.5 0.5\ntransition 2 2\n0.5 0.5\n"
+                "0.5 0.5\ntransition-alt 2 2\n0.5 0.5\n0.5 0.5\n\n0.5 0.5\n",
+                14,
+                id="line-after-transition-alt",
             ),
         ],
     )
     def test_malformed_file_names_file_and_line(self, tmp_path, reader, text, line):
         read_fn = {
-            "point": read_point_sample, "model": read_model_file, "estimator": read_estimator
+            "point": read_point_sample, "paired": read_paired_sample, "model": read_model_file,
+            "estimator": read_estimator,
         }
         path = write(tmp_path / "bad.txt", text)
         with pytest.raises(ConfigError, match=re.escape(f"{path}:{line}:")):
@@ -1181,7 +1187,7 @@ def test_validation_failures_exit_2(tmp_path, capsys, command, config, data):
     assert (data_path or cfg) in err
 
 
-@pytest.mark.parametrize(
+OUT_CASES = pytest.mark.parametrize(
     "command, config, data, computes",
     [
         pytest.param(
@@ -1217,24 +1223,141 @@ def test_validation_failures_exit_2(tmp_path, capsys, command, config, data):
         ),
     ],
 )
-def test_out_in_a_missing_directory_exits_2_before_computing(
-    tmp_path, capsys, monkeypatch, command, config, data, computes
-):
-    def not_reached(name):
-        def fail(*args, **kwargs):
-            raise AssertionError(f"{name} ran before the output path was checked")
 
-        return fail
 
+def not_reached(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran before it should")
+
+    return fail
+
+
+def assert_out_refused_before_computing(tmp_path, capsys, monkeypatch, case, out, message):
+    command, config, data, computes = case
     # estimate and edmd draw their OU sample only after the check, too
     for name in (computes, "models.ou_sample_pairs"):
         monkeypatch.setattr(f"cmekit.{name}", not_reached(name))
-    out = tmp_path / "missing" / "out.txt"
     data_path = write(tmp_path / "data.txt", data) if data is not None else None
     cfg = write(tmp_path / "run.cfg", config.format(data=data_path, out=out))
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {out}: the output directory does not exist")
+    assert err.startswith(f"error: {out}: {message}")
+
+
+@OUT_CASES
+def test_out_in_a_missing_directory_exits_2_before_computing(
+    tmp_path, capsys, monkeypatch, command, config, data, computes
+):
+    assert_out_refused_before_computing(
+        tmp_path, capsys, monkeypatch, (command, config, data, computes),
+        tmp_path / "missing" / "out.txt", "the output directory does not exist",
+    )
+
+
+@OUT_CASES
+def test_out_naming_a_directory_exits_2_before_computing(
+    tmp_path, capsys, monkeypatch, command, config, data, computes
+):
+    out = tmp_path / "out.d"
+    out.mkdir()
+    assert_out_refused_before_computing(
+        tmp_path, capsys, monkeypatch, (command, config, data, computes),
+        out, "the output path is a directory",
+    )
+
+
+@pytest.mark.parametrize("command", ["oracle-verify", "convergence"])
+def test_singular_state_gram_fails_before_the_first_fit(tmp_path, capsys, monkeypatch, command):
+    # K_E's eigenvalue ratio is about 9.6e-11, as in test_ill_conditioned_state_gram_fails
+    for name in ("cli.fit_cme", "models.fit_cme"):
+        monkeypatch.setattr(f"cmekit.{name}", not_reached(name))
+    model_file = tmp_path / "model.txt"
+    write_model_file(str(model_file), random_model(np.random.default_rng(0), 8))
+    kernel = KERNEL.replace("bandwidth = 1", "bandwidth = 4.65")
+    cfg = write(
+        tmp_path / "run.cfg",
+        kernel + MODEL_DATA.format(data=model_file)
+        + CONVERGENCE_RUN.format(out=tmp_path / "out.csv"),
+    )
+    assert main([command, "--config", cfg]) == 1
+    assert "LinAlgError: singular state Gram K_E" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, data",
+    [
+        pytest.param("estimate", None, None, id="unreadable-config"),
+        pytest.param("estimate", "[ ]\n", None, id="empty-section-header"),
+        pytest.param(
+            "estimate",
+            KERNEL.replace("gaussian", "cosine") + TIKHONOV + OU_DATA.format(theta=1)
+            + ESTIMATE_RUN,
+            None,
+            id="unknown-kernel-variant",
+        ),
+        pytest.param(
+            "estimate",
+            KERNEL + TIKHONOV.replace("tikhonov", "ridge") + OU_DATA.format(theta=1)
+            + ESTIMATE_RUN,
+            None,
+            id="unknown-filter-variant",
+        ),
+        pytest.param(None, None, v2_file(kernel="gaussian"), id="estimator-kernel-parameters"),
+        pytest.param(None, None, v2_file(filt="landweber 7"), id="estimator-filter-parameters"),
+        pytest.param(
+            None, None, v2_file().replace(b"v2", b"v1", 1), id="estimator-v1-no-longer-read"
+        ),
+        pytest.param(
+            "oracle-verify", KERNEL + MODEL_DATA, "finite-model v1\nstates 1 1\n0\n",
+            id="early-end-of-file",
+        ),
+        pytest.param("mmd", KERNEL + MMD_DATA, "sample v1\npts 1 1\n0\n", id="block-name"),
+        pytest.param("mmd", KERNEL + MMD_DATA, "sample v1\npoints 1\n0\n", id="block-rank"),
+        pytest.param("mmd", KERNEL + MMD_DATA, "sample v1\npoints 0 1\n", id="empty-sample"),
+        pytest.param(
+            "estimate",
+            KERNEL + TIKHONOV + OU_DATA.format(theta=1) + ESTIMATE_RUN.replace("n = 5\n", ""),
+            None,
+            id="missing-n",
+        ),
+        pytest.param(
+            "estimate",
+            KERNEL + TIKHONOV + OU_DATA.format(theta=1) + ESTIMATE_RUN.replace("n = 5", "n = 0"),
+            None,
+            id="n-below-1",
+        ),
+        pytest.param(
+            "estimate",
+            KERNEL + TIKHONOV + OU_DATA.format(theta=1) + "[run]\nlambda = 0.1\nn = 5\n",
+            None,
+            id="no-output-path",
+        ),
+        pytest.param(
+            "convergence",
+            KERNEL + OU_DATA.format(theta=1) + CONVERGENCE_RUN.replace("n^-0.5", "0.5"),
+            None,
+            id="lambda-schedule",
+        ),
+        pytest.param(
+            "convergence",
+            KERNEL + "[data]\nsource = double-well\n" + CONVERGENCE_RUN,
+            None,
+            id="convergence-source",
+        ),
+    ],
+)
+def test_validation_exits_name_the_file(tmp_path, capsys, command, config, data):
+    data_path = write(tmp_path / "data.txt", data) if data is not None else None
+    if command is None:                 # an estimator file's head lines
+        with pytest.raises(ConfigError, match=re.escape(f"{data_path}:")):
+            read_estimator(data_path)
+        return
+    cfg = str(tmp_path / "run.cfg")
+    if config is not None:
+        write(tmp_path / "run.cfg", config.format(data=data_path, out=tmp_path / "out.txt"))
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and (data_path or cfg) in err
 
 
 def test_readme_example_config_runs(tmp_path, capsys):

@@ -100,7 +100,9 @@ def full_closed_form_W(sample, kernel, lam):
 
 def cho_solve_W(S, n, lam):
     """The earlier Tikhonov route: (S + n*lam*I) Z = I solved against I by ``cho_solve``."""
-    return solve_pd(S, np.eye(S.shape[0], order="F"), n * lam)[0]
+    shifted = np.array(S)
+    shifted.flat[:: S.shape[0] + 1] += n * lam
+    return solve_pd(shifted, np.eye(S.shape[0], order="F"))[0]
 
 
 def full_filtered_W(sample, kernel, filt, lam):
@@ -697,11 +699,15 @@ class TestFactorization:
         assert lower and jitter == expected_jitter > 0
         assert np.array_equal(factor, expected[0])
         assert np.array_equal(G, G0)
+        # solve_pd factors the matrix it is given: G + shift*I, bit for bit the system above
+        shifted = G + 0.0
+        shifted.flat[:: n + 1] += shift
+        shifted0 = shifted.copy()
         rhs = np.eye(n, order="F")
-        X, solve_jitter = solve_pd(G, rhs, shift)
+        X, solve_jitter = solve_pd(shifted, rhs)
         assert X is rhs and solve_jitter == jitter
         assert np.array_equal(X, scipy.linalg.cho_solve(expected, np.eye(n)))
-        assert np.array_equal(G, G0)
+        assert np.array_equal(shifted, shifted0)
 
     def test_closed_form_fit_records_its_jitter(self):
         # bandwidth 10 and lambda 1e-17 make G_X + n*lam*I numerically singular

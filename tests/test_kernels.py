@@ -276,6 +276,22 @@ class TestCheckedPointTuples:
         with pytest.raises(ValueError, match="must be nonempty"):
             coords_matrix(part)
 
+    def test_an_n_by_d_array_is_one_point_per_row(self):
+        arr = np.array([[0.5, -0.0], [1e300, 5e-324], [0.5, -0.0]])
+        points = _point_tuple(arr, "points")
+        assert points == (pt(0.5, -0.0), pt(1e300, 5e-324), pt(0.5, -0.0))
+        assert points._coords.tobytes() == arr.tobytes()
+        assert not points._coords.flags.writeable and not np.shares_memory(points._coords, arr)
+        with pytest.raises(ValueError, match="finite"):
+            _point_tuple(np.array([[0.0], [np.inf]]), "points")
+        with pytest.raises(ValueError, match="must be nonempty"):
+            _point_tuple(np.empty((0, 2)), "points")
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 1, 1)])
+    def test_an_array_of_another_rank_raises(self, shape):
+        with pytest.raises(ValueError, match=r"points must be an \(n, d\) array"):
+            _point_tuple(np.zeros(shape), "points")
+
     @pytest.mark.parametrize(
         "kernel", [GAUSS, TableKernel([pt(0.0), pt(1.0)], np.eye(2))], ids=["gauss", "table"]
     )

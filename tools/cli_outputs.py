@@ -11,7 +11,9 @@ the output, where the outputs are the pass's fields other than its timings
 file the pass wrote.  It then runs each of ``EXTRA_RUNS``, CLI streams the
 workloads never produce, and prints the same lines for its exit code, stdout,
 stderr (less its ``wall_time_ms`` line) and output file.  Text is hashed with
-the temporary directory's path replaced by ``WORKDIR``.
+the temporary directory's path replaced by ``WORKDIR``.  The paired-sample runs
+read a file of 2-D points that this script draws from the seed and writes with
+17 significant digits, so every checkout reads the same bytes.
 
 The program and the benchmark helpers are imported from DIR (default: the
 checkout that holds this script), so the listings of two checkouts differ
@@ -32,7 +34,8 @@ from pathlib import Path
 SEEDS = (11, 12, 13)
 
 # (name, command, data source, [filter] lines, [run] lines); "finite-model" takes
-# the finite-oracle workload's kernel and model file
+# the finite-oracle workload's kernel and model file, "paired-sample" reads the
+# file _write_paired_sample writes
 EXTRA_RUNS = (
     ("estimate-finite-tikhonov", "estimate", "finite-model", "variant = tikhonov",
      "lambda = 1e-3\nn = 1000"),
@@ -45,7 +48,14 @@ EXTRA_RUNS = (
      "variant = landweber\nsteps = 20\nstep_size = 0.9", "lambda = 1e-3\nn = 300"),
     ("edmd-ou-dense", "edmd", "ou", None, "lambda = 1e-3\nn = 10\nr = 9"),   # r = n - 1
     ("edmd-double-well", "edmd", "double-well", None, "lambda = 1e-3\nn = 300\nr = 4"),
+    ("estimate-paired-2d-tikhonov", "estimate", "paired-sample", "variant = tikhonov",
+     "lambda = 1e-3"),
+    ("estimate-paired-2d-cutoff", "estimate", "paired-sample", "variant = cutoff",
+     "lambda = 1e-3"),
+    ("edmd-paired-2d", "edmd", "paired-sample", None, "lambda = 1e-3\nr = 4"),
 )
+PAIRED_N = 200
+PAIRED_DISTINCT_X = 150     # fewer than PAIRED_N, so x values repeat
 
 
 def _sha256(data: bytes) -> str:
@@ -54,6 +64,20 @@ def _sha256(data: bytes) -> str:
 
 def _is_timing(key: str) -> bool:
     return key.endswith("_s") or key == "query_ms"
+
+
+def _write_paired_sample(seed: int, path: Path) -> None:
+    """A ``paired-sample v1`` file of PAIRED_N pairs of 2-D points drawn with ``seed``:
+    x picked from PAIRED_DISTINCT_X normal points, y a noisy linear image of x."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    x = rng.standard_normal((PAIRED_DISTINCT_X, 2))[rng.integers(0, PAIRED_DISTINCT_X, PAIRED_N)]
+    y = x @ np.array([[0.8, 0.1], [-0.2, 0.7]]) + 0.3 * rng.standard_normal((PAIRED_N, 2))
+    lines = ["paired-sample v1"]
+    for name, arr in (("x", x), ("y", y)):
+        lines += [f"{name} {PAIRED_N} 2"] + [" ".join("%.17g" % v for v in row) for row in arr]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _extra_outputs(
@@ -68,9 +92,12 @@ def _extra_outputs(
         inputs = wl.make_inputs("finite-oracle", seed, tmp)
         head = Path(inputs["verify_config"]).read_text(encoding="utf-8")
     else:
+        if source == "paired-sample":
+            _write_paired_sample(seed, tmp / "pairs.txt")
         data = {
             "ou": f"theta = {wl.THETA}\ntau = {wl.TAU}",
             "double-well": "beta = 3.0\ndt = 0.001\nsteps_per_pair = 10",
+            "paired-sample": f"sample_file = {tmp / 'pairs.txt'}",
         }[source]
         head = (f"[kernel]\nvariant = gaussian\nbandwidth = {wl.BANDWIDTH}\n"
                 f"[data]\nsource = {source}\n{data}\n")

@@ -357,12 +357,12 @@ def write_point_sample(path: str, points: Sequence[Point]) -> None:
     _write_file(path, ["sample v1"], {"points": coords_matrix(points)})
 
 
-def read_point_sample(path: str) -> list[Point]:
+def read_point_sample(path: str) -> Sequence[Point]:
     pts = _read_file(path, "sample v1", {"points": 2})["points"]
     if pts.shape[0] == 0:
         raise ConfigError(f"{path}: empty sample")
     with _invalid(f"{path}: invalid sample"):
-        return list(_point_tuple(pts, "sample points"))
+        return _point_tuple(pts, "sample points")
 
 
 def write_estimator(path: str, est: CmeEstimator) -> None:
@@ -542,7 +542,7 @@ def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
         _resolve_r(cfg, _run_n(cfg))        # before the draw, which can take seconds
     sample = _load_sample(cfg, the_seed)
     r = _resolve_r(cfg, sample.n)
-    if sample.X[0].dim != sample.Y[0].dim:  # only a paired-sample file can differ
+    if coords_matrix(sample.X).shape[1] != coords_matrix(sample.Y).shape[1]:  # paired files only
         raise ConfigError(f"{cfg.get('data', 'sample_file')}: edmd needs x and y of one dimension")
     result = edmd_eigen(sample, kernel, lam, r)
     _warn_jitter(result.jitter, note="; the residual column has no correct digits")
@@ -561,8 +561,9 @@ def cmd_mmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     kernel = build_kernel(cfg)
     files = [cfg.require("data", key) for key in ("sample_file", "sample_file_2")]
     P, Q = map(read_point_sample, files)
-    if P[0].dim != Q[0].dim:
-        raise ConfigError(f"{files[0]}, {files[1]}: points of dimension {P[0].dim} and {Q[0].dim}")
+    d_p, d_q = (coords_matrix(S).shape[1] for S in (P, Q))
+    if d_p != d_q:
+        raise ConfigError(f"{files[0]}, {files[1]}: points of dimension {d_p} and {d_q}")
     out_path = _resolve_out(cfg, out, required=False)
     # the biased estimate exists for any nonempty samples; the unbiased one
     # needs two points per side, and its absence is a validation failure

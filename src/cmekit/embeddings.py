@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram
+from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, coords_matrix, cross_gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +63,7 @@ def embed_diff(a: WeightedEmbedding, b: WeightedEmbedding) -> WeightedEmbedding:
         raise ValueError("embeddings use different kernels")
     return WeightedEmbedding(
         kernel=a.kernel,
-        support=a.support + b.support,
+        support=np.concatenate([coords_matrix(a.support), coords_matrix(b.support)]),
         weights=np.concatenate([a.weights, -b.weights]),
     )
 
@@ -72,7 +72,7 @@ def _block_sum(kernel: Kernel, rows: kernels._Points, cols: kernels._Points) -> 
     """sum_ij k(rows[i], cols[j]), row blocks of about ``_BLOCK_ENTRIES`` entries added exactly."""
     step = max(1, kernels._BLOCK_ENTRIES // len(cols))
     return math.fsum(
-        cross_gram(kernel, kernels._point_rows(rows, slice(i, i + step)), cols).sum()
+        cross_gram(kernel, rows[i:i + step], cols).sum()
         for i in range(0, len(rows), step)
     )
 
@@ -88,7 +88,7 @@ def _mmd_sq(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> tuple[flo
     The unbiased value is None below two points per sample.
     """
     P, Q = _point_tuple(P, "MMD sample"), _point_tuple(Q, "MMD sample")
-    if (len(Q), Q._coords.tobytes()) < (len(P), P._coords.tobytes()):
+    if (len(Q), coords_matrix(Q).tobytes()) < (len(P), coords_matrix(P).tobytes()):
         P, Q = Q, P
     n, m = len(P), len(Q)
     if isinstance(kernel, kernels.TableKernel):

@@ -62,8 +62,8 @@ import scipy.linalg
 
 from .embeddings import WeightedEmbedding
 from .kernels import (
-    _BLOCK_ENTRIES, Kernel, Point, _Adopted, _Rebuilt, _frozen_array, _kernel_diagonal, _point_rows,
-    _point_tuple, cross_gram, gram,
+    _BLOCK_ENTRIES, Kernel, Point, _Adopted, _Rebuilt, _frozen_array, _kernel_diagonal,
+    _point_tuple, _support, cross_gram, gram,
 )
 
 RANK_TOL = 1e-12
@@ -131,8 +131,8 @@ class DivergentStepError(ValueError):
 
 def filter_value(filt: SpectralFilter, lam: float, s: float) -> float:
     """Scalar filter function g_lam evaluated at a spectrum value s >= 0."""
-    if not (lam > 0):
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lambda must be > 0 and finite, got {lam}")
     if isinstance(filt, Tikhonov):
         return 1.0 / (s + lam)
     if isinstance(filt, Cutoff):
@@ -183,8 +183,8 @@ class CmeEstimator(_Rebuilt):
     cond_lower_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0):
-            raise ValueError(f"lambda must be > 0, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lambda must be > 0 and finite, got {self.lam}")
         X, Y = _point_tuple(self.X, "estimator X"), _point_tuple(self.Y, "estimator Y")
         W = _frozen_array(self.W, "W")
         if W.shape != (len(Y), len(X)):
@@ -235,26 +235,6 @@ def solve_pd(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     return scipy.linalg.cho_solve(factor, X, overwrite_b=True), jitter
 
 
-def _support(points: Sequence[Point]) -> tuple[Sequence[Point], np.ndarray, np.ndarray]:
-    """Distinct points D in first-appearance order, each point's index into D, and D's counts.
-
-    ``np.unique`` keys each row of the checked tuple's coordinates by its value
-    at d = 1 and by its bytes at d >= 2 (``axis=0`` sorts a structured view,
-    several times slower).  Adding 0.0 makes -0.0 and 0.0 one point, as
-    ``Point`` equality does, so finite rows are equal exactly when their bytes
-    are.  Ranking the first indices restores first-appearance order; D holds
-    each value's first Point and its coordinate row.
-    """
-    pts = _point_tuple(points, "point list")
-    coords = pts._coords + 0.0
-    row_bytes = np.dtype((np.void, coords[0].nbytes))
-    keys = coords[:, 0] if coords.shape[1] == 1 else coords.view(row_bytes)[:, 0]
-    _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    inv = np.argsort(order)[inv]                            # argsort inverts the permutation
-    return _point_rows(pts, first[order]), inv, np.bincount(inv).astype(float)
-
-
 def _support_gram(kernel: Kernel, support: Sequence[Point], counts: np.ndarray) -> np.ndarray:
     """S = C^{1/2} K_D C^{1/2} over the distinct points D of X and their counts C.
 
@@ -285,8 +265,8 @@ def _support_solve(
     Landweber eigendecompose S / n into a new C-ordered Z, and S's buffer is
     gone once this returns.
     """
-    if not (lam > 0):
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lambda must be > 0 and finite, got {lam}")
     if not isinstance(filt, Tikhonov):
         return _filtered_coefficients(S, n, filt, lam), 0.0, 0.0
     (L, _), jitter = _factor_pd(S, n * lam)
@@ -479,7 +459,7 @@ def _tikhonov_risk_and_hs(est: CmeEstimator) -> tuple[float, float]:
         J = slice(j, min(j + REPORT_ROWS, n))
         k, rows = J.stop, np.arange(J.stop - j)
         P = W[J] @ W[:k].T                                  # (W^2)[J, :J.stop]
-        G = cross_gram(est.kernel, _point_rows(Y, J), _point_rows(Y, slice(0, k)))
+        G = cross_gram(est.kernel, Y[J], Y[:k])
         G[:, :j] *= 2.0                                     # exact: the mirrored entries
         q += float(np.einsum("ij,ij->i", G, P).sum())
         d, square = W[rows + j, rows + j], np.array(W[J, J])

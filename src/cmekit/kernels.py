@@ -37,9 +37,9 @@ agree bit for bit and ``cross_gram(kernel, b, a).T`` is
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from functools import cached_property
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -62,61 +62,109 @@ class Point:
             raise ValueError(f"Point coordinates must be finite, got {coords}")
         object.__setattr__(self, "coords", coords)
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
 
 def pt(*coords: float) -> Point:
     """Shorthand constructor: ``pt(0.3, -1.2)``."""
     return Point(tuple(coords))
 
 
-class _Points(tuple):
-    """A checked point tuple, equal to the plain one, carrying its read-only (n, d) ``_coords``."""
+class _Points(Sequence):
+    """A checked point set: a read-only sequence over one read-only (n, d) float64 array,
+    C-ordered as checked, that equals and hashes as the plain tuple of its Points.  No Point
+    is stored: an integer index makes one, a slice (a view) or an index array picks a
+    ``_Points`` of those rows, and an empty pick stays ``()``, which no check accepts."""
+
+    __slots__ = ("_coords",)
+
+    def __init__(self, coords: np.ndarray) -> None:
+        coords.setflags(write=False)
+        self._coords = coords
+
+    def __len__(self) -> int:
+        return len(self._coords)
+
+    def __getitem__(self, index):
+        if isinstance(index, (slice, np.ndarray)):
+            rows = self._coords[index]
+            return _Points(rows) if len(rows) else ()
+        return Point(tuple(self._coords[index].tolist()))
+
+    def __iter__(self):
+        return map(Point, map(tuple, self._coords.tolist()))
+
+    def __eq__(self, other):
+        if isinstance(other, _Points):
+            return np.array_equal(self._coords, other._coords)     # -0.0 == 0.0, as for Points
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
     def __reduce__(self):
         # pickle and deepcopy would bring the array back writable: rebuild through the check
-        return _point_tuple, (tuple(self), "point list")
+        return _point_tuple, (self._coords, "point list")
 
 
 def _point_tuple(points: Union[Sequence[Point], np.ndarray], what: str) -> _Points:
-    """``points`` as a nonempty tuple of Points of one dimension: every value type's point check.
-
-    ``points`` is a sequence of Points or an (n, d) float array, one Point per
-    row.  The coordinates are stacked here, once; a tuple already checked comes
-    back as it is.
-    """
+    """``points`` as a nonempty checked point set of one dimension d >= 1: every value type's
+    point check.  A sequence of Points is stacked here, once, and an (n, d) real array is
+    copied, with no Point built; a checked set comes back as it is."""
     if type(points) is _Points:
         return points
     if isinstance(points, np.ndarray):
-        if points.ndim != 2:
-            raise ValueError(f"{what} must be an (n, d) array, got shape {points.shape}")
-        points = [Point(tuple(row)) for row in points.tolist()]
-    pts = _Points(points)
-    if len(pts) == 0:
+        if points.ndim != 2 or points.shape[1] == 0:
+            raise ValueError(f"{what} must be an (n, d) array, d >= 1, got shape {points.shape}")
+        if points.dtype.kind not in "biuf":     # a cast would drop an imaginary part silently
+            raise ValueError(f"{what} must be a real array, got dtype {points.dtype}")
+        coords = _frozen_array(points, what)
+    else:
+        try:
+            coords = np.array([p.coords for p in points], dtype=float)
+        except ValueError:
+            raise ValueError(f"{what} has inconsistent point dimensions") from None
+    if len(coords) == 0:
         raise ValueError(f"{what} must be nonempty")
-    try:
-        coords = np.array([p.coords for p in pts], dtype=float)
-    except ValueError:
-        raise ValueError(f"{what} has inconsistent point dimensions") from None
-    coords.setflags(write=False)
-    pts._coords = coords
-    return pts
+    return _Points(coords)
 
 
-def _point_rows(points: _Points, rows: Union[slice, np.ndarray]) -> Sequence[Point]:
-    """The rows of a checked tuple picked by a slice or an index array, carrying their
-    coordinate rows (a view for a slice), so that nothing stacks them again.  An empty
-    pick stays a plain tuple, which no check accepts."""
-    pick = points.__getitem__
-    part = points[rows] if isinstance(rows, slice) else tuple(map(pick, rows.tolist()))
-    if not part:
-        return part
-    part = _Points(part)
-    part._coords = points._coords[rows]
-    part._coords.setflags(write=False)
-    return part
+def _support(points: Sequence[Point]) -> tuple[_Points, np.ndarray, np.ndarray]:
+    """Distinct points D in first-appearance order, each point's index into D, and D's counts:
+    the package's one rule for when two points are the same.
+
+    ``np.argsort`` keys each row of the checked set's coordinates by its value
+    at d = 1 and by its bytes at d >= 2 (sorting rows with ``axis=0`` is
+    several times slower).  Adding 0.0 makes -0.0 and 0.0 one point, as
+    ``Point`` equality does, so finite rows are equal exactly when their bytes
+    are.  A value's first index is the least in its run of the sorted keys, so
+    the sort need not be stable; ranking the first indices restores
+    first-appearance order.  D holds each value's first row.
+    """
+    pts = _point_tuple(points, "point list")
+    coords = pts._coords + 0.0
+    row_bytes = np.dtype((np.void, coords[0].nbytes))
+    keys = coords[:, 0] if coords.shape[1] == 1 else coords.view(row_bytes)[:, 0]
+    perm = np.argsort(keys)
+    starts = np.concatenate(([True], keys[perm[1:]] != keys[perm[:-1]]))
+    first = np.minimum.reduceat(perm, np.flatnonzero(starts))
+    order = np.argsort(first)
+    inv = np.empty_like(perm)
+    inv[perm] = np.argsort(order)[np.cumsum(starts) - 1]    # argsort inverts the permutation
+    return pts[first[order]], inv, np.bincount(inv).astype(float)
+
+
+def _state_index(states: _Points, points: Sequence[Point], off: str) -> np.ndarray:
+    """Each point's index in the distinct ``states``, by ``_support``'s rule: the states come
+    first, so each keeps its own index.  Points off the states raise ``ValueError(off: ...)``."""
+    pts, m = _point_tuple(points, "point list"), len(states)
+    idx = np.full(len(pts), m)
+    if pts._coords.shape[1] == states._coords.shape[1]:
+        idx = _support(np.concatenate([states._coords, pts._coords]))[1][m:]
+    if missing := pts[idx >= m]:
+        raise ValueError(f"{off}: {sorted({p.coords for p in missing})}")
+    return idx
 
 
 class _Adopted:
@@ -157,8 +205,8 @@ class _Rebuilt:
 def coords_matrix(points: Sequence[Point]) -> np.ndarray:
     """The points' (n, d) float64 coordinates; empty or mixed-dimension lists raise ValueError.
 
-    The array is read-only: for the point tuples of the package's value types
-    it is the one they carry, not a copy.
+    The array is read-only: for the point sets of the package's value types
+    it is the one they hold, not a copy.
     """
     return _point_tuple(points, "point list")._coords
 
@@ -170,8 +218,8 @@ class GaussianKernel:
     bandwidth: float
 
     def __post_init__(self) -> None:
-        if not (self.bandwidth > 0):
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError(f"bandwidth must be > 0 and finite, got {self.bandwidth}")
 
 
 @dataclass(frozen=True)
@@ -181,8 +229,8 @@ class LaplacianKernel:
     scale: float
 
     def __post_init__(self) -> None:
-        if not (self.scale > 0):
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be > 0 and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -200,7 +248,7 @@ class TableKernel(_Rebuilt):
 
     def __post_init__(self) -> None:
         states = _point_tuple(self.states, "table kernel states")
-        if len(set(states)) != len(states):
+        if len(_support(states)[0]) != len(states):
             raise ValueError("table kernel states must be pairwise distinct")
         vals = _frozen_array(self.values, "table values")
         m = len(states)
@@ -219,18 +267,8 @@ class TableKernel(_Rebuilt):
         object.__setattr__(self, "values", tuple(map(tuple, vals.tolist())))
         object.__setattr__(self, "_values_array", vals)
 
-    @cached_property
-    def _index(self) -> dict[Point, int]:
-        return {p: i for i, p in enumerate(self.states)}
-
     def _lookup(self, points: Sequence[Point]) -> np.ndarray:
-        idx = np.empty(len(points), dtype=int)
-        for i, p in enumerate(points):
-            j = self._index.get(p)
-            if j is None:
-                raise ValueError(f"point not in table: {p.coords}")
-            idx[i] = j
-        return idx
+        return _state_index(self.states, points, "point not in table")
 
 
 Kernel = Union[GaussianKernel, LaplacianKernel, TableKernel]
@@ -264,7 +302,7 @@ def cross_gram(kernel: Kernel, rows: Sequence[Point], cols: Sequence[Point]) -> 
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     if isinstance(kernel, TableKernel):
         ri = kernel._lookup(rows)
-        ci = kernel._lookup(cols)
+        ci = ri if cols is rows else kernel._lookup(cols)
         return kernel._values_array[np.ix_(ri, ci)]      # a new, writable C-ordered array
     if isinstance(kernel, GaussianKernel):
         metric, norm, c = "sqeuclidean", np.square, 2.0 * kernel.bandwidth**2

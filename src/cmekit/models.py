@@ -39,7 +39,7 @@ from .estimators import (
     CmeEstimator, Cutoff, Landweber, PairedSample, Tikhonov, fit_cme, solve_pd,
 )
 from .kernels import (
-    Kernel, Point, _Rebuilt, _frozen_array, _point_rows, _point_tuple, cross_gram, gram,
+    Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, _state_index, _support, cross_gram, gram,
 )
 
 COND_TOL = 1e-10
@@ -68,7 +68,7 @@ class FiniteMarkovModel(_Rebuilt):
     def __post_init__(self) -> None:
         states = _point_tuple(self.states, "model states")
         m = len(states)
-        if len(set(states)) != m:
+        if len(_support(states)[0]) != m:
             raise ValueError("states must be pairwise distinct")
         pi = _frozen_array(self.marginal, "marginal").reshape(-1)
         if pi.shape[0] != m:
@@ -160,9 +160,7 @@ def estimator_values(est: CmeEstimator, model: FiniteMarkovModel) -> np.ndarray:
     Training Y off the states raise ``ValueError``: the operator then senses
     f off span phi(states), where the exact map says nothing.
     """
-    off = set(est.Y).difference(model.states)
-    if off:
-        raise ValueError(f"training Y off the model states: {sorted(p.coords for p in off)}")
+    _state_index(model.states, est.Y, "training Y off the model states")
     K_ex = cross_gram(est.kernel, model.states, est.X)
     return K_ex @ est.W.T @ cross_gram(est.kernel, est.Y, model.states)
 
@@ -281,7 +279,7 @@ def well_specified_estimator(
         raise ValueError("targets must map every state to a state index")
     K_E = _state_gram(model, kernel)
     W = solve_pd(K_E, np.eye(model.m))[0]
-    Y = tuple(model.states[t] for t in idx)
+    Y = model.states[np.array(idx)]
     return CmeEstimator(kernel=kernel, lam=1.0, filt=Cutoff(), X=model.states, Y=Y, W=W)
 
 
@@ -459,7 +457,7 @@ def sample_pairs(model: FiniteMarkovModel, n: int, seed: int) -> PairedSample:
     rng = _generator(seed)
     x_idx = _inverse_cdf_rows(model.marginal[None, :], rng.random(n))
     y_idx = _inverse_cdf_rows(model.transition[x_idx], rng.random(n))
-    return PairedSample(X=_point_rows(model.states, x_idx), Y=_point_rows(model.states, y_idx))
+    return PairedSample(X=model.states[x_idx], Y=model.states[y_idx])
 
 
 def ou_sample_pairs(theta: float, tau: float, n: int, seed: int) -> PairedSample:

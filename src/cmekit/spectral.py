@@ -141,8 +141,8 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
     n = sample.n
     if not (1 <= r <= n):
         raise ValueError(f"r out of range: need 1 <= r <= {n}, got {r}")
-    if not (lam > 0):
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lambda must be > 0 and finite, got {lam}")
     G = cross_gram(kernel, sample.X, sample.X).T          # F-ordered: G_X is exactly symmetric
     g = G.diagonal().copy()
     factor, jitter = _factor_pd(G, n * lam)

@@ -937,7 +937,7 @@ class TestCodec:
             Y=tuple(pt(*row) for row in rng.normal(size=(6, 2)) * 1e-300),
         )
         est = fit_cme(sample, LaplacianKernel(scale=1.5), Landweber(steps=7, step_size=0.5), 0.01)
-        repeated = PairedSample(X=sample.X[:2] * 3, Y=sample.Y[:3] * 2)
+        repeated = PairedSample(X=tuple(sample.X[:2]) * 3, Y=tuple(sample.Y[:3]) * 2)
         support = fit_cme(repeated, GAUSS, Tikhonov(), 0.01)
         return {
             "model": (model, write_model_file, read_model_file),
@@ -1303,6 +1303,11 @@ def test_singular_state_gram_fails_before_the_first_fit(tmp_path, capsys, monkey
             id="unknown-filter-variant",
         ),
         pytest.param(None, None, v2_file(kernel="gaussian"), id="estimator-kernel-parameters"),
+        pytest.param(None, None, v2_file(kernel="gaussian inf"), id="estimator-infinite-bandwidth"),
+        pytest.param(
+            "mmd", KERNEL.replace("bandwidth = 1", "bandwidth = inf") + MMD_DATA, None,
+            id="infinite-bandwidth",
+        ),
         pytest.param(None, None, v2_file(filt="landweber 7"), id="estimator-filter-parameters"),
         pytest.param(
             None, None, v2_file().replace(b"v2", b"v1", 1), id="estimator-v1-no-longer-read"

@@ -52,12 +52,11 @@ from cmekit.estimators import (
     _fitted_risk_and_hs,
     _mirror_lower,
     _on_support,
-    _support,
     _support_gram,
     _support_solve,
     solve_pd,
 )
-from cmekit.kernels import _kernel_diagonal, coords_matrix
+from cmekit.kernels import _kernel_diagonal, _support, coords_matrix
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 
@@ -221,6 +220,8 @@ class TestFilterValue:
             filter_value(Tikhonov(), 0.0, 1.0)
         with pytest.raises(ValueError):
             filter_value(Cutoff(), -1.0, 1.0)
+        with pytest.raises(ValueError, match="lambda must be > 0 and finite"):
+            filter_value(Tikhonov(), np.inf, 1.0)
 
     def test_qualification(self):
         # 0 <= s g(s) <= 1 for Tikhonov/Cutoff everywhere, Landweber for eta*s <= 1
@@ -337,6 +338,15 @@ class TestFitting:
             fit_cme(singleton_sample(), GAUSS, Tikhonov(), 0.0)
         with pytest.raises(ValueError):
             fit_tikhonov_closed_form(singleton_sample(), GAUSS, -1.0)
+        # an infinite lambda: cutoff returned an all-zero W, and Tikhonov failed inside scipy
+        for filt in (Tikhonov(), Cutoff(), Landweber(steps=3, step_size=0.5)):
+            with pytest.raises(ValueError, match="lambda must be > 0 and finite"):
+                fit_cme(singleton_sample(), GAUSS, filt, np.inf)
+            with pytest.raises(ValueError, match="lambda must be > 0 and finite"):
+                _support_solve(np.ones((1, 1), order="F"), 1, filt, np.inf)
+        sample = singleton_sample()
+        with pytest.raises(ValueError, match="lambda must be > 0 and finite"):
+            CmeEstimator(kernel=GAUSS, lam=np.inf, filt=Cutoff(), X=sample.X, Y=sample.Y, W=[[1.0]])
 
     def test_landweber_divergence_guard(self):
         # n copies of one point make G/n have top eigenvalue 1
@@ -460,7 +470,9 @@ class TestSupportArrays:
         points = [pool[i] for i in picks]
         D, inv, counts = _support(points)
         D_ref, inv_ref, counts_ref = support_by_dict(points)
-        assert len(D) == len(D_ref) and all(a is b for a, b in zip(D, D_ref))
+        # each distinct value keeps its first appearance's coordinates, signed zeros included
+        assert D == D_ref
+        assert coords_matrix(D).tobytes() == np.array([p.coords for p in D_ref]).tobytes()
         assert inv.dtype == np.intp and np.array_equal(inv, inv_ref)
         assert np.array_equal(counts, counts_ref)
         # the support carries its Points' coordinate rows, read-only

@@ -1,7 +1,9 @@
 """Kernel evaluation, Gram assembly, and psd properties."""
 
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -24,7 +26,8 @@ from cmekit import (
     kernel_eval,
     pt,
 )
-from cmekit import kernels
+from cmekit import cli, estimators, kernels, models, spectral
+from cmekit.embeddings import _mmd_sq
 from cmekit.kernels import _point_tuple, coords_matrix
 from cmekit.models import ou_sample_pairs
 
@@ -263,15 +266,15 @@ class TestCheckedPointTuples:
     @pytest.mark.parametrize("rows", [slice(0, 3), slice(2, 7), slice(5, 9), slice(1, 8, 3)])
     def test_a_row_slice_carries_a_view_of_the_coordinates(self, rows):
         points = _point_tuple(random_points(np.random.default_rng(7), 8, 2), "points")
-        part = kernels._point_rows(points, rows)
-        assert part == points[rows] and _point_tuple(part, "rows") is part
+        part = points[rows]
+        assert part == tuple(points)[rows] and _point_tuple(part, "rows") is part
         assert part._coords.tobytes() == np.array([p.coords for p in part]).tobytes()
         assert np.shares_memory(part._coords, points._coords)
         assert not part._coords.flags.writeable
 
     def test_an_empty_row_slice_stays_a_plain_tuple(self):
         points = _point_tuple(random_points(np.random.default_rng(8), 4, 1), "points")
-        part = kernels._point_rows(points, slice(2, 2))
+        part = points[2:2]
         assert type(part) is tuple and part == ()
         with pytest.raises(ValueError, match="must be nonempty"):
             coords_matrix(part)
@@ -287,10 +290,74 @@ class TestCheckedPointTuples:
         with pytest.raises(ValueError, match="must be nonempty"):
             _point_tuple(np.empty((0, 2)), "points")
 
-    @pytest.mark.parametrize("shape", [(), (3,), (2, 1, 1)])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 1, 1), (3, 0)])
     def test_an_array_of_another_rank_raises(self, shape):
         with pytest.raises(ValueError, match=r"points must be an \(n, d\) array"):
             _point_tuple(np.zeros(shape), "points")
+
+    @pytest.mark.parametrize(
+        "arr", [np.array([[1.0 + 2.0j], [0.5 + 0.0j]]), np.array([[1.0], [0.5]], dtype=object)],
+        ids=["complex", "object"],
+    )
+    def test_a_complex_or_object_array_is_refused_not_cast(self, arr):
+        # a cast to float would drop the imaginary part without a word
+        with pytest.raises(ValueError, match="points must be a real array"):
+            _point_tuple(arr, "points")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_picks_and_copies_equal_and_hash_as_the_plain_tuple(self, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        value = st.one_of(st.sampled_from([0.0, -0.0, 1.5]), COORD)
+        rows = np.array(data.draw(
+            st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=12), label="rows"
+        ))
+        n = len(rows)
+        cut = slice(*data.draw(st.tuples(st.integers(0, n), st.integers(0, n), st.integers(1, 3))))
+        idx = np.array(data.draw(st.lists(st.integers(-n, n - 1), min_size=1, max_size=12)))
+        points, plain = _point_tuple(rows, "points"), tuple(Point(tuple(r)) for r in rows)
+        # the same set with the sign of every zero flipped: -0.0 == 0.0, as for Points
+        flipped = _point_tuple(np.where(rows == 0.0, -rows, rows), "points")
+        picks = [(points, plain), (flipped, plain), (points[cut], plain[cut]),
+                 (points[idx], tuple(plain[i] for i in idx))]
+        for pick, ref in picks:
+            if not ref:
+                assert type(pick) is tuple and pick == ()
+                continue
+            for twin in (pick, pickle.loads(pickle.dumps(pick)), copy.deepcopy(pick)):
+                assert type(twin) is kernels._Points and _point_tuple(twin, "points") is twin
+                assert twin == ref and ref == twin and twin != list(ref)
+                assert hash(twin) == hash(ref) and tuple(twin) == ref
+                assert all(twin[i] == p for i, p in enumerate(ref))
+                assert not coords_matrix(twin).flags.writeable
+
+    def test_no_point_is_built_on_the_array_paths(self, tmp_path, monkeypatch):
+        # ingest, sampling, fit, report, EDMD and MMD run on the coordinate arrays alone
+        model = models.random_model(np.random.default_rng(4), 4)
+        ou = ou_sample_pairs(1.0, 0.5, 200, 5)
+        est = estimators.fit_cme(ou, GAUSS, estimators.Tikhonov(), 1e-3)
+        files = {name: str(tmp_path / name) for name in ("est", "pairs", "points")}
+        cli.write_estimator(files["est"], est)
+        cli.write_paired_sample(files["pairs"], ou)
+        cli.write_point_sample(files["points"], ou.Y)
+        built = []
+        post_init = Point.__post_init__
+        monkeypatch.setattr(Point, "__post_init__", lambda p: built.append(1) or post_init(p))
+        cli.read_estimator(files["est"])
+        cli.read_paired_sample(files["pairs"])
+        P = cli.read_point_sample(files["points"])
+        sample = ou_sample_pairs(1.0, 0.5, 200, 6)
+        finite = models.sample_pairs(model, 500, 7)
+        for filt in (estimators.Tikhonov(), estimators.Cutoff()):
+            for s in (sample, finite):
+                fit = estimators.fit_cme(s, GAUSS, filt, 1e-3)
+                estimators._fitted_risk_and_hs(fit, s)
+        spectral.edmd_eigen(sample, GAUSS, 1e-3, 3)
+        _mmd_sq(GAUSS, P, sample.X)
+        _mmd_sq(TableKernel(model.states, np.eye(4)), finite.X, finite.Y)
+        assert built == []
+        pt(0.5)
+        assert built == [1]                                 # the patch counts
 
     @pytest.mark.parametrize(
         "kernel", [GAUSS, TableKernel([pt(0.0), pt(1.0)], np.eye(2))], ids=["gauss", "table"]
@@ -321,6 +388,12 @@ class TestTableKernelValidation:
             GaussianKernel(bandwidth=0.0)
         with pytest.raises(ValueError):
             LaplacianKernel(scale=-1.0)
+        # an infinite bandwidth made every Gram entry 1.0 and every MMD 0.0
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="bandwidth must be > 0 and finite"):
+                GaussianKernel(bandwidth=value)
+            with pytest.raises(ValueError, match="scale must be > 0 and finite"):
+                LaplacianKernel(scale=value)
 
 
 def test_scipy_spatial_loads_only_for_multi_dimensional_blocks():

@@ -127,6 +127,8 @@ class TestEdmdMatrix:
     def test_lambda_validation(self):
         with pytest.raises(ValueError, match="lambda must be > 0"):
             edmd_eigen(PairedSample(X=(pt(0.0),), Y=(pt(0.0),)), GAUSS, 0.0, 1)
+        with pytest.raises(ValueError, match="lambda must be > 0 and finite"):
+            edmd_eigen(PairedSample(X=(pt(0.0),), Y=(pt(0.0),)), GAUSS, np.inf, 1)
 
 
 class TestEdmdEigen:
@@ -213,7 +215,9 @@ class TestEdmdEigen:
         def shifted(points):
             return tuple(pt(p.coords[0] + 100.0) for p in points)
 
-        twice = PairedSample(X=sample.X + shifted(sample.X), Y=sample.Y + shifted(sample.Y))
+        twice = PairedSample(
+            X=tuple(sample.X) + shifted(sample.X), Y=tuple(sample.Y) + shifted(sample.Y)
+        )
         res = edmd_eigen(twice, GAUSS, 1e-4, 5)
         imag = res.eigenvalues.imag
         assert np.sum(imag > 0.6) == 2 and np.sum(imag < -0.6) == 1 and imag[-1] > 0.6

@@ -12,8 +12,9 @@ file the pass wrote.  It then runs each of ``EXTRA_RUNS``, CLI streams the
 workloads never produce, and prints the same lines for its exit code, stdout,
 stderr (less its ``wall_time_ms`` line) and output file.  Text is hashed with
 the temporary directory's path replaced by ``WORKDIR``.  The paired-sample runs
-read a file of 2-D points that this script draws from the seed and writes with
-17 significant digits, so every checkout reads the same bytes.
+read a file of 2-D points, and the point-sample run two, that this script draws
+from the seed and writes with 17 significant digits, so every checkout reads
+the same bytes.
 
 The program and the benchmark helpers are imported from DIR (default: the
 checkout that holds this script), so the listings of two checkouts differ
@@ -35,7 +36,8 @@ SEEDS = (11, 12, 13)
 
 # (name, command, data source, [filter] lines, [run] lines); "finite-model" takes
 # the finite-oracle workload's kernel and model file, "paired-sample" reads the
-# file _write_paired_sample writes
+# file _write_paired_sample writes and "point-samples" the two files
+# _write_point_samples writes
 EXTRA_RUNS = (
     ("estimate-finite-tikhonov", "estimate", "finite-model", "variant = tikhonov",
      "lambda = 1e-3\nn = 1000"),
@@ -53,9 +55,11 @@ EXTRA_RUNS = (
     ("estimate-paired-2d-cutoff", "estimate", "paired-sample", "variant = cutoff",
      "lambda = 1e-3"),
     ("edmd-paired-2d", "edmd", "paired-sample", None, "lambda = 1e-3\nr = 4"),
+    ("mmd-points-2d", "mmd", "point-samples", None, ""),
 )
 PAIRED_N = 200
 PAIRED_DISTINCT_X = 150     # fewer than PAIRED_N, so x values repeat
+POINTS_N = (400, 300)       # each Gram block spans several row blocks
 
 
 def _sha256(data: bytes) -> str:
@@ -74,9 +78,27 @@ def _write_paired_sample(seed: int, path: Path) -> None:
     rng = np.random.Generator(np.random.Philox(seed))
     x = rng.standard_normal((PAIRED_DISTINCT_X, 2))[rng.integers(0, PAIRED_DISTINCT_X, PAIRED_N)]
     y = x @ np.array([[0.8, 0.1], [-0.2, 0.7]]) + 0.3 * rng.standard_normal((PAIRED_N, 2))
-    lines = ["paired-sample v1"]
-    for name, arr in (("x", x), ("y", y)):
-        lines += [f"{name} {PAIRED_N} 2"] + [" ".join("%.17g" % v for v in row) for row in arr]
+    _write_blocks(path, "paired-sample v1", {"x": x, "y": y})
+
+
+def _write_point_samples(seed: int, tmp: Path) -> None:
+    """Two ``sample v1`` files of 2-D points drawn with ``seed``: POINTS_N[0] standard
+    normal points in p.txt, and POINTS_N[1] from a shifted and wider normal law in q.txt."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    laws = (("p.txt", POINTS_N[0], 0.0, 1.0), ("q.txt", POINTS_N[1], 0.5, 1.3))
+    for name, n, shift, scale in laws:
+        points = shift + scale * rng.standard_normal((n, 2))
+        _write_blocks(tmp / name, "sample v1", {"points": points})
+
+
+def _write_blocks(path: Path, magic: str, blocks: dict) -> None:
+    """A text data file: the magic line, then each (rows, cols) block at 17 significant digits."""
+    lines = [magic]
+    for name, arr in blocks.items():
+        lines += [f"{name} {arr.shape[0]} {arr.shape[1]}"]
+        lines += [" ".join("%.17g" % v for v in row) for row in arr]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -94,10 +116,13 @@ def _extra_outputs(
     else:
         if source == "paired-sample":
             _write_paired_sample(seed, tmp / "pairs.txt")
+        elif source == "point-samples":
+            _write_point_samples(seed, tmp)
         data = {
             "ou": f"theta = {wl.THETA}\ntau = {wl.TAU}",
             "double-well": "beta = 3.0\ndt = 0.001\nsteps_per_pair = 10",
             "paired-sample": f"sample_file = {tmp / 'pairs.txt'}",
+            "point-samples": f"sample_file = {tmp / 'p.txt'}\nsample_file_2 = {tmp / 'q.txt'}",
         }[source]
         head = (f"[kernel]\nvariant = gaussian\nbandwidth = {wl.BANDWIDTH}\n"
                 f"[data]\nsource = {source}\n{data}\n")

@@ -465,8 +465,8 @@ def ou_sample_pairs(theta: float, tau: float, n: int, seed: int) -> PairedSample
 
     tau = 0 is the degenerate call with y = x exactly.
     """
-    if not (theta > 0):
-        raise ValueError(f"theta must be > 0, got {theta}")
+    if not 0 < theta < np.inf:
+        raise ValueError(f"theta must be > 0 and finite, got {theta}")
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if n < 1:
@@ -489,10 +489,10 @@ def double_well_pairs(
     are read off every steps_per_pair steps.  Stability needs dt small enough
     (dt <= 1e-3 is safe for beta <= 10); |x| > 1e6 aborts with a diagnostic.
     """
-    if not (beta > 0):
-        raise ValueError(f"beta must be > 0, got {beta}")
-    if not (dt > 0):
-        raise ValueError(f"dt must be > 0, got {dt}")
+    if not 0 < beta < np.inf:
+        raise ValueError(f"beta must be > 0 and finite, got {beta}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"dt must be > 0 and finite, got {dt}")
     if steps_per_pair < 1:
         raise ValueError("steps_per_pair must be >= 1")
     if n < 1:

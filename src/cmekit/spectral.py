@@ -31,12 +31,17 @@ G_X and K_YX are each formed once per fit, and G_X + n*lam*I is factored once
 by :func:`cmekit.estimators._factor_pd` under the package's one policy
 (Cholesky, at most one jitter of 1e-10 * trace / n).  The factor is packed into
 G_X's own buffer: its lower triangle holds L, its strict upper triangle still
-holds G_X, and G_X's diagonal is kept aside, so G_X V is one symmetric product
-over the upper triangle.  A fit thus holds two n x n blocks, the packed factor
-and K_YX; for r >= n - 1, M = (G_X + n*lam*I)^{-1} K_YX is solved in K_YX's
-buffer.  ``edmd_eigen`` measures the residuals with that same factor, so they
-belong to the same, possibly jittered, operator the eigenpairs came from, and
-it records the jitter it added.
+holds G_X, and G_X's diagonal is kept aside.  Every solve with the factor is
+two triangular solves on L, which read only the lower triangle, and G_X V is
+one symmetric product over the upper one.  A fit thus holds two n x n blocks,
+the packed factor and K_YX; for r >= n - 1, M = (G_X + n*lam*I)^{-1} K_YX is
+solved in K_YX's buffer.  ``edmd_eigen`` measures the residuals with that same
+factor, so they belong to the same, possibly jittered, operator the eigenpairs
+came from, and it records the jitter it added.  It applies M once, to the
+real and imaginary parts of the r eigenvectors side by side, and reads the
+RKHS norms of the eigenvectors and of their residuals M v - mu v off one
+symmetric product; a residual scales with its eigenvector, so residual j is
+sqrt(d_j^H G_X d_j / v_j^H G_X v_j) for the unnormalized v_j.
 """
 
 from __future__ import annotations
@@ -113,9 +118,24 @@ def _sorted_pairs(w: np.ndarray, V: np.ndarray, r: int) -> tuple[np.ndarray, np.
     return w, V
 
 
-def _normalize_columns(w: np.ndarray, V: np.ndarray, factor, g: np.ndarray) -> np.ndarray:
+def _solve(factor, B: np.ndarray) -> np.ndarray:
+    """(L L^T)^{-1} B by two triangular solves on the packed lower factor L; B may be overwritten.
+
+    Each solve reads only L's triangle, so G_X kept in the strict upper one is
+    not touched; ``_factor_pd`` already checked the factor, so neither scans it.
+    """
+    L = factor[0]
+    B = scipy.linalg.solve_triangular(L, B, lower=True, overwrite_b=True, check_finite=False)
+    return scipy.linalg.solve_triangular(
+        L, B, lower=True, trans="T", overwrite_b=True, check_finite=False
+    )
+
+
+def _normalize_columns(
+    w: np.ndarray, V: np.ndarray, norm_sq: np.ndarray, g: np.ndarray
+) -> np.ndarray:
+    """V with unit RKHS-norm columns under the sign rule; ``norm_sq`` holds v^H G_X v per column."""
     scale = float(np.max(g))
-    norm_sq = _rkhs_norm_sq(factor, g, V)
     null = norm_sq <= 1e-14 * scale * np.sum(np.abs(V) ** 2, axis=0)
     if np.any(null):
         j = int(np.argmax(null))
@@ -153,19 +173,23 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
         K_yx = cross_gram(kernel, sample.Y, sample.X)
 
         def apply(v: np.ndarray) -> np.ndarray:
-            return scipy.linalg.cho_solve(factor, K_yx @ v, check_finite=False)
+            return _solve(factor, K_yx @ v)
 
         op = LinearOperator((n, n), matvec=apply, dtype=float)
         w, V = _sorted_pairs(*eigs(op, k=r, which="LM", v0=np.ones(n)), r)
     else:
         K_yx = cross_gram(kernel, sample.X, sample.Y).T   # F-ordered cross_gram(Y, X), bit for bit
-        M = scipy.linalg.cho_solve(factor, K_yx, overwrite_b=True, check_finite=False)
+        M = _solve(factor, K_yx)
         apply = M.__matmul__
         w, V = _sorted_pairs(*scipy.linalg.eig(M), r)
 
-    V = _normalize_columns(w, V, factor, g)
-    D = apply(V.real) + 1j * apply(V.imag) - V * w
-    residuals = np.sqrt(np.maximum(_rkhs_norm_sq(factor, g, D), 0.0))
+    # residuals scale with |v|, so D and both norms come from the unnormalized V
+    MP = apply(np.concatenate([V.real, V.imag], axis=1))
+    D = MP[:, :r] + 1j * MP[:, r:] - V * w
+    q = _rkhs_norm_sq(factor, g, np.concatenate([V, D], axis=1))
+    norm_sq = q[:r]
+    V = _normalize_columns(w, V, norm_sq, g)
+    residuals = np.sqrt(np.maximum(q[r:], 0.0)) / np.sqrt(norm_sq)
     return EdmdResult(w, V, sample.X, kernel, lam, residuals, jitter)
 
 

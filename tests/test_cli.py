@@ -1142,6 +1142,12 @@ MODEL_FILE = "finite-model v1\nstates 2 1\n0\n1\npi 2\n{pi}\ntransition 2 2\n0.5
         ),
         pytest.param(
             "estimate",
+            KERNEL + TIKHONOV + OU_DATA.format(theta="inf") + ESTIMATE_RUN,
+            None,
+            id="infinite-ou-theta",
+        ),
+        pytest.param(
+            "estimate",
             KERNEL + "[filter]\nvariant = landweber\nsteps = 5\nstep_size = 10\n"
             + OU_DATA.format(theta=1) + ESTIMATE_RUN,
             None,

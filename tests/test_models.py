@@ -990,3 +990,17 @@ class TestSamplers:
     def test_double_well_blowup_diagnostic(self):
         with pytest.raises(RuntimeError, match="diverged"):
             double_well_pairs(1e-4, 1.0, 1, 10, 3)
+
+    @pytest.mark.parametrize(
+        "name, draw",
+        [
+            ("theta", lambda v: ou_sample_pairs(v, 0.5, 10, 3)),
+            ("beta", lambda v: double_well_pairs(v, 1e-3, 5, 10, 3)),
+            ("dt", lambda v: double_well_pairs(3.0, v, 5, 10, 3)),
+        ],
+        ids=["theta", "beta", "dt"],
+    )
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+    def test_rate_parameters_must_be_positive_and_finite(self, name, draw, value):
+        with pytest.raises(ValueError, match=f"{name} must be > 0 and finite, got {value}"):
+            draw(value)

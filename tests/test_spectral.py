@@ -378,6 +378,45 @@ class TestEdmdEigen:
         eigen_residuals(res)
         assert calls == {"G_X": 1, "K_YX": 1, "_factor_pd": 1}
 
+    def test_one_norm_pass_and_one_residual_apply_per_arnoldi_fit(self, monkeypatch):
+        # the RKHS norms of V and of D = M V - V w come from one pass over G_X, and
+        # once eigs returns, M is applied once, to the (n, 2r) block [Re V, Im V]
+        from scipy.sparse import linalg as sparse_linalg
+
+        n, r = 120, 4
+        sample = random_sample(np.random.default_rng(52), n)
+        norm_passes, widths, done = [], [], []
+
+        class RecordingBlock(np.ndarray):
+            def __matmul__(self, other):
+                if done:
+                    widths.append(1 if other.ndim == 1 else other.shape[1])
+                return np.asarray(self) @ other
+
+        inner_gram, inner_norm, inner_eigs = (
+            cmekit.spectral.cross_gram, cmekit.spectral._rkhs_norm_sq, sparse_linalg.eigs
+        )
+
+        def cross_gram(kernel, rows, cols):
+            out = inner_gram(kernel, rows, cols)
+            return out.view(RecordingBlock) if rows is sample.Y else out
+
+        def rkhs_norm_sq(*args):
+            norm_passes.append(True)
+            return inner_norm(*args)
+
+        def eigs(*args, **kwargs):
+            out = inner_eigs(*args, **kwargs)
+            done.append(True)
+            return out
+
+        monkeypatch.setattr(cmekit.spectral, "cross_gram", cross_gram)
+        monkeypatch.setattr(cmekit.spectral, "_rkhs_norm_sq", rkhs_norm_sq)
+        monkeypatch.setattr(sparse_linalg, "eigs", eigs)
+        edmd_eigen(sample, GAUSS, 1e-2, r)
+        assert len(norm_passes) == 1
+        assert done and widths == [2 * r]
+
     def test_arnoldi_fit_holds_two_blocks(self):
         # K_YX and the factor of G_X + n*lam*I packed into G_X's buffer; a factor
         # formed in a copy of G_X would be a third block
@@ -395,13 +434,13 @@ class TestEdmdEigen:
     def test_solves_skip_the_finite_scan_of_the_checked_factor(self, monkeypatch, n, r):
         # _factor_pd already checked G_X: no solve scans the n x n factor again
         checks = []
-        inner = scipy.linalg.cho_solve
+        inner = scipy.linalg.solve_triangular
 
         def recording(*args, **kwargs):
             checks.append(kwargs.get("check_finite", True))
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cho_solve", recording)
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", recording)
         sample = random_sample(np.random.default_rng(52), n)
         edmd_eigen(sample, GAUSS, 1e-2, r)
         assert checks and not any(checks)
@@ -434,6 +473,20 @@ class TestResiduals:
 
     def test_arnoldi(self):
         self.check(random_sample(np.random.default_rng(55), 160), GAUSS, 1e-2, 4)
+
+    def test_arnoldi_complex_pairs(self):
+        # y = R x, R a rotation by 0.5 rad: the top of the spectrum is 1 and the
+        # pairs near exp(+-0.5i) and exp(+-1i). r = 4 keeps the first pair whole
+        # and cuts the second, so M meets [Re V, Im V] with nonzero Im V
+        X = np.random.default_rng(61).normal(size=(200, 2))
+        c, s = np.cos(0.5), np.sin(0.5)
+        sample = PairedSample(X=X, Y=X @ np.array([[c, s], [-s, c]]))
+        res = edmd_eigen(sample, GAUSS, 1e-3, 4)
+        w = res.eigenvalues
+        assert w[1].imag > 0.4 and w[2] == np.conj(w[1])
+        assert w[3].imag > 0.4
+        want = recomputed_residuals(res, sample, GAUSS, 1e-3)
+        assert np.max(np.abs(eigen_residuals(res) - want)) <= 1e-12
 
     def test_a_result_without_residuals_is_refused(self):
         with pytest.raises(TypeError, match="residuals"):

@@ -2,9 +2,9 @@
 
 Commands: ``estimate``, ``edmd``, ``mmd``, ``oracle-verify``, ``convergence``.
 Each reads a flat key-value config file with ``[section]`` headers (schema in
-``docs/config.md``), plus ``--seed`` / ``--out`` overrides.  Identical config
-and seed give byte-identical file and stdout output; wall-clock timings go to
-stderr so they never perturb the deterministic streams.
+``docs/config.md``), plus ``--seed`` / ``--out`` overrides.  Identical config,
+seed, BLAS library and BLAS thread count give byte-identical file and stdout
+output; wall-clock timings go to stderr, outside the deterministic streams.
 
 Exit codes: 0 success (and, for oracle-verify, all checks passed),
 1 runtime failure, 2 validation failure (config, file parse, range checks).
@@ -141,6 +141,15 @@ _FILTERS = {
     "landweber": (Landweber, (("steps", int), ("step_size", float))),
 }
 
+# Each sampled data source: its sampler's name in models, and its [data]
+# parameters in call order, before n and seed.  The name is looked up at each
+# draw, so a rebinding of the models attribute (span tracing, tests) applies.
+_SOURCES = {
+    "finite-model": ("sample_pairs", ()),
+    "ou": ("ou_sample_pairs", (("theta", float), ("tau", float))),
+    "double-well": ("double_well_pairs", (("beta", float), ("dt", float), ("steps_per_pair", int))),
+}
+
 
 @contextmanager
 def _invalid(where: str):
@@ -157,12 +166,16 @@ def _spec(table: dict, what: str, variant: str, where: str) -> tuple:
     return table[variant]
 
 
-def _from_config(cfg: Config, section: str, table: dict):
-    cls, params = _spec(table, section, cfg.require(section, "variant").lower(), cfg.path)
-    args = [
+def _config_args(cfg: Config, section: str, params: tuple) -> list:
+    return [
         cfg.get_int(section, key) if conv is int else cfg.get_float(section, key)
         for key, conv in params
     ]
+
+
+def _from_config(cfg: Config, section: str, table: dict):
+    cls, params = _spec(table, section, cfg.require(section, "variant").lower(), cfg.path)
+    args = _config_args(cfg, section, params)
     with _invalid(f"{cfg.path}: [{section}]"):
         return cls(*args)
 
@@ -359,8 +372,6 @@ def write_point_sample(path: str, points: Sequence[Point]) -> None:
 
 def read_point_sample(path: str) -> Sequence[Point]:
     pts = _read_file(path, "sample v1", {"points": 2})["points"]
-    if pts.shape[0] == 0:
-        raise ConfigError(f"{path}: empty sample")
     with _invalid(f"{path}: invalid sample"):
         return _point_tuple(pts, "sample points")
 
@@ -402,9 +413,6 @@ def read_estimator(path: str) -> CmeEstimator:
 # ---------------------------------------------------------------------------
 
 
-_SAMPLED_SOURCES = ("finite-model", "ou", "double-well")
-
-
 def _load_sample(
     cfg: Config, seed: int, n: Optional[int] = None, model: Optional[md.FiniteMarkovModel] = None
 ) -> PairedSample:
@@ -413,29 +421,16 @@ def _load_sample(
     source = cfg.require("data", "source").lower()
     if source == "paired-sample":
         return read_paired_sample(cfg.require("data", "sample_file"))
-    if source not in _SAMPLED_SOURCES:
+    if source not in _SOURCES:
         raise ConfigError(f"{cfg.path}: unknown data source '{source}'")
+    sampler, params = _SOURCES[source]
     if source == "finite-model" and model is None:
         model = read_model_file(cfg.require("data", "model_file"))
     n = _run_n(cfg) if n is None else n
+    args = [model] if source == "finite-model" else _config_args(cfg, "data", params)
     # values from the config reach the samplers unchecked until here
     with _invalid(f"{cfg.path}: invalid sampling parameters"):
-        if source == "finite-model":
-            return md.sample_pairs(model, n, seed)
-        if source == "ou":
-            return md.ou_sample_pairs(
-                theta=cfg.get_float("data", "theta"),
-                tau=cfg.get_float("data", "tau"),
-                n=n,
-                seed=seed,
-            )
-        return md.double_well_pairs(
-            beta=cfg.get_float("data", "beta"),
-            dt=cfg.get_float("data", "dt"),
-            steps_per_pair=cfg.get_int("data", "steps_per_pair"),
-            n=n,
-            seed=seed,
-        )
+        return getattr(md, sampler)(*args, n, seed)
 
 
 def _run_n(cfg: Config) -> int:
@@ -538,7 +533,7 @@ def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     lam = _resolve_lambda(cfg)
     out_path = _resolve_out(cfg, out)
     the_seed = _resolve_seed(cfg, seed)
-    if cfg.require("data", "source").lower() in _SAMPLED_SOURCES:
+    if cfg.require("data", "source").lower() in _SOURCES:
         _resolve_r(cfg, _run_n(cfg))        # before the draw, which can take seconds
     sample = _load_sample(cfg, the_seed)
     r = _resolve_r(cfg, sample.n)
@@ -630,8 +625,7 @@ def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int
         model = read_model_file(cfg.require("data", "model_file"))
         md._state_gram(model, kernel)       # a singular K_E fails before the first fit
     else:
-        theta = cfg.get_float("data", "theta")
-        tau = cfg.get_float("data", "tau")
+        theta, tau = _config_args(cfg, "data", _SOURCES["ou"][1])
         r = _resolve_r(cfg, grid[0], default=3)
 
     rows = ["n,lambda,op_norm_diff,exact_excess_risk,eig_errors"]

@@ -1371,6 +1371,20 @@ def test_validation_exits_name_the_file(tmp_path, capsys, command, config, data)
     assert err.startswith("error: ") and (data_path or cfg) in err
 
 
+def test_source_table_matches_the_samplers():
+    # the CLI passes a sampled source's [data] parameters positionally, in table
+    # order, so a renamed sampler or a reordered parameter would fail only at run time
+    import inspect
+
+    import cmekit.models as md
+    from cmekit.cli import _SOURCES
+
+    for source, (name, params) in _SOURCES.items():
+        expected = (["model"] if source == "finite-model" else []) + [key for key, _ in params]
+        signature = inspect.signature(getattr(md, name))
+        assert list(signature.parameters) == expected + ["n", "seed"], source
+
+
 def test_readme_example_config_runs(tmp_path, capsys):
     # the README's ou.cfg example, taken verbatim from its heredoc
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

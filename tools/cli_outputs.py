@@ -56,6 +56,13 @@ EXTRA_RUNS = (
      "lambda = 1e-3"),
     ("edmd-paired-2d", "edmd", "paired-sample", None, "lambda = 1e-3\nr = 4"),
     ("mmd-points-2d", "mmd", "point-samples", None, ""),
+    ("convergence-ou", "convergence", "ou", None,
+     "n_grid = 100 200\nlambda_schedule = 1e-2*n^-0.5\nr = 3"),
+    ("convergence-double-well", "convergence", "double-well", None,      # refused, exit 2
+     "n_grid = 100 200\nlambda_schedule = 1e-2*n^-0.5"),
+    ("edmd-finite", "edmd", "finite-model", None, "lambda = 1e-3\nn = 400\nr = 3"),
+    ("estimate-double-well", "estimate", "double-well", "variant = tikhonov",
+     "lambda = 1e-3\nn = 200"),
 )
 PAIRED_N = 200
 PAIRED_DISTINCT_X = 150     # fewer than PAIRED_N, so x values repeat

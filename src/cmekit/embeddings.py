@@ -68,23 +68,16 @@ def embed_diff(a: WeightedEmbedding, b: WeightedEmbedding) -> WeightedEmbedding:
     )
 
 
-def _block_sum(kernel: Kernel, rows: kernels._Points, cols: kernels._Points) -> float:
-    """sum_ij k(rows[i], cols[j]), row blocks of about ``_BLOCK_ENTRIES`` entries added exactly."""
-    step = max(1, kernels._BLOCK_ENTRIES // len(cols))
-    return math.fsum(
-        cross_gram(kernel, rows[i:i + step], cols).sum()
-        for i in range(0, len(rows), step)
-    )
-
-
 def _mmd_sq(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> tuple[float, float | None]:
     """Biased and unbiased squared MMD from the row-block sums of the three Gram blocks.
 
     (P, Q) is put in a canonical order (size, then coordinate bytes), so both
     values are bitwise symmetric, and the same list gives exactly 0.0: the three
-    sums run the same code on the same data.  Peak memory is one row block.  A
-    table kernel's sums are quadratic forms c_rows^T T c_cols in the state
-    counts c of each sample, one table lookup per point.
+    sums run the same code on the same data.  A Gaussian or Laplacian block's sum
+    adds the sums of its row blocks exactly, in row-block order, so peak memory is
+    one row block per worker of ``kernels._row_blocks``.  A table kernel's sums are
+    quadratic forms c_rows^T T c_cols in the state counts c of each sample, one
+    table lookup per point.
     The unbiased value is None below two points per sample.
     """
     P, Q = _point_tuple(P, "MMD sample"), _point_tuple(Q, "MMD sample")
@@ -97,7 +90,12 @@ def _mmd_sq(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> tuple[flo
         spp, sqq, spq = cp @ T @ cp, cq @ T @ cq, cp @ T @ cq
         tpp, tqq = cp @ np.diag(T), cq @ np.diag(T)
     else:
-        spp, sqq, spq = (_block_sum(kernel, A, B) for A, B in ((P, P), (Q, Q), (P, Q)))
+        p, q = P._coords, Q._coords
+        if p.shape[1] != q.shape[1]:
+            raise ValueError(f"dimension mismatch: {p.shape[1]} vs {q.shape[1]}")
+        spp, sqq, spq = (
+            math.fsum(kernels._row_blocks(kernel, A, B, np.ndarray.sum)) for A, B in ((p, p), (q, q), (p, q))
+        )
         tpp, tqq = (kernels._kernel_diagonal(kernel, S).sum() for S in (P, Q))
     kpq = spq / (n * m)
     biased = float(spp / (n * n) + sqq / (m * m) - 2.0 * kpq)

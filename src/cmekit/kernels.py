@@ -13,10 +13,18 @@ C-ordered ``(n, m)`` one, assembled in that one buffer: no second block is held
 while a block is built.  ``kernel_eval`` is the ``1 x 1`` block, so one point
 pair gets the same double from every route.
 
-A Gaussian or Laplacian block is filled in row blocks of about
-``_BLOCK_ENTRIES`` entries, small enough to stay in L2, and each row block is
-finished while it is in cache: its distances, then ``/ (-c)`` and ``exp`` in
-place.  The distance step depends on the dimension d:
+A Gaussian or Laplacian block is built by one row-block engine,
+``_row_blocks``, in row blocks of about ``_BLOCK_ENTRIES`` entries, small
+enough to stay in L2.  Each row block is finished while it is in cache: its
+distances, then ``/ (-c)`` and ``exp`` in place.  The engine hands each
+finished row block to its caller: ``cross_gram`` builds them in its output,
+and the MMD sums each one in a row block of scratch.  A block of at least
+``_SPLIT_ENTRIES`` (about 1M) entries, in a process allowed two or more CPUs,
+is built by two workers: a thread started for that call builds the second
+half of the row blocks while the caller builds the first.  Every entry and
+every row-block result is the same code on the same doubles in either thread,
+so no output depends on the split.  The distance step depends on the
+dimension d:
 
 - d = 1: ``x - y`` and its square or absolute value, numpy ufuncs in place:
   ``cdist``'s arithmetic at d = 1, so the doubles are the ones it would give.
@@ -37,7 +45,9 @@ agree bit for bit and ``cross_gram(kernel, b, a).T`` is
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import os
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -46,6 +56,7 @@ import numpy as np
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
 _BLOCK_ENTRIES = 1 << 15          # 256 KB of doubles per row block of a Gram block
+_SPLIT_ENTRIES = 32 * _BLOCK_ENTRIES    # a Gram block this large is built on two threads
 
 
 @dataclass(frozen=True)
@@ -304,6 +315,18 @@ def cross_gram(kernel: Kernel, rows: Sequence[Point], cols: Sequence[Point]) -> 
         ri = kernel._lookup(rows)
         ci = ri if cols is rows else kernel._lookup(cols)
         return kernel._values_array[np.ix_(ri, ci)]      # a new, writable C-ordered array
+    K = np.empty((len(a), len(b)))
+    _row_blocks(kernel, a, b, out=K)
+    return K
+
+
+def _row_blocks(
+    kernel: Kernel, a: np.ndarray, b: np.ndarray, visit: Callable | None = None, out: np.ndarray | None = None
+) -> list:
+    """Build the Gaussian or Laplacian block k(a[i], b[j]) of two (n, d) and (m, d) arrays in
+    row blocks, on one or two workers (see the module docstring), in ``out`` or else in one
+    row block of scratch per worker.  Returns ``visit(block)`` for each row block, in row-block
+    order; the caller re-raises what either worker raised, once both have stopped."""
     if isinstance(kernel, GaussianKernel):
         metric, norm, c = "sqeuclidean", np.square, 2.0 * kernel.bandwidth**2
     elif isinstance(kernel, LaplacianKernel):
@@ -312,20 +335,53 @@ def cross_gram(kernel: Kernel, rows: Sequence[Point], cols: Sequence[Point]) -> 
         raise TypeError(f"unknown kernel type: {type(kernel).__name__}")
     if a.shape[1] > 1:
         from scipy.spatial.distance import cdist
-    K = np.empty((len(a), len(b)))
     step = max(1, _BLOCK_ENTRIES // len(b))
-    for i in range(0, len(a), step):
-        # each row block is finished while it is still in cache
-        block = K[i:i + step]
-        if a.shape[1] > 1:
-            cdist(a[i:i + step], b, metric, out=block)
-        else:
-            np.subtract.outer(a[i:i + step, 0], b[:, 0], out=block)
-            norm(block, out=block)
-        # exp(-D / c) in D's own buffer: (-d) / c and d / (-c) round to the same double
-        np.divide(block, -c, out=block)
-        np.exp(block, out=block)
-    return K
+    starts = range(0, len(a), step)
+    results = [None] * len(starts)
+
+    def work(part: range) -> None:
+        scratch = np.empty((min(step, len(a)), len(b))) if out is None else None
+        for i in part:
+            rows = a[i:i + step]
+            # each row block is finished while it is still in cache
+            block = scratch[:len(rows)] if out is None else out[i:i + step]
+            if a.shape[1] > 1:
+                cdist(rows, b, metric, out=block)
+            else:
+                np.subtract.outer(rows[:, 0], b[:, 0], out=block)
+                norm(block, out=block)
+            # exp(-D / c) in D's own buffer: (-d) / c and d / (-c) round to the same double
+            np.divide(block, -c, out=block)
+            np.exp(block, out=block)
+            if visit is not None:
+                results[i // step] = visit(block)
+
+    if len(a) * len(b) < _SPLIT_ENTRIES or len(starts) < 2 or len(os.sched_getaffinity(0)) < 2:
+        work(starts)
+        return results
+
+    raised = []
+
+    def worker(part: range) -> None:
+        # numpy keeps the ufunc buffer size per thread: at 16 the broadcast subtract allocates
+        # no iterator buffer of half a row block beside each worker's row block, and no double
+        # changes (the row-block sums read whole contiguous blocks, with no buffering)
+        bufsize = np.setbufsize(16)
+        try:
+            work(part)
+        except BaseException as exc:        # re-raised by the caller once both halves stop
+            raised.append(exc)
+        finally:
+            np.setbufsize(bufsize)
+
+    half = (len(starts) + 1) // 2
+    thread = threading.Thread(target=worker, args=(starts[half:],))
+    thread.start()
+    worker(starts[:half])
+    thread.join()
+    if raised:
+        raise raised[0]
+    return results
 
 
 def gram(kernel: Kernel, points: Sequence[Point]) -> np.ndarray:

@@ -463,11 +463,12 @@ def sample_pairs(model: FiniteMarkovModel, n: int, seed: int) -> PairedSample:
 def ou_sample_pairs(theta: float, tau: float, n: int, seed: int) -> PairedSample:
     """Stationary lag-tau pairs of the OU process dX = -theta X dt + dW.
 
-    tau = 0 is the degenerate call with y = x exactly.
+    tau = 0 is the degenerate call with y = x exactly, and tau = inf the limit
+    where x and y are independent.
     """
     if not 0 < theta < np.inf:
         raise ValueError(f"theta must be > 0 and finite, got {theta}")
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if n < 1:
         raise ValueError("need n >= 1 samples")

@@ -551,49 +551,66 @@ sample_file_2 = {file_b}
         assert len(err) == 2 and err[0].startswith("error:") and err[1].startswith("wall_time_ms=")
 
     def test_one_pass_over_the_blocks(self, tmp_path, capsys, monkeypatch):
-        import cmekit.embeddings as emb
+        import cmekit.kernels as kernels
 
-        built = count_blocks(monkeypatch, emb)
+        built, row_blocks = [], kernels._row_blocks
+
+        def recording(kernel, a, b, *args, **kwargs):
+            built.append((len(a), len(b)))
+            return row_blocks(kernel, a, b, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "_row_blocks", recording)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         write_point_sample(str(a), [pt(0.0), pt(0.5), pt(1.0)])
         write_point_sample(str(b), [pt(1.0), pt(2.0), pt(3.0), pt(4.0)])
         assert main(["mmd", "--config", self._config(tmp_path, a, b)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert isinstance(report["biased"], float) and isinstance(report["unbiased"], float)
-        # each block fits in one row block, so it is one cross_gram call
-        assert sorted(built) == [("cross_gram", 3, 3), ("cross_gram", 3, 4), ("cross_gram", 4, 4)]
+        # each Gram block is built once, by one call of the row-block engine
+        assert sorted(built) == [(3, 3), (3, 4), (4, 4)]
 
     def test_row_blocks_cover_each_sample_once(self, tmp_path, capsys, monkeypatch):
         # 25 entries per row block: 7 columns take 3 rows and 11 columns 2, so
-        # every block splits and ends in a ragged row block
-        import cmekit.embeddings as emb
+        # every block splits and ends in a ragged row block; the second run
+        # hands the second half of the row blocks to a helper thread
         import cmekit.kernels as kernels
 
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 25)
-        calls, cross_gram = [], emb.cross_gram
+        monkeypatch.setattr(kernels.os, "sched_getaffinity", lambda pid: {0, 1})
+        calls, row_blocks = [], kernels._row_blocks
 
-        def recording(kernel, rows, cols):
-            calls.append((tuple(rows), tuple(cols)))
-            return cross_gram(kernel, rows, cols)
+        def recording(kernel, a, b, visit):
+            blocks = []
 
-        monkeypatch.setattr(emb, "cross_gram", recording)
-        P = tuple(pt(0.25 * i) for i in range(7))
-        Q = tuple(pt(2.0 + 0.5 * i) for i in range(11))
+            def seen(block):
+                blocks.append(block.copy())
+                return visit(block)
+
+            sums = row_blocks(kernel, a, b, seen)
+            full = np.empty((len(a), len(b)))
+            row_blocks(kernel, a, b, out=full)
+            calls.append((tuple(a[:, 0]), tuple(b[:, 0]), blocks, sums, full))
+            return sums
+
+        monkeypatch.setattr(kernels, "_row_blocks", recording)
+        P = tuple(0.25 * i for i in range(7))
+        Q = tuple(2.0 + 0.5 * i for i in range(11))
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        write_point_sample(str(a), list(Q))
-        write_point_sample(str(b), list(P))
-        assert main(["mmd", "--config", self._config(tmp_path, a, b)]) == 0
-        covered = {}
-        for rows, cols in calls:
-            assert len(rows) <= max(1, 25 // len(cols))
-            sample = P if rows[0] in P else Q
-            start = sample.index(rows[0])
-            assert rows == sample[start:start + len(rows)]
-            covered.setdefault((sample, cols), []).extend(range(start, start + len(rows)))
-        assert covered.keys() == {(P, P), (P, Q), (Q, Q)}
-        for (sample, _), indices in covered.items():
-            assert sorted(indices) == list(range(len(sample)))
-        assert len(calls) == 3 + 4 + 6
+        write_point_sample(str(a), [pt(q) for q in Q])
+        write_point_sample(str(b), [pt(p) for p in P])
+        for split_entries in (kernels._SPLIT_ENTRIES, 0):
+            monkeypatch.setattr(kernels, "_SPLIT_ENTRIES", split_entries)
+            calls.clear()
+            assert main(["mmd", "--config", self._config(tmp_path, a, b)]) == 0
+            assert sorted((rows, cols) for rows, cols, *_ in calls) == [(P, P), (P, Q), (Q, Q)]
+            for rows, cols, blocks, sums, full in calls:
+                # the points are distinct, so a block row's values name its sample row
+                first = [np.flatnonzero((full == block[0]).all(axis=1))[0] for block in blocks]
+                ordered = [block for _, block in sorted(zip(first, blocks), key=lambda fb: fb[0])]
+                assert np.array_equal(np.concatenate(ordered), full)
+                assert all(len(block) <= max(1, 25 // len(cols)) for block in blocks)
+                assert sums == [block.sum() for block in ordered]
+            assert sum(len(blocks) for _, _, blocks, *_ in calls) == 3 + 4 + 6
 
     def test_samples_of_two_dimensions_exit_2(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -1191,6 +1208,18 @@ def test_validation_failures_exit_2(tmp_path, capsys, command, config, data):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "ValueError" not in err
     assert (data_path or cfg) in err
+
+
+@pytest.mark.parametrize("tau, code", [("nan", 2), ("inf", 0)])
+def test_ou_tau_is_refused_only_below_zero_or_nan(tmp_path, capsys, tau, code):
+    # inf is the limit where x and y are independent; nan is named as the bad parameter,
+    # not found later as a non-finite sample
+    config = KERNEL + TIKHONOV + OU_DATA.format(theta=1).replace("0.5", tau) + ESTIMATE_RUN
+    cfg = write(tmp_path / "run.cfg", config.format(out=tmp_path / "out.txt"))
+    assert main(["estimate", "--config", cfg]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: invalid sampling parameters: tau must be >= 0, got nan")
 
 
 OUT_CASES = pytest.mark.parametrize(

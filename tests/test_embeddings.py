@@ -1,6 +1,7 @@
 """Weighted embeddings, inner products, and MMD estimators."""
 
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -26,7 +27,7 @@ from cmekit import (
     mmd_sq_unbiased,
     pt,
 )
-from cmekit import embeddings, kernels
+from cmekit import kernels
 from cmekit.embeddings import _mmd_sq
 
 GAUSS = GaussianKernel(bandwidth=1.0)
@@ -276,23 +277,42 @@ class TestStreamedMmd:
         # one 600 x 700 block would be 3.4 MB, about thirteen row blocks
         assert peak <= 3 * row_block < 600 * 700 * 8 / 4
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_peak_memory_of_a_split_build_is_a_few_row_blocks(self, d):
+        # 1500 x 1600 is over the split size: each of the two workers holds one row block
+        rng = np.random.default_rng(17)
+        P, Q = random_points(rng, 1500, d), random_points(rng, 1600, d)
+        assert 1500 * 1600 >= kernels._SPLIT_ENTRIES
+        row_block = kernels._BLOCK_ENTRIES * 8
+        _mmd_sq(GAUSS, P[:2], Q[:2])        # loads scipy.spatial for d = 2 outside the trace
+        started = mock.Mock(wraps=threading.Thread)
+        with mock.patch.object(kernels.os, "sched_getaffinity", lambda pid: {0, 1}), mock.patch.object(
+            kernels.threading, "Thread", started
+        ):
+            tracemalloc.start()
+            try:
+                _mmd_sq(GAUSS, P, Q)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert started.call_count == 3      # each Gram block was split
+        assert peak <= 3 * row_block
+
     def test_row_blocks_are_slices_of_the_checked_sample(self):
-        # each row block reaches cross_gram with a view of the sample's coordinates,
-        # so no cross_gram call stacks its rows again
+        # the engine reads the checked samples' own arrays, so no row block stacks its rows again
         rng = np.random.default_rng(29)
-        P, Q = random_points(rng, 300, 1), random_points(rng, 200, 1)
-        inner, blocks = embeddings.cross_gram, []
+        P, Q = (kernels._point_tuple(random_points(rng, n, 1), "sample") for n in (300, 200))
+        inner, blocks = kernels._row_blocks, []
 
-        def recording(kernel, rows, cols):
-            blocks.append(rows)
-            return inner(kernel, rows, cols)
+        def recording(kernel, a, b, *args, **kwargs):
+            blocks.append((a, b))
+            return inner(kernel, a, b, *args, **kwargs)
 
-        with mock.patch.object(embeddings, "cross_gram", recording):
+        with mock.patch.object(kernels, "_row_blocks", recording):
             _mmd_sq(GAUSS, P, Q)
-        assert len(blocks) > 3
-        for rows in blocks:
-            assert type(rows) is kernels._Points and rows._coords.base is not None
-            assert np.array_equal(rows._coords, [p.coords for p in rows])
+        assert len(blocks) == 3
+        for arrays in blocks:
+            assert all(any(x is S._coords for S in (P, Q)) for x in arrays)
 
     def test_table_kernel_sums_state_counts_not_row_blocks(self):
         # one table lookup per point, however many row blocks the samples span

@@ -1,11 +1,14 @@
 """Kernel evaluation, Gram assembly, and psd properties."""
 
+import contextlib
 import copy
 import math
 import os
 import pickle
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -14,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
 from cmekit import (
@@ -252,6 +256,90 @@ class TestCrossGram:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             cross_gram(GAUSS, [], [pt(0.0)])
+
+
+@contextlib.contextmanager
+def workers(two):
+    """Force the row-block engine onto two workers, whatever the block's size, or onto one."""
+    with mock.patch.object(kernels, "_SPLIT_ENTRIES", 0 if two else sys.maxsize), mock.patch.object(
+        kernels.os, "sched_getaffinity", lambda pid: {0, 1}
+    ):
+        yield
+
+
+class TestTwoWorkers:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_split_builds_are_the_one_worker_bytes(self, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        n, m = (data.draw(st.integers(1, 12), label=name) for name in ("n", "m"))
+        rows = data.draw(arrays(np.float64, (n, d), elements=COORD), label="rows")
+        cols = data.draw(arrays(np.float64, (m, d), elements=COORD), label="cols")
+        width = data.draw(st.floats(1e-2, 1e2), label="width")
+        kernel = data.draw(st.sampled_from([GaussianKernel(width), LaplacianKernel(width)]), label="kernel")
+        # row blocks from one entry up, so most blocks split and the last one is ragged
+        block_entries = data.draw(st.integers(1, 40), label="block_entries")
+        built = []
+        with mock.patch.object(kernels, "_BLOCK_ENTRIES", block_entries):
+            for two in (False, True):
+                with workers(two):
+                    built.append((cross_gram(kernel, rows, cols).tobytes(), repr(_mmd_sq(kernel, rows, cols))))
+        assert built[0] == built[1]
+
+    def test_the_helper_thread_builds_the_second_half(self):
+        a = np.arange(10.0)[:, None]
+        with mock.patch.object(kernels, "_BLOCK_ENTRIES", 1):
+            with workers(True):
+                threads = kernels._row_blocks(GAUSS, a, a, lambda block: threading.get_ident())
+            assert threads[:5] == [threading.get_ident()] * 5
+            assert len(set(threads[5:])) == 1 and threads[5] != threads[0]
+            # a process allowed one CPU builds every row block itself
+            with workers(True), mock.patch.object(kernels.os, "sched_getaffinity", lambda pid: {0}):
+                threads = kernels._row_blocks(GAUSS, a, a, lambda block: threading.get_ident())
+            assert threads == [threading.get_ident()] * 10
+
+    def test_concurrent_split_builds_keep_their_bytes(self):
+        # four callers on two cores, each with a helper thread, switching every microsecond
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=(40, 1)), rng.normal(size=(30, 1))
+        with mock.patch.object(kernels, "_BLOCK_ENTRIES", 50), workers(False):
+            expected = cross_gram(LAPL2, a, b).tobytes(), repr(_mmd_sq(GAUSS, a, b))
+        built = []
+
+        def build():
+            for _ in range(20):
+                built.append((cross_gram(LAPL2, a, b).tobytes(), repr(_mmd_sq(GAUSS, a, b))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(kernels, "_BLOCK_ENTRIES", 50), workers(True):
+                callers = [threading.Thread(target=build) for _ in range(4)]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert built == [expected] * 80
+
+    @pytest.mark.parametrize("half", ["caller", "helper"])
+    def test_an_exception_in_either_half_reaches_the_caller(self, half):
+        caller, before = threading.get_ident(), threading.active_count()
+
+        def visit(block):
+            if (threading.get_ident() == caller) == (half == "caller"):
+                raise ZeroDivisionError(f"in the {half}'s half")
+            time.sleep(0.01)        # the other half is still running when the raise comes
+            return block.sum()
+
+        a = np.arange(10.0)[:, None]
+        with workers(True), mock.patch.object(kernels, "_BLOCK_ENTRIES", 1), pytest.raises(
+            ZeroDivisionError, match=f"in the {half}'s half"
+        ):
+            kernels._row_blocks(LAPL2, a, a, visit)
+        assert threading.active_count() == before
 
 
 class TestCheckedPointTuples:

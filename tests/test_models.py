@@ -1004,3 +1004,13 @@ class TestSamplers:
     def test_rate_parameters_must_be_positive_and_finite(self, name, draw, value):
         with pytest.raises(ValueError, match=f"{name} must be > 0 and finite, got {value}"):
             draw(value)
+
+    @pytest.mark.parametrize("tau", [np.nan, -1.0])
+    def test_ou_lag_must_be_nonnegative(self, tau):
+        with pytest.raises(ValueError, match=f"tau must be >= 0, got {tau}"):
+            ou_sample_pairs(1.0, tau, 10, 3)
+
+    def test_an_infinite_ou_lag_draws_independent_pairs(self):
+        # exp(-inf) = 0: y is a fresh stationary draw, not a function of x
+        sample = ou_sample_pairs(1.0, np.inf, 10, 3)
+        assert np.all(np.isfinite(sample.Y._coords)) and not np.array_equal(sample.X._coords, sample.Y._coords)

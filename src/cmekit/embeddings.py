@@ -69,19 +69,22 @@ def embed_diff(a: WeightedEmbedding, b: WeightedEmbedding) -> WeightedEmbedding:
 
 
 def _mmd_sq(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> tuple[float, float | None]:
-    """Biased and unbiased squared MMD from the row-block sums of the three Gram blocks.
+    """Biased and unbiased squared MMD from the sums of the three Gram blocks.
 
     (P, Q) is put in a canonical order (size, then coordinate bytes), so both
-    values are bitwise symmetric, and the same list gives exactly 0.0: the three
-    sums run the same code on the same data.  A Gaussian or Laplacian block's sum
-    adds the sums of its row blocks exactly, in row-block order, so peak memory is
-    one row block per worker of ``kernels._row_blocks``.  A table kernel's sums are
-    quadratic forms c_rows^T T c_cols in the state counts c of each sample, one
-    table lookup per point.
+    values are bitwise symmetric.  A Gaussian or Laplacian block's sum adds the
+    sums of its row blocks exactly, in row-block order, so peak memory is one row
+    block per worker of ``kernels._row_blocks``.  The within-sample blocks G_P and
+    G_Q are summed from their upper block triangles, each pair of points once
+    (k(x, y) and k(y, x) are the same double), and the cross block K_PQ whole.
+    Samples of equal bytes take the cross sum from G_P, so the same list gives
+    exactly 0.0.  A table kernel's sums are quadratic forms c_rows^T T c_cols in
+    the state counts c of each sample, one table lookup per point.
     The unbiased value is None below two points per sample.
     """
     P, Q = _point_tuple(P, "MMD sample"), _point_tuple(Q, "MMD sample")
-    if (len(Q), coords_matrix(Q).tobytes()) < (len(P), coords_matrix(P).tobytes()):
+    key_p, key_q = ((len(S), S._coords.tobytes()) for S in (P, Q))
+    if key_q < key_p:
         P, Q = Q, P
     n, m = len(P), len(Q)
     if isinstance(kernel, kernels.TableKernel):
@@ -93,9 +96,8 @@ def _mmd_sq(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> tuple[flo
         p, q = P._coords, Q._coords
         if p.shape[1] != q.shape[1]:
             raise ValueError(f"dimension mismatch: {p.shape[1]} vs {q.shape[1]}")
-        spp, sqq, spq = (
-            math.fsum(kernels._row_blocks(kernel, A, B, np.ndarray.sum)) for A, B in ((p, p), (q, q), (p, q))
-        )
+        spp, sqq = (math.fsum(kernels._row_blocks(kernel, S, S, np.ndarray.sum)) for S in (p, q))
+        spq = spp if key_p == key_q else math.fsum(kernels._row_blocks(kernel, p, q, np.ndarray.sum))
         tpp, tqq = (kernels._kernel_diagonal(kernel, S).sum() for S in (P, Q))
     kpq = spq / (n * m)
     biased = float(spp / (n * n) + sqq / (m * m) - 2.0 * kpq)

@@ -18,10 +18,15 @@ A Gaussian or Laplacian block is built by one row-block engine,
 enough to stay in L2.  Each row block is finished while it is in cache: its
 distances, then ``/ (-c)`` and ``exp`` in place.  The engine hands each
 finished row block to its caller: ``cross_gram`` builds them in its output,
-and the MMD sums each one in a row block of scratch.  A block of at least
-``_SPLIT_ENTRIES`` (about 1M) entries, in a process allowed two or more CPUs,
-is built by two workers: a thread started for that call builds the second
-half of the row blocks while the caller builds the first.  Every entry and
+and the MMD sums each one in a row block of scratch.  A self block, whose rows
+and columns are one array, is summed from its upper block triangle, each pair
+of points built once (symmetry, below): a row block covers its columns from
+its own first row onward, taking more rows as the triangle narrows, and counts
+``2 * sum(block) - sum(leading square)``.  A block of at least
+``_SPLIT_ENTRIES`` (about 1M) entries, in a process allowed two or more CPUs
+(``os.cpu_count()`` where there is no ``os.sched_getaffinity``), is built by
+two workers: a thread started for that call builds the last row blocks, about
+half of the entries, while the caller builds the first.  Every entry and
 every row-block result is the same code on the same doubles in either thread,
 so no output depends on the split.  The distance step depends on the
 dimension d:
@@ -326,7 +331,12 @@ def _row_blocks(
     """Build the Gaussian or Laplacian block k(a[i], b[j]) of two (n, d) and (m, d) arrays in
     row blocks, on one or two workers (see the module docstring), in ``out`` or else in one
     row block of scratch per worker.  Returns ``visit(block)`` for each row block, in row-block
-    order; the caller re-raises what either worker raised, once both have stopped."""
+    order; the caller re-raises what either worker raised, once both have stopped.
+
+    A self block (``b is a``, no ``out``) is built from its upper block triangle: a row block
+    covers its columns from its own first row onward, in as many rows as fit in
+    ``_BLOCK_ENTRIES`` entries, and its result is ``2 * visit(block) - visit(row sums of its
+    leading square)``: for a sum, the sum of its rows of the whole symmetric block."""
     if isinstance(kernel, GaussianKernel):
         metric, norm, c = "sqeuclidean", np.square, 2.0 * kernel.bandwidth**2
     elif isinstance(kernel, LaplacianKernel):
@@ -335,53 +345,74 @@ def _row_blocks(
         raise TypeError(f"unknown kernel type: {type(kernel).__name__}")
     if a.shape[1] > 1:
         from scipy.spatial.distance import cdist
+    upper = out is None and b is a
     step = max(1, _BLOCK_ENTRIES // len(b))
     starts = range(0, len(a), step)
-    results = [None] * len(starts)
+    if upper:
+        # the row blocks narrow down the triangle, so each takes more rows
+        starts = [0]
+        while (i := starts[-1] + max(1, _BLOCK_ENTRIES // (len(a) - starts[-1]))) < len(a):
+            starts.append(i)
 
-    def work(part: range) -> None:
-        scratch = np.empty((min(step, len(a)), len(b))) if out is None else None
+    def work(part: Sequence[int]) -> list:
+        scratch = np.empty(min(len(a) * len(b), max(_BLOCK_ENTRIES, len(b)))) if out is None else None
+        done = []
         for i in part:
-            rows = a[i:i + step]
+            stop = i + max(1, _BLOCK_ENTRIES // (len(a) - i)) if upper else i + step
+            rows, cols = a[i:stop], b[i:] if upper else b
             # each row block is finished while it is still in cache
-            block = scratch[:len(rows)] if out is None else out[i:i + step]
+            block = scratch[:len(rows) * len(cols)].reshape(len(rows), -1) if out is None else out[i:stop]
             if a.shape[1] > 1:
-                cdist(rows, b, metric, out=block)
+                cdist(rows, cols, metric, out=block)
             else:
-                np.subtract.outer(rows[:, 0], b[:, 0], out=block)
+                np.subtract.outer(rows[:, 0], cols[:, 0], out=block)
                 norm(block, out=block)
             # exp(-D / c) in D's own buffer: (-d) / c and d / (-c) round to the same double
             np.divide(block, -c, out=block)
             np.exp(block, out=block)
-            if visit is not None:
-                results[i // step] = visit(block)
+            if upper:
+                # the leading square by its row sums: numpy buffers a whole strided sum, and
+                # a split worker's small buffer (below) would round it differently
+                done.append(2 * visit(block) - visit(block[:, :len(rows)].sum(axis=1)))
+            elif visit is not None:
+                done.append(visit(block))
+        return done
 
-    if len(a) * len(b) < _SPLIT_ENTRIES or len(starts) < 2 or len(os.sched_getaffinity(0)) < 2:
-        work(starts)
-        return results
+    if len(a) * len(b) < _SPLIT_ENTRIES or len(starts) < 2 or _usable_cpus() < 2:
+        return work(starts)
 
-    raised = []
+    raised, first, second = [], [], []
 
-    def worker(part: range) -> None:
+    def worker(part: Sequence[int], done: list) -> None:
         # numpy keeps the ufunc buffer size per thread: at 16 the broadcast subtract allocates
         # no iterator buffer of half a row block beside each worker's row block, and no double
-        # changes (the row-block sums read whole contiguous blocks, with no buffering)
+        # changes (the row-block sums read whole contiguous blocks or rows, with no buffering)
         bufsize = np.setbufsize(16)
         try:
-            work(part)
+            done.extend(work(part))
         except BaseException as exc:        # re-raised by the caller once both halves stop
             raised.append(exc)
         finally:
             np.setbufsize(bufsize)
 
-    half = (len(starts) + 1) // 2
-    thread = threading.Thread(target=worker, args=(starts[half:],))
+    # the caller takes the row blocks up to the first that reaches half of the entries
+    edges = np.append(starts, len(a))
+    entries = np.cumsum(np.diff(edges) * (len(b) - edges[:-1] if upper else len(b)))
+    half = int(np.searchsorted(entries, entries[-1] / 2)) + 1
+    thread = threading.Thread(target=worker, args=(starts[half:], second))
     thread.start()
-    worker(starts[:half])
+    worker(starts[:half], first)
     thread.join()
     if raised:
         raise raised[0]
-    return results
+    return first + second
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; the machine's where that is unknown (macOS, Windows)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def gram(kernel: Kernel, points: Sequence[Point]) -> np.ndarray:

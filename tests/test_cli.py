@@ -571,8 +571,10 @@ sample_file_2 = {file_b}
 
     def test_row_blocks_cover_each_sample_once(self, tmp_path, capsys, monkeypatch):
         # 25 entries per row block: 7 columns take 3 rows and 11 columns 2, so
-        # every block splits and ends in a ragged row block; the second run
-        # hands the second half of the row blocks to a helper thread
+        # every block splits and ends in a ragged row block; a self block's row
+        # blocks take more rows as its triangle narrows: 3 + 4 rows of P, and
+        # 2 + 2 + 3 + 4 rows of Q; the second run hands the last row blocks to
+        # a helper thread
         import cmekit.kernels as kernels
 
         monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 25)
@@ -583,7 +585,8 @@ sample_file_2 = {file_b}
             blocks = []
 
             def seen(block):
-                blocks.append(block.copy())
+                if block.ndim == 2:         # not a self block's leading-square row sums
+                    blocks.append(block.copy())
                 return visit(block)
 
             sums = row_blocks(kernel, a, b, seen)
@@ -598,19 +601,38 @@ sample_file_2 = {file_b}
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         write_point_sample(str(a), [pt(q) for q in Q])
         write_point_sample(str(b), [pt(p) for p in P])
+        self_sums = []
         for split_entries in (kernels._SPLIT_ENTRIES, 0):
             monkeypatch.setattr(kernels, "_SPLIT_ENTRIES", split_entries)
             calls.clear()
             assert main(["mmd", "--config", self._config(tmp_path, a, b)]) == 0
             assert sorted((rows, cols) for rows, cols, *_ in calls) == [(P, P), (P, Q), (Q, Q)]
             for rows, cols, blocks, sums, full in calls:
+                if rows == cols:
+                    # a row block from sample row j covers columns j onward: each unordered
+                    # pair once above the diagonal, and its own rows' pairs again below it
+                    covered, expected = np.zeros_like(full), np.triu(np.ones_like(full))
+                    ordered = sorted(blocks, key=lambda block: -block.shape[1])
+                    for block in ordered:
+                        j = len(rows) - block.shape[1]
+                        assert np.array_equal(block, full[j:j + len(block), j:])
+                        covered[j:j + len(block), j:] += 1
+                        expected[j:j + len(block), j:j + len(block)] = 1
+                    assert np.array_equal(covered, expected)
+                    assert all(block.size <= 25 for block in blocks)
+                    assert sums == [2 * bl.sum() - bl[:, :len(bl)].sum(axis=1).sum() for bl in ordered]
+                    assert math.fsum(sums) == pytest.approx(full.sum(), rel=1e-15)
+                    self_sums.append((rows, sums))
+                    continue
                 # the points are distinct, so a block row's values name its sample row
                 first = [np.flatnonzero((full == block[0]).all(axis=1))[0] for block in blocks]
                 ordered = [block for _, block in sorted(zip(first, blocks), key=lambda fb: fb[0])]
                 assert np.array_equal(np.concatenate(ordered), full)
                 assert all(len(block) <= max(1, 25 // len(cols)) for block in blocks)
                 assert sums == [block.sum() for block in ordered]
-            assert sum(len(blocks) for _, _, blocks, *_ in calls) == 3 + 4 + 6
+            assert sum(len(blocks) for _, _, blocks, *_ in calls) == 2 + 4 + 4
+        # the same self-block sums on one worker and on two
+        assert sorted(self_sums[:2]) == sorted(self_sums[2:])
 
     def test_samples_of_two_dimensions_exit_2(self, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

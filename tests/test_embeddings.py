@@ -1,6 +1,7 @@
 """Weighted embeddings, inner products, and MMD estimators."""
 
 import math
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -355,6 +356,41 @@ class TestStreamedMmd:
             assert mmd_sq_biased(kernel, P, P) == 0.0
             values = _mmd_sq(kernel, P, Q)
             assert repr(_mmd_sq(kernel, Q, P)) == repr(values)
+        references, scales = exact_mmd_sq(kernel, P, Q)
+        for value, reference, scale in zip(values, references, scales):
+            if reference is None:
+                assert value is None
+            else:
+                assert abs(value - reference) <= 1e-13 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_self_block_sums_from_the_upper_triangle(self, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        coords = st.tuples(*[st.floats(-3.0, 3.0)] * d)
+        pool = data.draw(st.lists(coords, min_size=1, max_size=12, unique=True), label="pool")
+        # at most 12 points, so a row block's leading square often holds more entries than
+        # a split worker's 16-entry ufunc buffer
+        index = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12)
+        P, Q = (kernels._point_tuple([Point(pool[i]) for i in data.draw(index, label=name)], "sample")
+                for name in "PQ")
+        width = data.draw(st.floats(0.3, 3.0), label="width")
+        kernel = data.draw(st.sampled_from([GaussianKernel(width), LaplacianKernel(width)]), label="kernel")
+        # row blocks from one entry up, so most blocks split and the last one is ragged
+        block_entries = data.draw(st.integers(1, 40), label="block_entries")
+        built = []
+        for split_entries in (sys.maxsize, 0):
+            with mock.patch.object(kernels, "_BLOCK_ENTRIES", block_entries), mock.patch.object(
+                kernels, "_SPLIT_ENTRIES", split_entries
+            ), mock.patch.object(kernels.os, "sched_getaffinity", lambda pid: {0, 1}):
+                total = math.fsum(kernels._row_blocks(kernel, P._coords, P._coords, np.ndarray.sum))
+                assert mmd_sq_biased(kernel, P, P) == 0.0
+                values = _mmd_sq(kernel, P, Q)
+                assert repr(_mmd_sq(kernel, Q, P)) == repr(values)
+                built.append((total.hex(), repr(values)))
+        assert built[0] == built[1]
+        K = cross_gram(kernel, P, P)
+        assert abs(total - sum(map(Fraction, K.ravel().tolist()))) <= 1e-13 * math.fsum(K.ravel())
         references, scales = exact_mmd_sq(kernel, P, Q)
         for value, reference, scale in zip(values, references, scales):
             if reference is None:

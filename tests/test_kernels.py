@@ -290,9 +290,15 @@ class TestTwoWorkers:
         a = np.arange(10.0)[:, None]
         with mock.patch.object(kernels, "_BLOCK_ENTRIES", 1):
             with workers(True):
-                threads = kernels._row_blocks(GAUSS, a, a, lambda block: threading.get_ident())
+                threads = kernels._row_blocks(GAUSS, a, a.copy(), lambda block: threading.get_ident())
             assert threads[:5] == [threading.get_ident()] * 5
             assert len(set(threads[5:])) == 1 and threads[5] != threads[0]
+            # a self block's row blocks hold 10, 9, ..., 1 entries: the halves split the 55
+            # entries after the fourth row block (34), not after the fifth row
+            with workers(True):
+                threads = kernels._row_blocks(GAUSS, a, a, lambda block: threading.get_ident())
+            assert threads[:4] == [threading.get_ident()] * 4
+            assert len(set(threads[4:])) == 1 and threads[4] != threads[0]
             # a process allowed one CPU builds every row block itself
             with workers(True), mock.patch.object(kernels.os, "sched_getaffinity", lambda pid: {0}):
                 threads = kernels._row_blocks(GAUSS, a, a, lambda block: threading.get_ident())
@@ -323,6 +329,20 @@ class TestTwoWorkers:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
         assert built == [expected] * 80
+
+    def test_without_sched_getaffinity_the_machines_cpus_count(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity: there os.cpu_count() decides the split
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(1100, 1)), rng.normal(size=(1050, 1))
+        assert min(len(a), len(b)) ** 2 >= kernels._SPLIT_ENTRIES
+        with workers(False):
+            expected = cross_gram(LAPL2, a, b).tobytes(), repr(_mmd_sq(GAUSS, a, b))
+        monkeypatch.delattr(kernels.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(kernels.os, "cpu_count", lambda: 2)
+        started = mock.Mock(wraps=threading.Thread)
+        monkeypatch.setattr(kernels.threading, "Thread", started)
+        assert (cross_gram(LAPL2, a, b).tobytes(), repr(_mmd_sq(GAUSS, a, b))) == expected
+        assert started.call_count == 4     # cross_gram's block and the three MMD blocks were split
 
     @pytest.mark.parametrize("half", ["caller", "helper"])
     def test_an_exception_in_either_half_reaches_the_caller(self, half):

@@ -1,6 +1,6 @@
 """One sha256 per cmekit CLI output on the benchmark's inputs.
 
-usage: python tools/cli_outputs.py [--root DIR]
+usage: python tools/cli_outputs.py [--root DIR] [--threads]
 
 For each seed in ``SEEDS`` and each benchmark workload, writes the inputs with
 ``perfbench.workloads.make_inputs`` into a temporary directory and runs one
@@ -19,6 +19,12 @@ the same bytes.
 The program and the benchmark helpers are imported from DIR (default: the
 checkout that holds this script), so the listings of two checkouts differ
 exactly where a CLI output differs.
+
+``--threads`` runs the listing twice, in child processes (the BLAS thread
+count is read when numpy is imported): with ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` at 1 and at the usable-core count.
+It prints the streams whose sha256 differ between the two, one ``seed name
+output`` line each, then how many of the listing's lines differ.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -148,11 +156,35 @@ def _extra_outputs(
             "out_file": out_file.read_bytes() if out_file.is_file() else None}
 
 
+def _thread_listings(root: Path) -> int:
+    """Run the listing at 1 BLAS thread and at the usable cores; print the streams that differ."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    listings = []
+    for threads in (1, cores):
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = str(threads)
+        child = subprocess.run([sys.executable, __file__, "--root", str(root)], env=env,
+                               stdout=subprocess.PIPE, text=True, check=True)
+        listings.append(dict(line.rsplit(" ", 1) for line in child.stdout.splitlines()))
+    one, many = listings
+    differ = [stream for stream in one if one[stream] != many.get(stream)]
+    for stream in differ:
+        print(stream)
+    print(f"{len(differ)} of {len(one)} lines differ between 1 and {cores} BLAS threads")
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/ and perfbench/ are run")
-    root = parser.parse_args().root.resolve()
+    parser.add_argument("--threads", action="store_true",
+                        help="list the streams that differ between 1 BLAS thread and the usable cores")
+    args = parser.parse_args()
+    root = args.root.resolve()
+    if args.threads:
+        return _thread_listings(root)
     sys.path[:0] = [str(root / "src"), str(root)]
     from perfbench.workloads import WORKLOADS, make_inputs, run_pass
 

@@ -42,6 +42,7 @@ from .estimators import (
     PairedSample,
     SpectralFilter,
     Tikhonov,
+    _diagonal_shift,
     _fitted_risk_and_hs,
     fit_cme,
 )
@@ -503,6 +504,9 @@ def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     lam = _resolve_lambda(cfg)
     out_path = _resolve_out(cfg, out)
     sample = _load_sample(cfg, _resolve_seed(cfg, seed))
+    if isinstance(filt, Tikhonov):
+        with _invalid(cfg.path):        # an n*lambda that overflows, before the fit factors
+            _diagonal_shift(sample.n, lam)
     try:
         est = fit_cme(sample, kernel, filt, lam)
     except DivergentStepError as exc:
@@ -539,6 +543,8 @@ def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     r = _resolve_r(cfg, sample.n)
     if coords_matrix(sample.X).shape[1] != coords_matrix(sample.Y).shape[1]:  # paired files only
         raise ConfigError(f"{cfg.get('data', 'sample_file')}: edmd needs x and y of one dimension")
+    with _invalid(cfg.path):
+        _diagonal_shift(sample.n, lam)
     result = edmd_eigen(sample, kernel, lam, r)
     _warn_jitter(result.jitter, note="; the residual column has no correct digits")
     residuals = eigen_residuals(result)
@@ -631,6 +637,8 @@ def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int
     rows = ["n,lambda,op_norm_diff,exact_excess_risk,eig_errors"]
     for n in grid:
         lam = c * n ** (-p)
+        with _invalid(cfg.path):
+            _diagonal_shift(n, lam)
         sample = _load_sample(cfg, the_seed, n, model)
         if model is not None:
             est = fit_cme(sample, kernel, Tikhonov(), lam)

@@ -48,6 +48,13 @@ unjittered Tikhonov fit on distinct points costs one n^3 GEMM over row blocks
 of W and of G_Y's lower block triangle.  The estimator holds the solve's own
 buffer, so fit and report hold one n x n block.  Every other report builds
 G_Y and G_X, m_Y and m_X on a side, and on distinct points costs two n^3 GEMMs.
+
+One BLAS thread pool per route: numpy and scipy may each load their own BLAS
+(the pip wheels bundle two OpenBLAS builds), and scipy's threads keep spinning
+for a while after a LAPACK call returns, so a numpy product started then
+competes with them for the cores.  The Tikhonov fit factors and inverts with
+scipy's LAPACK, and its report's GEMM is scipy's ``dgemm``; the cutoff and
+Landweber fits use numpy's ``eigh`` and numpy's products only.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ from typing import Sequence, Union
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dgemm
 
 from .embeddings import WeightedEmbedding
 from .kernels import (
@@ -194,6 +202,14 @@ class CmeEstimator(_Rebuilt):
         object.__setattr__(self, "W", W)
 
 
+def _diagonal_shift(n: int, lam: float) -> float:
+    """n*lam, the shift of G_X + n*lam*I; an n*lam that overflows raises ValueError naming both."""
+    shift = n * lam
+    if not shift < np.inf:
+        raise ValueError(f"n*lambda overflows: n = {n}, lambda = {lam}")
+    return shift
+
+
 def _factor_pd(A: np.ndarray, shift: float = 0.0) -> tuple[tuple[np.ndarray, bool], float]:
     """``cho_factor`` output for G + shift*I and the jitter added to its diagonal (0.0 if none).
 
@@ -202,7 +218,9 @@ def _factor_pd(A: np.ndarray, shift: float = 0.0) -> tuple[tuple[np.ndarray, boo
     after which failure is an error.  ``A`` holds the symmetric G in a writable,
     F-ordered float64 buffer, which LAPACK factors in place: its lower triangle
     becomes the factor L, and its strict upper triangle keeps G, because a lower
-    Cholesky never touches it.
+    Cholesky never touches it.  G and ``shift`` must be finite: the package's
+    Grams are finite by construction, ``_diagonal_shift`` checks the shift and
+    ``solve_pd`` its caller's matrix, so LAPACK gets A without a scan.
     """
     n = A.shape[0]
     diag, g, jitter = slice(None, None, n + 1), A.diagonal().copy(), 0.0
@@ -216,7 +234,7 @@ def _factor_pd(A: np.ndarray, shift: float = 0.0) -> tuple[tuple[np.ndarray, boo
             jitter = float(JITTER_SCALE * np.trace(A) / n)
             A.flat[diag] += jitter
         try:
-            return scipy.linalg.cho_factor(A, lower=True, overwrite_a=True), jitter
+            return scipy.linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False), jitter
         except scipy.linalg.LinAlgError as exc:
             if retry:
                 msg = f"matrix not positive definite after jitter {jitter:.3e}"
@@ -226,11 +244,14 @@ def _factor_pd(A: np.ndarray, shift: float = 0.0) -> tuple[tuple[np.ndarray, boo
 def solve_pd(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """X solving matrix X = rhs, and the jitter :func:`_factor_pd` added.
 
-    ``matrix`` is never written: an F-ordered copy of it is factored.  X is
-    solved into ``rhs`` in place when ``rhs`` is an F-ordered float64 array,
-    and into an F-ordered copy of it otherwise.
+    ``matrix`` is never written: an F-ordered copy of it is factored, once
+    checked finite.  X is solved into ``rhs`` in place when ``rhs`` is an
+    F-ordered float64 array, and into an F-ordered copy of it otherwise.
     """
-    factor, jitter = _factor_pd(np.array(matrix, dtype=float, order="F"))
+    A = np.array(matrix, dtype=float, order="F")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix must be finite")
+    factor, jitter = _factor_pd(A)
     X = np.asfortranarray(rhs, dtype=float)
     return scipy.linalg.cho_solve(factor, X, overwrite_b=True), jitter
 
@@ -269,7 +290,7 @@ def _support_solve(
         raise ValueError(f"lambda must be > 0 and finite, got {lam}")
     if not isinstance(filt, Tikhonov):
         return _filtered_coefficients(S, n, filt, lam), 0.0, 0.0
-    (L, _), jitter = _factor_pd(S, n * lam)
+    (L, _), jitter = _factor_pd(S, _diagonal_shift(n, lam))
     diag = np.diagonal(L)
     cond = float((diag.max() / diag.min()) ** 2)        # before dpotri overwrites L
     Z, info = scipy.linalg.lapack.dpotri(L, lower=1, overwrite_c=1)
@@ -442,9 +463,11 @@ def _tikhonov_risk_and_hs(est: CmeEstimator) -> tuple[float, float]:
     and Omega = W G_X = I - c W.  So the risk (1/n) tr((I - Omega)^T G_Y (I - Omega))
     is (c^2/n) q with q = sum(G_Y * W^2), and hs = tr(G_Y W G_X W) =
     sum(G_Y * (W - c W^2)).  Both are sums over the lower block triangle,
-    REPORT_ROWS rows J at a time: W[J, :] @ W[:J.stop].T, one GEMM, against
-    the cross-Gram block G_Y[J, :J.stop], whose entries left of the diagonal
-    block count twice.  That is n^3 flops, and W plus two row blocks are held.
+    REPORT_ROWS rows J at a time: W[J, :] @ W[:J.stop].T, one scipy ``dgemm``
+    on F-ordered views of W (no copy, and the pool that factored the system),
+    against the cross-Gram block G_Y[J, :J.stop], whose entries left of the
+    diagonal block count twice.  That is n^3 flops, and W plus two row blocks
+    are held.
 
     W - c W^2 is formed entry by entry before the sum: at large lambda c W is
     near I, and tr(G_Y W) - c q cancels.  So does W_ii - c (W^2)_ii, whose
@@ -458,7 +481,7 @@ def _tikhonov_risk_and_hs(est: CmeEstimator) -> tuple[float, float]:
     for j in range(0, n, REPORT_ROWS):
         J = slice(j, min(j + REPORT_ROWS, n))
         k, rows = J.stop, np.arange(J.stop - j)
-        P = W[J] @ W[:k].T                                  # (W^2)[J, :J.stop]
+        P = dgemm(1.0, W[:k].T, W[J].T, trans_a=1).T        # (W^2)[J, :J.stop], C-ordered
         G = cross_gram(est.kernel, Y[J], Y[:k])
         G[:, :j] *= 2.0                                     # exact: the mirrored entries
         q += float(np.einsum("ij,ij->i", G, P).sum())

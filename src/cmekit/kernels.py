@@ -28,8 +28,11 @@ its own first row onward, taking more rows as the triangle narrows, and counts
 two workers: a thread started for that call builds the last row blocks, about
 half of the entries, while the caller builds the first.  Every entry and
 every row-block result is the same code on the same doubles in either thread,
-so no output depends on the split.  The distance step depends on the
-dimension d:
+so no output depends on the split.  Both workers, and one worker on a block of
+at least ``_BUFFER_ENTRIES`` (4096) entries, build at a ufunc buffer of 16
+elements (``_small_ufunc_buffer``): a narrow row block's broadcast ``x - y``
+then skips numpy's buffered loop, and no double changes.  The distance step
+depends on the dimension d:
 
 - d = 1: ``x - y`` and its square or absolute value, numpy ufuncs in place:
   ``cdist``'s arithmetic at d = 1, so the doubles are the ones it would give.
@@ -53,6 +56,7 @@ import math
 import os
 import threading
 from collections.abc import Callable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -62,6 +66,7 @@ SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
 _BLOCK_ENTRIES = 1 << 15          # 256 KB of doubles per row block of a Gram block
 _SPLIT_ENTRIES = 32 * _BLOCK_ENTRIES    # a Gram block this large is built on two threads
+_BUFFER_ENTRIES = _BLOCK_ENTRIES // 8   # a Gram block this large is built at a small ufunc buffer
 
 
 @dataclass(frozen=True)
@@ -378,22 +383,21 @@ def _row_blocks(
                 done.append(visit(block))
         return done
 
-    if len(a) * len(b) < _SPLIT_ENTRIES or len(starts) < 2 or _usable_cpus() < 2:
-        return work(starts)
+    size = len(a) * len(b)
+    if size < _SPLIT_ENTRIES or len(starts) < 2 or _usable_cpus() < 2:
+        if size < _BUFFER_ENTRIES:
+            return work(starts)
+        with _small_ufunc_buffer():
+            return work(starts)
 
     raised, first, second = [], [], []
 
     def worker(part: Sequence[int], done: list) -> None:
-        # numpy keeps the ufunc buffer size per thread: at 16 the broadcast subtract allocates
-        # no iterator buffer of half a row block beside each worker's row block, and no double
-        # changes (the row-block sums read whole contiguous blocks or rows, with no buffering)
-        bufsize = np.setbufsize(16)
         try:
-            done.extend(work(part))
+            with _small_ufunc_buffer():
+                done.extend(work(part))
         except BaseException as exc:        # re-raised by the caller once both halves stop
             raised.append(exc)
-        finally:
-            np.setbufsize(bufsize)
 
     # the caller takes the row blocks up to the first that reaches half of the entries
     edges = np.append(starts, len(a))
@@ -406,6 +410,25 @@ def _row_blocks(
     if raised:
         raise raised[0]
     return first + second
+
+
+@contextmanager
+def _small_ufunc_buffer():
+    """numpy's ufunc buffer size at 16 in this thread, for a row-block build.
+
+    At the default size (8192 elements) the broadcast ``x - y`` of a row block
+    narrower than 2731 columns takes numpy's buffered loop, several times slower
+    per entry, and a split worker would hold an iterator buffer of half a row
+    block beside its row block.  No double changes: the steps are elementwise,
+    and the row-block sums read whole contiguous blocks or rows, with no
+    buffering.  Setting and restoring the size costs about 2 us, so blocks under
+    ``_BUFFER_ENTRIES`` entries keep the default.
+    """
+    bufsize = np.setbufsize(16)
+    try:
+        yield
+    finally:
+        np.setbufsize(bufsize)
 
 
 def _usable_cpus() -> int:

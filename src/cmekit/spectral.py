@@ -27,13 +27,20 @@ dense ``scipy.linalg.eig``.  Both satisfy the same residual contract.
 ``scipy.sparse.linalg`` is imported on the first Arnoldi fit, so nothing else
 in the package loads ``scipy.sparse``.
 
-G_X and K_YX are each formed once per fit, and G_X + n*lam*I is factored once
-by :func:`cmekit.estimators._factor_pd` under the package's one policy
-(Cholesky, at most one jitter of 1e-10 * trace / n).  The factor is packed into
-G_X's own buffer: its lower triangle holds L, its strict upper triangle still
-holds G_X, and G_X's diagonal is kept aside.  Every solve with the factor is
-two triangular solves on L, which read only the lower triangle, and G_X V is
-one symmetric product over the upper one.  A fit thus holds two n x n blocks,
+G_X and K_YX are each formed once per fit, in that order, and then
+G_X + n*lam*I is factored once by :func:`cmekit.estimators._factor_pd` under
+the package's one policy (Cholesky, at most one jitter of 1e-10 * trace / n).
+One BLAS thread pool per fit: numpy and scipy may each load their own BLAS,
+and scipy's threads keep spinning for a while after the factor returns, so
+K_YX is built before the factor, not beside that busy pool, and every
+product with K_YX runs on scipy's BLAS: ``dgemv`` in each Arnoldi step and
+``dgemm`` for the residuals, each the transposed product on K_YX.T, an
+F-ordered view.  Only the dense path's products with M use numpy.
+
+The factor is packed into G_X's own buffer: its lower triangle holds L, its
+strict upper triangle still holds G_X, and G_X's diagonal is kept aside.
+Every solve with the factor is two triangular solves on L, which read only
+the lower triangle, and G_X V is one symmetric product over the upper one.  A fit thus holds two n x n blocks,
 the packed factor and K_YX; for r >= n - 1, M = (G_X + n*lam*I)^{-1} K_YX is
 solved in K_YX's buffer.  ``edmd_eigen`` measures the residuals with that same
 factor, so they belong to the same, possibly jittered, operator the eigenpairs
@@ -51,9 +58,9 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dsymm
+from scipy.linalg.blas import dgemm, dgemv, dsymm
 
-from .estimators import PairedSample, _factor_pd
+from .estimators import PairedSample, _diagonal_shift, _factor_pd
 from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +129,7 @@ def _solve(factor, B: np.ndarray) -> np.ndarray:
     """(L L^T)^{-1} B by two triangular solves on the packed lower factor L; B may be overwritten.
 
     Each solve reads only L's triangle, so G_X kept in the strict upper one is
-    not touched; ``_factor_pd`` already checked the factor, so neither scans it.
+    not touched; the factor of a finite system is finite, so neither scans it.
     """
     L = factor[0]
     B = scipy.linalg.solve_triangular(L, B, lower=True, overwrite_b=True, check_finite=False)
@@ -163,22 +170,25 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
         raise ValueError(f"r out of range: need 1 <= r <= {n}, got {r}")
     if not 0 < lam < np.inf:
         raise ValueError(f"lambda must be > 0 and finite, got {lam}")
+    shift = _diagonal_shift(n, lam)
+    arnoldi = r <= n - 2
     G = cross_gram(kernel, sample.X, sample.X).T          # F-ordered: G_X is exactly symmetric
     g = G.diagonal().copy()
-    factor, jitter = _factor_pd(G, n * lam)
+    # K_YX before the factor: C-ordered for the Arnoldi products, F-ordered for the dense solve
+    K_yx = cross_gram(kernel, sample.Y, sample.X) if arnoldi else cross_gram(kernel, sample.X, sample.Y).T
+    factor, jitter = _factor_pd(G, shift)
 
-    if r <= n - 2:
+    if arnoldi:
         from scipy.sparse.linalg import LinearOperator, eigs   # loaded on the first Arnoldi fit
 
-        K_yx = cross_gram(kernel, sample.Y, sample.X)
-
         def apply(v: np.ndarray) -> np.ndarray:
-            return _solve(factor, K_yx @ v)
+            # K_YX v as the transposed product on K_YX.T, an F-ordered view
+            Kv = dgemv(1.0, K_yx.T, v, trans=1) if v.ndim == 1 else dgemm(1.0, K_yx.T, v, trans_a=1)
+            return _solve(factor, Kv)
 
         op = LinearOperator((n, n), matvec=apply, dtype=float)
         w, V = _sorted_pairs(*eigs(op, k=r, which="LM", v0=np.ones(n)), r)
     else:
-        K_yx = cross_gram(kernel, sample.X, sample.Y).T   # F-ordered cross_gram(Y, X), bit for bit
         M = _solve(factor, K_yx)
         apply = M.__matmul__
         w, V = _sorted_pairs(*scipy.linalg.eig(M), r)

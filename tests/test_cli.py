@@ -1232,6 +1232,26 @@ def test_validation_failures_exit_2(tmp_path, capsys, command, config, data):
     assert (data_path or cfg) in err
 
 
+@pytest.mark.parametrize(
+    "command, run, refused",
+    [
+        ("estimate", "lambda = 1e307\nn = 50", "n = 50, lambda = 1e+307"),
+        ("edmd", "lambda = 1e307\nn = 50\nr = 2", "n = 50, lambda = 1e+307"),
+        # lambda(5) = 1e308 * 5^-0.5 is finite, 5 * lambda(5) is not
+        ("convergence", "n_grid = 5 10\nlambda_schedule = 1e308*n^-0.5\nr = 2",
+         f"n = 5, lambda = {1e308 * 5 ** -0.5}"),
+    ],
+)
+def test_an_overflowing_n_lambda_exits_2_naming_both(tmp_path, capsys, command, run, refused):
+    # a finite lambda whose n*lambda is not: refused before any factor
+    config = KERNEL + TIKHONOV + OU_DATA.format(theta=1) + f"[run]\n{run}\n"
+    cfg = write(tmp_path / "run.cfg", config + f"out = {tmp_path / 'out.txt'}\n")
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: n*lambda overflows: {refused}\n")
+    assert not (tmp_path / "out.txt").exists()
+
+
 @pytest.mark.parametrize("tau, code", [("nan", 2), ("inf", 0)])
 def test_ou_tau_is_refused_only_below_zero_or_nan(tmp_path, capsys, tau, code):
     # inf is the limit where x and y are independent; nan is named as the bad parameter,

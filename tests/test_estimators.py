@@ -348,6 +348,14 @@ class TestFitting:
         with pytest.raises(ValueError, match="lambda must be > 0 and finite"):
             CmeEstimator(kernel=GAUSS, lam=np.inf, filt=Cutoff(), X=sample.X, Y=sample.Y, W=[[1.0]])
 
+    def test_an_overflowing_n_lambda_is_refused(self):
+        # lambda = 1e307 is finite, but the shift n*lambda of G_X + n*lambda*I is not
+        sample = ou_sample_pairs(1.0, 0.5, 50, 3)
+        with pytest.raises(ValueError, match=re.escape("n*lambda overflows: n = 50, lambda = 1e+307")):
+            fit_cme(sample, GAUSS, Tikhonov(), 1e307)
+        # the cutoff filter shifts nothing: every eigenvalue falls below lambda
+        assert not np.any(fit_cme(sample, GAUSS, Cutoff(), 1e307).W)
+
     def test_landweber_divergence_guard(self):
         # n copies of one point make G/n have top eigenvalue 1
         sample = PairedSample(X=(pt(0.0),) * 10, Y=(pt(1.0),) * 10)
@@ -720,6 +728,27 @@ class TestFactorization:
         assert X is rhs and solve_jitter == jitter
         assert np.array_equal(X, scipy.linalg.cho_solve(expected, np.eye(n)))
         assert np.array_equal(shifted, shifted0)
+
+    def test_the_factor_skips_the_finite_scan_and_solve_pd_checks_its_matrix(self, monkeypatch):
+        # the package's Grams and shifts are finite by construction, so cho_factor never
+        # scans them; solve_pd takes a caller's matrix and checks it itself, also the
+        # strict upper triangle, which a lower Cholesky never reads
+        checks, inner = [], scipy.linalg.cho_factor
+
+        def recording(*args, **kwargs):
+            checks.append(kwargs.get("check_finite", True))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+        fit_cme(random_sample(np.random.default_rng(40), 20), GAUSS, Tikhonov(), 1e-3)
+        assert solve_pd(4.0 * np.eye(3), np.ones(3))[0].tolist() == [0.25] * 3
+        assert checks == [False, False]
+        for bad in (np.nan, np.inf):
+            A = np.eye(3)
+            A[0, 2] = bad
+            with pytest.raises(ValueError, match="matrix must be finite"):
+                solve_pd(A, np.ones(3))
+        assert len(checks) == 2
 
     def test_closed_form_fit_records_its_jitter(self):
         # bandwidth 10 and lambda 1e-17 make G_X + n*lam*I numerically singular
@@ -1240,6 +1269,36 @@ class TestNormsAndRisks:
         rows = data.draw(st.integers(1, 8), label="rows")
         with mock.patch.object(est_mod, "REPORT_ROWS", rows):
             self.check_fitted_risk_and_hs(est, sample)
+
+    def test_the_tikhonov_report_multiplies_on_scipys_blas(self, monkeypatch):
+        # the fit factored on scipy's BLAS, so the report keeps to its thread pool: one
+        # dgemm per REPORT_ROWS row block, and no numpy product on W, with the same doubles
+        import cmekit.estimators as est_mod
+
+        products, gemms = [], []
+
+        class RecordingW(np.ndarray):
+            def __matmul__(self, other):
+                products.append(self.shape)
+                return np.asarray(self) @ other
+
+            def __rmatmul__(self, other):
+                products.append(self.shape)
+                return other @ np.asarray(self)
+
+        def dgemm(*args, **kwargs):
+            gemms.append(args[2].shape)
+            return inner(*args, **kwargs)
+
+        inner = est_mod.dgemm
+        sample = ou_sample_pairs(1.0, 0.5, 300, 5)
+        est = fit_cme(sample, GAUSS, Tikhonov(), 1e-3)
+        assert est.cond_lower_bound > 0 and est.jitter == 0.0 and est_mod.REPORT_ROWS == 128
+        want = _fitted_risk_and_hs(est, sample)
+        object.__setattr__(est, "W", est.W.view(RecordingW))
+        monkeypatch.setattr(est_mod, "dgemm", dgemm)
+        assert bits(_fitted_risk_and_hs(est, sample)) == bits(want)
+        assert gemms == [(300, 128), (300, 128), (300, 44)] and products == []
 
     def test_a_large_lambda_report_keeps_the_trace_bound(self):
         # at lambda = 1e3, c W is near I: on this draw tr(G_Y W) - c q breaks the

@@ -281,10 +281,25 @@ class TestTwoWorkers:
         block_entries = data.draw(st.integers(1, 40), label="block_entries")
         built = []
         with mock.patch.object(kernels, "_BLOCK_ENTRIES", block_entries):
-            for two in (False, True):
-                with workers(two):
+            # one worker at numpy's default ufunc buffer, one at the small buffer, and two workers
+            for two, small in ((False, False), (False, True), (True, False)):
+                with workers(two), mock.patch.object(kernels, "_BUFFER_ENTRIES", 0 if small else sys.maxsize):
                     built.append((cross_gram(kernel, rows, cols).tobytes(), repr(_mmd_sq(kernel, rows, cols))))
-        assert built[0] == built[1]
+        assert built[0] == built[1] == built[2]
+
+    def test_one_worker_builds_a_block_of_buffer_entries_at_the_small_buffer(self):
+        # 64 x 64 is the first size that pays for setting the buffer; a smaller block keeps
+        # numpy's default, and the caller's buffer size is back once the build returns
+        default, a = np.getbufsize(), np.arange(64.0)[:, None]
+        assert kernels._BUFFER_ENTRIES == 64 * 64 and default > 16
+        with workers(False):
+            for rows, size in ((64, 16), (63, default)):
+                sizes = kernels._row_blocks(GAUSS, a[:rows], a.copy(), lambda block: np.getbufsize())
+                assert len(sizes) == 1 and sizes == [size]
+                assert np.getbufsize() == default
+        with workers(False), pytest.raises(ZeroDivisionError):
+            kernels._row_blocks(GAUSS, a, a.copy(), lambda block: 1 / 0)
+        assert np.getbufsize() == default
 
     def test_the_helper_thread_builds_the_second_half(self):
         a = np.arange(10.0)[:, None]

@@ -5,10 +5,10 @@ r >= n - 1, so each test picks its branch by r.
 """
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +176,13 @@ class TestEdmdEigen:
         w = np.linalg.eigvals(M)
         for mu in w[np.abs(w.imag) > 1e-10]:
             assert np.min(np.abs(w - np.conj(mu))) <= 1e-10
+
+    def test_an_overflowing_n_lambda_is_refused(self):
+        # lambda = 1e307 is finite, but the shift n*lambda of G_X + n*lambda*I is not
+        sample = random_sample(np.random.default_rng(50), 50)
+        for r in (4, 50):
+            with pytest.raises(ValueError, match=re.escape("n*lambda overflows: n = 50, lambda = 1e+307")):
+                edmd_eigen(sample, GAUSS, 1e307, r)
 
     def test_r_out_of_range(self):
         rng = np.random.default_rng(44)
@@ -356,8 +363,10 @@ class TestEdmdEigen:
 
     @pytest.mark.parametrize(("n", "r"), [(8, 8), (120, 4)], ids=["dense", "arnoldi"])
     def test_one_gram_cross_gram_and_factor_per_fit(self, monkeypatch, n, r):
+        # in this order: K_YX's build never runs while scipy's BLAS pool is still busy
+        # from the factor
         sample = random_sample(np.random.default_rng(52), n)
-        calls = Counter()
+        calls = []
 
         def counting(name):
             inner = getattr(cmekit.spectral, name)
@@ -367,7 +376,7 @@ class TestEdmdEigen:
                 if name == "cross_gram":
                     # G_X is cross_gram(X, X); K_YX is cross_gram(Y, X) or its transpose
                     key = "G_X" if args[1] is args[2] is sample.X else "K_YX"
-                calls[key] += 1
+                calls.append(key)
                 return inner(*args, **kwargs)
 
             return wrapper
@@ -376,21 +385,21 @@ class TestEdmdEigen:
             monkeypatch.setattr(cmekit.spectral, name, counting(name))
         res = edmd_eigen(sample, GAUSS, 1e-2, r)
         eigen_residuals(res)
-        assert calls == {"G_X": 1, "K_YX": 1, "_factor_pd": 1}
+        assert calls == ["G_X", "K_YX", "_factor_pd"]
 
     def test_one_norm_pass_and_one_residual_apply_per_arnoldi_fit(self, monkeypatch):
-        # the RKHS norms of V and of D = M V - V w come from one pass over G_X, and
-        # once eigs returns, M is applied once, to the (n, 2r) block [Re V, Im V]
+        # the RKHS norms of V and of D = M V - V w come from one pass over G_X.  K_YX is
+        # applied on scipy's BLAS, which factored G_X, never by a numpy product: one dgemv
+        # per Arnoldi step, and once eigs returns, one dgemm, on the (n, 2r) block [Re V, Im V]
         from scipy.sparse import linalg as sparse_linalg
 
         n, r = 120, 4
         sample = random_sample(np.random.default_rng(52), n)
-        norm_passes, widths, done = [], [], []
+        norm_passes, products, steps, widths, done = [], [], [], [], []
 
         class RecordingBlock(np.ndarray):
             def __matmul__(self, other):
-                if done:
-                    widths.append(1 if other.ndim == 1 else other.shape[1])
+                products.append(other.shape)
                 return np.asarray(self) @ other
 
         inner_gram, inner_norm, inner_eigs = (
@@ -400,6 +409,16 @@ class TestEdmdEigen:
         def cross_gram(kernel, rows, cols):
             out = inner_gram(kernel, rows, cols)
             return out.view(RecordingBlock) if rows is sample.Y else out
+
+        def recording(name):
+            inner = getattr(cmekit.spectral, name)
+
+            def blas(alpha, a, b, **kwargs):
+                assert isinstance(a, RecordingBlock) and a.flags.f_contiguous
+                (widths if done else steps).append((name, 1 if b.ndim == 1 else b.shape[1]))
+                return inner(alpha, a, b, **kwargs)
+
+            return blas
 
         def rkhs_norm_sq(*args):
             norm_passes.append(True)
@@ -411,11 +430,14 @@ class TestEdmdEigen:
             return out
 
         monkeypatch.setattr(cmekit.spectral, "cross_gram", cross_gram)
+        for name in ("dgemv", "dgemm"):
+            monkeypatch.setattr(cmekit.spectral, name, recording(name))
         monkeypatch.setattr(cmekit.spectral, "_rkhs_norm_sq", rkhs_norm_sq)
         monkeypatch.setattr(sparse_linalg, "eigs", eigs)
         edmd_eigen(sample, GAUSS, 1e-2, r)
-        assert len(norm_passes) == 1
-        assert done and widths == [2 * r]
+        assert len(norm_passes) == 1 and products == []
+        assert steps and set(steps) == {("dgemv", 1)}
+        assert done and widths == [("dgemm", 2 * r)]
 
     def test_arnoldi_fit_holds_two_blocks(self):
         # K_YX and the factor of G_X + n*lam*I packed into G_X's buffer; a factor
@@ -432,7 +454,7 @@ class TestEdmdEigen:
 
     @pytest.mark.parametrize(("n", "r"), [(8, 8), (120, 4)], ids=["dense", "arnoldi"])
     def test_solves_skip_the_finite_scan_of_the_checked_factor(self, monkeypatch, n, r):
-        # _factor_pd already checked G_X: no solve scans the n x n factor again
+        # G_X and n*lam are finite, so the factor is: no solve scans the n x n factor
         checks = []
         inner = scipy.linalg.solve_triangular
 

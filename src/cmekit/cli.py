@@ -19,6 +19,7 @@ C-order little-endian float64, which reload bit-exactly by construction.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -668,7 +669,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` keeps no state."""
     parser = argparse.ArgumentParser(
         prog="cmekit",
         description="Conditional expectation operator estimation, kernel EDMD, "

@@ -14,25 +14,29 @@ while a block is built.  ``kernel_eval`` is the ``1 x 1`` block, so one point
 pair gets the same double from every route.
 
 A Gaussian or Laplacian block is built by one row-block engine,
-``_row_blocks``, in row blocks of about ``_BLOCK_ENTRIES`` entries, small
-enough to stay in L2.  Each row block is finished while it is in cache: its
-distances, then ``/ (-c)`` and ``exp`` in place.  The engine hands each
-finished row block to its caller: ``cross_gram`` builds them in its output,
-and the MMD sums each one in a row block of scratch.  A self block, whose rows
-and columns are one array, is summed from its upper block triangle, each pair
-of points built once (symmetry, below): a row block covers its columns from
-its own first row onward, taking more rows as the triangle narrows, and counts
-``2 * sum(block) - sum(leading square)``.  A block of at least
-``_SPLIT_ENTRIES`` (about 1M) entries, in a process allowed two or more CPUs
-(``os.cpu_count()`` where there is no ``os.sched_getaffinity``), is built by
-two workers: a thread started for that call builds the last row blocks, about
-half of the entries, while the caller builds the first.  Every entry and
-every row-block result is the same code on the same doubles in either thread,
-so no output depends on the split.  Both workers, and one worker on a block of
-at least ``_BUFFER_ENTRIES`` (4096) entries, build at a ufunc buffer of 16
-elements (``_small_ufunc_buffer``): a narrow row block's broadcast ``x - y``
-then skips numpy's buffered loop, and no double changes.  The distance step
-depends on the dimension d:
+``_row_blocks``, in row blocks of about ``_BLOCK_ENTRIES`` (65536) entries, 512
+KB of doubles, which fit in a 2 MB per-core L2.  Each row block is finished
+while it is in cache: its distances d, then ``* (-1/c)`` and ``exp`` in place,
+so an entry is ``exp(d * (-1/c))``, one multiply where a division by ``-c``
+costs several.  Where c is a power of two, ``d * (-1/c)`` is ``-d / c``
+exactly; otherwise the two can differ by one rounding.  A kernel parameter is
+refused unless c and ``1/c`` are both finite, nonzero doubles, so ``-1/c`` is
+one.  The engine hands each finished row block to its caller: ``cross_gram``
+builds them in its output, and the MMD sums each one in a row block of scratch.
+A self block, whose rows and columns are one array, is summed from its upper
+block triangle, each pair of points built once (symmetry, below): a row block
+covers its columns from its own first row onward, taking more rows as the
+triangle narrows, and counts ``2 * sum(block) - sum(leading square)``.  A block
+of at least ``_SPLIT_ENTRIES`` (``1 << 20``) entries, in a process allowed two
+or more CPUs (``os.cpu_count()`` where there is no ``os.sched_getaffinity``),
+is built by two workers: a thread started for that call builds the last row
+blocks, about half of the entries, while the caller builds the first.  Every
+entry and every row-block result is the same code on the same doubles in either
+thread, so no output depends on the split.  Both workers, and one worker on a
+block of at least ``_BUFFER_ENTRIES`` (4096) entries, build at a ufunc buffer
+of 16 elements (``_small_ufunc_buffer``): a narrow row block's broadcast
+``x - y`` then skips numpy's buffered loop, and no double changes.  The
+distance step depends on the dimension d:
 
 - d = 1: ``x - y`` and its square or absolute value, numpy ufuncs in place:
   ``cdist``'s arithmetic at d = 1, so the doubles are the ones it would give.
@@ -64,9 +68,9 @@ import numpy as np
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
-_BLOCK_ENTRIES = 1 << 15          # 256 KB of doubles per row block of a Gram block
-_SPLIT_ENTRIES = 32 * _BLOCK_ENTRIES    # a Gram block this large is built on two threads
-_BUFFER_ENTRIES = _BLOCK_ENTRIES // 8   # a Gram block this large is built at a small ufunc buffer
+_BLOCK_ENTRIES = 1 << 16     # 512 KB of doubles per row block of a Gram block
+_SPLIT_ENTRIES = 1 << 20     # a Gram block this large is built on two threads
+_BUFFER_ENTRIES = 4096       # a Gram block this large is built at a small ufunc buffer
 
 
 @dataclass(frozen=True)
@@ -241,6 +245,11 @@ class GaussianKernel:
     def __post_init__(self) -> None:
         if not 0 < self.bandwidth < np.inf:
             raise ValueError(f"bandwidth must be > 0 and finite, got {self.bandwidth}")
+        _check_divisor(self, "bandwidth", "2 * bandwidth^2")
+
+    @property
+    def _divisor(self) -> float:
+        return 2.0 * self.bandwidth * self.bandwidth
 
 
 @dataclass(frozen=True)
@@ -252,6 +261,21 @@ class LaplacianKernel:
     def __post_init__(self) -> None:
         if not 0 < self.scale < np.inf:
             raise ValueError(f"scale must be > 0 and finite, got {self.scale}")
+        _check_divisor(self, "scale", "scale")
+
+    @property
+    def _divisor(self) -> float:
+        return self.scale
+
+
+def _check_divisor(kernel: Union[GaussianKernel, LaplacianKernel], name: str, formula: str) -> None:
+    """Refuse a parameter whose divisor c (k = exp(-d / c)) or ``1/c`` is not a finite, nonzero
+    double: the row blocks multiply by ``-1/c``, and at c = 0 or ``1/c = inf`` a zero distance
+    would give ``0 * -inf``, NaN, where ``exp(-0/c)`` is 1."""
+    c = kernel._divisor
+    if not (0 < c < np.inf and 1.0 / c < np.inf):
+        value = getattr(kernel, name)
+        raise ValueError(f"{formula} and its reciprocal must be finite and nonzero, got {name} = {value}")
 
 
 @dataclass(frozen=True)
@@ -343,11 +367,12 @@ def _row_blocks(
     ``_BLOCK_ENTRIES`` entries, and its result is ``2 * visit(block) - visit(row sums of its
     leading square)``: for a sum, the sum of its rows of the whole symmetric block."""
     if isinstance(kernel, GaussianKernel):
-        metric, norm, c = "sqeuclidean", np.square, 2.0 * kernel.bandwidth**2
+        metric, norm = "sqeuclidean", np.square
     elif isinstance(kernel, LaplacianKernel):
-        metric, norm, c = "cityblock", np.abs, kernel.scale
+        metric, norm = "cityblock", np.abs
     else:
         raise TypeError(f"unknown kernel type: {type(kernel).__name__}")
+    factor = -1.0 / kernel._divisor
     if a.shape[1] > 1:
         from scipy.spatial.distance import cdist
     upper = out is None and b is a
@@ -372,8 +397,8 @@ def _row_blocks(
             else:
                 np.subtract.outer(rows[:, 0], cols[:, 0], out=block)
                 norm(block, out=block)
-            # exp(-D / c) in D's own buffer: (-d) / c and d / (-c) round to the same double
-            np.divide(block, -c, out=block)
+            # exp(D * (-1/c)) in D's own buffer
+            np.multiply(block, factor, out=block)
             np.exp(block, out=block)
             if upper:
                 # the leading square by its row sums: numpy buffers a whole strided sum, and

@@ -33,6 +33,7 @@ from cmekit import (
     random_model,
     sample_pairs,
 )
+from cmekit import cli
 from cmekit.cli import (
     ConfigError,
     main,
@@ -1048,9 +1049,12 @@ class TestCodec:
             for rows in (p, q)
         )
         positive = st.floats(min_value=5e-324, max_value=1e308)
+        # kernel parameters near both ends of their range: c = 2 * bandwidth^2 (or scale) and
+        # 1/c must be finite, nonzero doubles
         est = CmeEstimator(
             kernel=data.draw(
-                st.builds(GaussianKernel, positive) | st.builds(LaplacianKernel, positive)
+                st.builds(GaussianKernel, st.floats(min_value=1e-154, max_value=9e153))
+                | st.builds(LaplacianKernel, st.floats(min_value=1e-308, max_value=1e308))
             ),
             lam=data.draw(positive),
             filt=data.draw(
@@ -1262,6 +1266,42 @@ def test_ou_tau_is_refused_only_below_zero_or_nan(tmp_path, capsys, tau, code):
     if code:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: invalid sampling parameters: tau must be >= 0, got nan")
+
+
+@pytest.mark.parametrize("command", ["mmd", "estimate"])
+@pytest.mark.parametrize("bandwidth", ["1e-170", "1e200"])
+def test_a_bandwidth_whose_exponent_divisor_is_no_finite_double_exits_2(
+    tmp_path, capsys, command, bandwidth
+):
+    # 2 * bandwidth^2 underflows to 0 at 1e-170, where mmd printed NaN and estimate exited 1,
+    # and overflows at 1e200, where both exited 1 with an OverflowError
+    data = write(tmp_path / "data.txt", "sample v1\npoints 2 1\n0.5\n1.5\n")
+    rest = MMD_DATA if command == "mmd" else TIKHONOV + OU_DATA.format(theta=1) + ESTIMATE_RUN
+    config = KERNEL.replace("bandwidth = 1", f"bandwidth = {bandwidth}") + rest
+    cfg = write(tmp_path / "run.cfg", config.format(data=data, out=tmp_path / "out.txt"))
+    assert main([command, "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "out.txt").exists()
+    assert err.startswith(
+        f"error: {cfg}: [kernel]: 2 * bandwidth^2 and its reciprocal must be finite and nonzero, "
+        f"got bandwidth = {float(bandwidth)}\n"
+    )
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the cached parser answers --help, bad arguments and repeated calls as a fresh one does
+    assert cli._build_parser() is cli._build_parser()
+    fresh = cli._build_parser.__wrapped__
+    for argv in (["--help"], ["mmd", "--help"], [], ["nosuch"], ["mmd"], ["mmd", "--config"]):
+        answers = []
+        for parse in (fresh().parse_args, main, main):
+            with pytest.raises(SystemExit) as stop:
+                parse(argv)
+            answers.append((stop.value.code, capsys.readouterr()))
+        assert answers[0] == answers[1] == answers[2] and answers[0][0] in (0, 2)
+    for argv in (["edmd", "--config", "a", "--seed", "3", "--out", "b"], ["mmd", "--config", "c"]):
+        assert cli._build_parser().parse_args(argv) == fresh().parse_args(argv)
+    assert cli._build_parser().parse_args(["mmd", "--config", "c"]).seed is None
 
 
 OUT_CASES = pytest.mark.parametrize(

@@ -265,8 +265,11 @@ class TestStreamedMmd:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_peak_memory_is_a_few_row_blocks(self, d):
+        # a 13-row-block P x Q block, under the split size, so one worker sums it
+        n, m = 13 * 64, kernels._BLOCK_ENTRIES // 64
+        assert n * m < kernels._SPLIT_ENTRIES
         rng = np.random.default_rng(17)
-        P, Q = random_points(rng, 600, d), random_points(rng, 700, d)
+        P, Q = random_points(rng, n, d), random_points(rng, m, d)
         row_block = kernels._BLOCK_ENTRIES * 8
         _mmd_sq(GAUSS, P[:2], Q[:2])        # loads scipy.spatial for d = 2 outside the trace
         tracemalloc.start()
@@ -275,8 +278,8 @@ class TestStreamedMmd:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one 600 x 700 block would be 3.4 MB, about thirteen row blocks
-        assert peak <= 3 * row_block < 600 * 700 * 8 / 4
+        # the whole block would be more than four times three row blocks
+        assert peak <= 3 * row_block < n * m * 8 / 4
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_peak_memory_of_a_split_build_is_a_few_row_blocks(self, d):

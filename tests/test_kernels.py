@@ -188,17 +188,16 @@ class TestCrossGram:
         assert K.flags.c_contiguous and K.flags.writeable
 
     @staticmethod
-    def assert_textbook_assembly(rows, cols, width):
-        """Each kernel's block is exp(-cdist / c) bit for bit, and swapping rows and
-        columns gives its transpose bit for bit."""
+    def assert_textbook_assembly(rows, cols, width, reference=lambda d, c: np.exp(d * (-1.0 / c))):
+        """Each kernel's block is ``reference(cdist, c)``, by default exp(cdist * (-1/c)), bit
+        for bit, and swapping rows and columns gives its transpose bit for bit."""
         a, b = coords_matrix(rows), coords_matrix(cols)
         for kernel, metric, c in (
-            (GaussianKernel(width), "sqeuclidean", 2.0 * width**2),
+            (GaussianKernel(width), "sqeuclidean", 2.0 * width * width),
             (LaplacianKernel(width), "cityblock", width),
         ):
-            reference = np.exp(-cdist(a, b, metric) / c)
             K = cross_gram(kernel, rows, cols)
-            assert np.array_equal(K, reference)
+            assert np.array_equal(K, reference(cdist(a, b, metric), c))
             assert K.flags.c_contiguous and K.flags.writeable
             assert np.array_equal(cross_gram(kernel, cols, rows).T, K)
 
@@ -218,11 +217,26 @@ class TestCrossGram:
         with mock.patch.object(kernels, "_BLOCK_ENTRIES", block_entries):
             self.assert_textbook_assembly(rows, cols, width)
 
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_a_power_of_two_divisor_gives_the_division_bytes(self, data):
+        # at bandwidth 2^j and scale 2^j, c is a power of two, so d * (-1/c) is -d / c
+        # exactly, and each entry is exp(-cdist / c) byte for byte
+        d = data.draw(st.integers(1, 3), label="d")
+        rows = data.draw(arrays(np.float64, (data.draw(st.integers(1, 8)), d), elements=COORD))
+        cols = data.draw(arrays(np.float64, (data.draw(st.integers(1, 8)), d), elements=COORD))
+        width = 2.0 ** data.draw(st.integers(-30, 30), label="j")
+        block_entries = data.draw(st.integers(1, 40), label="block_entries")
+        with mock.patch.object(kernels, "_BLOCK_ENTRIES", block_entries):
+            self.assert_textbook_assembly(rows, cols, width, lambda d, c: np.exp(-d / c))
+
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("n, m", [(301, 333), (3, 33000)], ids=["ragged", "row-per-block"])
+    @pytest.mark.parametrize(
+        "n, m", [(301, 333), (3, kernels._BLOCK_ENTRIES + 232)], ids=["ragged", "row-per-block"]
+    )
     def test_several_row_blocks_are_the_textbook_expression(self, d, n, m):
-        # 333 columns take 98 rows per block, so 301 rows end in a block of 7;
-        # 33000 columns are wider than a block, which then holds one row
+        # 333 columns take _BLOCK_ENTRIES // 333 rows per block (196), so 301 rows end in a
+        # ragged block; a row wider than a block makes a block of that one row
         assert n > max(1, kernels._BLOCK_ENTRIES // m)
         rng = np.random.default_rng(6)
         self.assert_textbook_assembly(random_points(rng, n, d), random_points(rng, m, d), 0.9)
@@ -517,6 +531,23 @@ class TestTableKernelValidation:
                 GaussianKernel(bandwidth=value)
             with pytest.raises(ValueError, match="scale must be > 0 and finite"):
                 LaplacianKernel(scale=value)
+        # the row blocks multiply by -1/c: c = 2 * bandwidth^2 (or scale) and 1/c must both be
+        # finite, nonzero doubles; 2 * bandwidth^2 underflows to 0 at 1e-170 and overflows at
+        # 1e200, and 1/scale overflows at 1e-310, where 0 * -inf would put NaN on the diagonal
+        for value in (1e-170, 1e200, 2.0**-513, 2.0**512):
+            with pytest.raises(ValueError, match=r"2 \* bandwidth\^2 and its reciprocal must be finite"):
+                GaussianKernel(bandwidth=value)
+        for value in (1e-310, 5e-324):
+            with pytest.raises(ValueError, match="scale and its reciprocal must be finite"):
+                LaplacianKernel(scale=value)
+        # the extremes still allowed build finite Gram blocks, where a distance or its product
+        # with -1/c may overflow to inf
+        a = np.array([[0.0], [1.0], [1e300]])
+        for kernel in (GaussianKernel(2.0**-511), GaussianKernel(2.0**511), LaplacianKernel(2.0**-1023),
+                       LaplacianKernel(1.7976931348623157e308)):
+            with np.errstate(over="ignore"):
+                K = cross_gram(kernel, a, a)
+            assert np.all(np.isfinite(K)) and np.array_equal(np.diag(K), np.ones(3))
 
 
 def test_scipy_spatial_loads_only_for_multi_dimensional_blocks():

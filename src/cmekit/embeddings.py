@@ -73,10 +73,8 @@ def _mmd_sq(kernel: Kernel, P: Sequence[Point], Q: Sequence[Point]) -> tuple[flo
 
     (P, Q) is put in a canonical order (size, then coordinate bytes), so both
     values are bitwise symmetric.  A Gaussian or Laplacian block's sum adds the
-    sums of its row blocks exactly, in row-block order, so peak memory is one row
-    block per worker of ``kernels._row_blocks``.  The within-sample blocks G_P and
-    G_Q are summed from their upper block triangles, each pair of points once
-    (k(x, y) and k(y, x) are the same double), and the cross block K_PQ whole.
+    sums of its row blocks from ``kernels._row_blocks`` exactly, so no block is
+    held whole, and that engine builds G_P and G_Q from their upper triangles.
     Samples of equal bytes take the cross sum from G_P, so the same list gives
     exactly 0.0.  A table kernel's sums are quadratic forms c_rows^T T c_cols in
     the state counts c of each sample, one table lookup per point.

@@ -29,9 +29,10 @@ where F is the n x m_Y indicator of Y, N = E^T F the pair counts and Z the
 solve's output (see ``_on_support``).  Summing W's rows over repeated Y and
 its columns over repeated X leaves every prediction unchanged, so W_c is the
 operator W.  With no repeated point S is G_X, and W_c is W, computed exactly
-as the n x n algebra above.  ``_support`` finds the distinct values with
-``np.unique`` on the sample's coordinate array, and ``_on_support`` adds
-N^T Z's terms with ``np.add.at``, so neither loops over the n points in Python.
+as the n x n algebra above.  ``kernels._support`` finds the distinct values by
+argsorting the rows of the sample's coordinate array, and ``_on_support`` counts
+the pairs N with ``np.unique`` and adds N^T Z's terms with ``np.add.at``, so
+neither loops over the n points in Python.
 
 Filters: Tikhonov g(s) = 1/(s + lam); hard cutoff g(s) = 1/s for s >= lam,
 else 0; Landweber g(s) = (1 - (1 - eta*s)^m) / s with the s = 0 limit m*eta.
@@ -125,8 +126,8 @@ class Landweber:
     def __post_init__(self) -> None:
         if type(self.steps) is bool or not isinstance(self.steps, Integral) or self.steps < 1:
             raise ValueError(f"Landweber needs integer steps >= 1, got {self.steps!r}")
-        if not (self.step_size > 0):
-            raise ValueError(f"Landweber needs step_size > 0, got {self.step_size}")
+        if not 0 < self.step_size < np.inf:
+            raise ValueError(f"Landweber needs step_size > 0 and finite, got {self.step_size}")
         object.__setattr__(self, "steps", int(self.steps))
 
 

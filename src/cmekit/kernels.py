@@ -14,37 +14,23 @@ while a block is built.  ``kernel_eval`` is the ``1 x 1`` block, so one point
 pair gets the same double from every route.
 
 A Gaussian or Laplacian block is built by one row-block engine,
-``_row_blocks``, in row blocks of about ``_BLOCK_ENTRIES`` (65536) entries, 512
-KB of doubles, which fit in a 2 MB per-core L2.  Each row block is finished
-while it is in cache: its distances d, then ``* (-1/c)`` and ``exp`` in place,
-so an entry is ``exp(d * (-1/c))``, one multiply where a division by ``-c``
-costs several.  Where c is a power of two, ``d * (-1/c)`` is ``-d / c``
-exactly; otherwise the two can differ by one rounding.  A kernel parameter is
-refused unless c and ``1/c`` are both finite, nonzero doubles, so ``-1/c`` is
-one.  The engine hands each finished row block to its caller: ``cross_gram``
-builds them in its output, and the MMD sums each one in a row block of scratch.
-A self block, whose rows and columns are one array, is summed from its upper
-block triangle, each pair of points built once (symmetry, below): a row block
-covers its columns from its own first row onward, taking more rows as the
-triangle narrows, and counts ``2 * sum(block) - sum(leading square)``.  A block
-of at least ``_SPLIT_ENTRIES`` (``1 << 20``) entries, in a process allowed two
-or more CPUs (``os.cpu_count()`` where there is no ``os.sched_getaffinity``),
-is built by two workers: a thread started for that call builds the last row
-blocks, about half of the entries, while the caller builds the first.  Every
-entry and every row-block result is the same code on the same doubles in either
-thread, so no output depends on the split.  Both workers, and one worker on a
-block of at least ``_BUFFER_ENTRIES`` (4096) entries, build at a ufunc buffer
-of 16 elements (``_small_ufunc_buffer``): a narrow row block's broadcast
-``x - y`` then skips numpy's buffered loop, and no double changes.  The
-distance step depends on the dimension d:
+``_row_blocks``: in ``cross_gram``'s output, or row block by row block for the
+MMD sums.  Its entry at distance d is ``exp(d * (-1/c))``, one multiply where a
+division by ``-c`` costs several.  Where c is a power of two, ``d * (-1/c)`` is
+``-d / c`` exactly; otherwise the two can differ by one rounding.  A kernel
+parameter is refused unless c and ``1/c`` are both finite, nonzero doubles, so
+``-1/c`` is one.  An entry depends only on its own two points, and a row block's
+result only on its entries, never on the worker or the ufunc buffer that built
+it, so no output depends on the engine's split into workers.  The distance step
+depends on the dimension d:
 
 - d = 1: ``x - y`` and its square or absolute value, numpy ufuncs in place:
   ``cdist``'s arithmetic at d = 1, so the doubles are the ones it would give.
 - d >= 2: ``scipy.spatial.distance.cdist`` writes the row block's summed
   squared or absolute coordinate differences (faster than a numpy loop over
-  the coordinates).  Each entry depends only on its own two points, so a row
-  block gets the doubles a whole-block call would.  ``scipy.spatial`` is
-  imported on the first such block, so 1-D work never loads it.
+  the coordinates), the doubles a whole-block call would give.
+  ``scipy.spatial`` is imported on the first such block, so 1-D work never
+  loads it.
 
 Gram matrices are exactly symmetric with no mirroring step: ``x - y`` is
 ``-(y - x)`` exactly, so ``(x - y)^2 == (y - x)^2`` and ``|x - y| == |y - x|``
@@ -60,7 +46,7 @@ import math
 import os
 import threading
 from collections.abc import Callable, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -358,14 +344,25 @@ def _row_blocks(
     kernel: Kernel, a: np.ndarray, b: np.ndarray, visit: Callable | None = None, out: np.ndarray | None = None
 ) -> list:
     """Build the Gaussian or Laplacian block k(a[i], b[j]) of two (n, d) and (m, d) arrays in
-    row blocks, on one or two workers (see the module docstring), in ``out`` or else in one
-    row block of scratch per worker.  Returns ``visit(block)`` for each row block, in row-block
-    order; the caller re-raises what either worker raised, once both have stopped.
+    row blocks, in ``out`` or else in one row block of scratch per worker, and return
+    ``visit(block)`` for each row block, in row-block order.
 
-    A self block (``b is a``, no ``out``) is built from its upper block triangle: a row block
-    covers its columns from its own first row onward, in as many rows as fit in
-    ``_BLOCK_ENTRIES`` entries, and its result is ``2 * visit(block) - visit(row sums of its
-    leading square)``: for a sum, the sum of its rows of the whole symmetric block."""
+    One plan, made before any work, gives each row block's first row and entry count: as many
+    rows as fit in ``_BLOCK_ENTRIES`` (65536) entries, 512 KB of doubles, which stay in a 2 MB
+    per-core L2 while the row block is finished: its distances, then ``* (-1/c)`` and ``exp``
+    in place.  A self block (``b is a``, no ``out``) is built from its upper block triangle: a
+    row block covers its columns from its own first row onward, so each pair of points is built
+    once and the row blocks take more rows as the triangle narrows.  Its result is
+    ``2 * visit(block) - visit(row sums of its leading square)``: for a sum, the sum of its rows
+    of the whole symmetric block.
+
+    A block of at least ``_SPLIT_ENTRIES`` (``1 << 20``) entries, in two or more row blocks, in
+    a process allowed two or more CPUs, is built by two workers: the caller builds the row
+    blocks up to the first that reaches half of the planned entries, and a thread started for
+    the call builds the rest.  Each worker's scratch holds its largest row block, and the caller
+    re-raises what either worker raised, once both have stopped.  A block of at least
+    ``_BUFFER_ENTRIES`` (4096) entries is built at a small ufunc buffer (``_small_ufunc_buffer``)
+    by each of its workers."""
     if isinstance(kernel, GaussianKernel):
         metric, norm = "sqeuclidean", np.square
     elif isinstance(kernel, LaplacianKernel):
@@ -375,62 +372,56 @@ def _row_blocks(
     factor = -1.0 / kernel._divisor
     if a.shape[1] > 1:
         from scipy.spatial.distance import cdist
+    n, m = len(a), len(b)
     upper = out is None and b is a
-    step = max(1, _BLOCK_ENTRIES // len(b))
-    starts = range(0, len(a), step)
-    if upper:
-        # the row blocks narrow down the triangle, so each takes more rows
-        starts = [0]
-        while (i := starts[-1] + max(1, _BLOCK_ENTRIES // (len(a) - starts[-1]))) < len(a):
-            starts.append(i)
+    plan, i = [], 0         # each row block's first row and entry count
+    while i < n:
+        width = m - i if upper else m
+        height = min(max(1, _BLOCK_ENTRIES // width), n - i)
+        plan.append((i, height * width))
+        i += height
 
-    def work(part: Sequence[int]) -> list:
-        scratch = np.empty(min(len(a) * len(b), max(_BLOCK_ENTRIES, len(b)))) if out is None else None
+    def work(part: list) -> list:
+        scratch = np.empty(max((entries for _, entries in part), default=0)) if out is None else None
         done = []
-        for i in part:
-            stop = i + max(1, _BLOCK_ENTRIES // (len(a) - i)) if upper else i + step
-            rows, cols = a[i:stop], b[i:] if upper else b
-            # each row block is finished while it is still in cache
-            block = scratch[:len(rows) * len(cols)].reshape(len(rows), -1) if out is None else out[i:stop]
-            if a.shape[1] > 1:
-                cdist(rows, cols, metric, out=block)
-            else:
-                np.subtract.outer(rows[:, 0], cols[:, 0], out=block)
-                norm(block, out=block)
-            # exp(D * (-1/c)) in D's own buffer
-            np.multiply(block, factor, out=block)
-            np.exp(block, out=block)
-            if upper:
-                # the leading square by its row sums: numpy buffers a whole strided sum, and
-                # a split worker's small buffer (below) would round it differently
-                done.append(2 * visit(block) - visit(block[:, :len(rows)].sum(axis=1)))
-            elif visit is not None:
-                done.append(visit(block))
+        with _small_ufunc_buffer() if n * m >= _BUFFER_ENTRIES else nullcontext():
+            for i, entries in part:
+                cols = b[i:] if upper else b
+                rows = a[i:i + entries // len(cols)]
+                # each row block is finished while it is still in cache
+                block = scratch[:entries].reshape(len(rows), -1) if out is None else out[i:i + len(rows)]
+                if a.shape[1] > 1:
+                    cdist(rows, cols, metric, out=block)
+                else:
+                    np.subtract.outer(rows[:, 0], cols[:, 0], out=block)
+                    norm(block, out=block)
+                # exp(D * (-1/c)) in D's own buffer
+                np.multiply(block, factor, out=block)
+                np.exp(block, out=block)
+                if upper:
+                    # the leading square by its row sums: numpy buffers a whole strided sum,
+                    # and the small buffer would round it differently
+                    done.append(2 * visit(block) - visit(block[:, :len(rows)].sum(axis=1)))
+                elif visit is not None:
+                    done.append(visit(block))
         return done
 
-    size = len(a) * len(b)
-    if size < _SPLIT_ENTRIES or len(starts) < 2 or _usable_cpus() < 2:
-        if size < _BUFFER_ENTRIES:
-            return work(starts)
-        with _small_ufunc_buffer():
-            return work(starts)
+    if n * m < _SPLIT_ENTRIES or len(plan) < 2 or _usable_cpus() < 2:
+        return work(plan)
 
     raised, first, second = [], [], []
 
-    def worker(part: Sequence[int], done: list) -> None:
+    def worker(part: list, done: list) -> None:
         try:
-            with _small_ufunc_buffer():
-                done.extend(work(part))
+            done.extend(work(part))
         except BaseException as exc:        # re-raised by the caller once both halves stop
             raised.append(exc)
 
-    # the caller takes the row blocks up to the first that reaches half of the entries
-    edges = np.append(starts, len(a))
-    entries = np.cumsum(np.diff(edges) * (len(b) - edges[:-1] if upper else len(b)))
-    half = int(np.searchsorted(entries, entries[-1] / 2)) + 1
-    thread = threading.Thread(target=worker, args=(starts[half:], second))
+    reached = np.cumsum([entries for _, entries in plan])
+    half = int(np.searchsorted(reached, reached[-1] / 2)) + 1
+    thread = threading.Thread(target=worker, args=(plan[half:], second))
     thread.start()
-    worker(starts[:half], first)
+    worker(plan[:half], first)
     thread.join()
     if raised:
         raise raised[0]
@@ -446,8 +437,8 @@ def _small_ufunc_buffer():
     per entry, and a split worker would hold an iterator buffer of half a row
     block beside its row block.  No double changes: the steps are elementwise,
     and the row-block sums read whole contiguous blocks or rows, with no
-    buffering.  Setting and restoring the size costs about 2 us, so blocks under
-    ``_BUFFER_ENTRIES`` entries keep the default.
+    buffering.  Setting and restoring the size costs about 2 us, more than a
+    block under ``_BUFFER_ENTRIES`` entries gains.
     """
     bufsize = np.setbufsize(16)
     try:

@@ -1426,6 +1426,7 @@ def test_singular_state_gram_fails_before_the_first_fit(tmp_path, capsys, monkey
             id="infinite-bandwidth",
         ),
         pytest.param(None, None, v2_file(filt="landweber 7"), id="estimator-filter-parameters"),
+        pytest.param(None, None, v2_file(filt="landweber 7 inf"), id="estimator-infinite-step-size"),
         pytest.param(
             None, None, v2_file().replace(b"v2", b"v1", 1), id="estimator-v1-no-longer-read"
         ),

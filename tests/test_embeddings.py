@@ -382,10 +382,14 @@ class TestStreamedMmd:
         # row blocks from one entry up, so most blocks split and the last one is ragged
         block_entries = data.draw(st.integers(1, 40), label="block_entries")
         built = []
+        # one worker at numpy's default ufunc buffer, then two at the small buffer, as every
+        # block large enough to split is built
         for split_entries in (sys.maxsize, 0):
             with mock.patch.object(kernels, "_BLOCK_ENTRIES", block_entries), mock.patch.object(
                 kernels, "_SPLIT_ENTRIES", split_entries
-            ), mock.patch.object(kernels.os, "sched_getaffinity", lambda pid: {0, 1}):
+            ), mock.patch.object(kernels, "_BUFFER_ENTRIES", split_entries), mock.patch.object(
+                kernels.os, "sched_getaffinity", lambda pid: {0, 1}
+            ):
                 total = math.fsum(kernels._row_blocks(kernel, P._coords, P._coords, np.ndarray.sum))
                 assert mmd_sq_biased(kernel, P, P) == 0.0
                 values = _mmd_sq(kernel, P, Q)

@@ -245,8 +245,9 @@ class TestFilterValue:
     def test_landweber_validation(self):
         with pytest.raises(ValueError):
             Landweber(steps=0, step_size=0.1)
-        with pytest.raises(ValueError):
-            Landweber(steps=3, step_size=0.0)
+        for step_size in (0.0, np.inf):
+            with pytest.raises(ValueError):
+                Landweber(steps=3, step_size=step_size)
 
     @pytest.mark.parametrize("steps", [2.5, 2.0, True, np.bool_(True), "3"])
     def test_landweber_steps_must_be_an_integer(self, steps):

@@ -295,8 +295,9 @@ class TestTwoWorkers:
         block_entries = data.draw(st.integers(1, 40), label="block_entries")
         built = []
         with mock.patch.object(kernels, "_BLOCK_ENTRIES", block_entries):
-            # one worker at numpy's default ufunc buffer, one at the small buffer, and two workers
-            for two, small in ((False, False), (False, True), (True, False)):
+            # one worker at numpy's default ufunc buffer, one at the small buffer, and two
+            # workers at the small buffer, as every block large enough to split is built
+            for two, small in ((False, False), (False, True), (True, True)):
                 with workers(two), mock.patch.object(kernels, "_BUFFER_ENTRIES", 0 if small else sys.maxsize):
                     built.append((cross_gram(kernel, rows, cols).tobytes(), repr(_mmd_sq(kernel, rows, cols))))
         assert built[0] == built[1] == built[2]
@@ -332,6 +333,12 @@ class TestTwoWorkers:
             with workers(True), mock.patch.object(kernels.os, "sched_getaffinity", lambda pid: {0}):
                 threads = kernels._row_blocks(GAUSS, a, a, lambda block: threading.get_ident())
             assert threads == [threading.get_ident()] * 10
+        # a 3-point self block's row blocks hold 3 and then 4 entries: the first to reach half
+        # of the 7 is the last, so the caller builds both and the helper none
+        three = a[:3]
+        with mock.patch.object(kernels, "_BLOCK_ENTRIES", 4), workers(True):
+            threads = kernels._row_blocks(GAUSS, three, three, lambda block: threading.get_ident())
+        assert threads == [threading.get_ident()] * 2
 
     def test_concurrent_split_builds_keep_their_bytes(self):
         # four callers on two cores, each with a helper thread, switching every microsecond

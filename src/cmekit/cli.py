@@ -9,10 +9,12 @@ output; wall-clock timings go to stderr, outside the deterministic streams.
 Exit codes: 0 success (and, for oracle-verify, all checks passed),
 1 runtime failure, 2 validation failure (config, file parse, range checks).
 
-Model and sample files are UTF-8 text with LF line endings, '.' decimal
-separator, and floats printed with 17 significant digits, so that
-read(write(x)) restores every IEEE double bit-exactly.  A ``cme-estimator v2``
-file is not text: a few UTF-8 head lines followed by ``.npy`` records of
+Model and sample files are UTF-8 text written with LF line endings and floats
+at 17 significant digits, so read(write(x)) restores every double bit-exactly;
+``_write_file`` and ``_read_file`` own their layout.  Blank lines are skipped,
+and an error's line number counts LF-terminated lines.  ``write_estimator`` and
+``read_estimator`` own the ``cme-estimator v2`` layout, which is not text: four
+UTF-8 head lines (blank lines among them are skipped), then ``.npy`` records of
 C-order little-endian float64, which reload bit-exactly by construction.
 """
 
@@ -29,7 +31,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +64,13 @@ class ConfigError(Exception):
 
 def _fmt(v: float) -> str:
     return _FLOAT_FMT % float(v)
+
+
+def _nonblank(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """Each line that is not blank, stripped, with its 1-based line number."""
+    for no, raw in enumerate(lines, start=1):
+        if line := raw.strip():
+            yield no, line
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +120,8 @@ def parse_config(path: str) -> Config:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     sections: dict[str, dict[str, tuple[str, int]]] = {}
     current: Optional[str] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in _nonblank(text.splitlines()):
+        if line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
@@ -122,11 +130,15 @@ def parse_config(path: str) -> Config:
             sections.setdefault(current, {})
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{raw.strip()}'")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{line}'")
         if current is None:
             raise ConfigError(f"{path}:{lineno}: key-value pair before any [section] header")
         key, _, value = line.partition("=")
-        sections[current][key.strip()] = (value.strip(), lineno)
+        key = key.strip()
+        if key in sections[current]:
+            first = sections[current][key][1]
+            raise ConfigError(f"{path}:{lineno}: key '{key}' in [{current}] repeats line {first}")
+        sections[current][key] = (value.strip(), lineno)
     return Config(sections=sections, path=path)
 
 
@@ -218,30 +230,25 @@ def _kernel_json(kernel: Kernel) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# data files: a magic line, token lines, then blocks of 17-digit decimals or,
-# in the formats named in _NPY_FORMATS, .npy records
+# data files: the text formats, then the cme-estimator v2 file
 # ---------------------------------------------------------------------------
 
-_NPY_FORMATS = ("cme-estimator v2",)
-_NPY_DTYPE = np.dtype("<f8")
+
+def _opened(path: str):
+    """``path`` opened for binary reading; a file that cannot be opened is a ConfigError."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise ConfigError(f"cannot read file {path}: {exc}") from exc
 
 
-def _write_file(path: str, head: Sequence[str], blocks: dict[str, np.ndarray]) -> None:
-    """Write the ``head`` lines, then each block.
-
-    A block is ``name dims...`` and its rows, or, when the magic line
-    ``head[0]`` is in ``_NPY_FORMATS``, one ``.npy`` record of the array.
-    """
-    npy = head[0] in _NPY_FORMATS
+def _write_file(path: str, magic: str, blocks: dict[str, np.ndarray]) -> None:
+    """Write the ``magic`` line, then each block as ``name dims...`` and its rows."""
     with open(path, "wb") as fh:
-        fh.write("".join(line + "\n" for line in head).encode("utf-8"))
+        fh.write(magic.encode("utf-8") + b"\n")
         for name, arr in blocks.items():
-            arr = np.ascontiguousarray(arr, dtype=_NPY_DTYPE)
-            if npy:
-                np.lib.format.write_array(fh, arr, allow_pickle=False)
-            else:
-                fh.write(" ".join([name, *map(str, arr.shape)]).encode("utf-8") + b"\n")
-                np.savetxt(fh, np.atleast_2d(arr), fmt=_FLOAT_FMT)
+            fh.write(" ".join([name, *map(str, arr.shape)]).encode("utf-8") + b"\n")
+            np.savetxt(fh, np.atleast_2d(arr), fmt=_FLOAT_FMT)
 
 
 def _parse_rows(rows: list[str], cols: int) -> Optional[np.ndarray]:
@@ -254,112 +261,68 @@ def _parse_rows(rows: list[str], cols: int) -> Optional[np.ndarray]:
 
 
 def _read_file(path: str, magic: str, schema: dict[str, int], optional: str = "") -> dict:
-    """Parse a file laid out as ``schema`` maps entry name -> ndim, in order.
+    """Parse a text file laid out as ``schema`` maps block name -> ndim (1 or 2), in order.
 
-    ``magic`` is the magic line the file must start with.  An ndim-0 entry is
-    a token line ``name tokens...`` and reads as ``(where, tokens)``, ``where``
-    being ``path:line``.  An ndim-1 or ndim-2 entry is a block and reads as an
-    array of those dimensions.  In a text file a block is a header ``name
+    The file starts with the line ``magic``.  A block is a header ``name
     length`` or ``name rows cols``, then one line of ``length`` numbers or
-    ``rows`` lines of ``cols`` numbers; blank lines are skipped everywhere, and
-    no other line follows the last block.  In a file whose magic line is in
-    ``_NPY_FORMATS`` the token lines come first and each block is one ``.npy``
-    record of float64, with nothing after the last.  The ``optional`` entry
-    may be missing at the end of the file.
+    ``rows`` lines of ``cols`` numbers; it reads as an array of those
+    dimensions.  Blank lines are skipped everywhere, line numbers count
+    LF-terminated lines, and no other line follows the last block.  The
+    ``optional`` block may be missing at the end of the file.
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise ConfigError(f"cannot read file {path}: {exc}") from exc
-    with fh:
-        # lazy, so that in an .npy format the records start where the token lines end
-        lines = (
-            (no, text)
-            for no, raw in enumerate(fh, start=1)
-            if (text := raw.decode("utf-8", errors="replace").strip())
-        )
-        if next(lines, (0, ""))[1] != magic:
-            raise ConfigError(f"{path}: not a {magic} file")
-        npy = magic in _NPY_FORMATS
-        out: dict = {}
-        for name, ndim in schema.items():
-            if npy and ndim:
-                # MemoryError: a record header that declares more data than fits
-                try:
-                    arr = np.lib.format.read_array(fh, allow_pickle=False)
-                except (ValueError, MemoryError) as exc:
-                    raise ConfigError(f"{path}: bad .npy record '{name}': {exc}") from exc
-                if arr.dtype != _NPY_DTYPE or arr.ndim != ndim:
-                    raise ConfigError(
-                        f"{path}: record '{name}' must be {ndim}-dimensional {_NPY_DTYPE}, "
-                        f"got {arr.dtype} of shape {arr.shape}"
-                    )
-                out[name] = arr
-                continue
-            entry = next(lines, None)
-            if entry is None:
-                if name == optional:
-                    break
-                raise ConfigError(f"{path}: unexpected end of file, expected '{name}'")
-            no, line = entry
-            parts = line.split()
-            if parts[0] != name or (ndim and len(parts) != 1 + ndim):
-                shape = f" with {ndim} dimension(s)" if ndim else ""
-                raise ConfigError(f"{path}:{no}: expected '{name}'{shape}, got '{line}'")
-            if ndim == 0:
-                out[name] = (f"{path}:{no}", parts[1:])
-                continue
-            with _invalid(f"{path}:{no}: bad dimensions in '{line}'"):
-                dims = [int(p) for p in parts[1:]]
-                if min(dims) < 0:
-                    raise ValueError("dimensions must be >= 0")
-            rows, cols = dims if ndim == 2 else (1, dims[0])
-            chunk = list(itertools.islice(lines, rows))
-            if len(chunk) < rows:
-                raise ConfigError(
-                    f"{path}:{no}: '{name}' declares {rows} row(s), the file ends after {len(chunk)}"
-                )
-            arr = _parse_rows([s for _, s in chunk], cols) if rows else np.empty((0, cols))
-            if arr is None:
-                bad = next((n for n, s in chunk if _parse_rows([s], cols) is None), no)
-                raise ConfigError(f"{path}:{bad}: expected {cols} numbers in this row of '{name}'")
-            out[name] = arr if ndim == 2 else arr[0]
-        if npy:
-            if fh.read(1):
-                raise ConfigError(f"{path}: unexpected bytes after the last record")
-        elif (extra := next(lines, None)) is not None:
-            raise ConfigError(f"{path}:{extra[0]}: unexpected '{extra[1]}' after the last block")
+    with _opened(path) as fh:
+        lines = _nonblank(fh.read().decode("utf-8", errors="replace").split("\n"))
+    if next(lines, (0, ""))[1] != magic:
+        raise ConfigError(f"{path}: not a {magic} file")
+    out: dict = {}
+    for name, ndim in schema.items():
+        entry = next(lines, None)
+        if entry is None:
+            if name == optional:
+                break
+            raise ConfigError(f"{path}: unexpected end of file, expected '{name}'")
+        no, line = entry
+        parts = line.split()
+        if parts[0] != name or len(parts) != 1 + ndim:
+            raise ConfigError(
+                f"{path}:{no}: expected '{name}' with {ndim} dimension(s), got '{line}'"
+            )
+        with _invalid(f"{path}:{no}: bad dimensions in '{line}'"):
+            dims = [int(p) for p in parts[1:]]
+            if min(dims) < 0:
+                raise ValueError("dimensions must be >= 0")
+        rows, cols = dims if ndim == 2 else (1, dims[0])
+        chunk = list(itertools.islice(lines, rows))
+        if len(chunk) < rows:
+            raise ConfigError(
+                f"{path}:{no}: '{name}' declares {rows} row(s), the file ends after {len(chunk)}"
+            )
+        arr = _parse_rows([s for _, s in chunk], cols) if rows else np.empty((0, cols))
+        if arr is None:
+            bad = next((n for n, s in chunk if _parse_rows([s], cols) is None), no)
+            raise ConfigError(f"{path}:{bad}: expected {cols} numbers in this row of '{name}'")
+        out[name] = arr if ndim == 2 else arr[0]
+    if (extra := next(lines, None)) is not None:
+        raise ConfigError(f"{path}:{extra[0]}: unexpected '{extra[1]}' after the last block")
     return out
 
 
 def write_model_file(path: str, model: md.FiniteMarkovModel) -> None:
-    blocks = {
-        "states": coords_matrix(model.states),
-        "pi": model.marginal,
-        "transition": model.transition,
-    }
-    if model.transition_alt is not None:
-        blocks["transition-alt"] = model.transition_alt
-    _write_file(path, ["finite-model v1"], blocks)
+    blocks = {"states": coords_matrix(model.states), "pi": model.marginal,
+              "transition": model.transition, "transition-alt": model.transition_alt}
+    _write_file(path, "finite-model v1", {k: a for k, a in blocks.items() if a is not None})
 
 
 def read_model_file(path: str) -> md.FiniteMarkovModel:
-    b = _read_file(
-        path,
-        "finite-model v1",
-        {"states": 2, "pi": 1, "transition": 2, "transition-alt": 2},
-        optional="transition-alt",
-    )
+    schema = {"states": 2, "pi": 1, "transition": 2, "transition-alt": 2}
+    b = _read_file(path, "finite-model v1", schema, optional="transition-alt")
     with _invalid(f"{path}: invalid model"):
-        return md.FiniteMarkovModel(
-            b["states"], b["pi"], b["transition"], b.get("transition-alt")
-        )
+        return md.FiniteMarkovModel(b["states"], b["pi"], b["transition"], b.get("transition-alt"))
 
 
 def write_paired_sample(path: str, sample: PairedSample) -> None:
-    _write_file(
-        path, ["paired-sample v1"], {"x": coords_matrix(sample.X), "y": coords_matrix(sample.Y)}
-    )
+    xy = {"x": coords_matrix(sample.X), "y": coords_matrix(sample.Y)}
+    _write_file(path, "paired-sample v1", xy)
 
 
 def read_paired_sample(path: str) -> PairedSample:
@@ -369,13 +332,16 @@ def read_paired_sample(path: str) -> PairedSample:
 
 
 def write_point_sample(path: str, points: Sequence[Point]) -> None:
-    _write_file(path, ["sample v1"], {"points": coords_matrix(points)})
+    _write_file(path, "sample v1", {"points": coords_matrix(points)})
 
 
 def read_point_sample(path: str) -> Sequence[Point]:
     pts = _read_file(path, "sample v1", {"points": 2})["points"]
     with _invalid(f"{path}: invalid sample"):
         return _point_tuple(pts, "sample points")
+
+
+_NPY_DTYPE = np.dtype("<f8")
 
 
 def write_estimator(path: str, est: CmeEstimator) -> None:
@@ -386,28 +352,58 @@ def write_estimator(path: str, est: CmeEstimator) -> None:
         f"lambda {_fmt(est.lam)}",
         _spec_line("filter", _FILTERS, est.filt),
     ]
-    _write_file(path, head, {"x": coords_matrix(est.X), "y": coords_matrix(est.Y), "w": est.W})
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in head).encode("utf-8"))
+        for arr in (coords_matrix(est.X), coords_matrix(est.Y), est.W):
+            arr = np.ascontiguousarray(arr, dtype=_NPY_DTYPE)
+            np.lib.format.write_array(fh, arr, allow_pickle=False)
 
 
 def read_estimator(path: str) -> CmeEstimator:
     """Load a ``cme-estimator v2`` file.
 
-    The records are x (p, d), y (q, d') and w (q, p), as ``CmeEstimator``
-    requires; ``estimate`` writes the support estimator, p and q the numbers
-    of distinct x and y values (p = q = n when no value repeats).
+    The head lines name the kernel, lambda and filter.  The records, back to
+    back with nothing after them, are x (p, d), y (q, d') and w (q, p), as
+    ``CmeEstimator`` requires; ``estimate`` writes the support estimator, p and
+    q the numbers of distinct x and y values (p = q = n when no value repeats).
     """
-    b = _read_file(
-        path, "cme-estimator v2", {"kernel": 0, "lambda": 0, "filter": 0, "x": 2, "y": 2, "w": 2}
-    )
-    kernel = _from_tokens(_KERNELS, "kernel", *b["kernel"])
-    filt = _from_tokens(_FILTERS, "filter", *b["filter"])
-    where, tokens = b["lambda"]
+    with _opened(path) as fh:
+        # lazy, so that the records start where the head lines end
+        lines = _nonblank(raw.decode("utf-8", errors="replace") for raw in fh)
+        if next(lines, (0, ""))[1] != "cme-estimator v2":
+            raise ConfigError(f"{path}: not a cme-estimator v2 file")
+        head = {}
+        for name in ("kernel", "lambda", "filter"):
+            no, line = next(lines, (0, ""))
+            if not line:
+                raise ConfigError(f"{path}: unexpected end of file, expected '{name}'")
+            first, *tokens = line.split()
+            if first != name:
+                raise ConfigError(f"{path}:{no}: expected '{name}', got '{line}'")
+            head[name] = (f"{path}:{no}", tokens)
+        records = []
+        for name in ("x", "y", "w"):
+            # MemoryError: a record header that declares more data than fits
+            try:
+                arr = np.lib.format.read_array(fh, allow_pickle=False)
+            except (ValueError, MemoryError) as exc:
+                raise ConfigError(f"{path}: bad .npy record '{name}': {exc}") from exc
+            if arr.dtype != _NPY_DTYPE or arr.ndim != 2:
+                raise ConfigError(
+                    f"{path}: record '{name}' must be 2-dimensional {_NPY_DTYPE}, "
+                    f"got {arr.dtype} of shape {arr.shape}"
+                )
+            records.append(arr)
+        if fh.read(1):
+            raise ConfigError(f"{path}: unexpected bytes after the last record")
+    kernel = _from_tokens(_KERNELS, "kernel", *head["kernel"])
+    filt = _from_tokens(_FILTERS, "filter", *head["filter"])
+    where, tokens = head["lambda"]
     with _invalid(f"{where}: bad lambda line"):
         (lam,) = map(float, tokens)
+    x, y, w = records
     with _invalid(f"{path}: invalid estimator"):
-        return CmeEstimator(
-            kernel=kernel, lam=lam, filt=filt, X=b["x"], Y=b["y"], W=_Adopted(b["w"])
-        )
+        return CmeEstimator(kernel=kernel, lam=lam, filt=filt, X=x, Y=y, W=_Adopted(w))
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config(write(tmp_path / "c.txt", "[run]\njust some words\n"))
 
+    def test_a_key_given_twice_in_a_section_names_both_lines(self, tmp_path):
+        # a reopened section is the same section; one key in two sections is fine
+        text = "[kernel]\nvariant = gaussian\nbandwidth = 1\n[filter]\nvariant = cutoff\n"
+        cfg = parse_config(write(tmp_path / "c.txt", text))
+        assert (cfg.get("kernel", "variant"), cfg.get("filter", "variant")) == ("gaussian", "cutoff")
+        path = write(tmp_path / "twice.txt", text + "[kernel]\n\nbandwidth = 5\n")
+        message = f"{path}:8: key 'bandwidth' in [kernel] repeats line 3"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(path)
+
 
 class TestDataFiles:
     def test_model_roundtrip(self, tmp_path):
@@ -133,6 +143,16 @@ class TestDataFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             read_model_file(str(tmp_path / "nope.txt"))
+
+    @pytest.mark.parametrize("end", ["\x0c", "\x85"], ids=["form-feed", "next-line"])
+    def test_a_row_ending_in_a_unicode_line_break_stays_one_line(self, tmp_path, end):
+        # str.splitlines breaks a line at either character; data files count LF-terminated
+        # lines, so the row stays whole and a later bad row keeps its line number
+        good = write(tmp_path / "good.txt", f"sample v1\npoints 2 2\n1 2{end}\n3 4\n")
+        assert coords_matrix(read_point_sample(good)).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        bad = write(tmp_path / "bad.txt", f"sample v1\npoints 3 2\n1 2{end}\n3 4\n5\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{bad}:5: expected 2 numbers")):
+            read_point_sample(bad)
 
 
 def count_blocks(monkeypatch, module):
@@ -997,6 +1017,16 @@ class TestCodec:
         write_fn(str(second), read_fn(str(first)))
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["model", "paired-sample", "point-sample"])
+    def test_a_crlf_copy_reads_to_the_same_arrays(self, tmp_path, fmt):
+        # 17 significant digits tell every double apart: equal rewrites are equal arrays
+        obj, write_fn, read_fn = self._objects()[fmt]
+        lf, crlf, again = (tmp_path / name for name in ("lf.txt", "crlf.txt", "again.txt"))
+        write_fn(str(lf), obj)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        write_fn(str(again), read_fn(str(crlf)))
+        assert again.read_bytes() == lf.read_bytes()
+
     @staticmethod
     def _layout_estimator():
         return CmeEstimator(
@@ -1096,6 +1126,21 @@ class TestCodec:
         path.write_bytes(blob)
         with pytest.raises(ConfigError, match=re.escape(str(path))):
             read_estimator(str(path))
+
+    def test_blank_lines_among_the_head_lines_are_skipped(self, tmp_path):
+        est = self._layout_estimator()
+        good = tmp_path / "good.bin"
+        write_estimator(str(good), est)
+        spaced = tmp_path / "spaced.bin"
+        blob = good.read_bytes()
+        for line in (b"kernel", b"lambda", b"filter"):
+            blob = blob.replace(b"\n" + line, b"\n\n \t\n" + line, 1)
+        spaced.write_bytes(blob)
+        self._assert_bit_identical(read_estimator(str(spaced)), est)
+        # the line numbers count the blank lines too
+        bad = write(tmp_path / "bad.bin", v2_file(kernel="gaussian -1").replace(b"\n", b"\n\n", 1))
+        with pytest.raises(ConfigError, match=re.escape(f"{bad}:3: bad kernel line")):
+            read_estimator(bad)
 
     def test_support_w_of_the_wrong_shape_names_file(self, tmp_path):
         # w must be (len(y), len(x)) = (3, 2); its transpose is refused with the
@@ -1495,6 +1540,15 @@ def test_source_table_matches_the_samplers():
         expected = (["model"] if source == "finite-model" else []) + [key for key, _ in params]
         signature = inspect.signature(getattr(md, name))
         assert list(signature.parameters) == expected + ["n", "seed"], source
+
+
+def test_a_key_given_twice_exits_2_naming_both_lines(tmp_path, capsys):
+    data = write(tmp_path / "points.txt", "sample v1\npoints 3 1\n0\n1\n2\n")
+    cfg = write(tmp_path / "mmd.cfg", KERNEL + "bandwidth = 5\n" + MMD_DATA.format(data=data))
+    assert main(["mmd", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{cfg}:4: key 'bandwidth' in [kernel] repeats line 3" in captured.err
 
 
 def test_readme_example_config_runs(tmp_path, capsys):

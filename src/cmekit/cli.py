@@ -50,7 +50,8 @@ from .estimators import (
     fit_cme,
 )
 from .kernels import (
-    GaussianKernel, Kernel, LaplacianKernel, Point, _Adopted, _point_tuple, coords_matrix,
+    GaussianKernel, Kernel, LaplacianKernel, Point, _Adopted, _check_positive, _point_tuple,
+    coords_matrix,
 )
 from .spectral import edmd_eigen, eigen_residuals
 
@@ -88,28 +89,20 @@ class Config:
     def get(self, section: str, key: str, default: Optional[str] = None) -> Optional[str]:
         return self.sections.get(section, {}).get(key, (default, -1))[0]
 
-    def require(self, section: str, key: str) -> str:
-        return self._typed(section, key, str, "text")
-
-    def _typed(self, section: str, key: str, conv, kind: str, default=None):
+    def value(self, section: str, key: str, conv=str, default=None):
+        """The key's value read by ``conv`` (``str``, ``float`` or ``int``), or ``default`` if it
+        is absent; a missing required key or an unreadable value is a ConfigError."""
         raw = self.get(section, key)
         if raw is None:
             if default is not None:
                 return default
             raise ConfigError(f"{self.path}: missing required key '{key}' in section [{section}]")
-        line = self.sections[section][key][1]
         try:
             return conv(raw)
         except ValueError as exc:
-            raise ConfigError(
-                f"{self.path}:{line}: key '{key}' must be {kind}, got '{raw}'"
-            ) from exc
-
-    def get_float(self, section: str, key: str, default: Optional[float] = None) -> float:
-        return self._typed(section, key, float, "a number", default)
-
-    def get_int(self, section: str, key: str, default: Optional[int] = None) -> int:
-        return self._typed(section, key, int, "an integer", default)
+            kind = {float: "a number", int: "an integer"}[conv]
+            line = self.sections[section][key][1]
+            raise ConfigError(f"{self.path}:{line}: key '{key}' must be {kind}, got '{raw}'") from exc
 
 
 def parse_config(path: str) -> Config:
@@ -181,14 +174,11 @@ def _spec(table: dict, what: str, variant: str, where: str) -> tuple:
 
 
 def _config_args(cfg: Config, section: str, params: tuple) -> list:
-    return [
-        cfg.get_int(section, key) if conv is int else cfg.get_float(section, key)
-        for key, conv in params
-    ]
+    return [cfg.value(section, key, conv) for key, conv in params]
 
 
 def _from_config(cfg: Config, section: str, table: dict):
-    cls, params = _spec(table, section, cfg.require(section, "variant").lower(), cfg.path)
+    cls, params = _spec(table, section, cfg.value(section, "variant").lower(), cfg.path)
     args = _config_args(cfg, section, params)
     with _invalid(f"{cfg.path}: [{section}]"):
         return cls(*args)
@@ -416,14 +406,14 @@ def _load_sample(
 ) -> PairedSample:
     """The pairs in ``sample_file``, or ``n`` pairs (default ``[run] n``) drawn with ``seed``;
     a finite-model source draws from ``model`` when given, without reading the file again."""
-    source = cfg.require("data", "source").lower()
+    source = cfg.value("data", "source").lower()
     if source == "paired-sample":
-        return read_paired_sample(cfg.require("data", "sample_file"))
+        return read_paired_sample(cfg.value("data", "sample_file"))
     if source not in _SOURCES:
         raise ConfigError(f"{cfg.path}: unknown data source '{source}'")
     sampler, params = _SOURCES[source]
     if source == "finite-model" and model is None:
-        model = read_model_file(cfg.require("data", "model_file"))
+        model = read_model_file(cfg.value("data", "model_file"))
     n = _run_n(cfg) if n is None else n
     args = [model] if source == "finite-model" else _config_args(cfg, "data", params)
     # values from the config reach the samplers unchecked until here
@@ -433,28 +423,26 @@ def _load_sample(
 
 def _run_n(cfg: Config) -> int:
     """``[run] n``, the number of pairs a sampled source draws."""
-    n = cfg.get_int("run", "n", default=0)
+    n = cfg.value("run", "n", int, default=0)
     if n < 1:
         raise ConfigError(f"{cfg.path}: sampled data sources need n >= 1 in [run]")
     return n
 
 
 def _resolve_seed(cfg: Config, override: Optional[int]) -> int:
-    seed = cfg.get_int("run", "seed", default=0) if override is None else override
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{cfg.path}: seed must be an unsigned 64-bit integer, got {seed}")
+    seed = cfg.value("run", "seed", int, default=0) if override is None else override
+    with _invalid(cfg.path):
+        md._generator(seed)             # the samplers' seed rule, before any work
     return seed
 
 
 def _resolve_lambda(cfg: Config) -> float:
-    lam = cfg.get_float("run", "lambda")
-    if not 0.0 < lam < np.inf:
-        raise ConfigError(f"{cfg.path}: lambda must be > 0 and finite, got {lam}")
-    return lam
+    with _invalid(cfg.path):
+        return _check_positive("lambda", cfg.value("run", "lambda", float))
 
 
 def _resolve_r(cfg: Config, n: int, default: Optional[int] = None) -> int:
-    r = cfg.get_int("run", "r", default=default)
+    r = cfg.value("run", "r", int, default=default)
     if not 1 <= r <= n:
         raise ConfigError(f"{cfg.path}: r out of range: need 1 <= r <= n = {n}, got {r}")
     return r
@@ -534,7 +522,7 @@ def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     lam = _resolve_lambda(cfg)
     out_path = _resolve_out(cfg, out)
     the_seed = _resolve_seed(cfg, seed)
-    if cfg.require("data", "source").lower() in _SOURCES:
+    if cfg.value("data", "source").lower() in _SOURCES:
         _resolve_r(cfg, _run_n(cfg))        # before the draw, which can take seconds
     sample = _load_sample(cfg, the_seed)
     r = _resolve_r(cfg, sample.n)
@@ -557,7 +545,7 @@ def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
 def cmd_mmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     del seed  # sample files fix the data; nothing random here
     kernel = build_kernel(cfg)
-    files = [cfg.require("data", key) for key in ("sample_file", "sample_file_2")]
+    files = [cfg.value("data", key) for key in ("sample_file", "sample_file_2")]
     P, Q = map(read_point_sample, files)
     d_p, d_q = (coords_matrix(S).shape[1] for S in (P, Q))
     if d_p != d_q:
@@ -583,7 +571,7 @@ def cmd_mmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
 
 def cmd_oracle_verify(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     kernel = build_kernel(cfg)
-    model = read_model_file(cfg.require("data", "model_file"))
+    model = read_model_file(cfg.value("data", "model_file"))
     out_path = _resolve_out(cfg, out, required=False)
     rows = md.verify(model, kernel, _resolve_seed(cfg, seed))
     width = max(len(r[0]) for r in rows)
@@ -598,7 +586,7 @@ def cmd_oracle_verify(cfg: Config, seed: Optional[int], out: Optional[str]) -> i
 
 def _parse_schedule(cfg: Config) -> tuple[float, float]:
     """Parse 'c*n^-p' (or 'n^-p'), requiring c > 0 and p in (0, 1)."""
-    raw = cfg.require("run", "lambda_schedule").replace(" ", "")
+    raw = cfg.value("run", "lambda_schedule").replace(" ", "")
     match = re.fullmatch(r"(?:([0-9.eE+-]+)\*)?n\^(-[0-9.eE+-]+)", raw)
     with _invalid(f"{cfg.path}: lambda_schedule must be 'c*n^-p' with finite c > 0, p in (0,1)"):
         if match is None:
@@ -612,20 +600,20 @@ def _parse_schedule(cfg: Config) -> tuple[float, float]:
 
 def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     kernel = build_kernel(cfg)
-    raw = cfg.require("run", "n_grid")
+    raw = cfg.value("run", "n_grid")
     with _invalid(f"{cfg.path}: n_grid must be strictly ascending positive integers"):
         grid = [int(g) for g in raw.split()]
         if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"got '{raw}'")
     c, p = _parse_schedule(cfg)
     the_seed = _resolve_seed(cfg, seed)
-    source = cfg.require("data", "source").lower()
+    source = cfg.value("data", "source").lower()
     if source not in ("finite-model", "ou"):
         raise ConfigError(f"{cfg.path}: convergence supports finite-model or ou sources")
     out_path = _resolve_out(cfg, out)
     model = None
     if source == "finite-model":
-        model = read_model_file(cfg.require("data", "model_file"))
+        model = read_model_file(cfg.value("data", "model_file"))
         md._state_gram(model, kernel)       # a singular K_E fails before the first fit
     else:
         theta, tau = _config_args(cfg, "data", _SOURCES["ou"][1])

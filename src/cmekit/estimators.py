@@ -71,8 +71,8 @@ from scipy.linalg.blas import dgemm
 
 from .embeddings import WeightedEmbedding
 from .kernels import (
-    _BLOCK_ENTRIES, Kernel, Point, _Adopted, _Rebuilt, _frozen_array, _kernel_diagonal,
-    _point_tuple, _support, cross_gram, gram,
+    _BLOCK_ENTRIES, Kernel, Point, _Adopted, _Rebuilt, _check_positive, _frozen_array,
+    _kernel_diagonal, _point_tuple, _real_array, _support, cross_gram, gram,
 )
 
 RANK_TOL = 1e-12
@@ -126,8 +126,7 @@ class Landweber:
     def __post_init__(self) -> None:
         if type(self.steps) is bool or not isinstance(self.steps, Integral) or self.steps < 1:
             raise ValueError(f"Landweber needs integer steps >= 1, got {self.steps!r}")
-        if not 0 < self.step_size < np.inf:
-            raise ValueError(f"Landweber needs step_size > 0 and finite, got {self.step_size}")
+        _check_positive("step_size", self.step_size)
         object.__setattr__(self, "steps", int(self.steps))
 
 
@@ -140,8 +139,7 @@ class DivergentStepError(ValueError):
 
 def filter_value(filt: SpectralFilter, lam: float, s: float) -> float:
     """Scalar filter function g_lam evaluated at a spectrum value s >= 0."""
-    if not 0 < lam < np.inf:
-        raise ValueError(f"lambda must be > 0 and finite, got {lam}")
+    _check_positive("lambda", lam)
     if isinstance(filt, Tikhonov):
         return 1.0 / (s + lam)
     if isinstance(filt, Cutoff):
@@ -192,8 +190,7 @@ class CmeEstimator(_Rebuilt):
     cond_lower_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.lam < np.inf:
-            raise ValueError(f"lambda must be > 0 and finite, got {self.lam}")
+        _check_positive("lambda", self.lam)
         X, Y = _point_tuple(self.X, "estimator X"), _point_tuple(self.Y, "estimator Y")
         W = _frozen_array(self.W, "W")
         if W.shape != (len(Y), len(X)):
@@ -245,15 +242,12 @@ def _factor_pd(A: np.ndarray, shift: float = 0.0) -> tuple[tuple[np.ndarray, boo
 def solve_pd(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """X solving matrix X = rhs, and the jitter :func:`_factor_pd` added.
 
-    ``matrix`` is never written: an F-ordered copy of it is factored, once
-    checked finite.  X is solved into ``rhs`` in place when ``rhs`` is an
-    F-ordered float64 array, and into an F-ordered copy of it otherwise.
+    ``matrix`` is never written: a checked copy of it is factored.  X is solved
+    into ``rhs`` in place when ``rhs`` is an F-ordered float64 array, and into an
+    F-ordered copy of it otherwise.
     """
-    A = np.array(matrix, dtype=float, order="F")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix must be finite")
-    factor, jitter = _factor_pd(A)
-    X = np.asfortranarray(rhs, dtype=float)
+    factor, jitter = _factor_pd(np.array(_frozen_array(matrix, "matrix"), order="F"))
+    X = np.asfortranarray(_real_array(rhs, "rhs"))
     return scipy.linalg.cho_solve(factor, X, overwrite_b=True), jitter
 
 
@@ -287,8 +281,7 @@ def _support_solve(
     Landweber eigendecompose S / n into a new C-ordered Z, and S's buffer is
     gone once this returns.
     """
-    if not 0 < lam < np.inf:
-        raise ValueError(f"lambda must be > 0 and finite, got {lam}")
+    _check_positive("lambda", lam)
     if not isinstance(filt, Tikhonov):
         return _filtered_coefficients(S, n, filt, lam), 0.0, 0.0
     (L, _), jitter = _factor_pd(S, _diagonal_shift(n, lam))
@@ -406,14 +399,16 @@ def predict_embedding(est: CmeEstimator, x: Point) -> WeightedEmbedding:
 def predict_conditional_expectation(est: CmeEstimator, x: Point, f_at_Y: np.ndarray) -> float:
     """Plug-in estimate of E[f(Y) | X = x] from the values of f on the training Y.
 
-    Evaluated as k_X(x) . alpha, alpha = W^T f(Y), memoized with f's bytes as one pair.
+    Evaluated as k_X(x) . alpha, alpha = W^T f(Y), memoized with f's float64 bytes as one
+    pair; f's dtype is checked on every call, its finiteness when alpha is formed.
     """
-    f_vals = np.asarray(f_at_Y, dtype=float).reshape(-1)
+    f_vals = _real_array(f_at_Y, "f_at_Y").reshape(-1)
     if f_vals.shape[0] != len(est.Y):
         raise ValueError(f"f_at_Y must have length {len(est.Y)}, got {f_vals.shape[0]}")
     key, memo = f_vals.tobytes(), getattr(est, "_alpha_memo", (None, None))
     if memo[0] != key:      # one assignment swaps the bytes and alpha together: thread-safe
-        object.__setattr__(est, "_alpha_memo", memo := (key, est.W.T @ f_vals))
+        alpha = est.W.T @ _frozen_array(f_vals, "f_at_Y")
+        object.__setattr__(est, "_alpha_memo", memo := (key, alpha))
     return float(cross_gram(est.kernel, est.X, [x])[:, 0] @ memo[1])
 
 

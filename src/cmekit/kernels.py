@@ -38,6 +38,13 @@ hold bit for bit, and every later step is the same for (x, y) and (y, x); a
 table kernel stores its validated table symmetrized.  So k(x, y) and k(y, x)
 agree bit for bit and ``cross_gram(kernel, b, a).T`` is
 ``cross_gram(kernel, a, b)`` in F order.
+
+Three input rules serve every value type and function, each stated once here;
+each raises ``ValueError`` and casts nothing.  A positive parameter (a width,
+lambda, a step, a rate) is > 0 and finite (``_check_positive``).  An array of
+data is real, or complex where its target is (``_real_array``), and finite where
+a value type keeps it (``_frozen_array``).  A point set (``_point_tuple``) holds
+Points of finite real coordinates, or is an ``(n, d)`` array under the array rule.
 """
 
 from __future__ import annotations
@@ -66,12 +73,14 @@ class Point:
     coords: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        coords = tuple(float(c) for c in self.coords)
+        coords = tuple(self.coords)
         if len(coords) == 0:
             raise ValueError("Point needs at least one coordinate")
-        if not all(math.isfinite(c) for c in coords):
-            raise ValueError(f"Point coordinates must be finite, got {coords}")
-        object.__setattr__(self, "coords", coords)
+        # concrete types, not numbers.Real: an ABC check costs several times more per Point
+        real = (float, int, np.floating, np.integer)
+        if not all(isinstance(c, real) and math.isfinite(c) for c in coords):
+            raise ValueError(f"Point coordinates must be finite real numbers, got {coords}")
+        object.__setattr__(self, "coords", tuple(map(float, coords)))
 
 
 def pt(*coords: float) -> Point:
@@ -128,8 +137,6 @@ def _point_tuple(points: Union[Sequence[Point], np.ndarray], what: str) -> _Poin
     if isinstance(points, np.ndarray):
         if points.ndim != 2 or points.shape[1] == 0:
             raise ValueError(f"{what} must be an (n, d) array, d >= 1, got shape {points.shape}")
-        if points.dtype.kind not in "biuf":     # a cast would drop an imaginary part silently
-            raise ValueError(f"{what} must be a real array, got dtype {points.dtype}")
         coords = _frozen_array(points, what)
     else:
         try:
@@ -188,17 +195,26 @@ class _Adopted:
         self.array = array
 
 
+def _real_array(values, what: str, dtype: type = float) -> np.ndarray:
+    """``values`` as an array of ``dtype``, copied only where the cast needs it: the array
+    rule's dtype half, which casts only a real dtype (``biuf``), or a complex one to complex."""
+    arr, to_complex = np.asarray(values), np.dtype(dtype).kind == "c"
+    if arr.dtype.kind not in ("biufc" if to_complex else "biuf"):
+        number = "real or complex" if to_complex else "real"
+        raise ValueError(f"{what} must be a {number} array, got dtype {arr.dtype}")
+    return arr.astype(dtype, copy=False)
+
+
 def _frozen_array(values, what: str, dtype: type = float) -> np.ndarray:
-    """A read-only, C-ordered, finite copy of ``values``: every value type's array check.
+    """A read-only, C-ordered, real and finite copy of ``values``: every value type's array check.
 
     C order keeps results bit-identical whether an array came from a solver
     (Fortran order) or from a file.  An ``_Adopted`` array already of that
     dtype and order is checked and frozen in place, not copied.
     """
-    if type(values) is _Adopted:
-        arr = np.asarray(values.array, dtype=dtype, order="C")
-    else:
-        arr = np.array(values, dtype=dtype, order="C")
+    adopted = type(values) is _Adopted
+    arr = _real_array(values.array if adopted else values, what, dtype)
+    arr = np.asarray(arr, order="C") if adopted else np.array(arr, order="C")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must be finite")
     arr.setflags(write=False)
@@ -211,6 +227,13 @@ class _Rebuilt:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _check_positive(name: str, value: float) -> float:
+    """``value``, refused unless it is > 0 and finite: every positive parameter's check."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be > 0 and finite, got {value}")
+    return value
 
 
 def coords_matrix(points: Sequence[Point]) -> np.ndarray:
@@ -229,9 +252,7 @@ class GaussianKernel:
     bandwidth: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.bandwidth < np.inf:
-            raise ValueError(f"bandwidth must be > 0 and finite, got {self.bandwidth}")
-        _check_divisor(self, "bandwidth", "2 * bandwidth^2")
+        _check_parameter(self, "bandwidth", "2 * bandwidth^2")
 
     @property
     def _divisor(self) -> float:
@@ -245,22 +266,20 @@ class LaplacianKernel:
     scale: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.scale < np.inf:
-            raise ValueError(f"scale must be > 0 and finite, got {self.scale}")
-        _check_divisor(self, "scale", "scale")
+        _check_parameter(self, "scale", "scale")
 
     @property
     def _divisor(self) -> float:
         return self.scale
 
 
-def _check_divisor(kernel: Union[GaussianKernel, LaplacianKernel], name: str, formula: str) -> None:
-    """Refuse a parameter whose divisor c (k = exp(-d / c)) or ``1/c`` is not a finite, nonzero
-    double: the row blocks multiply by ``-1/c``, and at c = 0 or ``1/c = inf`` a zero distance
-    would give ``0 * -inf``, NaN, where ``exp(-0/c)`` is 1."""
+def _check_parameter(kernel: Union[GaussianKernel, LaplacianKernel], name: str, formula: str) -> None:
+    """Refuse a parameter unless it is > 0 and finite and its divisor c (k = exp(-d / c)) and
+    ``1/c`` are finite, nonzero doubles: the row blocks multiply by ``-1/c``, and at c = 0 or
+    ``1/c = inf`` a zero distance would give ``0 * -inf``, NaN, where ``exp(-0/c)`` is 1."""
+    value = _check_positive(name, getattr(kernel, name))
     c = kernel._divisor
     if not (0 < c < np.inf and 1.0 / c < np.inf):
-        value = getattr(kernel, name)
         raise ValueError(f"{formula} and its reciprocal must be finite and nonzero, got {name} = {value}")
 
 

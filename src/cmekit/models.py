@@ -39,7 +39,8 @@ from .estimators import (
     CmeEstimator, Cutoff, Landweber, PairedSample, Tikhonov, fit_cme, solve_pd,
 )
 from .kernels import (
-    Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, _state_index, _support, cross_gram, gram,
+    Kernel, Point, _Rebuilt, _check_positive, _frozen_array, _point_tuple, _state_index, _support,
+    cross_gram, gram,
 )
 
 COND_TOL = 1e-10
@@ -292,7 +293,7 @@ def constant_shift_estimator(
     W = [K_E^{-1} (P + 1 h^T)]^T makes the prediction error the constant
     embedding h, the configuration for which the operator-norm bound is tight.
     """
-    h = np.asarray(shift, dtype=float).reshape(-1)
+    h = _frozen_array(shift, "shift").reshape(-1)
     if h.shape[0] != model.m:
         raise ValueError(f"shift must have length {model.m}")
     K_E = _state_gram(model, kernel)
@@ -466,8 +467,7 @@ def ou_sample_pairs(theta: float, tau: float, n: int, seed: int) -> PairedSample
     tau = 0 is the degenerate call with y = x exactly, and tau = inf the limit
     where x and y are independent.
     """
-    if not 0 < theta < np.inf:
-        raise ValueError(f"theta must be > 0 and finite, got {theta}")
+    _check_positive("theta", theta)
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     if n < 1:
@@ -490,10 +490,8 @@ def double_well_pairs(
     are read off every steps_per_pair steps.  Stability needs dt small enough
     (dt <= 1e-3 is safe for beta <= 10); |x| > 1e6 aborts with a diagnostic.
     """
-    if not 0 < beta < np.inf:
-        raise ValueError(f"beta must be > 0 and finite, got {beta}")
-    if not 0 < dt < np.inf:
-        raise ValueError(f"dt must be > 0 and finite, got {dt}")
+    _check_positive("beta", beta)
+    _check_positive("dt", dt)
     if steps_per_pair < 1:
         raise ValueError("steps_per_pair must be >= 1")
     if n < 1:

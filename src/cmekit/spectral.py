@@ -61,7 +61,7 @@ import scipy.linalg
 from scipy.linalg.blas import dgemm, dgemv, dsymm
 
 from .estimators import PairedSample, _diagonal_shift, _factor_pd
-from .kernels import Kernel, Point, _Rebuilt, _frozen_array, _point_tuple, cross_gram
+from .kernels import Kernel, Point, _Rebuilt, _check_positive, _frozen_array, _point_tuple, cross_gram
 
 @dataclass(frozen=True, eq=False)
 class EdmdResult(_Rebuilt):
@@ -168,9 +168,7 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
     n = sample.n
     if not (1 <= r <= n):
         raise ValueError(f"r out of range: need 1 <= r <= {n}, got {r}")
-    if not 0 < lam < np.inf:
-        raise ValueError(f"lambda must be > 0 and finite, got {lam}")
-    shift = _diagonal_shift(n, lam)
+    shift = _diagonal_shift(n, _check_positive("lambda", lam))
     arnoldi = r <= n - 2
     G = cross_gram(kernel, sample.X, sample.X).T          # F-ordered: G_X is exactly symmetric
     g = G.diagonal().copy()

@@ -81,18 +81,18 @@ class TestConfigParsing:
             )
         )
         assert cfg.get("kernel", "variant") == "gaussian"
-        assert cfg.get_float("kernel", "bandwidth") == 2.5
-        assert cfg.get_int("run", "seed") == 7
+        assert cfg.value("kernel", "bandwidth", float) == 2.5
+        assert cfg.value("run", "seed", int) == 7
 
     def test_missing_key_names_section(self, tmp_path):
         cfg = parse_config(write(tmp_path / "c.txt", "[kernel]\nvariant = gaussian\n"))
         with pytest.raises(ConfigError, match=r"bandwidth.*\[kernel\]"):
-            cfg.get_float("kernel", "bandwidth")
+            cfg.value("kernel", "bandwidth", float)
 
     def test_bad_value_reports_line(self, tmp_path):
         cfg = parse_config(write(tmp_path / "c.txt", "[run]\nseed = pi\n"))
         with pytest.raises(ConfigError, match=":2:"):
-            cfg.get_int("run", "seed")
+            cfg.value("run", "seed", int)
 
     def test_pair_outside_section(self, tmp_path):
         with pytest.raises(ConfigError, match="before any"):

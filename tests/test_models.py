@@ -52,10 +52,11 @@ from cmekit import (
     stationary_distribution,
     well_specified_estimator,
 )
-from cmekit import models
-from cmekit.estimators import PairedSample
+from cmekit import cli, models
+from cmekit.estimators import PairedSample, _support_solve, filter_value, solve_pd
 from cmekit.kernels import _point_tuple, coords_matrix
 from cmekit.models import verify
+from cmekit.spectral import edmd_eigen
 
 GAUSS = GaussianKernel(bandwidth=1.0)
 
@@ -85,6 +86,12 @@ TWO_STATES = FiniteMarkovModel(chain_states(2), [0.5, 0.5], np.eye(2))
 
 def _estimator(X, W):
     return CmeEstimator(kernel=GAUSS, lam=1.0, filt=Tikhonov(), X=X, Y=X, W=W)
+
+
+def _fitted_observable(f):
+    """predict_conditional_expectation with observable ``f`` on a five-pair OU fit."""
+    est = fit_cme(ou_sample_pairs(1.0, 0.5, 5, 3), GAUSS, Tikhonov(), 0.1)
+    return predict_conditional_expectation(est, pt(0.0), np.broadcast_to(f, len(est.Y)))
 
 
 @pytest.mark.parametrize(
@@ -197,6 +204,48 @@ def _estimator(X, W):
             lambda: stationary_distribution(np.array(NAN_ROW)),
             "transition must be finite",
             id="stationary-distribution",
+        ),
+        # complex, string and non-finite inputs that a cast to float would take without a word
+        pytest.param(
+            lambda: CmeEstimator(GAUSS, 1.0, Cutoff(), [pt(0.0)], [pt(0.0)], np.array([[1 + 2j]])),
+            "W must be a real array, got dtype complex128",
+            id="estimator-complex-w",
+        ),
+        pytest.param(
+            lambda: WeightedEmbedding(GAUSS, [pt(0.0)], np.array([1 + 1j])),
+            "embedding weights must be a real array, got dtype complex128",
+            id="embedding-complex-weights",
+        ),
+        pytest.param(
+            lambda: TableKernel(chain_states(2), [["1", "0"], ["0", "1"]]),
+            "table values must be a real array, got dtype <U1",
+            id="table-string-values",
+        ),
+        pytest.param(
+            lambda: solve_pd(np.eye(2), np.array([1 + 1j, 2])),
+            "rhs must be a real array, got dtype complex128",
+            id="solve-pd-complex-rhs",
+        ),
+        pytest.param(
+            lambda: constant_shift_estimator(
+                random_model(rng_for(1), 3), GAUSS, np.array([0.1j, 0, 0])
+            ),
+            "shift must be a real array, got dtype complex128",
+            id="complex-shift",
+        ),
+        pytest.param(
+            lambda: _fitted_observable(1.0 + 1.0j),
+            "f_at_Y must be a real array, got dtype complex128",
+            id="complex-observable",
+        ),
+        pytest.param(lambda: _fitted_observable(np.nan), "f_at_Y must be finite", id="nan-observable"),
+        pytest.param(
+            lambda: pt(np.complex128(1 + 1j)),
+            "Point coordinates must be finite real numbers",
+            id="complex-coordinate",
+        ),
+        pytest.param(
+            lambda: pt("1e3"), "Point coordinates must be finite real numbers", id="string-coordinate"
         ),
     ],
 )
@@ -991,14 +1040,35 @@ class TestSamplers:
         with pytest.raises(RuntimeError, match="diverged"):
             double_well_pairs(1e-4, 1.0, 1, 10, 3)
 
+    @staticmethod
+    def _resolve_lambda(value):
+        """The CLI's ``[run] lambda = value``: a ConfigError (exit 2), raised from the rule's
+        ValueError, which is re-raised here."""
+        cfg = cli.Config({"run": {"lambda": (str(value), 2)}}, "run.cfg")
+        with pytest.raises(cli.ConfigError, match="^run.cfg: ") as refused:
+            cli._resolve_lambda(cfg)
+        raise refused.value.__cause__
+
+    # every site of the positive-parameter rule (kernels._check_positive)
     @pytest.mark.parametrize(
         "name, draw",
         [
             ("theta", lambda v: ou_sample_pairs(v, 0.5, 10, 3)),
             ("beta", lambda v: double_well_pairs(v, 1e-3, 5, 10, 3)),
             ("dt", lambda v: double_well_pairs(3.0, v, 5, 10, 3)),
+            ("bandwidth", lambda v: GaussianKernel(bandwidth=v)),
+            ("scale", lambda v: LaplacianKernel(scale=v)),
+            ("step_size", lambda v: Landweber(steps=3, step_size=v)),
+            ("lambda", lambda v: filter_value(Tikhonov(), v, 1.0)),
+            ("lambda", lambda v: CmeEstimator(GAUSS, v, Cutoff(), [pt(0.0)], [pt(0.0)], [[1.0]])),
+            ("lambda", lambda v: _support_solve(np.ones((1, 1), order="F"), 1, Tikhonov(), v)),
+            ("lambda", lambda v: edmd_eigen(PairedSample(X=[pt(0.0)], Y=[pt(0.0)]), GAUSS, v, 1)),
+            ("lambda", lambda v: TestSamplers._resolve_lambda(v)),
         ],
-        ids=["theta", "beta", "dt"],
+        ids=[
+            "theta", "beta", "dt", "bandwidth", "scale", "step_size", "filter_value",
+            "CmeEstimator", "_support_solve", "edmd_eigen", "_resolve_lambda",
+        ],
     )
     @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
     def test_rate_parameters_must_be_positive_and_finite(self, name, draw, value):

@@ -124,12 +124,6 @@ class TestEdmdMatrix:
         assert np.max(np.abs(M - np.eye(5))) <= 1e-6
         assert np.max(np.abs(edmd_eigen(sample, GAUSS, 1e-12, 5).eigenvalues - 1.0)) <= 1e-6
 
-    def test_lambda_validation(self):
-        with pytest.raises(ValueError, match="lambda must be > 0"):
-            edmd_eigen(PairedSample(X=(pt(0.0),), Y=(pt(0.0),)), GAUSS, 0.0, 1)
-        with pytest.raises(ValueError, match="lambda must be > 0 and finite"):
-            edmd_eigen(PairedSample(X=(pt(0.0),), Y=(pt(0.0),)), GAUSS, np.inf, 1)
-
 
 class TestEdmdEigen:
     def test_identity_dynamics_eigenvalues(self):

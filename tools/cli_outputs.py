@@ -10,11 +10,12 @@ the output, where the outputs are the pass's fields other than its timings
 (exit codes, stdout, CSVs, oracle-verify runs, predictions) and the estimator
 file the pass wrote.  It then runs each of ``EXTRA_RUNS``, CLI streams the
 workloads never produce, and prints the same lines for its exit code, stdout,
-stderr (less its ``wall_time_ms`` line) and output file.  Text is hashed with
-the temporary directory's path replaced by ``WORKDIR``.  The paired-sample runs
-read a file of 2-D points, and the point-sample run two, that this script draws
-from the seed and writes with 17 significant digits, so every checkout reads
-the same bytes.
+stderr (less its ``wall_time_ms`` line) and output file.  The ``refused-``
+runs exit 2, one per input rule, so their refusal messages are compared too.
+Text is hashed with the temporary directory's path replaced by ``WORKDIR``.
+The paired-sample runs read a file of 2-D points, and the point-sample run
+two, that this script draws from the seed and writes with 17 significant
+digits, so every checkout reads the same bytes.
 
 The program and the benchmark helpers are imported from DIR (default: the
 checkout that holds this script), so the listings of two checkouts differ
@@ -24,7 +25,9 @@ exactly where a CLI output differs.
 count is read when numpy is imported): with ``OPENBLAS_NUM_THREADS``,
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` at 1 and at the usable-core count.
 It prints the streams whose sha256 differ between the two, one ``seed name
-output`` line each, then how many of the listing's lines differ.
+output`` line each, then how many of the listing's lines differ.  It exits 1
+when a stream of a ``THREAD_STABLE`` name differs, or when a ``THREAD_STABLE``
+name is no workload's and no ``EXTRA_RUNS`` entry's.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -42,10 +46,11 @@ from pathlib import Path
 
 SEEDS = (11, 12, 13)
 
-# (name, command, data source, [filter] lines, [run] lines); "finite-model" takes
-# the finite-oracle workload's kernel and model file, "paired-sample" reads the
-# file _write_paired_sample writes and "point-samples" the two files
-# _write_point_samples writes
+# (name, command, data source, [filter] lines, [run] lines[, replacements]);
+# "finite-model" takes the finite-oracle workload's kernel and model file,
+# "paired-sample" reads the file _write_paired_sample writes and "point-samples"
+# the two files _write_point_samples writes.  Replacements map a config key to the
+# value that replaces its own, on its own line.
 EXTRA_RUNS = (
     ("estimate-finite-tikhonov", "estimate", "finite-model", "variant = tikhonov",
      "lambda = 1e-3\nn = 1000"),
@@ -71,6 +76,25 @@ EXTRA_RUNS = (
     ("edmd-finite", "edmd", "finite-model", None, "lambda = 1e-3\nn = 400\nr = 3"),
     ("estimate-double-well", "estimate", "double-well", "variant = tikhonov",
      "lambda = 1e-3\nn = 200"),
+    # refused, exit 2: one value per input rule
+    ("refused-lambda-nan", "estimate", "ou", "variant = tikhonov", "lambda = 1e-3\nn = 300",
+     {"lambda": "nan"}),
+    ("refused-bandwidth-abc", "estimate", "ou", "variant = tikhonov", "lambda = 1e-3\nn = 300",
+     {"bandwidth": "abc"}),
+    ("refused-theta-inf", "estimate", "ou", "variant = tikhonov", "lambda = 1e-3\nn = 300",
+     {"theta": "inf"}),
+    ("refused-step-size-0", "estimate", "ou", "variant = landweber\nsteps = 20\nstep_size = 0.9",
+     "lambda = 1e-3\nn = 300", {"step_size": "0"}),
+    ("refused-seed-negative", "estimate", "ou", "variant = tikhonov", "lambda = 1e-3\nn = 300",
+     {"seed": "-1"}),
+)
+# the streams --threads requires to be byte-identical at every BLAS thread count; the
+# listing's other streams are built on n x n Grams and differ in their last digits
+THREAD_STABLE = (
+    "finite-oracle", "mmd-two-sample", "mmd-points-2d", "estimate-finite-tikhonov",
+    "estimate-finite-cutoff", "estimate-finite-landweber", "edmd-ou-dense",
+    "convergence-double-well", "refused-lambda-nan", "refused-bandwidth-abc",
+    "refused-theta-inf", "refused-step-size-0", "refused-seed-negative",
 )
 PAIRED_N = 200
 PAIRED_DISTINCT_X = 150     # fewer than PAIRED_N, so x values repeat
@@ -118,7 +142,8 @@ def _write_blocks(path: Path, magic: str, blocks: dict) -> None:
 
 
 def _extra_outputs(
-    seed: int, command: str, source: str, filt: str | None, run: str, tmp: Path
+    seed: int, tmp: Path, command: str, source: str, filt: str | None, run: str,
+    replacements: dict | None = None,
 ) -> dict:
     """Run one of ``EXTRA_RUNS`` in-process on inputs under ``tmp``: its streams, and the
     bytes of its output file (``None`` if it wrote none)."""
@@ -143,11 +168,13 @@ def _extra_outputs(
                 f"[data]\nsource = {source}\n{data}\n")
     out_file = tmp / "out.txt"
     config = tmp / "extra.cfg"
-    config.write_text(
-        head + (f"[filter]\n{filt}\n" if filt else "")
-        + f"[run]\n{run}\nseed = {seed}\nout = {out_file}\n",
-        encoding="utf-8",
-    )
+    text = (head + (f"[filter]\n{filt}\n" if filt else "")
+            + f"[run]\n{run}\nseed = {seed}\nout = {out_file}\n")
+    for key, value in (replacements or {}).items():
+        text, count = re.subn(rf"(?m)^{re.escape(key)} = .*$", f"{key} = {value}", text)
+        if count != 1:
+            raise ValueError(f"the config has {count} '{key} = ' lines to replace, not 1")
+    config.write_text(text, encoding="utf-8")
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main([command, "--config", str(config)])
@@ -172,7 +199,14 @@ def _thread_listings(root: Path) -> int:
     for stream in differ:
         print(stream)
     print(f"{len(differ)} of {len(one)} lines differ between 1 and {cores} BLAS threads")
-    return 0
+    names = {stream.split()[1] for stream in one}      # every workload and EXTRA_RUNS entry
+    unknown = [name for name in THREAD_STABLE if name not in names]
+    unstable = [stream for stream in differ if stream.split()[1] in THREAD_STABLE]
+    if unknown:
+        print(f"THREAD_STABLE names no workload and no EXTRA_RUNS entry: {', '.join(unknown)}")
+    if unstable:
+        print(f"{len(unstable)} of the differing lines are of THREAD_STABLE streams")
+    return 1 if unknown or unstable else 0
 
 
 def main() -> int:
@@ -202,7 +236,7 @@ def main() -> int:
                     print(f"{seed} {workload} estimator_file {digest}", flush=True)
         for name, *run in EXTRA_RUNS:
             with tempfile.TemporaryDirectory(prefix="cli_outputs_") as tmp:
-                out = _extra_outputs(seed, *run, Path(tmp))
+                out = _extra_outputs(seed, Path(tmp), *run)
                 for key, value in out.items():
                     if not isinstance(value, bytes):
                         value = json.dumps(value).replace(tmp, "WORKDIR").encode()

@@ -50,8 +50,8 @@ from .estimators import (
     fit_cme,
 )
 from .kernels import (
-    GaussianKernel, Kernel, LaplacianKernel, Point, _Adopted, _check_positive, _point_tuple,
-    coords_matrix,
+    GaussianKernel, Kernel, LaplacianKernel, Point, _Adopted, _check_int, _check_positive,
+    _point_tuple, coords_matrix,
 )
 from .spectral import edmd_eigen, eigen_residuals
 
@@ -423,10 +423,8 @@ def _load_sample(
 
 def _run_n(cfg: Config) -> int:
     """``[run] n``, the number of pairs a sampled source draws."""
-    n = cfg.value("run", "n", int, default=0)
-    if n < 1:
-        raise ConfigError(f"{cfg.path}: sampled data sources need n >= 1 in [run]")
-    return n
+    with _invalid(cfg.path):
+        return _check_int("n", cfg.value("run", "n", int))
 
 
 def _resolve_seed(cfg: Config, override: Optional[int]) -> int:
@@ -442,10 +440,8 @@ def _resolve_lambda(cfg: Config) -> float:
 
 
 def _resolve_r(cfg: Config, n: int, default: Optional[int] = None) -> int:
-    r = cfg.value("run", "r", int, default=default)
-    if not 1 <= r <= n:
-        raise ConfigError(f"{cfg.path}: r out of range: need 1 <= r <= n = {n}, got {r}")
-    return r
+    with _invalid(cfg.path):
+        return _check_int("r", cfg.value("run", "r", int, default=default), 1, n)
 
 
 def _resolve_out(cfg: Config, override: Optional[str], required: bool = True) -> Optional[str]:
@@ -601,10 +597,10 @@ def _parse_schedule(cfg: Config) -> tuple[float, float]:
 def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     kernel = build_kernel(cfg)
     raw = cfg.value("run", "n_grid")
-    with _invalid(f"{cfg.path}: n_grid must be strictly ascending positive integers"):
-        grid = [int(g) for g in raw.split()]
-        if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"got '{raw}'")
+    with _invalid(f"{cfg.path}: n_grid"):
+        grid = [_check_int("entry", int(g)) for g in raw.split()]
+        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError(f"entries must be strictly ascending, got '{raw}'")
     c, p = _parse_schedule(cfg)
     the_seed = _resolve_seed(cfg, seed)
     source = cfg.value("data", "source").lower()

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Sequence, Union
 
 import numpy as np
@@ -71,8 +70,8 @@ from scipy.linalg.blas import dgemm
 
 from .embeddings import WeightedEmbedding
 from .kernels import (
-    _BLOCK_ENTRIES, Kernel, Point, _Adopted, _Rebuilt, _check_positive, _frozen_array,
-    _kernel_diagonal, _point_tuple, _real_array, _support, cross_gram, gram,
+    _BLOCK_ENTRIES, Kernel, Point, _Adopted, _Rebuilt, _check_int, _check_positive,
+    _frozen_array, _kernel_diagonal, _point_tuple, _real_array, _support, cross_gram, gram,
 )
 
 RANK_TOL = 1e-12
@@ -124,10 +123,8 @@ class Landweber:
     step_size: float
 
     def __post_init__(self) -> None:
-        if type(self.steps) is bool or not isinstance(self.steps, Integral) or self.steps < 1:
-            raise ValueError(f"Landweber needs integer steps >= 1, got {self.steps!r}")
-        _check_positive("step_size", self.step_size)
-        object.__setattr__(self, "steps", int(self.steps))
+        object.__setattr__(self, "steps", _check_int("steps", self.steps))
+        object.__setattr__(self, "step_size", _check_positive("step_size", self.step_size))
 
 
 SpectralFilter = Union[Tikhonov, Cutoff, Landweber]
@@ -190,7 +187,7 @@ class CmeEstimator(_Rebuilt):
     cond_lower_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_positive("lambda", self.lam)
+        object.__setattr__(self, "lam", _check_positive("lambda", self.lam))
         X, Y = _point_tuple(self.X, "estimator X"), _point_tuple(self.Y, "estimator Y")
         W = _frozen_array(self.W, "W")
         if W.shape != (len(Y), len(X)):

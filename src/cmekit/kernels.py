@@ -39,12 +39,14 @@ table kernel stores its validated table symmetrized.  So k(x, y) and k(y, x)
 agree bit for bit and ``cross_gram(kernel, b, a).T`` is
 ``cross_gram(kernel, a, b)`` in F order.
 
-Three input rules serve every value type and function, each stated once here;
+Four input rules serve every value type and function, each stated once here;
 each raises ``ValueError`` and casts nothing.  A positive parameter (a width,
-lambda, a step, a rate) is > 0 and finite (``_check_positive``).  An array of
-data is real, or complex where its target is (``_real_array``), and finite where
-a value type keeps it (``_frozen_array``).  A point set (``_point_tuple``) holds
-Points of finite real coordinates, or is an ``(n, d)`` array under the array rule.
+lambda, a step, a rate) is a real number > 0 and finite (``_check_positive``), and
+a count, rank, index or seed an int or numpy integer, not a bool, in its bounds
+(``_check_int``); each returns the Python ``float`` or ``int`` it accepted.  An
+array of data is real, or complex where its target is (``_real_array``), and finite
+where a value type keeps it (``_frozen_array``).  A point set (``_point_tuple``)
+holds Points of finite real coordinates, or is an ``(n, d)`` array under the array rule.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import threading
 from collections.abc import Callable, Sequence
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -64,6 +66,8 @@ PSD_TOL = 1e-10
 _BLOCK_ENTRIES = 1 << 16     # 512 KB of doubles per row block of a Gram block
 _SPLIT_ENTRIES = 1 << 20     # a Gram block this large is built on two threads
 _BUFFER_ENTRIES = 4096       # a Gram block this large is built at a small ufunc buffer
+# real number types, concrete, not numbers.Real: an ABC check costs several times more per Point
+_REAL = (float, int, np.floating, np.integer)
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,7 @@ class Point:
         coords = tuple(self.coords)
         if len(coords) == 0:
             raise ValueError("Point needs at least one coordinate")
-        # concrete types, not numbers.Real: an ABC check costs several times more per Point
-        real = (float, int, np.floating, np.integer)
-        if not all(isinstance(c, real) and math.isfinite(c) for c in coords):
+        if not all(isinstance(c, _REAL) and math.isfinite(c) for c in coords):
             raise ValueError(f"Point coordinates must be finite real numbers, got {coords}")
         object.__setattr__(self, "coords", tuple(map(float, coords)))
 
@@ -230,10 +232,22 @@ class _Rebuilt:
 
 
 def _check_positive(name: str, value: float) -> float:
-    """``value``, refused unless it is > 0 and finite: every positive parameter's check."""
-    if not 0 < value < np.inf:
+    """``value`` as a float, refused unless it is a real number > 0 and finite: every positive
+    parameter's check.  A ``bool``, a string or a complex number is no real number here."""
+    real = type(value) is not bool and isinstance(value, _REAL)
+    if not (real and 0 < value < np.inf):
         raise ValueError(f"{name} must be > 0 and finite, got {value}")
-    return value
+    return float(value)
+
+
+def _check_int(name: str, value: int, low: int = 1, high: Optional[int] = None) -> int:
+    """``value`` as an int, refused unless it is an int or numpy integer, not a bool, in
+    [low, high] (>= low without high): every count's, rank's, index's and seed's check."""
+    integer = type(value) is not bool and isinstance(value, (int, np.integer))
+    if not (integer and low <= value and (high is None or value <= high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    return int(value)
 
 
 def coords_matrix(points: Sequence[Point]) -> np.ndarray:
@@ -274,10 +288,11 @@ class LaplacianKernel:
 
 
 def _check_parameter(kernel: Union[GaussianKernel, LaplacianKernel], name: str, formula: str) -> None:
-    """Refuse a parameter unless it is > 0 and finite and its divisor c (k = exp(-d / c)) and
-    ``1/c`` are finite, nonzero doubles: the row blocks multiply by ``-1/c``, and at c = 0 or
-    ``1/c = inf`` a zero distance would give ``0 * -inf``, NaN, where ``exp(-0/c)`` is 1."""
+    """Store a parameter as a float, refused unless it is > 0 and finite and its divisor c
+    (k = exp(-d / c)) and ``1/c`` are finite, nonzero doubles: the row blocks multiply by
+    ``-1/c``, and at c = 0 or ``1/c = inf`` a zero distance would give NaN, not 1."""
     value = _check_positive(name, getattr(kernel, name))
+    object.__setattr__(kernel, name, value)
     c = kernel._divisor
     if not (0 < c < np.inf and 1.0 / c < np.inf):
         raise ValueError(f"{formula} and its reciprocal must be finite and nonzero, got {name} = {value}")

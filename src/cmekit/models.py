@@ -39,8 +39,8 @@ from .estimators import (
     CmeEstimator, Cutoff, Landweber, PairedSample, Tikhonov, fit_cme, solve_pd,
 )
 from .kernels import (
-    Kernel, Point, _Rebuilt, _check_positive, _frozen_array, _point_tuple, _state_index, _support,
-    cross_gram, gram,
+    Kernel, Point, _Rebuilt, _check_int, _check_positive, _frozen_array, _point_tuple,
+    _state_index, _support, cross_gram, gram,
 )
 
 COND_TOL = 1e-10
@@ -100,9 +100,7 @@ class FiniteMarkovModel(_Rebuilt):
 
 def chain_states(m: int) -> tuple[Point, ...]:
     """Canonical 1-D embedding of m states: e_j at coordinate j - 1."""
-    if m < 1:
-        raise ValueError("need at least one state")
-    return tuple(Point((j,)) for j in range(m))
+    return tuple(Point((j,)) for j in range(_check_int("m", m)))
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -245,8 +243,7 @@ def generalized_cov_ons_check(
     so the returned matrix must equal M * I up to Gram-Schmidt round-off.
     """
     m = model.m
-    if not (1 <= r <= m):
-        raise ValueError(f"need 1 <= r <= {m}, got {r}")
+    r = _check_int("r", r, 1, m)
     K_E = _state_gram(model, kernel)
     if np.min(K_E) <= 0:
         raise ValueError("kernel must be strictly positive on the states")
@@ -275,8 +272,8 @@ def well_specified_estimator(
     Training points are the states themselves with W = K_E^{-1}, so the
     predicted embedding at e_i is exactly phi(e_{targets[i]}).
     """
-    idx = [int(t) for t in targets]
-    if len(idx) != model.m or any(not (0 <= t < model.m) for t in idx):
+    idx = [_check_int("target", t, 0, model.m - 1) for t in targets]
+    if len(idx) != model.m:
         raise ValueError("targets must map every state to a state index")
     K_E = _state_gram(model, kernel)
     W = solve_pd(K_E, np.eye(model.m))[0]
@@ -306,8 +303,7 @@ def constant_shift_estimator(
 
 def random_model(rng: np.random.Generator, m: int, alt: bool = False) -> FiniteMarkovModel:
     """Random strictly positive chain on the canonical 1-D states."""
-    if m < 1:
-        raise ValueError("need at least one state")
+    m = _check_int("m", m)
     pi = rng.random(m) + 0.05
     pi = pi / pi.sum()
     P = rng.random((m, m)) + 0.05
@@ -439,10 +435,7 @@ def verify(model: FiniteMarkovModel, kernel: Kernel, seed: int) -> list[tuple]:
 
 
 def _generator(seed: int) -> np.random.Generator:
-    seed = int(seed)
-    if not (0 <= seed < 2**64):
-        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(_check_int("seed", seed, 0, 2**64 - 1)))
 
 
 def _inverse_cdf_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -453,8 +446,7 @@ def _inverse_cdf_rows(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def sample_pairs(model: FiniteMarkovModel, n: int, seed: int) -> PairedSample:
     """n iid pairs (x, y): x ~ pi, then y ~ p(x, .); deterministic in the seed."""
-    if n < 1:
-        raise ValueError("need n >= 1 samples")
+    n = _check_int("n", n)
     rng = _generator(seed)
     x_idx = _inverse_cdf_rows(model.marginal[None, :], rng.random(n))
     y_idx = _inverse_cdf_rows(model.transition[x_idx], rng.random(n))
@@ -470,8 +462,7 @@ def ou_sample_pairs(theta: float, tau: float, n: int, seed: int) -> PairedSample
     _check_positive("theta", theta)
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    if n < 1:
-        raise ValueError("need n >= 1 samples")
+    n = _check_int("n", n)
     rng = _generator(seed)
     x = rng.standard_normal(n) * np.sqrt(1.0 / (2.0 * theta))
     decay = np.exp(-theta * tau)
@@ -492,10 +483,7 @@ def double_well_pairs(
     """
     _check_positive("beta", beta)
     _check_positive("dt", dt)
-    if steps_per_pair < 1:
-        raise ValueError("steps_per_pair must be >= 1")
-    if n < 1:
-        raise ValueError("need n >= 1 pairs")
+    steps_per_pair, n = _check_int("steps_per_pair", steps_per_pair), _check_int("n", n)
     rng = _generator(seed)
     total = BURN_IN_STEPS + n * steps_per_pair
     noise = rng.standard_normal(total) * np.sqrt(2.0 * dt / beta)

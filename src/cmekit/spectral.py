@@ -61,7 +61,9 @@ import scipy.linalg
 from scipy.linalg.blas import dgemm, dgemv, dsymm
 
 from .estimators import PairedSample, _diagonal_shift, _factor_pd
-from .kernels import Kernel, Point, _Rebuilt, _check_positive, _frozen_array, _point_tuple, cross_gram
+from .kernels import (
+    Kernel, Point, _Rebuilt, _check_int, _check_positive, _frozen_array, _point_tuple, cross_gram,
+)
 
 @dataclass(frozen=True, eq=False)
 class EdmdResult(_Rebuilt):
@@ -166,8 +168,7 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
     gives the residuals sqrt(d^H G_X d), d = M v_j - mu_j v_j.
     """
     n = sample.n
-    if not (1 <= r <= n):
-        raise ValueError(f"r out of range: need 1 <= r <= {n}, got {r}")
+    r = _check_int("r", r, 1, n)
     shift = _diagonal_shift(n, _check_positive("lambda", lam))
     arnoldi = r <= n - 2
     G = cross_gram(kernel, sample.X, sample.X).T          # F-ordered: G_X is exactly symmetric
@@ -203,8 +204,10 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
 
 def eval_eigenfunction(res: EdmdResult, j: int, x: Point) -> complex:
     """Evaluate eigenfunction j at x: sum_i coeffs[i, j] k(X[i], x)."""
-    if not (0 <= j < res.r):
-        raise IndexError(f"eigenfunction index {j} out of range [0, {res.r})")
+    try:
+        j = _check_int("j", j, 0, res.r - 1)
+    except ValueError:
+        raise IndexError(f"eigenfunction index {j!r} out of range [0, {res.r})") from None
     kx = cross_gram(res.kernel, res.X, [x])[:, 0]
     return complex(res.coeffs[:, j] @ kx)
 

@@ -447,7 +447,7 @@ out = {tmp_path / 'eig.csv'}
         write_model_file(str(model_file), model)
         code = main(["edmd", "--config", self._config(tmp_path, model_file, n=5, r=9)])
         assert code == 2
-        assert "r out of range" in capsys.readouterr().err
+        assert "r must be an integer in [1, 5], got 9" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "sampler, data",
@@ -479,7 +479,7 @@ out = {tmp_path / 'eig.csv'}
                 + f"[run]\nlambda = 1e-3\nn = 5\nr = {r}\nout = {tmp_path / 'eig.csv'}\n",
             )
             assert main(["edmd", "--config", cfg]) == 2
-            assert "r out of range: need 1 <= r <= n = 5" in capsys.readouterr().err
+            assert f"r must be an integer in [1, 5], got {r}" in capsys.readouterr().err
 
     def test_r_above_the_distinct_states_exits_1(self, tmp_path, capsys):
         # r <= n passes validation, but 4 states give only 4 eigenfunctions of nonzero norm
@@ -1040,7 +1040,12 @@ class TestCodec:
 
     @staticmethod
     def _assert_bit_identical(a, b):
-        assert a.kernel == b.kernel and a.filt == b.filt
+        for x, y in ((a.kernel, b.kernel), (a.filt, b.filt)):
+            # float() of each parameter: np.float32(0.7) == 0.7 would hide a float32 parameter
+            assert type(x) is type(y)
+            assert [float(v).hex() for v in vars(x).values()] == [
+                float(v).hex() for v in vars(y).values()
+            ]
         assert a.lam.hex() == b.lam.hex()
         for get in (lambda e: coords_matrix(e.X), lambda e: coords_matrix(e.Y), lambda e: e.W):
             assert get(a).shape == get(b).shape
@@ -1078,13 +1083,19 @@ class TestCodec:
             data.draw(arrays(np.float64, (rows, data.draw(st.integers(1, 3))), elements=doubles))
             for rows in (p, q)
         )
-        positive = st.floats(min_value=5e-324, max_value=1e308)
+
+        def params(low, high):
+            # doubles near both ends of their range, float32 values and ints
+            return (st.floats(min_value=low, max_value=high) | st.integers(1, 10**6)
+                    | st.floats(2.0**-100, 2.0**100, width=32).map(np.float32))
+
+        positive = params(5e-324, 1e308)
         # kernel parameters near both ends of their range: c = 2 * bandwidth^2 (or scale) and
         # 1/c must be finite, nonzero doubles
         est = CmeEstimator(
             kernel=data.draw(
-                st.builds(GaussianKernel, st.floats(min_value=1e-154, max_value=9e153))
-                | st.builds(LaplacianKernel, st.floats(min_value=1e-308, max_value=1e308))
+                st.builds(GaussianKernel, params(1e-154, 9e153))
+                | st.builds(LaplacianKernel, params(1e-308, 1e308))
             ),
             lam=data.draw(positive),
             filt=data.draw(

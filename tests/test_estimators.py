@@ -234,14 +234,10 @@ class TestFilterValue:
         big = Landweber(steps=5000, step_size=1.0)
         assert filter_value(big, 1.0, s) == pytest.approx(1 / s, rel=1e-12)
 
-    def test_landweber_validation(self):
-        with pytest.raises(ValueError):
-            Landweber(steps=0, step_size=0.1)
-
     @pytest.mark.parametrize("steps", [2.5, 2.0, True, np.bool_(True), "3"])
     def test_landweber_steps_must_be_an_integer(self, steps):
         # a float or a bool is no step count, though int() would take it
-        with pytest.raises(ValueError, match="integer steps"):
+        with pytest.raises(ValueError, match="steps must be an integer >= 1, got"):
             Landweber(steps=steps, step_size=0.5)
 
     @pytest.mark.parametrize("steps", [3, np.int64(3), np.uint8(3)])

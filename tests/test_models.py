@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -54,7 +55,7 @@ from cmekit import (
 )
 from cmekit import cli, models
 from cmekit.estimators import PairedSample, _support_solve, filter_value, solve_pd
-from cmekit.kernels import _point_tuple, coords_matrix
+from cmekit.kernels import _check_int, _point_tuple, coords_matrix
 from cmekit.models import verify
 from cmekit.spectral import edmd_eigen
 
@@ -909,12 +910,6 @@ class TestGeneralizedCovariance:
             assert abs(out[0, 1]) <= 1e-9 * M and abs(out[1, 0]) <= 1e-9 * M
             assert np.max(np.abs(out.diagonal() - M)) <= 1e-9 * M
 
-    def test_r_validation(self):
-        rng = rng_for(74)
-        model = random_model(rng, 2)
-        with pytest.raises(ValueError):
-            generalized_cov_ons_check(model, GAUSS, pt(0.0), 3)
-
 
 class TestVerify:
     CHECKS = {
@@ -968,6 +963,51 @@ class TestVerify:
             assert got[name] == expected
         if "mmd-relation-strict-gap" in got:
             assert got["mmd-relation-strict-gap"] == got["mmd-relation-inequality"]
+
+
+def _refused_by_cli(read, key, value):
+    """``read(cfg)`` on a config of a Gaussian kernel and ``[run] key = value``: a ConfigError
+    (exit 2), raised from the rule's ValueError, which is re-raised here."""
+    if isinstance(value, bool):
+        pytest.skip("a config holds text, and no text reads as a bool")
+    kernel = {"variant": ("gaussian", 2), "bandwidth": ("1.0", 3)}
+    cfg = cli.Config({"kernel": kernel, "run": {key: (str(value), 5)}}, "run.cfg")
+    with pytest.raises(cli.ConfigError, match="^run.cfg: ") as refused:
+        read(cfg)
+    raise refused.value.__cause__
+
+
+FOUR_STATES = random_model(rng_for(76), 4)
+OU_TEN = ou_sample_pairs(1.0, 0.5, 10, 3)
+NOT_INTEGERS = (2.5, 3.0, True, "3")
+# every site of the integer rule (kernels._check_int): (id, name, bounds, call, integers out of
+# bounds).  The sites that take Python values refuse NOT_INTEGERS too; the CLI reads integers
+# from text, so only integers out of bounds reach the rule there.
+INTEGER_SITES = [
+    ("chain_states", "m", ">= 1", chain_states, (0, -1)),
+    ("random_model", "m", ">= 1", lambda v: random_model(rng_for(1), v), (0, -1)),
+    ("sample_pairs", "n", ">= 1", lambda v: sample_pairs(FOUR_STATES, v, 3), (0, -1)),
+    ("ou_sample_pairs", "n", ">= 1", lambda v: ou_sample_pairs(1.0, 0.5, v, 3), (0, -1)),
+    ("double_well_pairs", "n", ">= 1", lambda v: double_well_pairs(3.0, 1e-3, 5, v, 3), (0, -1)),
+    ("steps_per_pair", "steps_per_pair", ">= 1",
+     lambda v: double_well_pairs(3.0, 1e-3, v, 10, 3), (0, -1)),
+    ("seed", "seed", f"in [0, {2**64 - 1}]",
+     lambda v: ou_sample_pairs(1.0, 0.5, 10, v), (-1, 2**64)),
+    ("targets", "target", "in [0, 3]",
+     lambda v: well_specified_estimator(FOUR_STATES, GAUSS, [v, 0, 1, 2]), (-1, 4)),
+    ("generalized_cov_ons_check", "r", "in [1, 4]",
+     lambda v: generalized_cov_ons_check(FOUR_STATES, GAUSS, pt(0.0), v), (0, -1, 5)),
+    ("Landweber", "steps", ">= 1", lambda v: Landweber(v, 0.5), (0, -1)),
+    ("edmd_eigen", "r", "in [1, 10]", lambda v: edmd_eigen(OU_TEN, GAUSS, 0.1, v), (0, -1, 11)),
+]
+CLI_INTEGER_SITES = [
+    ("_run_n", "n", ">= 1", lambda v: _refused_by_cli(cli._run_n, "n", v), (0, -1)),
+    ("_resolve_r", "r", "in [1, 5]",
+     lambda v: _refused_by_cli(lambda cfg: cli._resolve_r(cfg, 5), "r", v), (0, -1, 6)),
+    ("n_grid", "entry", ">= 1",
+     lambda v: _refused_by_cli(lambda cfg: cli.cmd_convergence(cfg, None, None), "n_grid", v),
+     (0, -1)),
+]
 
 
 class TestSamplers:
@@ -1040,15 +1080,6 @@ class TestSamplers:
         with pytest.raises(RuntimeError, match="diverged"):
             double_well_pairs(1e-4, 1.0, 1, 10, 3)
 
-    @staticmethod
-    def _resolve_lambda(value):
-        """The CLI's ``[run] lambda = value``: a ConfigError (exit 2), raised from the rule's
-        ValueError, which is re-raised here."""
-        cfg = cli.Config({"run": {"lambda": (str(value), 2)}}, "run.cfg")
-        with pytest.raises(cli.ConfigError, match="^run.cfg: ") as refused:
-            cli._resolve_lambda(cfg)
-        raise refused.value.__cause__
-
     # every site of the positive-parameter rule (kernels._check_positive)
     @pytest.mark.parametrize(
         "name, draw",
@@ -1063,17 +1094,38 @@ class TestSamplers:
             ("lambda", lambda v: CmeEstimator(GAUSS, v, Cutoff(), [pt(0.0)], [pt(0.0)], [[1.0]])),
             ("lambda", lambda v: _support_solve(np.ones((1, 1), order="F"), 1, Tikhonov(), v)),
             ("lambda", lambda v: edmd_eigen(PairedSample(X=[pt(0.0)], Y=[pt(0.0)]), GAUSS, v, 1)),
-            ("lambda", lambda v: TestSamplers._resolve_lambda(v)),
+            ("lambda", lambda v: _refused_by_cli(cli._resolve_lambda, "lambda", v)),
         ],
         ids=[
             "theta", "beta", "dt", "bandwidth", "scale", "step_size", "filter_value",
             "CmeEstimator", "_support_solve", "edmd_eigen", "_resolve_lambda",
         ],
     )
-    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0, True])
     def test_rate_parameters_must_be_positive_and_finite(self, name, draw, value):
         with pytest.raises(ValueError, match=f"{name} must be > 0 and finite, got {value}"):
             draw(value)
+
+    @pytest.mark.parametrize(
+        "name, bounds, call, value",
+        [
+            pytest.param(name, bounds, call, value, id=f"{site}-{value!r}")
+            for sites, others in ((INTEGER_SITES, NOT_INTEGERS), (CLI_INTEGER_SITES, ()))
+            for site, name, bounds, call, out_of_bounds in sites
+            for value in out_of_bounds + others
+        ],
+    )
+    def test_counts_ranks_indices_and_seeds_must_be_integers_in_range(
+        self, name, bounds, call, value
+    ):
+        message = f"{name} must be an integer {bounds}, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(value)
+
+    def test_a_numpy_integer_is_taken_as_an_int(self):
+        assert type(_check_int("n", np.int64(3))) is int
+        for *_, call, _ in INTEGER_SITES:
+            call(np.int64(3))
 
     @pytest.mark.parametrize("tau", [np.nan, -1.0])
     def test_ou_lag_must_be_nonnegative(self, tau):

@@ -11,7 +11,8 @@ the output, where the outputs are the pass's fields other than its timings
 file the pass wrote.  It then runs each of ``EXTRA_RUNS``, CLI streams the
 workloads never produce, and prints the same lines for its exit code, stdout,
 stderr (less its ``wall_time_ms`` line) and output file.  The ``refused-``
-runs exit 2, one per input rule, so their refusal messages are compared too.
+runs exit 2, each on a value an input rule refuses, so their refusal messages
+are compared too.
 Text is hashed with the temporary directory's path replaced by ``WORKDIR``.
 The paired-sample runs read a file of 2-D points, and the point-sample run
 two, that this script draws from the seed and writes with 17 significant
@@ -87,6 +88,8 @@ EXTRA_RUNS = (
      "lambda = 1e-3\nn = 300", {"step_size": "0"}),
     ("refused-seed-negative", "estimate", "ou", "variant = tikhonov", "lambda = 1e-3\nn = 300",
      {"seed": "-1"}),
+    ("refused-n-0", "estimate", "ou", "variant = tikhonov", "lambda = 1e-3\nn = 300", {"n": "0"}),
+    ("refused-r-0", "edmd", "ou", None, "lambda = 1e-3\nn = 300\nr = 4", {"r": "0"}),
 )
 # the streams --threads requires to be byte-identical at every BLAS thread count; the
 # listing's other streams are built on n x n Grams and differ in their last digits
@@ -94,7 +97,8 @@ THREAD_STABLE = (
     "finite-oracle", "mmd-two-sample", "mmd-points-2d", "estimate-finite-tikhonov",
     "estimate-finite-cutoff", "estimate-finite-landweber", "edmd-ou-dense",
     "convergence-double-well", "refused-lambda-nan", "refused-bandwidth-abc",
-    "refused-theta-inf", "refused-step-size-0", "refused-seed-negative",
+    "refused-theta-inf", "refused-step-size-0", "refused-seed-negative", "refused-n-0",
+    "refused-r-0",
 )
 PAIRED_N = 200
 PAIRED_DISTINCT_X = 150     # fewer than PAIRED_N, so x values repeat

@@ -466,12 +466,16 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _warn_jitter(jitter: float, where: str = "", note: str = "") -> None:
-    if jitter:
-        _log(
-            f"warning: {where}G_X + n*lambda*I is not positive definite; "
-            f"jitter {jitter:.3e} added{note}"
-        )
+def _warn_system(fit, where: str = "", output: str = "", jitter_too: bool = False) -> None:
+    """Warn of ``fit``'s jitter, or else of a condition bound above ``COND_WARN``, which may
+    cost ``output`` its digits (and the jitter, ``jitter_too``)."""
+    system = f"warning: {where}G_X + n*lambda*I"
+    if fit.jitter:
+        note = f"; {output} has no correct digits" if jitter_too else ""
+        _log(f"{system} is not positive definite; jitter {fit.jitter:.3e} added{note}")
+    elif fit.cond_lower_bound > COND_WARN:
+        bound = f"{fit.cond_lower_bound:.3e}"
+        _log(f"{system} has condition number >= {bound}; {output} may have no correct digits")
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +496,7 @@ def cmd_estimate(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
         est = fit_cme(sample, kernel, filt, lam)
     except DivergentStepError as exc:
         raise ConfigError(f"{cfg.path}: [filter] {exc}") from exc
-    _warn_jitter(est.jitter)
-    if not est.jitter and est.cond_lower_bound > COND_WARN:
-        _log(
-            f"warning: G_X + n*lambda*I has condition number >= {est.cond_lower_bound:.3e}; "
-            "the risk report may have no correct digits"
-        )
+    _warn_system(est, output="the risk report")
     write_estimator(out_path, est)
     risk, hs = _fitted_risk_and_hs(est, sample)
     metrics = {
@@ -527,7 +526,7 @@ def cmd_edmd(cfg: Config, seed: Optional[int], out: Optional[str]) -> int:
     with _invalid(cfg.path):
         _diagonal_shift(sample.n, lam)
     result = edmd_eigen(sample, kernel, lam, r)
-    _warn_jitter(result.jitter, note="; the residual column has no correct digits")
+    _warn_system(result, output="the residual column", jitter_too=True)
     residuals = eigen_residuals(result)
     rows = ["index,re,im,modulus,residual"]
     for j, (mu, res) in enumerate(zip(result.eigenvalues, residuals)):
@@ -623,12 +622,12 @@ def cmd_convergence(cfg: Config, seed: Optional[int], out: Optional[str]) -> int
         sample = _load_sample(cfg, the_seed, n, model)
         if model is not None:
             est = fit_cme(sample, kernel, Tikhonov(), lam)
-            _warn_jitter(est.jitter, where=f"n = {n}: ")
+            _warn_system(est, f"n = {n}: ", "its row")
             diff, excess = md._oracle_pair(est, model)
             rows.append(f"{n},{_fmt(lam)},{_fmt(diff)},{_fmt(excess)},")
         else:
             result = edmd_eigen(sample, kernel, lam, r)
-            _warn_jitter(result.jitter, where=f"n = {n}: ")
+            _warn_system(result, f"n = {n}: ", "its row")
             targets = np.exp(-np.arange(r) * theta * tau)
             errors = np.abs(np.abs(result.eigenvalues) - targets)
             rows.append(f"{n},{_fmt(lam)},,,{';'.join(_fmt(e) for e in errors)}")

@@ -50,6 +50,13 @@ of W and of G_Y's lower block triangle.  The estimator holds the solve's own
 buffer, so fit and report hold one n x n block.  Every other report builds
 G_Y and G_X, m_Y and m_X on a side, and on distinct points costs two n^3 GEMMs.
 
+The packed factor is the package's one format for a factored G + shift*I:
+``_factor_pd`` runs Cholesky in G's own F-ordered buffer, so its lower triangle
+holds the factor L and its strict upper triangle, which a lower Cholesky never
+reads, still holds G; G's diagonal is kept aside.  ``_solve`` (two triangular
+solves on L) and ``_gram_product`` (G B over the upper triangle, with G's
+diagonal swapped in) are the one solve and the one product with it.
+
 One BLAS thread pool per route: numpy and scipy may each load their own BLAS
 (the pip wheels bundle two OpenBLAS builds), and scipy's threads keep spinning
 for a while after a LAPACK call returns, so a numpy product started then
@@ -66,12 +73,13 @@ from typing import Sequence, Union
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemm
+from scipy.linalg.blas import dgemm, dsymm
 
 from .embeddings import WeightedEmbedding
 from .kernels import (
     _BLOCK_ENTRIES, Kernel, Point, _Adopted, _Rebuilt, _check_int, _check_positive,
-    _frozen_array, _kernel_diagonal, _point_tuple, _real_array, _support, cross_gram, gram,
+    _frozen_array, _is_real, _kernel_diagonal, _point_tuple, _real_array, _support, cross_gram,
+    gram,
 )
 
 RANK_TOL = 1e-12
@@ -167,7 +175,7 @@ class CmeEstimator(_Rebuilt):
     ``cond_lower_bound`` is (max_i L_ii / min_i L_ii)^2 of that system's
     Cholesky factor L, a lower bound on the condition number of
     G_X + n*lam*I (0.0 when nothing was factored).  Estimator files store
-    neither.
+    neither.  ``_check_fit`` checks the kernel, lambda and both numbers.
 
     For an unjittered Tikhonov fit that ``fit_cme`` returned on a sample with
     no repeated point, W satisfies (G_X + n*lam*I) W = I in exact arithmetic.
@@ -187,7 +195,7 @@ class CmeEstimator(_Rebuilt):
     cond_lower_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", _check_positive("lambda", self.lam))
+        _check_fit(self)
         X, Y = _point_tuple(self.X, "estimator X"), _point_tuple(self.Y, "estimator Y")
         W = _frozen_array(self.W, "W")
         if W.shape != (len(Y), len(X)):
@@ -195,6 +203,22 @@ class CmeEstimator(_Rebuilt):
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "W", W)
+
+
+def _check_fit(fit) -> None:
+    """Check and store the fields a ``CmeEstimator`` and an ``EdmdResult`` share: a kernel
+    of the package's, lambda under the positive rule, and ``jitter`` and
+    ``cond_lower_bound``, each a finite real >= 0."""
+    if not isinstance(fit.kernel, Kernel):
+        raise ValueError(
+            f"kernel must be a GaussianKernel, LaplacianKernel or TableKernel, got {fit.kernel!r}"
+        )
+    object.__setattr__(fit, "lam", _check_positive("lambda", fit.lam))
+    for name in ("jitter", "cond_lower_bound"):
+        value = getattr(fit, name)
+        if not (_is_real(value) and 0 <= value < np.inf):
+            raise ValueError(f"{name} must be a finite real >= 0, got {value}")
+        object.__setattr__(fit, name, float(value))
 
 
 def _diagonal_shift(n: int, lam: float) -> float:
@@ -205,17 +229,17 @@ def _diagonal_shift(n: int, lam: float) -> float:
     return shift
 
 
-def _factor_pd(A: np.ndarray, shift: float = 0.0) -> tuple[tuple[np.ndarray, bool], float]:
-    """``cho_factor`` output for G + shift*I and the jitter added to its diagonal (0.0 if none).
+def _factor_pd(A: np.ndarray, shift: float = 0.0) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The packed factor of G + shift*I, G's diagonal, the jitter (0.0 if none) and the
+    condition bound (max_i L_ii / min_i L_ii)^2, a lower bound on the condition number.
 
     The package's one factorization policy, for every G + shift*I it factors:
     Cholesky, and on failure one jitter of 1e-10 * trace / n on the diagonal,
     after which failure is an error.  ``A`` holds the symmetric G in a writable,
-    F-ordered float64 buffer, which LAPACK factors in place: its lower triangle
-    becomes the factor L, and its strict upper triangle keeps G, because a lower
-    Cholesky never touches it.  G and ``shift`` must be finite: the package's
-    Grams are finite by construction, ``_diagonal_shift`` checks the shift and
-    ``solve_pd`` its caller's matrix, so LAPACK gets A without a scan.
+    F-ordered float64 buffer, which LAPACK factors in place.  G and ``shift``
+    must be finite: the package's Grams are finite by construction,
+    ``_diagonal_shift`` checks the shift and ``solve_pd`` its caller's matrix,
+    so LAPACK gets A without a scan.
     """
     n = A.shape[0]
     diag, g, jitter = slice(None, None, n + 1), A.diagonal().copy(), 0.0
@@ -229,11 +253,30 @@ def _factor_pd(A: np.ndarray, shift: float = 0.0) -> tuple[tuple[np.ndarray, boo
             jitter = float(JITTER_SCALE * np.trace(A) / n)
             A.flat[diag] += jitter
         try:
-            return scipy.linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False), jitter
+            L = scipy.linalg.cho_factor(A, lower=True, overwrite_a=True, check_finite=False)[0]
+            return L, g, jitter, float((L.diagonal().max() / L.diagonal().min()) ** 2)
         except scipy.linalg.LinAlgError as exc:
             if retry:
                 msg = f"matrix not positive definite after jitter {jitter:.3e}"
                 raise np.linalg.LinAlgError(msg) from exc
+
+
+def _solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(L L^T)^{-1} B by two triangular solves that read only L, unscanned; B may be overwritten."""
+    for trans in ("N", "T"):
+        B = scipy.linalg.solve_triangular(
+            L, B, lower=True, trans=trans, overwrite_b=True, check_finite=False
+        )
+    return B
+
+
+def _gram_product(L: np.ndarray, g: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """G B, one symmetric product over the packed factor L with G's diagonal ``g`` swapped in."""
+    diag, l_diag = slice(None, None, L.shape[0] + 1), L.diagonal().copy()
+    L.flat[diag] = g
+    GB = dsymm(1.0, L, B)
+    L.flat[diag] = l_diag
+    return GB
 
 
 def solve_pd(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -241,11 +284,10 @@ def solve_pd(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
 
     ``matrix`` is never written: a checked copy of it is factored.  X is solved
     into ``rhs`` in place when ``rhs`` is an F-ordered float64 array, and into an
-    F-ordered copy of it otherwise.
+    F-ordered copy of it otherwise; a non-finite ``rhs`` raises ``ValueError``.
     """
-    factor, jitter = _factor_pd(np.array(_frozen_array(matrix, "matrix"), order="F"))
-    X = np.asfortranarray(_real_array(rhs, "rhs"))
-    return scipy.linalg.cho_solve(factor, X, overwrite_b=True), jitter
+    L, _, jitter, _ = _factor_pd(np.array(_frozen_array(matrix, "matrix"), order="F"))
+    return _solve(L, np.asarray_chkfinite(np.asfortranarray(_real_array(rhs, "rhs")))), jitter
 
 
 def _support_gram(kernel: Kernel, support: Sequence[Point], counts: np.ndarray) -> np.ndarray:
@@ -266,13 +308,13 @@ def _support_gram(kernel: Kernel, support: Sequence[Point], counts: np.ndarray) 
 def _support_solve(
     S: np.ndarray, n: int, filt: SpectralFilter, lam: float
 ) -> tuple[np.ndarray, float, float]:
-    """The fit's m x m solve: Z = g_lam(S/n) / n, the jitter, and the Cholesky
-    bound (max L_ii / min L_ii)^2 (0.0 for the filters that factor nothing).
+    """The fit's m x m solve: Z = g_lam(S/n) / n, the jitter, and the condition
+    bound of ``_factor_pd`` (0.0 for the filters that factor nothing).
 
-    Tikhonov factors S + n*lam*I in S's own buffer, reads the bound from the
-    factor's diagonal, and turns the factor into the inverse in that buffer
-    (LAPACK ``dpotri``, which writes the lower triangle; ``_mirror_lower``
-    overwrites the strict upper one, which still held S).  So Z is exactly
+    Tikhonov factors S + n*lam*I in S's own buffer and turns the factor into
+    the inverse in that buffer (LAPACK ``dpotri``, which writes the lower
+    triangle; ``_mirror_lower`` overwrites the strict upper one, which still
+    held S).  So Z is exactly
     symmetric, is S's buffer, and the solve holds one m x m block; it is
     returned as Z.T, a C-ordered view of the same doubles.  Cutoff and
     Landweber eigendecompose S / n into a new C-ordered Z, and S's buffer is
@@ -281,9 +323,7 @@ def _support_solve(
     _check_positive("lambda", lam)
     if not isinstance(filt, Tikhonov):
         return _filtered_coefficients(S, n, filt, lam), 0.0, 0.0
-    (L, _), jitter = _factor_pd(S, _diagonal_shift(n, lam))
-    diag = np.diagonal(L)
-    cond = float((diag.max() / diag.min()) ** 2)        # before dpotri overwrites L
+    L, _, jitter, cond = _factor_pd(S, _diagonal_shift(n, lam))
     Z, info = scipy.linalg.lapack.dpotri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotri failed on the Cholesky factor (info {info})")

@@ -40,7 +40,8 @@ agree bit for bit and ``cross_gram(kernel, b, a).T`` is
 ``cross_gram(kernel, a, b)`` in F order.
 
 Four input rules serve every value type and function, each stated once here;
-each raises ``ValueError`` and casts nothing.  A positive parameter (a width,
+each raises ``ValueError`` and casts nothing.  A real number is an int, a float or a
+numpy one, never a ``bool`` (``_is_real``).  A positive parameter (a width,
 lambda, a step, a rate) is a real number > 0 and finite (``_check_positive``), and
 a count, rank, index or seed an int or numpy integer, not a bool, in its bounds
 (``_check_int``); each returns the Python ``float`` or ``int`` it accepted.  An
@@ -70,6 +71,11 @@ _BUFFER_ENTRIES = 4096       # a Gram block this large is built at a small ufunc
 _REAL = (float, int, np.floating, np.integer)
 
 
+def _is_real(value) -> bool:
+    """The one real-scalar predicate: an instance of ``_REAL`` that is not a ``bool``."""
+    return type(value) is not bool and isinstance(value, _REAL)
+
+
 @dataclass(frozen=True)
 class Point:
     """A state-space point with finite real coordinates (d >= 1)."""
@@ -80,7 +86,7 @@ class Point:
         coords = tuple(self.coords)
         if len(coords) == 0:
             raise ValueError("Point needs at least one coordinate")
-        if not all(isinstance(c, _REAL) and math.isfinite(c) for c in coords):
+        if not all(_is_real(c) and math.isfinite(c) for c in coords):
             raise ValueError(f"Point coordinates must be finite real numbers, got {coords}")
         object.__setattr__(self, "coords", tuple(map(float, coords)))
 
@@ -199,9 +205,10 @@ class _Adopted:
 
 def _real_array(values, what: str, dtype: type = float) -> np.ndarray:
     """``values`` as an array of ``dtype``, copied only where the cast needs it: the array
-    rule's dtype half, which casts only a real dtype (``biuf``), or a complex one to complex."""
+    rule's dtype half, which casts only a real dtype (``iuf``, not ``bool``), or a complex one
+    to complex."""
     arr, to_complex = np.asarray(values), np.dtype(dtype).kind == "c"
-    if arr.dtype.kind not in ("biufc" if to_complex else "biuf"):
+    if arr.dtype.kind not in ("iufc" if to_complex else "iuf"):
         number = "real or complex" if to_complex else "real"
         raise ValueError(f"{what} must be a {number} array, got dtype {arr.dtype}")
     return arr.astype(dtype, copy=False)
@@ -234,8 +241,7 @@ class _Rebuilt:
 def _check_positive(name: str, value: float) -> float:
     """``value`` as a float, refused unless it is a real number > 0 and finite: every positive
     parameter's check.  A ``bool``, a string or a complex number is no real number here."""
-    real = type(value) is not bool and isinstance(value, _REAL)
-    if not (real and 0 < value < np.inf):
+    if not (_is_real(value) and 0 < value < np.inf):
         raise ValueError(f"{name} must be > 0 and finite, got {value}")
     return float(value)
 

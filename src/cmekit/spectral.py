@@ -29,7 +29,9 @@ in the package loads ``scipy.sparse``.
 
 G_X and K_YX are each formed once per fit, in that order, and then
 G_X + n*lam*I is factored once by :func:`cmekit.estimators._factor_pd` under
-the package's one policy (Cholesky, at most one jitter of 1e-10 * trace / n).
+the package's one policy (Cholesky, at most one jitter of 1e-10 * trace / n),
+into the packed factor that ``estimators`` describes; ``edmd_eigen`` records
+its jitter and condition bound as ``fit_cme`` does.
 One BLAS thread pool per fit: numpy and scipy may each load their own BLAS,
 and scipy's threads keep spinning for a while after the factor returns, so
 K_YX is built before the factor, not beside that busy pool, and every
@@ -37,16 +39,14 @@ product with K_YX runs on scipy's BLAS: ``dgemv`` in each Arnoldi step and
 ``dgemm`` for the residuals, each the transposed product on K_YX.T, an
 F-ordered view.  Only the dense path's products with M use numpy.
 
-The factor is packed into G_X's own buffer: its lower triangle holds L, its
-strict upper triangle still holds G_X, and G_X's diagonal is kept aside.
-Every solve with the factor is two triangular solves on L, which read only
-the lower triangle, and G_X V is one symmetric product over the upper one.  A fit thus holds two n x n blocks,
-the packed factor and K_YX; for r >= n - 1, M = (G_X + n*lam*I)^{-1} K_YX is
-solved in K_YX's buffer.  ``edmd_eigen`` measures the residuals with that same
-factor, so they belong to the same, possibly jittered, operator the eigenpairs
-came from, and it records the jitter it added.  It applies M once, to the
-real and imaginary parts of the r eigenvectors side by side, and reads the
-RKHS norms of the eigenvectors and of their residuals M v - mu v off one
+Every solve with the factor is ``estimators._solve`` and every product with
+G_X ``estimators._gram_product``, both on the packed factor in G_X's own
+buffer.  A fit thus holds two n x n blocks, the packed factor and K_YX; for
+r >= n - 1, M = (G_X + n*lam*I)^{-1} K_YX is solved in K_YX's buffer.
+``edmd_eigen`` measures the residuals with that same factor, so they belong to
+the same, possibly jittered, operator the eigenpairs came from.  It applies M
+once, to the real and imaginary parts of the r eigenvectors side by side, and
+reads the RKHS norms of the eigenvectors and of their residuals M v - mu v off one
 symmetric product; a residual scales with its eigenvector, so residual j is
 sqrt(d_j^H G_X d_j / v_j^H G_X v_j) for the unnormalized v_j.
 """
@@ -58,9 +58,11 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dgemm, dgemv, dsymm
+from scipy.linalg.blas import dgemm, dgemv
 
-from .estimators import PairedSample, _diagonal_shift, _factor_pd
+from .estimators import (
+    PairedSample, _check_fit, _diagonal_shift, _factor_pd, _gram_product, _solve,
+)
 from .kernels import (
     Kernel, Point, _Rebuilt, _check_int, _check_positive, _frozen_array, _point_tuple, cross_gram,
 )
@@ -71,8 +73,9 @@ class EdmdResult(_Rebuilt):
 
     ``coeffs[:, j]`` expands eigenfunction j over the training features:
     f_j = sum_i coeffs[i, j] phi(X[i]).  ``residuals[j]`` is the RKHS-norm
-    residual of eigenpair j and ``jitter`` the amount the factorization added to
-    the diagonal of G_X + n*lam*I (0.0 when none); ``edmd_eigen`` fills both.
+    residual of eigenpair j.  ``jitter`` and ``cond_lower_bound`` are those of
+    the factored G_X + n*lam*I, as a ``CmeEstimator``'s are, and
+    ``_check_fit`` checks them with the kernel and lambda.
     """
 
     eigenvalues: np.ndarray
@@ -82,8 +85,10 @@ class EdmdResult(_Rebuilt):
     lam: float
     residuals: np.ndarray
     jitter: float = 0.0
+    cond_lower_bound: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_fit(self)
         X = _point_tuple(self.X, "EdmdResult X")
         w = _frozen_array(self.eigenvalues, "eigenvalues", complex)
         V = _frozen_array(self.coeffs, "coeffs", complex)
@@ -101,22 +106,6 @@ class EdmdResult(_Rebuilt):
         return len(self.eigenvalues)
 
 
-def _rkhs_norm_sq(factor, g: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Re(v^H G_X v) per column v of V, from real and imaginary parts: G_X is never cast to complex.
-
-    G_X [Re V, Im V] is one symmetric product over the packed factor's upper
-    triangle, with G_X's diagonal ``g`` put in for it and L's put back after.
-    """
-    A, r = factor[0], V.shape[1]
-    diag, l_diag = slice(None, None, A.shape[0] + 1), A.diagonal().copy()
-    P = np.concatenate([V.real, V.imag], axis=1)
-    A.flat[diag] = g
-    GP = dsymm(1.0, A, P)
-    A.flat[diag] = l_diag
-    q = np.einsum("ij,ij->j", P, GP)
-    return q[:r] + q[r:]
-
-
 def _sorted_pairs(w: np.ndarray, V: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """The first r eigenpairs in the documented order; a pair cut at r keeps its upper member."""
     # lexsort: last key is primary
@@ -125,19 +114,6 @@ def _sorted_pairs(w: np.ndarray, V: np.ndarray, r: int) -> tuple[np.ndarray, np.
     lone = (w.imag < 0) & ~np.isin(np.conj(w), w)
     w[lone], V[:, lone] = np.conj(w[lone]), np.conj(V[:, lone])
     return w, V
-
-
-def _solve(factor, B: np.ndarray) -> np.ndarray:
-    """(L L^T)^{-1} B by two triangular solves on the packed lower factor L; B may be overwritten.
-
-    Each solve reads only L's triangle, so G_X kept in the strict upper one is
-    not touched; the factor of a finite system is finite, so neither scans it.
-    """
-    L = factor[0]
-    B = scipy.linalg.solve_triangular(L, B, lower=True, overwrite_b=True, check_finite=False)
-    return scipy.linalg.solve_triangular(
-        L, B, lower=True, trans="T", overwrite_b=True, check_finite=False
-    )
 
 
 def _normalize_columns(
@@ -172,10 +148,9 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
     shift = _diagonal_shift(n, _check_positive("lambda", lam))
     arnoldi = r <= n - 2
     G = cross_gram(kernel, sample.X, sample.X).T          # F-ordered: G_X is exactly symmetric
-    g = G.diagonal().copy()
     # K_YX before the factor: C-ordered for the Arnoldi products, F-ordered for the dense solve
     K_yx = cross_gram(kernel, sample.Y, sample.X) if arnoldi else cross_gram(kernel, sample.X, sample.Y).T
-    factor, jitter = _factor_pd(G, shift)
+    L, g, jitter, cond = _factor_pd(G, shift)
 
     if arnoldi:
         from scipy.sparse.linalg import LinearOperator, eigs   # loaded on the first Arnoldi fit
@@ -183,23 +158,25 @@ def edmd_eigen(sample: PairedSample, kernel: Kernel, lam: float, r: int) -> Edmd
         def apply(v: np.ndarray) -> np.ndarray:
             # K_YX v as the transposed product on K_YX.T, an F-ordered view
             Kv = dgemv(1.0, K_yx.T, v, trans=1) if v.ndim == 1 else dgemm(1.0, K_yx.T, v, trans_a=1)
-            return _solve(factor, Kv)
+            return _solve(L, Kv)
 
         op = LinearOperator((n, n), matvec=apply, dtype=float)
         w, V = _sorted_pairs(*eigs(op, k=r, which="LM", v0=np.ones(n)), r)
     else:
-        M = _solve(factor, K_yx)
+        M = _solve(L, K_yx)
         apply = M.__matmul__
         w, V = _sorted_pairs(*scipy.linalg.eig(M), r)
 
     # residuals scale with |v|, so D and both norms come from the unnormalized V
     MP = apply(np.concatenate([V.real, V.imag], axis=1))
     D = MP[:, :r] + 1j * MP[:, r:] - V * w
-    q = _rkhs_norm_sq(factor, g, np.concatenate([V, D], axis=1))
-    norm_sq = q[:r]
+    # Re(v^H G_X v) for each column v of [V, D], from one real product: G_X is never complex
+    P = np.concatenate([V.real, D.real, V.imag, D.imag], axis=1)
+    q = np.einsum("ij,ij->j", P, _gram_product(L, g, P))
+    norm_sq = q[:r] + q[2 * r:3 * r]
     V = _normalize_columns(w, V, norm_sq, g)
-    residuals = np.sqrt(np.maximum(q[r:], 0.0)) / np.sqrt(norm_sq)
-    return EdmdResult(w, V, sample.X, kernel, lam, residuals, jitter)
+    residuals = np.sqrt(np.maximum(q[r:2 * r] + q[3 * r:], 0.0)) / np.sqrt(norm_sq)
+    return EdmdResult(w, V, sample.X, kernel, lam, residuals, jitter, cond)
 
 
 def eval_eigenfunction(res: EdmdResult, j: int, x: Point) -> complex:

@@ -499,7 +499,7 @@ out = {tmp_path / 'eig.csv'}
         assert main(["edmd", "--config", cfg]) == 0
         assert blob1 == (tmp_path / "eig.csv").read_bytes()
 
-    def _ou_config(self, tmp_path, bandwidth, lam):
+    def _ou_config(self, tmp_path, bandwidth, lam, n=30, seed=7):
         return write(
             tmp_path / "edmd-ou.cfg",
             f"""
@@ -512,9 +512,9 @@ theta = 1.0
 tau = 0.5
 [run]
 lambda = {lam}
-n = 30
+n = {n}
 r = 3
-seed = 7
+seed = {seed}
 out = {tmp_path / 'eig.csv'}
 """,
         )
@@ -533,6 +533,22 @@ out = {tmp_path / 'eig.csv'}
     def test_no_warning_without_jitter(self, tmp_path, capsys):
         assert main(["edmd", "--config", self._ou_config(tmp_path, 1.0, "1e-3")]) == 0
         assert "warning" not in capsys.readouterr().err
+
+    def test_an_ill_conditioned_system_gets_one_warning_line(self, tmp_path, capsys):
+        # Cholesky succeeds without jitter, but the bound on the condition number of
+        # G_X + n*lam*I is 2.355e10, and the residuals are round-off
+        cfg = self._ou_config(tmp_path, 5.0, "1e-12", n=40, seed=13)
+        assert main(["edmd", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+        assert warnings == [
+            "warning: G_X + n*lambda*I has condition number >= 2.355e+10; "
+            "the residual column may have no correct digits"
+        ]
+        assert captured.out == ""
+        rows = [line.split(",") for line in (tmp_path / "eig.csv").read_text().splitlines()[1:]]
+        assert [round(float(row[3]), 4) for row in rows] == [5.7408, 1.6572, 1.0]
+        assert max(float(row[4]) for row in rows) < 4.1e-6
 
 
 class TestMmdCommand:
@@ -766,6 +782,21 @@ out = {tmp_path / 'conv.csv'}
         assert float(lam) == pytest.approx(40 ** -0.25, rel=1e-12)
         assert float(diff) > 0 and float(excess) > 0
         assert eig == ""
+
+    def test_each_n_reports_its_own_ill_conditioned_system(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path / "conv_ou.cfg",
+            "[kernel]\nvariant = gaussian\nbandwidth = 5\n[data]\n" + OU_SOURCE
+            + f"[run]\nn_grid = 20 40\nlambda_schedule = 1e-11*n^-0.5\nr = 3\nseed = 13\n"
+            f"out = {tmp_path / 'conv.csv'}\n",
+        )
+        assert main(["convergence", "--config", cfg]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+        assert [w.split(" G_X")[0] for w in warnings] == ["warning: n = 20:", "warning: n = 40:"]
+        assert all(
+            "condition number >= " in w and w.endswith("; its row may have no correct digits")
+            for w in warnings
+        )
 
     def test_ou_grid_reports_eigenvalue_errors(self, tmp_path, capsys):
         cfg = write(
@@ -1485,6 +1516,12 @@ def test_singular_state_gram_fails_before_the_first_fit(tmp_path, capsys, monkey
         pytest.param(None, None, v2_file(filt="landweber 7 inf"), id="estimator-infinite-step-size"),
         pytest.param(
             None, None, v2_file().replace(b"v2", b"v1", 1), id="estimator-v1-no-longer-read"
+        ),
+        pytest.param(
+            None, None, b"cme-estimator v2\nkernel gaussian 1\n", id="estimator-no-lambda-line"
+        ),
+        pytest.param(
+            None, None, v2_file().replace(b"lambda", b"lam", 1), id="estimator-misnamed-line"
         ),
         pytest.param(
             "oracle-verify", KERNEL + MODEL_DATA, "finite-model v1\nstates 1 1\n0\n",

@@ -91,7 +91,7 @@ def full_closed_form_W(sample, kernel, lam):
     """The uncompressed closed-form route: W = (G_X + n*lam*I)^{-1} at full size, from
     the Cholesky factor by LAPACK dpotri, its lower triangle mirrored."""
     n = sample.n
-    (L, _), _ = _factor_pd(np.array(gram(kernel, sample.X), order="F"), n * lam)
+    L = _factor_pd(np.array(gram(kernel, sample.X), order="F"), n * lam)[0]
     Z, info = scipy.linalg.lapack.dpotri(L, lower=1)
     assert info == 0
     return np.tril(Z) + np.tril(Z, -1).T
@@ -681,7 +681,7 @@ class TestFactorization:
         G0 = G.copy()
         n, shift = G.shape[0], 1e-17
         buf = np.array(G, order="F")
-        (factor, lower), jitter = _factor_pd(buf, shift)
+        factor, g, jitter, cond = _factor_pd(buf, shift)
         # factored in the buffer it was handed; the strict upper triangle still holds G
         assert factor is buf
         assert np.array_equal(np.triu(factor, 1), np.triu(G, 1))
@@ -697,8 +697,10 @@ class TestFactorization:
         expected_jitter = float(JITTER_SCALE * np.trace(A) / n)
         A.flat[:: n + 1] += expected_jitter
         expected = scipy.linalg.cho_factor(A, lower=True)
-        assert lower and jitter == expected_jitter > 0
+        assert jitter == expected_jitter > 0 and np.array_equal(g, np.diagonal(G))
         assert np.array_equal(factor, expected[0])
+        d = np.diagonal(expected[0])
+        assert cond == float((d.max() / d.min()) ** 2)
         assert np.array_equal(G, G0)
         # solve_pd factors the matrix it is given: G + shift*I, bit for bit the system above
         shifted = G + 0.0
@@ -730,6 +732,12 @@ class TestFactorization:
             with pytest.raises(ValueError, match="matrix must be finite"):
                 solve_pd(A, np.ones(3))
         assert len(checks) == 2
+
+    def test_a_matrix_that_the_jitter_cannot_save_is_refused(self):
+        # an eigenvalue of -1 is far below the jitter, 1e-10 * trace / n
+        message = "matrix not positive definite after jitter 5.000e-11"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            solve_pd(np.diag([2.0, -1.0]), np.eye(2))
 
     def test_closed_form_fit_records_its_jitter(self):
         # bandwidth 10 and lambda 1e-17 make G_X + n*lam*I numerically singular
@@ -1201,16 +1209,11 @@ class TestNormsAndRisks:
         for filt in (Tikhonov(), Cutoff(), Landweber(steps=20, step_size=0.9)):
             self.check_fitted_risk_and_hs(fit_cme(sample, kernel, filt, lam), sample)
 
-    def test_fitted_risk_and_hs_of_a_jittered_fit_on_repeated_points(self, monkeypatch):
+    def test_fitted_risk_and_hs_of_a_jittered_fit_on_repeated_points(self, force_jitter):
         # the fit's factorization is made to add a jitter of 0.37 to S + n*lam*I,
         # so W G_X is far from I - n*lam*W and the report must not assume it; on
         # the last sample, where no point repeats, it would otherwise take it
-        import cmekit.estimators as est_mod
-
-        factor_pd = est_mod._factor_pd
-        monkeypatch.setattr(
-            est_mod, "_factor_pd", lambda A, shift: (factor_pd(A, shift + 0.37)[0], 0.37)
-        )
+        force_jitter(0.37)
         rng = np.random.default_rng(31)
         states = [pt(float(j)) for j in range(4)]
         X = tuple(states[i % 4] for i in range(11))

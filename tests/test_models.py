@@ -43,6 +43,7 @@ from cmekit import (
     generalized_cov_ons_check,
     gram,
     kernel_eval,
+    mmd_sq_biased,
     op_norm_diff,
     ou_sample_pairs,
     predict_conditional_expectation,
@@ -228,6 +229,16 @@ def _fitted_observable(f):
             id="solve-pd-complex-rhs",
         ),
         pytest.param(
+            lambda: solve_pd(np.eye(2), np.array([np.nan, 1.0])),
+            "array must not contain infs or NaNs",
+            id="solve-pd-nan-rhs",
+        ),
+        pytest.param(
+            lambda: solve_pd(np.eye(2), np.asfortranarray([[1.0, np.inf], [0.0, 1.0]])),
+            "array must not contain infs or NaNs",
+            id="solve-pd-inf-rhs",
+        ),
+        pytest.param(
             lambda: constant_shift_estimator(
                 random_model(rng_for(1), 3), GAUSS, np.array([0.1j, 0, 0])
             ),
@@ -247,6 +258,90 @@ def _fitted_observable(f):
         ),
         pytest.param(
             lambda: pt("1e3"), "Point coordinates must be finite real numbers", id="string-coordinate"
+        ),
+        # a bool is no real number, as a scalar or as an array's dtype
+        pytest.param(
+            lambda: pt(True), "Point coordinates must be finite real numbers", id="bool-coordinate"
+        ),
+        pytest.param(
+            lambda: TableKernel([pt(0.0), pt(1.0)], np.array([[True, False], [False, True]])),
+            "table values must be a real array, got dtype bool",
+            id="table-bool-values",
+        ),
+        pytest.param(
+            lambda: predict_conditional_expectation(
+                fit_cme(ou_sample_pairs(1.0, 0.5, 20, 3), GAUSS, Tikhonov(), 0.1),
+                pt(0.1), np.ones(20, dtype=bool),
+            ),
+            "f_at_Y must be a real array, got dtype bool",
+            id="bool-observable",
+        ),
+        pytest.param(
+            lambda: CmeEstimator(GAUSS, 1.0, Cutoff(), [pt(0.0)], [pt(0.0)], np.array([[True]])),
+            "W must be a real array, got dtype bool",
+            id="estimator-bool-w",
+        ),
+        # a fit result's kernel is one of the package's
+        pytest.param(
+            lambda: EdmdResult(np.ones(1), np.ones((1, 1)), [pt(0.0)], None, -1.0, np.zeros(1)),
+            "kernel must be a GaussianKernel, LaplacianKernel or TableKernel, got None",
+            id="edmd-no-kernel",
+        ),
+        pytest.param(
+            lambda: CmeEstimator("gaussian", 1.0, Cutoff(), [pt(0.0)], [pt(0.0)], [[1.0]]),
+            "kernel must be a GaussianKernel, LaplacianKernel or TableKernel, got 'gaussian'",
+            id="estimator-string-kernel",
+        ),
+        # refusal branches no other test reaches
+        pytest.param(
+            lambda: PairedSample(X=chain_states(2), Y=chain_states(3)),
+            "need equal-length X and Y, got 2 and 3",
+            id="sample-lengths",
+        ),
+        pytest.param(
+            lambda: WeightedEmbedding(GAUSS, chain_states(2), [1.0]),
+            "2 support points but 1 weights",
+            id="embedding-weight-count",
+        ),
+        pytest.param(
+            lambda: embed_diff(
+                WeightedEmbedding(GAUSS, [pt(0.0)], [1.0]),
+                WeightedEmbedding(GaussianKernel(bandwidth=2.0), [pt(0.0)], [1.0]),
+            ),
+            "embeddings use different kernels",
+            id="embed-diff-kernels",
+        ),
+        pytest.param(
+            lambda: mmd_sq_biased(GAUSS, [pt(0.0)], [pt(0.0, 1.0)]),
+            "dimension mismatch: 1 vs 2",
+            id="mmd-dimensions",
+        ),
+        pytest.param(
+            lambda: TableKernel(chain_states(2), np.eye(3)),
+            r"table values must be 2x2, got \(3, 3\)",
+            id="table-shape",
+        ),
+        pytest.param(
+            lambda: FiniteMarkovModel(chain_states(2), [1.0], np.eye(2)),
+            "marginal must have length 2, got 1",
+            id="model-marginal-length",
+        ),
+        pytest.param(
+            lambda: well_specified_estimator(TWO_STATES, GAUSS, [0]),
+            "targets must map every state to a state index",
+            id="targets-length",
+        ),
+        pytest.param(
+            lambda: constant_shift_estimator(TWO_STATES, GAUSS, np.zeros(3)),
+            "shift must have length 2",
+            id="shift-length",
+        ),
+        pytest.param(
+            lambda: constant_direction_alt(
+                FiniteMarkovModel(chain_states(1), [1.0], np.eye(1)), rng_for(1)
+            ),
+            "need at least two states to perturb rows",
+            id="one-state-alt",
         ),
     ],
 )
@@ -1092,13 +1187,14 @@ class TestSamplers:
             ("step_size", lambda v: Landweber(steps=3, step_size=v)),
             ("lambda", lambda v: filter_value(Tikhonov(), v, 1.0)),
             ("lambda", lambda v: CmeEstimator(GAUSS, v, Cutoff(), [pt(0.0)], [pt(0.0)], [[1.0]])),
+            ("lambda", lambda v: EdmdResult([1.0], [[1.0]], [pt(0.0)], GAUSS, v, [0.0])),
             ("lambda", lambda v: _support_solve(np.ones((1, 1), order="F"), 1, Tikhonov(), v)),
             ("lambda", lambda v: edmd_eigen(PairedSample(X=[pt(0.0)], Y=[pt(0.0)]), GAUSS, v, 1)),
             ("lambda", lambda v: _refused_by_cli(cli._resolve_lambda, "lambda", v)),
         ],
         ids=[
             "theta", "beta", "dt", "bandwidth", "scale", "step_size", "filter_value",
-            "CmeEstimator", "_support_solve", "edmd_eigen", "_resolve_lambda",
+            "CmeEstimator", "EdmdResult", "_support_solve", "edmd_eigen", "_resolve_lambda",
         ],
     )
     @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0, True])
@@ -1121,6 +1217,29 @@ class TestSamplers:
         message = f"{name} must be an integer {bounds}, got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             call(value)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda **kw: CmeEstimator(GAUSS, 1.0, Tikhonov(), [pt(0.0)], [pt(0.0)], [[1.0]], **kw),
+            lambda **kw: EdmdResult([1.0], [[1.0]], [pt(0.0)], GAUSS, 1.0, [0.0], **kw),
+        ],
+        ids=["CmeEstimator", "EdmdResult"],
+    )
+    @pytest.mark.parametrize("name", ["jitter", "cond_lower_bound"])
+    @pytest.mark.parametrize("value", [-5.0, np.nan, np.inf, True, "1e-3", 1j])
+    def test_fit_diagnostics_must_be_finite_and_nonnegative(self, build, name, value):
+        message = f"{name} must be a finite real >= 0, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(**{name: value})
+
+    def test_fit_diagnostics_are_stored_as_floats(self):
+        est = CmeEstimator(GAUSS, 1.0, Tikhonov(), [pt(0.0)], [pt(0.0)], [[1.0]], 0, np.float32(2.5))
+        res = EdmdResult([1.0], [[1.0]], [pt(0.0)], GAUSS, 1, [0.0], np.int64(0), 3)
+        for fit in (est, res):
+            assert type(fit.jitter) is type(fit.cond_lower_bound) is type(fit.lam) is float
+        assert (est.jitter, est.cond_lower_bound) == (0.0, 2.5)
+        assert (res.lam, res.cond_lower_bound) == (1.0, 3.0)
 
     def test_a_numpy_integer_is_taken_as_an_int(self):
         assert type(_check_int("n", np.int64(3))) is int

@@ -23,11 +23,13 @@ from cmekit import (
     FiniteMarkovModel,
     GaussianKernel,
     PairedSample,
+    Tikhonov,
     cross_gram,
     edmd_eigen,
     eigen_residuals,
     embed_inner,
     eval_eigenfunction,
+    fit_cme,
     fit_tikhonov_closed_form,
     gram,
     ou_sample_pairs,
@@ -46,6 +48,11 @@ GAUSS = GaussianKernel(bandwidth=1.0)
 def identity_sample(rng, n, spread=2.0):
     X = tuple(pt(v) for v in rng.normal(size=n) * spread)
     return PairedSample(X=X, Y=X)
+
+
+def bits(values):
+    """The float64 bytes of a list of floats: equal exactly when every bit is."""
+    return np.array(values, dtype=float).tobytes()
 
 
 def random_sample(rng, n):
@@ -314,7 +321,7 @@ class TestEdmdEigen:
         got = edmd_eigen(sample, GAUSS, lam, r).eigenvalues
         assert np.max(np.abs(got - want[:r])) <= 1e-8
 
-    def test_jittered_system_is_shared_by_both_paths_and_residuals(self, monkeypatch):
+    def test_jittered_system_is_shared_by_both_paths_and_residuals(self, force_jitter):
         # G_X + n*lam*I is numerically singular here: the factorization jitters
         # it, and the Arnoldi path and the residuals use that one factor
         sample = ou_sample_pairs(1.0, 0.5, 30, 7)
@@ -326,10 +333,7 @@ class TestEdmdEigen:
         assert np.all(np.isfinite(resid)) and np.all(resid >= 0)
         # a jitter of 0.37 forced on a well-conditioned system: both branches
         # return eigenpairs and residuals of the jittered operator
-        factor_pd = cmekit.spectral._factor_pd
-        monkeypatch.setattr(
-            cmekit.spectral, "_factor_pd", lambda A, shift: (factor_pd(A, shift + 0.37)[0], 0.37)
-        )
+        force_jitter(0.37)
         sample = random_sample(np.random.default_rng(54), 8)
         want = reference_eigenvalues(reference_matrix(sample, GAUSS, 1e-2, jitter=0.37))[0]
         for r in (4, 8):
@@ -338,6 +342,33 @@ class TestEdmdEigen:
             assert np.max(np.abs(res.eigenvalues - want[:r])) <= 1e-10
             want_resid = recomputed_residuals(res, sample, GAUSS, 1e-2, jitter=0.37)
             assert np.max(np.abs(res.residuals - want_resid)) <= 1e-12
+
+    @pytest.mark.parametrize("forced", [None, 0.37], ids=["as-factored", "forced-jitter"])
+    def test_edmd_and_the_tikhonov_fit_report_one_system_alike(self, force_jitter, forced):
+        # both factor G_X + n*lam*I through _factor_pd, so on distinct points they record
+        # the same jitter and condition bound, bit for bit; bandwidth 10 and lambda 1e-17
+        # jitter on their own, bandwidth 5 and lambda 1e-12 are ill-conditioned
+        if forced is not None:
+            force_jitter(forced)
+        cases = [
+            (ou_sample_pairs(1.0, 0.5, 30, 7), GaussianKernel(bandwidth=10.0), 1e-17, (3,)),
+            (ou_sample_pairs(1.0, 0.5, 40, 13), GaussianKernel(bandwidth=5.0), 1e-12, (3,)),
+            (random_sample(np.random.default_rng(55), 12), GAUSS, 1e-2, (3, 11)),  # Arnoldi, dense
+        ]
+        for sample, kernel, lam, ranks in cases:
+            est = fit_cme(sample, kernel, Tikhonov(), lam)
+            assert est.W.shape == (sample.n, sample.n)      # no repeated point
+            for r in ranks:
+                res = edmd_eigen(sample, kernel, lam, r)
+                assert bits([res.jitter, res.cond_lower_bound]) == bits(
+                    [est.jitter, est.cond_lower_bound]
+                )
+                assert res.cond_lower_bound >= 1.0
+            if forced is not None:
+                assert est.jitter == forced
+        if forced is None:
+            assert fit_cme(*cases[0][:2], Tikhonov(), 1e-17).jitter > 0
+            assert fit_cme(*cases[1][:2], Tikhonov(), 1e-12).cond_lower_bound > 1e10
 
     def test_jitter_is_recorded(self):
         # trace(G_X + n*lam*I) / n = 1 + n*lam for a Gaussian kernel; r = 3 of
@@ -396,8 +427,8 @@ class TestEdmdEigen:
                 products.append(other.shape)
                 return np.asarray(self) @ other
 
-        inner_gram, inner_norm, inner_eigs = (
-            cmekit.spectral.cross_gram, cmekit.spectral._rkhs_norm_sq, sparse_linalg.eigs
+        inner_gram, inner_product, inner_eigs = (
+            cmekit.spectral.cross_gram, cmekit.spectral._gram_product, sparse_linalg.eigs
         )
 
         def cross_gram(kernel, rows, cols):
@@ -414,9 +445,9 @@ class TestEdmdEigen:
 
             return blas
 
-        def rkhs_norm_sq(*args):
-            norm_passes.append(True)
-            return inner_norm(*args)
+        def gram_product(L, g, P):
+            norm_passes.append(P.shape[1])
+            return inner_product(L, g, P)
 
         def eigs(*args, **kwargs):
             out = inner_eigs(*args, **kwargs)
@@ -426,10 +457,10 @@ class TestEdmdEigen:
         monkeypatch.setattr(cmekit.spectral, "cross_gram", cross_gram)
         for name in ("dgemv", "dgemm"):
             monkeypatch.setattr(cmekit.spectral, name, recording(name))
-        monkeypatch.setattr(cmekit.spectral, "_rkhs_norm_sq", rkhs_norm_sq)
+        monkeypatch.setattr(cmekit.spectral, "_gram_product", gram_product)
         monkeypatch.setattr(sparse_linalg, "eigs", eigs)
         edmd_eigen(sample, GAUSS, 1e-2, r)
-        assert len(norm_passes) == 1 and products == []
+        assert norm_passes == [4 * r] and products == []    # Re and Im of V and of D
         assert steps and set(steps) == {("dgemv", 1)}
         assert done and widths == [("dgemm", 2 * r)]
 
@@ -588,6 +619,11 @@ class TestSignCluster:
         labels = sign_cluster(res, [pt(0.9), pt(0.5), pt(0.1)])
         assert labels[0] == 0 and labels[2] == 1
         assert labels[1] == 0
+
+    def test_all_zero_values_give_label_zero(self):
+        res = self._result([pt(0.0), pt(1.0)], [0.0, 0.0])
+        labels = sign_cluster(res, [pt(-1.0), pt(0.5), pt(2.0)])
+        assert np.array_equal(labels, [0, 0, 0]) and labels.dtype == int
 
     def test_requires_two_eigenfunctions(self):
         rng = np.random.default_rng(50)

@@ -77,6 +77,11 @@ EXTRA_RUNS = (
     ("edmd-finite", "edmd", "finite-model", None, "lambda = 1e-3\nn = 400\nr = 3"),
     ("estimate-double-well", "estimate", "double-well", "variant = tikhonov",
      "lambda = 1e-3\nn = 200"),
+    # no jitter, and a condition bound above the CLI's warning threshold: both warn
+    ("estimate-ill-conditioned", "estimate", "ou", "variant = tikhonov", "lambda = 1e-12\nn = 40",
+     {"bandwidth": "5"}),
+    ("edmd-ill-conditioned", "edmd", "ou", None, "lambda = 1e-12\nn = 40\nr = 3",
+     {"bandwidth": "5"}),
     # refused, exit 2: one value per input rule
     ("refused-lambda-nan", "estimate", "ou", "variant = tikhonov", "lambda = 1e-3\nn = 300",
      {"lambda": "nan"}),
